@@ -19,10 +19,12 @@ from .core import (
 )
 from .convex import CertificateError, ModelDomain, TangentHalfspaceCert
 from .exact import (
+    SAMPLE_POINTS,
     DistBound,
     OracleError,
     ball_oracle,
     disc_distance,
+    disc_distance_array,
     disc_oracle,
     gn_pair_bounds,
     halfplane_distance,
@@ -65,12 +67,14 @@ __all__ = [
     "PROFILES",
     "ProfileFn",
     "QUARTIC",
+    "SAMPLE_POINTS",
     "SuiteResult",
     "TangentHalfspaceCert",
     "WitnessReport",
     "ball_oracle",
     "claims_check",
     "disc_distance",
+    "disc_distance_array",
     "disc_oracle",
     "estimate_delta",
     "find_steep_point",

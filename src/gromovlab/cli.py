@@ -28,7 +28,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +178,11 @@ def run_sweep(config: SweepConfig) -> int:
     log.info("sweep family=%s points=%d workers=%d",
              config.family, len(tasks), config.workers)
     if config.workers > 1:
+        # imported here: the pool's modules add about 2 MB of resident
+        # memory to every process that loads the CLI, and only this
+        # branch uses them
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
@@ -205,68 +209,27 @@ def run_sweep(config: SweepConfig) -> int:
 # ---------------------------------------------------------------------------
 # sampling backends
 
-def _disc_point(rng: np.random.Generator) -> complex:
-    r = 0.999 * math.sqrt(rng.uniform(0.0, 1.0))
-    th = rng.uniform(0.0, 2.0 * math.pi)
-    return complex(r * math.cos(th), r * math.sin(th))
-
-
-def _ball_point(rng: np.random.Generator):
-    v = rng.normal(size=4)
-    v *= 0.999 * rng.uniform(0.0, 1.0) ** 0.25 / np.linalg.norm(v)
-    return (complex(v[0], v[1]), complex(v[2], v[3]))
-
-
-def _polydisc_point(rng: np.random.Generator):
-    return (_disc_point(rng), _disc_point(rng))
-
-
-def _royal(u: float):
-    return (u, u, u * u)
-
-
-def _tetra_royal_distance(u: float, v: float) -> float:
-    return exact.tetra_pair_distance(_royal(u), _royal(v), u)
-
-
-def _tetra_param(rng: np.random.Generator) -> float:
-    return float(rng.uniform(-0.9, 0.9))
-
-
-def _axis_point(rng: np.random.Generator):
-    return (float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0)))
-
-
 def _sample_setup(domain: str, directed_scale: float | None, period: int):
-    """Distance function and sampler factory for one backend.
-
-    The factory is rebuilt per checkpoint so that injection counters
-    restart and a length-n prefix is shared by all checkpoints.
-    """
-    if domain == "disc":
-        return exact.disc_oracle().fn, lambda: core.uniform_quadruple_sampler(_disc_point)
-    if domain == "ball":
-        return exact.ball_oracle(2).fn, lambda: core.uniform_quadruple_sampler(_ball_point)
-    if domain == "tetra":
-        return _tetra_royal_distance, lambda: core.uniform_quadruple_sampler(_tetra_param)
-    if domain != "polydisc":
-        raise ValueError(f"unknown sample domain {domain!r}")
-    if directed_scale is None:
+    """Array distance and block sampler for one backend."""
+    if domain == "polydisc" and directed_scale is not None:
+        # witness-directed run: the axis representation stays exact at any
+        # scale (tanh saturates doubles near 19), so the injected product
+        # quadruples keep their defect verbatim
+        rep = witnesses.product_witness(directed_scale)
+        base = core.uniform_quadruple_sampler(exact.SAMPLE_POINTS["polydisc_axis"])
         return (
-            exact.polydisc_oracle(2).fn,
-            lambda: core.uniform_quadruple_sampler(_polydisc_point),
+            exact.polydisc_axis_distance_array,
+            core.mixed_quadruple_sampler(base, [rep.quadruple], period=period),
         )
-    # witness-directed run: the axis representation stays exact at any
-    # scale (tanh saturates doubles near 19), so the injected product
-    # quadruples keep their defect verbatim
-    rep = witnesses.product_witness(directed_scale)
-    injected = [rep.quadruple]
-    return (
-        exact.polydisc_axis_oracle(2).fn,
-        lambda: core.mixed_quadruple_sampler(
-            core.uniform_quadruple_sampler(_axis_point), injected, period=period
-        ),
-    )
+    distances = {
+        "disc": exact.disc_distance_array,
+        "ball": exact.ball_distance_array,
+        "polydisc": exact.polydisc_distance_array,
+        "tetra": exact.tetra_royal_distance_array,
+    }
+    if domain not in distances:
+        raise ValueError(f"unknown sample domain {domain!r}")
+    return distances[domain], core.uniform_quadruple_sampler(exact.SAMPLE_POINTS[domain])
 
 
 def run_sample(
@@ -279,40 +242,33 @@ def run_sample(
 ) -> int:
     """Sampled sup of four-point defects, with rows at decade checkpoints.
 
-    Checkpoints share their draw prefix (fresh rng per checkpoint, fixed
-    seed), so sup_defect is monotone down the file.
+    One pass over n quadruples; each checkpoint row is the running sup of
+    the draws before it, so sup_defect is monotone down the file and each
+    row equals a run of that size with the same seed.
     """
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    d, sampler_factory = _sample_setup(domain, directed_scale, period)
-    checkpoints = [10**k for k in range(1, 12) if 10**k < n]
-    checkpoints.append(n)
+    d, sampler = _sample_setup(domain, directed_scale, period)
     log.info("sample domain=%s n=%d seed=%d directed=%s",
              domain, n, seed, directed_scale)
-    rows = []
-    last = None
-    for ck in checkpoints:
-        t0 = time.perf_counter()
-        last = core.estimate_delta(d, sampler_factory(), ck, seed=seed)
-        wall = 1e3 * (time.perf_counter() - t0)
-        rows.append({
-            "n": str(ck),
-            "sup_defect": _fmt(last.sup_defect),
-            "wall_ms": "0",
-            "error": "",
-        })
-        log.debug("checkpoint n=%d sup=%.6g (%.0f ms)", ck, last.sup_defect, wall)
+    t0 = time.perf_counter()
+    est = core.estimate_delta(d, sampler, n, seed)
+    log.debug("sampled n=%d sup=%.6g (%.0f ms)",
+              n, est.sup_defect, 1e3 * (time.perf_counter() - t0))
+    rows = [
+        {"n": str(ck), "sup_defect": _fmt(sup), "wall_ms": "0", "error": ""}
+        for ck, sup in est.checkpoints
+    ]
     with open(out, "w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["n", "sup_defect", "wall_ms", "error"], lineterminator="\n"
         )
         writer.writeheader()
         writer.writerows(rows)
-        assert last is not None
         scale_note = "" if directed_scale is None else f" directed_scale={_fmt(directed_scale)}"
         fh.write(f"# summary domain={domain} n={n} seed={seed}"
-                 f"{scale_note} sup={_fmt(last.sup_defect)}\n")
-        fh.write(f"# argmax {last.argmax!r}\n")
+                 f"{scale_note} sup={_fmt(est.sup_defect)}\n")
+        fh.write(f"# argmax {est.argmax!r}\n")
     return 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,10 +24,6 @@ Quadruple = tuple[Point, Point, Point, Point]
 
 #: default absolute tolerance for metric-axiom checks
 METRIC_TOL = 1e-9
-
-
-class SamplerExhausted(RuntimeError):
-    """A finite quadruple source ran dry before the requested draw count."""
 
 
 class QuasiIsometryFitError(RuntimeError):
@@ -81,12 +77,14 @@ class FourPointReport:
 
 @dataclass(frozen=True)
 class DeltaEstimate:
-    """Sampled supremum of four-point defects."""
+    """Sampled supremum of four-point defects, with the running sup at
+    each decade checkpoint as (n, sup) pairs."""
 
     sup_defect: float
     argmax: Quadruple
     n: int
     seed: int
+    checkpoints: tuple[tuple[int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -122,14 +120,30 @@ def four_point_defect(
     )
 
 
-Sampler = Callable[[np.random.Generator], Quadruple]
+#: ``points(rng, m)``: m points drawn from ``rng``, as an array whose
+#: first axis indexes the points
+PointGenerator = Callable[[np.random.Generator, int], np.ndarray]
+#: ``sampler(rng, start, size)``: quadruples ``start .. start+size-1`` of
+#: the run, as a (size, 4, ...) array
+Sampler = Callable[[np.random.Generator, int, int], np.ndarray]
+#: ``d(xs, ys)``: distances of the pairs (xs[i], ys[i]), as an (N,) array
+ArrayDistance = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+#: quadruples drawn and evaluated per block.  Draws always come in whole
+#: blocks, so a run of n quadruples shares its first n with every longer
+#: run of the same seed.  At 512 the largest temporary (the bidisc's
+#: 12-fold disc batch) stays under 100 kB and the peak resident set does
+#: not grow over a run; at 1024 it grew by 0.5 MB (ball) and 1.1 MB
+#: (bidisc), for no measurable gain in speed.
+CHUNK = 512
 
 
-def uniform_quadruple_sampler(point_gen: Callable[[np.random.Generator], Point]) -> Sampler:
+def uniform_quadruple_sampler(points: PointGenerator) -> Sampler:
     """Quadruples of four independent draws from a point generator."""
 
-    def draw(rng: np.random.Generator) -> Quadruple:
-        return (point_gen(rng), point_gen(rng), point_gen(rng), point_gen(rng))
+    def draw(rng: np.random.Generator, start: int, size: int) -> np.ndarray:
+        pts = points(rng, 4 * size)
+        return pts.reshape(size, 4, *pts.shape[1:])
 
     return draw
 
@@ -137,66 +151,106 @@ def uniform_quadruple_sampler(point_gen: Callable[[np.random.Generator], Point])
 def mixed_quadruple_sampler(
     base: Sampler, injected: Sequence[Quadruple], period: int = 8
 ) -> Sampler:
-    """Witness-directed sampling: every ``period``-th draw cycles through
-    ``injected`` quadruples, the rest come from ``base``.
+    """Witness-directed sampling: every ``period``-th quadruple of the run
+    (index i with i % period == period - 1) is the next of ``injected``,
+    in turn; the rest come from ``base``.
 
-    Deterministic given the rng stream: the injected index advances on a
-    counter, not on rng state.
+    Deterministic given the rng stream: the injected slots and quadruples
+    follow the global draw index, not the rng state or the block size.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     if not injected:
         raise ValueError("injected quadruple list is empty")
-    counter = {"draws": 0, "inj": 0}
+    table = np.asarray(injected)
 
-    def draw(rng: np.random.Generator) -> Quadruple:
-        i = counter["draws"]
-        counter["draws"] = i + 1
-        if i % period == period - 1:
-            j = counter["inj"]
-            counter["inj"] = j + 1
-            return injected[j % len(injected)]
-        return base(rng)
+    def draw(rng: np.random.Generator, start: int, size: int) -> np.ndarray:
+        quads = base(rng, start, size)
+        slots = np.arange((period - 1 - start) % period, size, period)
+        quads[slots] = table[((start + slots) // period) % len(table)]
+        return quads
 
     return draw
 
 
-def estimate_delta(
-    d: Callable[[Point, Point], float],
-    sampler: Sampler | Iterator[Quadruple],
-    n: int,
-    seed: int = 0,
-) -> DeltaEstimate:
+def four_point_defects(d: ArrayDistance, quads: np.ndarray) -> np.ndarray:
+    """Defects min{(p,x)_w, (x,q)_w} - (p,q)_w of a (N, 4, ...) block of
+    quadruples (p, q, x, w), as an (N,) array.
+
+    The six distances go to ``d`` as one batch.  The operations run in the
+    order of :func:`four_point_defect`, so equal distances give bit-equal
+    defects, and the block is refused as :class:`FourPointReport` refuses
+    one quadruple: a Gromov product below the tolerance (or a NaN one)
+    means the oracle is not a metric.
+    """
+    p, q, x, w = (quads[:, k] for k in range(4))
+    dist = d(np.concatenate((p, q, x, p, x, p)), np.concatenate((w, w, w, x, q, q)))
+    d_pw, d_qw, d_xw, d_px, d_xq, d_pq = np.reshape(dist, (6, len(quads)))
+    gp_px = d_pw + d_xw - d_px
+    gp_xq = d_xw + d_qw - d_xq
+    gp_pq = d_pw + d_qw - d_pq
+    scale = 1.0 + np.maximum(np.maximum(np.abs(gp_px), np.abs(gp_xq)), np.abs(gp_pq))
+    floor = -2.0 * METRIC_TOL * scale
+    ok = np.minimum(np.minimum(gp_px, gp_xq), gp_pq) >= floor
+    if not np.all(ok):
+        raise ValueError(
+            "negative Gromov product beyond tolerance; distance oracle "
+            f"violates the triangle inequality on quadruple {int(np.argmin(ok))} "
+            "of the block"
+        )
+    return np.minimum(gp_px, gp_xq) - gp_pq
+
+
+def _decade_checkpoints(n: int) -> list[int]:
+    """The sample sizes 10, 100, ... below n, then n."""
+    marks = []
+    k = 10
+    while k < n:
+        marks.append(k)
+        k *= 10
+    return marks + [n]
+
+
+def _python_quadruple(row: np.ndarray) -> Quadruple:
+    # back to the types a scalar sampler hands out: complex, float, or a
+    # tuple of them per point
+    return tuple(tuple(p) if isinstance(p, list) else p for p in row.tolist())
+
+
+def estimate_delta(d: ArrayDistance, sampler: Sampler, n: int, seed: int = 0) -> DeltaEstimate:
     """Sampled sup of four-point defects over ``n`` quadruples.
 
-    Deterministic for a fixed seed, and monotone in ``n`` for a fixed seed
-    since draws are consumed sequentially.  ``sampler`` may be a callable on
-    an rng or a finite iterator; exhaustion of a finite source raises.
+    Quadruples are drawn in blocks of :data:`CHUNK` and evaluated by
+    :func:`four_point_defects`; a running maximum carries over from block
+    to block and gives the sup at n = 10, 100, ... below ``n`` and at ``n``.
+    Deterministic for a fixed seed, and the first n quadruples of a longer
+    run with the same seed are those of a run of n, so the sup is
+    monotone in n.  ``argmax`` is the first quadruple reaching the sup.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
+    marks = _decade_checkpoints(n)
+    checkpoints: list[tuple[int, float]] = []
     best = -math.inf
     best_quad: Quadruple | None = None
-    if callable(sampler):
-        draws: Iterator[Quadruple] = (sampler(rng) for _ in range(n))
-    else:
-        draws = iter(sampler)
-    count = 0
-    for _ in range(n):
-        try:
-            quad = next(draws)
-        except StopIteration:
-            raise SamplerExhausted(
-                f"quadruple source exhausted after {count} of {n} draws"
-            ) from None
-        count += 1
-        rep = four_point_defect(d, *quad)
-        if rep.defect > best:
-            best = rep.defect
-            best_quad = quad
+    for start in range(0, n, CHUNK):
+        quads = sampler(rng, start, CHUNK)[: n - start]
+        defects = four_point_defects(d, quads)
+        end = start + len(defects)
+        if marks[len(checkpoints)] <= end:
+            running = np.maximum.accumulate(defects)
+            while len(checkpoints) < len(marks) and marks[len(checkpoints)] <= end:
+                ck = marks[len(checkpoints)]
+                checkpoints.append((ck, max(best, float(running[ck - start - 1]))))
+        i = int(np.argmax(defects))
+        if defects[i] > best:
+            best = float(defects[i])
+            best_quad = _python_quadruple(quads[i])
     assert best_quad is not None
-    return DeltaEstimate(sup_defect=best, argmax=best_quad, n=n, seed=seed)
+    return DeltaEstimate(
+        sup_defect=best, argmax=best_quad, n=n, seed=seed, checkpoints=tuple(checkpoints)
+    )
 
 
 def max_product_metric(d1: DistanceOracle, d2: DistanceOracle) -> DistanceOracle:

@@ -21,6 +21,7 @@ cancellation in |1 - conj(u) v|^2 - |u - v|^2.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -198,6 +199,189 @@ def ball_distance(zs: Sequence[complex], ws: Sequence[complex]) -> float:
             gram += abs(z[i] * w[j] - z[j] * w[i]) ** 2
     m = math.sqrt(max(0.0, diff2 - gram) / den)
     return _atanh_stable(m, one_minus_m2)
+
+
+# ---------------------------------------------------------------------------
+# array twins of the sampling kernels
+#
+# Each works on whole arrays of point pairs with its scalar twin's formula
+# and stable branch, and raises OracleError when any point of the batch is
+# on or outside the boundary.  The scalar kernels above stay the reference
+# (the tests compare the two) and serve every path but sampling.
+
+
+def _atanh_stable_array(m_direct: np.ndarray, one_minus_m2: np.ndarray) -> np.ndarray:
+    if not np.all(one_minus_m2 > 0.0):
+        raise OracleError("point on or outside the boundary")
+    # both branches on every entry, then the switch: cheaper than indexing
+    # the two halves; the direct one may meet m = 1 on entries it loses
+    with np.errstate(divide="ignore"):
+        direct = np.arctanh(np.minimum(m_direct, 1.0 - 1e-17))
+    m = np.sqrt(np.maximum(0.0, 1.0 - one_minus_m2))
+    via_log = np.log1p(m) - 0.5 * np.log(one_minus_m2)
+    return np.where(one_minus_m2 >= _STABLE_SWITCH, direct, via_log)
+
+
+def disc_distance_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Array twin of :func:`disc_distance` on (N,) complex arrays."""
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    a = 1.0 - (u.real * u.real + u.imag * u.imag)
+    b = 1.0 - (v.real * v.real + v.imag * v.imag)
+    if not (np.all(a > 0.0) and np.all(b > 0.0)):
+        raise OracleError("disc_distance_array: point outside the open disc")
+    den = np.abs(1.0 - np.conj(u) * v) ** 2
+    one_minus_m2 = (a / den) * b
+    m = np.abs(u - v) / np.sqrt(den)
+    return _atanh_stable_array(m, one_minus_m2)
+
+
+def ball_distance_array(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Array twin of :func:`ball_distance` on (N, n) complex arrays, with
+    the same Lagrange identity for the numerator.
+
+    Sums over the n coordinates run column by column, in the order
+    ``np.sum`` adds the n entries of one point in the scalar twin.
+    """
+    z = np.asarray(zs, dtype=complex)
+    w = np.asarray(ws, dtype=complex)
+    if z.shape != w.shape or z.ndim != 2:
+        raise OracleError("ball_distance_array: shape mismatch")
+    z, w = z.T, w.T
+    nz2 = sum(c.real**2 + c.imag**2 for c in z)
+    nw2 = sum(c.real**2 + c.imag**2 for c in w)
+    if not (np.all(nz2 < 1.0) and np.all(nw2 < 1.0)):
+        raise OracleError("ball_distance_array: point outside the open ball")
+    ip = sum(a * np.conj(b) for a, b in zip(z, w))
+    den = np.abs(1.0 - ip) ** 2
+    one_minus_m2 = (1.0 - nz2) * (1.0 - nw2) / den
+    diff2 = sum(np.abs(a - b) ** 2 for a, b in zip(z, w))
+    n = len(z)
+    gram = sum(np.abs(z[i] * w[j] - z[j] * w[i]) ** 2
+               for i in range(n) for j in range(i + 1, n))
+    m = np.sqrt(np.maximum(0.0, diff2 - gram) / den)
+    return _atanh_stable_array(m, one_minus_m2)
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    # column by column: ``a.max(axis=1)`` over a short axis runs a
+    # separate reduction per row, some 40 times slower
+    return functools.reduce(np.maximum, a.T)
+
+
+def polydisc_distance_array(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Array twin of :func:`polydisc_distance` on (N, n) complex arrays."""
+    z = np.asarray(zs, dtype=complex)
+    w = np.asarray(ws, dtype=complex)
+    if z.shape != w.shape or z.ndim != 2:
+        raise OracleError("dimension mismatch")
+    return _row_max(disc_distance_array(z.ravel(), w.ravel()).reshape(z.shape))
+
+
+def polydisc_axis_distance_array(ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """Array twin of the :func:`polydisc_axis_oracle` distance on (N, n)
+    arrays of geodesic parameters: max_i |t_i - s_i|.
+
+    A non-finite parameter stands for no point, so it raises instead of
+    turning into a NaN distance.
+    """
+    t = np.asarray(ts, dtype=float)
+    s = np.asarray(ss, dtype=float)
+    if t.shape != s.shape or t.ndim != 2:
+        raise OracleError("dimension mismatch")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(s))):
+        raise OracleError("polydisc_axis_distance_array: non-finite geodesic parameter")
+    return _row_max(np.abs(t - s))
+
+
+def tetra_royal_distance_array(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Distances between the royal-line points (u, u, u^2) and (v, v, v^2)
+    of the tetrablock, on (N,) real arrays.
+
+    Array twin of ``tetra_pair_distance((u, u, u*u), (v, v, v*v), u)``:
+    the shift by u (:func:`tetra_automorphism`, here in real arithmetic,
+    which rounds like the complex form with zero imaginary parts), the
+    same alignment check on the image of the first point, then
+    :func:`tetra_origin_distance` at the image of the second.
+    """
+    t = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if not np.all(np.abs(t) < 1.0):
+        raise OracleError("automorphism parameter must be in (-1, 1)")
+
+    def shift(a, p):
+        # tetra_automorphism(t, (a, a, p)): both diagonal images agree
+        den = 1.0 - t * (a + a) + t * t * p
+        return (a - t + t * t * a - t * p) / den, (p - t * (a + a) + t * t) / den
+
+    # a vanishing denominator (|t| within an ulp or two of 1, where the
+    # scalar shift raises ZeroDivisionError) gives inf or NaN here and
+    # fails the check below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x1, x3 = shift(t, t * t)
+        y1, y3 = shift(v, v * v)
+    scale = 1.0 + np.maximum.reduce([np.abs(x1), np.abs(x3), np.abs(y1), np.abs(y3)])
+    aligned = np.maximum(np.abs(x1), np.abs(x3)) <= tol * scale
+    if not np.all(aligned & np.isfinite(scale)):
+        raise OracleError("royal shift does not send the first point to 0, or divides by 0")
+    if not np.all(np.abs(y1) < 1.0):
+        raise OracleError("point outside the open tetrablock")
+    cross = np.abs(y1 * y1 - y3)
+    m = (np.abs(y1 - y1 * y3) + cross) / (1.0 - np.abs(y1) ** 2)
+    if not np.all(m < 1.0):
+        raise OracleError("point outside the open tetrablock")
+    return np.arctanh(m)
+
+
+def disc_points(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m points of the disc of radius 0.999, uniform in area: (m,) complex.
+
+    Rejection from the square: uniform pairs in [-1, 1)^2 inside the unit
+    circle, scaled by 0.999.  A batch of 4m/3 + 8 pairs keeps about 1.05m,
+    so a second batch is rare.
+    """
+    pts = np.empty(0, dtype=complex)
+    while len(pts) < m:
+        z = rng.uniform(-1.0, 1.0, (m + m // 3 + 8, 2)).view(complex).ravel()
+        pts = np.concatenate((pts, z[z.real * z.real + z.imag * z.imag < 1.0]))
+    return 0.999 * pts[:m]
+
+
+def ball_points(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m points of the ball of radius 0.999 in C^2, uniform in volume:
+    (m, 2) complex."""
+    v = rng.normal(size=(m, 4))
+    v *= (0.999 * rng.uniform(0.0, 1.0, m) ** 0.25 / np.linalg.norm(v, axis=1))[:, None]
+    return v[:, 0::2] + 1j * v[:, 1::2]
+
+
+def polydisc_points(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m points of the bidisc, two independent disc points each: (m, 2)
+    complex."""
+    return disc_points(rng, 2 * m).reshape(m, 2)
+
+
+def royal_line_points(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m royal-line parameters u, uniform in (-0.9, 0.9), each standing for
+    the tetrablock point (u, u, u^2): (m,) real."""
+    return rng.uniform(-0.9, 0.9, m)
+
+
+def polydisc_axis_points(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m points of the bidisc's real-axis torus, geodesic parameters
+    uniform in (-3, 3)^2: (m, 2) real."""
+    return rng.uniform(-3.0, 3.0, (m, 2))
+
+
+#: the one table of point generators for sampled defects: domain name ->
+#: ``points(rng, m)``, an array of m points with the points on axis 0
+SAMPLE_POINTS = {
+    "disc": disc_points,
+    "ball": ball_points,
+    "polydisc": polydisc_points,
+    "tetra": royal_line_points,
+    "polydisc_axis": polydisc_axis_points,
+}
 
 
 def disc_to_halfplane(z: complex) -> complex:

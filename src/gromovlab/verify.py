@@ -381,17 +381,10 @@ def suite_witness_divergence(ctx: VerifyContext) -> SuiteResult:
 
 def suite_determinism(ctx: VerifyContext) -> SuiteResult:
     failures = []
-    disc = exact.disc_oracle()
-
-    def pt(r):
-        rad = math.sqrt(r.uniform(0, 0.9))
-        th = r.uniform(0, 2 * math.pi)
-        return complex(rad * math.cos(th), rad * math.sin(th))
-
-    sampler = core.uniform_quadruple_sampler(pt)
-    e1 = core.estimate_delta(disc.fn, sampler, 500, seed=ctx.seed)
-    e2 = core.estimate_delta(disc.fn, sampler, 500, seed=ctx.seed)
-    if e1.sup_defect != e2.sup_defect or e1.argmax != e2.argmax:
+    sampler = core.uniform_quadruple_sampler(exact.SAMPLE_POINTS["disc"])
+    e1 = core.estimate_delta(exact.disc_distance_array, sampler, 500, seed=ctx.seed)
+    e2 = core.estimate_delta(exact.disc_distance_array, sampler, 500, seed=ctx.seed)
+    if e1 != e2:
         failures.append("estimate_delta not reproducible for a fixed seed")
 
     r1 = witnesses.hinge_witness(1e-8)

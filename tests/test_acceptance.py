@@ -115,40 +115,27 @@ def test_criterion_5_flat_harness_slope_and_claims():
 def test_criterion_6_hyperbolic_controls():
     with budget(30.0):
         seed = 7
-
-        def disc_gen(rng):
-            r = 0.999 * math.sqrt(rng.uniform())
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            return complex(r * math.cos(th), r * math.sin(th))
-
-        def ball_gen(rng):
-            v = rng.normal(size=4)
-            v /= math.hypot(*v)
-            r = 0.999 * rng.uniform() ** 0.25
-            return (complex(r * v[0], r * v[1]), complex(r * v[2], r * v[3]))
-
         drifts = {}
-        for name, d, gen in (
-            ("disc", exact.disc_oracle().fn, disc_gen),
-            ("ball", exact.ball_oracle(2).fn, ball_gen),
+        for name, d in (
+            ("disc", exact.disc_distance_array),
+            ("ball", exact.ball_distance_array),
         ):
-            e4 = core.estimate_delta(d, core.uniform_quadruple_sampler(gen), 10**4, seed=seed)
-            e5 = core.estimate_delta(d, core.uniform_quadruple_sampler(gen), 10**5, seed=seed)
+            sampler = core.uniform_quadruple_sampler(exact.SAMPLE_POINTS[name])
+            e4 = core.estimate_delta(d, sampler, 10**4, seed=seed)
+            e5 = core.estimate_delta(d, sampler, 10**5, seed=seed)
             assert e4.sup_defect <= e5.sup_defect  # shared prefix
             drifts[name] = e5.sup_defect - e4.sup_defect
             assert drifts[name] < 0.5
 
         # directed growth up to the witness constructor's documented scale
         # ceiling: sup tracks s exactly, so every bound below it is exceeded
-        d_axis = exact.polydisc_axis_oracle(2).fn
+        d_axis = exact.polydisc_axis_distance_array
         scales = (10.0, 100.0, 300.0)
         sups = []
         for s in scales:
             quad = witnesses.product_witness(s).quadruple
             sampler = core.mixed_quadruple_sampler(
-                core.uniform_quadruple_sampler(
-                    lambda rng: (rng.uniform(-3, 3), rng.uniform(-3, 3))
-                ),
+                core.uniform_quadruple_sampler(exact.SAMPLE_POINTS["polydisc_axis"]),
                 [quad],
                 period=8,
             )

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gromovlab import core
-from gromovlab.exact import disc_distance, disc_oracle
+from gromovlab.exact import disc_distance, disc_distance_array, disc_oracle
 
 
 def d_real(x, y):
@@ -70,39 +70,40 @@ def test_metric_axiom_violations_catches_triangle():
 
 
 def test_estimate_delta_deterministic_and_monotone():
-    d = disc_oracle().fn
+    d = disc_distance_array
 
-    def gen(rng):
-        z = rng.uniform(-0.7, 0.7) + 1j * rng.uniform(-0.7, 0.7)
-        return z
+    def gen(rng, m):
+        return rng.uniform(-0.7, 0.7, m) + 1j * rng.uniform(-0.7, 0.7, m)
 
     est1 = core.estimate_delta(d, core.uniform_quadruple_sampler(gen), 400, seed=5)
     est2 = core.estimate_delta(d, core.uniform_quadruple_sampler(gen), 400, seed=5)
     assert est1.sup_defect == est2.sup_defect
     assert est1.argmax == est2.argmax
+    assert all(isinstance(z, complex) for z in est1.argmax)
+    assert [ck for ck, _ in est1.checkpoints] == [10, 100, 400]
+    assert est1.checkpoints[-1][1] == est1.sup_defect
     small = core.estimate_delta(d, core.uniform_quadruple_sampler(gen), 100, seed=5)
     assert small.sup_defect <= est1.sup_defect
-
-
-def test_estimate_delta_accepts_iterator():
-    quads = [(0.0, 0.1 * k, 0.05, 0.2) for k in range(1, 30)]
-    est = core.estimate_delta(d_real, iter(quads), len(quads))
-    assert est.sup_defect <= 1e-9
-    assert est.n == len(quads)
+    assert small.sup_defect == est1.checkpoints[1][1]
 
 
 def test_mixed_sampler_injects_at_period():
-    marker = ("a", "b", "c", "d")
+    markers = [np.full((4, 2), 9.0), np.full((4, 2), 8.0)]
 
-    def gen(rng):
-        return float(rng.uniform())
+    def gen(rng, m):
+        return rng.uniform(size=(m, 2))
 
     base = core.uniform_quadruple_sampler(gen)
-    sampler = core.mixed_quadruple_sampler(base, [marker], period=4)
+    sampler = core.mixed_quadruple_sampler(base, markers, period=4)
     rng = np.random.default_rng(0)
-    draws = [sampler(rng) for _ in range(12)]
-    assert draws[3] == marker and draws[7] == marker and draws[11] == marker
-    assert all(not isinstance(q[0], str) for i, q in enumerate(draws) if i % 4 != 3)
+    # slots follow the run's draw index, so a block starting at 5 holds
+    # the injections of draws 7, 11 and 15 (the 2nd, 3rd and 4th, cycling
+    # through the markers) at its slots 2, 6 and 10
+    quads = sampler(rng, 5, 12)
+    injected = [i for i in range(12) if np.all(quads[i] >= 8.0)]
+    assert injected == [2, 6, 10]
+    assert [quads[i][0][0] for i in injected] == [8.0, 9.0, 8.0]
+    assert np.all(quads[[i for i in range(12) if i not in injected]] < 1.0)
 
 
 def test_max_product_metric_is_max():
