@@ -19,12 +19,11 @@ from .core import (
 )
 from .convex import CertificateError, ModelDomain, TangentHalfspaceCert
 from .exact import (
-    SAMPLE_POINTS,
+    SAMPLE_DOMAINS,
     DistBound,
     OracleError,
     ball_oracle,
     disc_distance,
-    disc_distance_array,
     disc_oracle,
     gn_pair_bounds,
     halfplane_distance,
@@ -67,14 +66,13 @@ __all__ = [
     "PROFILES",
     "ProfileFn",
     "QUARTIC",
-    "SAMPLE_POINTS",
+    "SAMPLE_DOMAINS",
     "SuiteResult",
     "TangentHalfspaceCert",
     "WitnessReport",
     "ball_oracle",
     "claims_check",
     "disc_distance",
-    "disc_distance_array",
     "disc_oracle",
     "estimate_delta",
     "find_steep_point",

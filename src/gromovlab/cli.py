@@ -216,20 +216,13 @@ def _sample_setup(domain: str, directed_scale: float | None, period: int):
         # scale (tanh saturates doubles near 19), so the injected product
         # quadruples keep their defect verbatim
         rep = witnesses.product_witness(directed_scale)
-        base = core.uniform_quadruple_sampler(exact.SAMPLE_POINTS["polydisc_axis"])
-        return (
-            exact.polydisc_axis_distance_array,
-            core.mixed_quadruple_sampler(base, [rep.quadruple], period=period),
-        )
-    distances = {
-        "disc": exact.disc_distance_array,
-        "ball": exact.ball_distance_array,
-        "polydisc": exact.polydisc_distance_array,
-        "tetra": exact.tetra_royal_distance_array,
-    }
-    if domain not in distances:
+        axis = exact.SAMPLE_DOMAINS["polydisc_axis"]
+        base = core.uniform_quadruple_sampler(axis.points)
+        return axis.distance, core.mixed_quadruple_sampler(base, [rep.quadruple], period=period)
+    if domain not in exact.SAMPLE_DOMAINS:
         raise ValueError(f"unknown sample domain {domain!r}")
-    return distances[domain], core.uniform_quadruple_sampler(exact.SAMPLE_POINTS[domain])
+    dom = exact.SAMPLE_DOMAINS[domain]
+    return dom.distance, core.uniform_quadruple_sampler(dom.points)
 
 
 def run_sample(

@@ -40,6 +40,10 @@ class OracleError(ValueError):
 # digits, so we switch to the log1p identity.
 _STABLE_SWITCH = 0.19
 
+# How close to 0 a tetrablock shift must send the first point of a pair,
+# relative to the size of the images, for the origin form to apply.
+_ALIGN_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class DistBound:
@@ -294,7 +298,7 @@ def polydisc_axis_distance_array(ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
     return _row_max(np.abs(t - s))
 
 
-def tetra_royal_distance_array(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def tetra_royal_distance_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Distances between the royal-line points (u, u, u^2) and (v, v, v^2)
     of the tetrablock, on (N,) real arrays.
 
@@ -321,7 +325,7 @@ def tetra_royal_distance_array(u: np.ndarray, v: np.ndarray, tol: float = 1e-10)
         x1, x3 = shift(t, t * t)
         y1, y3 = shift(v, v * v)
     scale = 1.0 + np.maximum.reduce([np.abs(x1), np.abs(x3), np.abs(y1), np.abs(y3)])
-    aligned = np.maximum(np.abs(x1), np.abs(x3)) <= tol * scale
+    aligned = np.maximum(np.abs(x1), np.abs(x3)) <= _ALIGN_TOL * scale
     if not np.all(aligned & np.isfinite(scale)):
         raise OracleError("royal shift does not send the first point to 0, or divides by 0")
     if not np.all(np.abs(y1) < 1.0):
@@ -373,14 +377,23 @@ def polydisc_axis_points(rng: np.random.Generator, m: int) -> np.ndarray:
     return rng.uniform(-3.0, 3.0, (m, 2))
 
 
-#: the one table of point generators for sampled defects: domain name ->
-#: ``points(rng, m)``, an array of m points with the points on axis 0
-SAMPLE_POINTS = {
-    "disc": disc_points,
-    "ball": ball_points,
-    "polydisc": polydisc_points,
-    "tetra": royal_line_points,
-    "polydisc_axis": polydisc_axis_points,
+@dataclass(frozen=True)
+class SampleDomain:
+    """A domain that sampled defects run on: an array distance
+    ``distance(xs, ys)`` and a generator ``points(rng, m)`` of m points it
+    accepts, as an array with the points on axis 0."""
+
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    points: Callable[[np.random.Generator, int], np.ndarray]
+
+
+#: the one table of sampled domains
+SAMPLE_DOMAINS = {
+    "disc": SampleDomain(disc_distance_array, disc_points),
+    "ball": SampleDomain(ball_distance_array, ball_points),
+    "polydisc": SampleDomain(polydisc_distance_array, polydisc_points),
+    "tetra": SampleDomain(tetra_royal_distance_array, royal_line_points),
+    "polydisc_axis": SampleDomain(polydisc_axis_distance_array, polydisc_axis_points),
 }
 
 
@@ -712,7 +725,7 @@ def tetra_origin_bounds(x: TetraPoint, grid: int = 720) -> DistBound:
     return DistBound(lo=lo, hi=math.atanh(norm), lo_tag="inner family", hi_tag="matrix lift")
 
 
-def tetra_pair_distance(x: TetraPoint, y: TetraPoint, t: float, tol: float = 1e-10) -> float:
+def tetra_pair_distance(x: TetraPoint, y: TetraPoint, t: float, tol: float = _ALIGN_TOL) -> float:
     """Exact distance for pairs that an automorphism aligns to the origin.
 
     Applies the shift by t, requires the image of x to vanish within tol,

@@ -381,9 +381,10 @@ def suite_witness_divergence(ctx: VerifyContext) -> SuiteResult:
 
 def suite_determinism(ctx: VerifyContext) -> SuiteResult:
     failures = []
-    sampler = core.uniform_quadruple_sampler(exact.SAMPLE_POINTS["disc"])
-    e1 = core.estimate_delta(exact.disc_distance_array, sampler, 500, seed=ctx.seed)
-    e2 = core.estimate_delta(exact.disc_distance_array, sampler, 500, seed=ctx.seed)
+    disc = exact.SAMPLE_DOMAINS["disc"]
+    sampler = core.uniform_quadruple_sampler(disc.points)
+    e1 = core.estimate_delta(disc.distance, sampler, 500, seed=ctx.seed)
+    e2 = core.estimate_delta(disc.distance, sampler, 500, seed=ctx.seed)
     if e1 != e2:
         failures.append("estimate_delta not reproducible for a fixed seed")
 

@@ -116,30 +116,28 @@ def test_criterion_6_hyperbolic_controls():
     with budget(30.0):
         seed = 7
         drifts = {}
-        for name, d in (
-            ("disc", exact.disc_distance_array),
-            ("ball", exact.ball_distance_array),
-        ):
-            sampler = core.uniform_quadruple_sampler(exact.SAMPLE_POINTS[name])
-            e4 = core.estimate_delta(d, sampler, 10**4, seed=seed)
-            e5 = core.estimate_delta(d, sampler, 10**5, seed=seed)
+        for name in ("disc", "ball"):
+            dom = exact.SAMPLE_DOMAINS[name]
+            sampler = core.uniform_quadruple_sampler(dom.points)
+            e4 = core.estimate_delta(dom.distance, sampler, 10**4, seed=seed)
+            e5 = core.estimate_delta(dom.distance, sampler, 10**5, seed=seed)
             assert e4.sup_defect <= e5.sup_defect  # shared prefix
             drifts[name] = e5.sup_defect - e4.sup_defect
             assert drifts[name] < 0.5
 
         # directed growth up to the witness constructor's documented scale
         # ceiling: sup tracks s exactly, so every bound below it is exceeded
-        d_axis = exact.polydisc_axis_distance_array
+        axis = exact.SAMPLE_DOMAINS["polydisc_axis"]
         scales = (10.0, 100.0, 300.0)
         sups = []
         for s in scales:
             quad = witnesses.product_witness(s).quadruple
             sampler = core.mixed_quadruple_sampler(
-                core.uniform_quadruple_sampler(exact.SAMPLE_POINTS["polydisc_axis"]),
+                core.uniform_quadruple_sampler(axis.points),
                 [quad],
                 period=8,
             )
-            sups.append(core.estimate_delta(d_axis, sampler, 128, seed=seed).sup_defect)
+            sups.append(core.estimate_delta(axis.distance, sampler, 128, seed=seed).sup_defect)
         assert all(b > a for a, b in zip(sups, sups[1:]))
         for s, sup in zip(scales, sups):
             assert sup >= s - 1e-9

@@ -26,14 +26,15 @@ def _royal_distance(u, v):
     return exact.tetra_pair_distance((u, u, u * u), (v, v, v * v), u)
 
 
-# domain -> (array kernel, scalar twin)
-TWINS = {
-    "disc": (exact.disc_distance_array, exact.disc_distance),
-    "ball": (exact.ball_distance_array, exact.ball_distance),
-    "polydisc": (exact.polydisc_distance_array, exact.polydisc_distance),
-    "tetra": (exact.tetra_royal_distance_array, _royal_distance),
-    "polydisc_axis": (exact.polydisc_axis_distance_array, exact.polydisc_axis_oracle(2).fn),
+SCALAR = {
+    "disc": exact.disc_distance,
+    "ball": exact.ball_distance,
+    "polydisc": exact.polydisc_distance,
+    "tetra": _royal_distance,
+    "polydisc_axis": exact.polydisc_axis_oracle(2).fn,
 }
+# sampled domain -> (array kernel, scalar twin)
+TWINS = {name: (dom.distance, SCALAR[name]) for name, dom in exact.SAMPLE_DOMAINS.items()}
 
 
 def check_twins(domain, xs, ys):
@@ -159,7 +160,7 @@ def _python_quads(quads):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_block_defects_match_scalar_loop(domain, seed):
     array_fn, scalar_fn = TWINS[domain]
-    sampler = core.uniform_quadruple_sampler(exact.SAMPLE_POINTS[domain])
+    sampler = core.uniform_quadruple_sampler(exact.SAMPLE_DOMAINS[domain].points)
     quads = sampler(np.random.default_rng(seed), 0, 64)
     got = core.four_point_defects(array_fn, quads)
     reps = [core.four_point_defect(scalar_fn, *q) for q in _python_quads(quads)]
@@ -173,10 +174,11 @@ def test_block_defects_match_scalar_loop(domain, seed):
 @pytest.mark.parametrize("scale", (1.0, 10.0, 300.0))
 def test_directed_block_defects_are_bit_equal(scale):
     quad = witnesses.product_witness(scale).quadruple
-    base = core.uniform_quadruple_sampler(exact.SAMPLE_POINTS["polydisc_axis"])
+    axis = exact.SAMPLE_DOMAINS["polydisc_axis"]
+    base = core.uniform_quadruple_sampler(axis.points)
     sampler = core.mixed_quadruple_sampler(base, [quad], period=8)
     quads = sampler(np.random.default_rng(3), 0, 64)
-    got = core.four_point_defects(exact.polydisc_axis_distance_array, quads)
+    got = core.four_point_defects(axis.distance, quads)
     d = exact.polydisc_axis_oracle(2).fn
     want = [core.four_point_defect(d, *q).defect for q in _python_quads(quads)]
     assert got.tolist() == want
@@ -188,7 +190,7 @@ def test_directed_block_defects_are_bit_equal(scale):
 @pytest.mark.parametrize("domain", ("disc", "polydisc_axis"))
 def test_non_metric_oracle_is_refused(domain):
     array_fn = TWINS[domain][0]
-    sampler = core.uniform_quadruple_sampler(exact.SAMPLE_POINTS[domain])
+    sampler = core.uniform_quadruple_sampler(exact.SAMPLE_DOMAINS[domain].points)
     squared = lambda a, b: array_fn(a, b) ** 2  # noqa: E731
     with pytest.raises(ValueError, match="negative Gromov product"):
         core.estimate_delta(squared, sampler, 2 * core.CHUNK, seed=1)
@@ -200,7 +202,7 @@ def test_non_metric_oracle_is_refused(domain):
     ("tetra", 1.0), ("polydisc_axis", (math.nan, 0.0)),
 ])
 def test_outside_point_mid_chunk_raises(domain, bad):
-    base = core.uniform_quadruple_sampler(exact.SAMPLE_POINTS[domain])
+    base = core.uniform_quadruple_sampler(exact.SAMPLE_DOMAINS[domain].points)
     target = core.CHUNK + core.CHUNK // 2
 
     def corrupt(rng, start, size):
