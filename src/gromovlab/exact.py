@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DistanceOracle
+from .core import ArrayDistance, DistanceOracle, PointGenerator
 
 
 class OracleError(ValueError):
@@ -383,8 +383,8 @@ class SampleDomain:
     ``distance(xs, ys)`` and a generator ``points(rng, m)`` of m points it
     accepts, as an array with the points on axis 0."""
 
-    distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    points: Callable[[np.random.Generator, int], np.ndarray]
+    distance: ArrayDistance
+    points: PointGenerator
 
 
 #: the one table of sampled domains
