@@ -178,7 +178,7 @@ def run_sweep(config: SweepConfig) -> int:
     log.info("sweep family=%s points=%d workers=%d",
              config.family, len(tasks), config.workers)
     if config.workers > 1:
-        # imported here: the pool's modules add about 2 MB of resident
+        # imported here: the pool's modules add about 1 MB of resident
         # memory to every process that loads the CLI, and only this
         # branch uses them
         from concurrent.futures import ProcessPoolExecutor

@@ -134,7 +134,8 @@ ArrayDistance = Callable[[np.ndarray, np.ndarray], np.ndarray]
 #: run of the same seed.  At 512 the largest temporary (the bidisc's
 #: 12-fold disc batch) stays under 100 kB and the peak resident set does
 #: not grow over a run; at 1024 it grew by 0.5 MB (ball) and 1.1 MB
-#: (bidisc), for no measurable gain in speed.
+#: (bidisc), for no measurable gain in speed; at 256 the peak was the
+#: same and a quadruple took 35-65% longer.
 CHUNK = 512
 
 
