@@ -28,7 +28,6 @@ SWEEPS = {
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="results", help="directory for the CSVs")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args(argv)
 
@@ -39,7 +38,7 @@ def main(argv=None):
         out = outdir / f"sweep_{family}.csv"
         code = cli.main([
             "sweep", "--family", family, "--grid", grid,
-            "--seed", str(args.seed), "--workers", str(args.workers),
+            "--workers", str(args.workers),
             "--out", str(out),
         ])
         worst = max(worst, code)

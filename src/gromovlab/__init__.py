@@ -12,7 +12,6 @@ from .core import (
     FourPointReport,
     estimate_delta,
     four_point_defect,
-    gromov_product,
     metric_axiom_violations,
     mixed_quadruple_sampler,
     uniform_quadruple_sampler,
@@ -22,27 +21,21 @@ from .exact import (
     SAMPLE_DOMAINS,
     DistBound,
     OracleError,
-    ball_oracle,
     disc_distance,
-    disc_oracle,
     gn_pair_bounds,
     halfplane_distance,
-    polydisc_oracle,
     strip_distance,
     tetra_origin_distance,
-    tetra_pair_bounds,
 )
 from .models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL, MODELS
-from .profiles import EXP_FLAT, HINGE, PROFILES, QUARTIC, ProfileFn
+from .profiles import EXP_FLAT, HINGE, QUARTIC, ProfileFn
 from .verify import SuiteResult, run_all
 from .witnesses import (
     WitnessReport,
     claims_check,
-    find_steep_point,
     flat_witness,
     gn_witness,
     hinge_witness,
-    contact_disc_pair,
     product_witness,
     tetra_witness,
 )
@@ -63,35 +56,27 @@ __all__ = [
     "MODELS",
     "ModelDomain",
     "OracleError",
-    "PROFILES",
     "ProfileFn",
     "QUARTIC",
     "SAMPLE_DOMAINS",
     "SuiteResult",
     "TangentHalfspaceCert",
     "WitnessReport",
-    "ball_oracle",
     "claims_check",
     "disc_distance",
-    "disc_oracle",
     "estimate_delta",
-    "find_steep_point",
     "flat_witness",
     "four_point_defect",
     "gn_pair_bounds",
     "gn_witness",
-    "gromov_product",
     "halfplane_distance",
     "hinge_witness",
-    "contact_disc_pair",
     "metric_axiom_violations",
     "mixed_quadruple_sampler",
-    "polydisc_oracle",
     "product_witness",
     "run_all",
     "strip_distance",
     "tetra_origin_distance",
-    "tetra_pair_bounds",
     "tetra_witness",
     "uniform_quadruple_sampler",
 ]

@@ -9,7 +9,8 @@ Three subcommands:
 CSV conventions: mandatory header, 17 significant digits, one row per
 parameter, a trailing `error` column that is empty on success, and a
 final `# summary ...` comment line.  `wall_ms` is 0 unless --timings is
-given, so that identical config + seed reproduces identical bytes.
+given, so that identical arguments reproduce identical bytes (witnesses
+are deterministic; `sample` draws from its seed).
 
 Config files are plain `key = value` lines with optional `[family.<id>]`
 sections; command-line flags win over config values.  The environment
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
-import math
 import os
 import sys
 import time
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, exact, models, verify, witnesses
+from . import core, exact, verify, witnesses
 
 log = logging.getLogger("gromovlab.cli")
 
@@ -40,44 +40,9 @@ log = logging.getLogger("gromovlab.cli")
 # ---------------------------------------------------------------------------
 # witness families
 
-def _flat_exp(x: float) -> witnesses.WitnessReport:
-    return witnesses.flat_witness(models.FLAT_EXP_MODEL, x)
-
-
-def _flat_quartic(x: float) -> witnesses.WitnessReport:
-    return witnesses.flat_witness(models.FLAT_QUARTIC_MODEL, x)
-
-
-FAMILIES = {
-    "tetra": witnesses.tetra_witness,
-    "gn": witnesses.gn_witness,
-    "product": witnesses.product_witness,
-    "hinge": witnesses.hinge_witness,
-    "flat_exp": _flat_exp,
-    "flat_quartic": _flat_quartic,
-}
-
-# fixed column schema per family; a report whose term names disagree is a
-# row-level error, never a silently reshaped file
-_FAMILY_TERMS = {
-    "tetra": ("royal", "pq"),
-    "gn": ("lb_mid", "shift", "honest_lo"),
-    "product": ("defect_exact", "midpoint_dev"),
-    "hinge": ("lb_split", "ub_pair", "lb_ratio", "ub_chain"),
-    "flat_exp": ("lb_ratio", "lb_half", "ub_ball", "lb_cross", "ub_slice"),
-    "flat_quartic": ("lb_ratio", "lb_half", "ub_ball", "lb_cross", "ub_slice"),
-}
-
-# abscissa for the summary regression: divergence rates are stated
-# against these per-family scales
-_SUMMARY_X = {
-    "tetra": ("atanh(param)", math.atanh),
-    "gn": ("atanh(param)", math.atanh),
-    "product": ("param", lambda p: p),
-    "hinge": ("log(1/param)", lambda p: -math.log(p)),
-    "flat_exp": ("log(1/param)", lambda p: -math.log(p)),
-    "flat_quartic": ("log(1/param)", lambda p: -math.log(p)),
-}
+# name -> constructor; looked up when a row runs, so a caller may swap in
+# a wrapped constructor
+FAMILIES = {name: fam.witness for name, fam in witnesses.FAMILIES.items()}
 
 _SLOPE_VERDICT_CUT = 0.05
 
@@ -92,7 +57,7 @@ def _sweep_row(task: tuple[str, float, bool]) -> dict[str, str]:
     Module-level (not a closure) so a process pool can ship it.
     """
     family, param, timings = task
-    names = _FAMILY_TERMS[family]
+    names = witnesses.FAMILIES[family].terms
     row = {"param": _fmt(param), "S_lb": "", "wall_ms": "0", "error": ""}
     for name in names:
         row[name] = ""
@@ -120,7 +85,6 @@ class SweepConfig:
     family: str
     grid: tuple[float, ...]
     out: str
-    seed: int = 0
     workers: int = 1
     timings: bool = False
 
@@ -155,24 +119,24 @@ def parse_grid(spec: str) -> tuple[float, ...]:
 
 
 def _summary_line(family: str, params: list[float], s_lbs: list[float]) -> str:
-    xlabel, to_x = _SUMMARY_X[family]
+    fam = witnesses.FAMILIES[family]
     if len(params) < 2:
         return (f"# summary family={family} points={len(params)} "
                 f"verdict=insufficient-points")
-    xs = np.array([to_x(p) for p in params])
+    xs = np.array([fam.axis(p) for p in params])
     slope = float(np.polyfit(xs, np.array(s_lbs), 1)[0])
     if slope >= _SLOPE_VERDICT_CUT:
         verdict = "diverging"
     else:
         verdict = "no-divergence-slope-test-fails"
-    return (f"# summary family={family} points={len(params)} x={xlabel} "
+    return (f"# summary family={family} points={len(params)} x={fam.axis_label} "
             f"slope={slope:.6g} verdict={verdict}")
 
 
 def run_sweep(config: SweepConfig) -> int:
     """Evaluate the family over the grid and write the CSV.  Returns the
     exit code: 0, or 2 when any row carries an error."""
-    names = _FAMILY_TERMS[config.family]
+    names = witnesses.FAMILIES[config.family].terms
     header = ["param", "S_lb", *names, "wall_ms", "error"]
     tasks = [(config.family, p, config.timings) for p in config.grid]
     log.info("sweep family=%s points=%d workers=%d",
@@ -317,7 +281,6 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p_sweep.add_argument("--grid", help="comma list or geom:start:ratio:count")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--timings", action="store_true",
                          help="record real wall_ms (breaks byte reproducibility)")
@@ -335,7 +298,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--tolerance", type=float, default=1.0)
     p_verify.add_argument("--mutate", action="store_true",
                           help="perturb frozen anchors; the run must fail")
-    p_verify.add_argument("--config", default=None)
     return parser
 
 
@@ -346,14 +308,12 @@ def _cmd_sweep(args) -> int:
     if grid_spec is None:
         print("gromovlab sweep: no --grid and no grid in config", file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else int(_cfg_lookup(cfg, section, "seed") or 0)
     workers = (args.workers if args.workers is not None
                else int(_cfg_lookup(cfg, section, "workers") or 1))
     config = SweepConfig(
         family=args.family,
         grid=parse_grid(grid_spec),
         out=args.out,
-        seed=seed,
         workers=workers,
         timings=args.timings,
     )

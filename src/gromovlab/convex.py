@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,20 +75,6 @@ class AffineDisc:
             self.origin[0] + lam * self.direction[0],
             self.origin[1] + lam * self.direction[1],
         )
-
-    def param_of(self, z: PointC2, tol: float = 1e-9) -> complex:
-        d0, d1 = self.direction
-        if abs(d0) >= abs(d1):
-            lam = (z[0] - self.origin[0]) / d0
-        else:
-            lam = (z[1] - self.origin[1]) / d1
-        scale = 1.0 + max(abs(self.origin[0]), abs(self.origin[1]))
-        back = self.point_at(lam)
-        if abs(back[0] - z[0]) > tol * scale or abs(back[1] - z[1]) > tol * scale:
-            raise CertificateError(f"point {z} is not on disc {self.note!r}")
-        if abs(lam) >= 1.0 + 1e-12:
-            raise CertificateError("disc parameter outside the closed disc")
-        return lam
 
 
 def _certified_scalar_min(
@@ -357,30 +343,48 @@ class ModelDomain:
 
     # -- generic upper bound --------------------------------------------------
 
-    def ub_euclidean_chain(self, z: PointC2, w: PointC2, max_steps: int = 50000) -> float:
-        """Ball-hop chain along the straight segment (valid by convexity).
-
-        Each hop stays inside the Euclidean ball of certified radius
-        around the current point, costing atanh(step/r).
-        """
+    def ub_euclidean_chain(self, z: PointC2, w: PointC2) -> float:
+        """:func:`hop_chain` along the straight segment from z to w, with
+        the closed-form boundary lower bound as the ball radius."""
         dz = (w[0] - z[0], w[1] - z[1])
         length = math.hypot(abs(dz[0]), abs(dz[1]))
         if length == 0.0:
             return 0.0
         unit = (dz[0] / length, dz[1] / length)
-        done = 0.0
-        total = 0.0
-        for _ in range(max_steps):
-            cur = (z[0] + done * unit[0], z[1] + done * unit[1])
-            r = self.cheap_boundary_lower(cur)
-            if r <= 1e-12:
-                raise CertificateError("chain ran out of certified radius")
-            step = min(length - done, 0.5 * r)
-            total += math.atanh(step / r)
-            done += step
-            if done >= length - 1e-15 * length:
-                return total
-        raise CertificateError("euclidean chain exceeded the step budget")
+        return hop_chain(
+            lambda s: self.cheap_boundary_lower((z[0] + s * unit[0], z[1] + s * unit[1])),
+            length,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Euclidean ball-hop chain
+
+# hops a chain may take before it is refused
+_HOP_BUDGET = 50000
+
+
+def hop_chain(radius: Callable[[float], float], length: float) -> float:
+    """Upper bound for the invariant distance between the ends of a
+    segment of the given length, by Euclidean ball hops along it (valid
+    on a convex domain).
+
+    radius(s) is a certified lower bound for the boundary distance of the
+    segment's point at arc length s.  Each hop goes half that radius (or
+    to the end) inside the ball, costing atanh(step/r).
+    """
+    done = 0.0
+    total = 0.0
+    for _ in range(_HOP_BUDGET):
+        r = radius(done)
+        if r <= 1e-12:
+            raise CertificateError("chain ran out of certified radius")
+        step = min(length - done, 0.5 * r)
+        total += math.atanh(step / r)
+        done += step
+        if done >= length - 1e-15 * length:
+            return total
+    raise CertificateError("euclidean chain exceeded the step budget")
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +518,6 @@ def ub_disc_leg(
     lam_b: complex,
     gap_a: float | None = None,
     gap_b: float | None = None,
-    check: bool = True,
     rim_shrink: float = 0.0,
 ) -> float:
     """Cost of one chain leg along an analytic disc: the disc is
@@ -530,8 +533,7 @@ def ub_disc_leg(
     exact in floats (the hinge's flat face at level 0, discs with slack)
     can keep rim_shrink = 0.
     """
-    if check:
-        domain.containment_check(disc)
+    domain.containment_check(disc)
     if rim_shrink > 0.0:
         scale = 1.0 - rim_shrink
         lam_a, lam_b = lam_a / scale, lam_b / scale
@@ -542,35 +544,6 @@ def ub_disc_leg(
         if (gap_a is not None and gap_a <= 0.0) or (gap_b is not None and gap_b <= 0.0):
             raise CertificateError("rim shrink swallowed a parameter gap")
     return disc_distance(lam_a, lam_b, gap_u=gap_a, gap_v=gap_b)
-
-
-def ub_affine_disc(
-    domain: ModelDomain,
-    disc: AffineDisc,
-    z: PointC2,
-    w: PointC2,
-    check: bool = True,
-    rim_shrink: float = 0.0,
-) -> float:
-    """Upper bound through one analytic disc passing through both points."""
-    return ub_disc_leg(
-        domain,
-        disc,
-        disc.param_of(z),
-        disc.param_of(w),
-        check=check,
-        rim_shrink=rim_shrink,
-    )
-
-
-def ub_polyline_chain(domain: ModelDomain, points: Sequence[PointC2]) -> float:
-    """Euclidean ball-hop chain along a polyline of interior waypoints."""
-    if len(points) < 2:
-        raise CertificateError("polyline chain needs at least two points")
-    return sum(
-        domain.ub_euclidean_chain(points[i], points[i + 1])
-        for i in range(len(points) - 1)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -650,21 +623,15 @@ def ub_slice_discs(
     )
 
 
-def lb_boundary_ratio(
-    domain: ModelDomain, z: PointC2, w: PointC2, convex: bool = True
-) -> float:
-    """Float-level boundary-distance ratio bound from certified brackets.
-
-    Coefficient 1/2 on convex domains, 1/4 under mere C-convexity (kept
-    for experiments; every stock model is convex).
-    """
+def lb_boundary_ratio(domain: ModelDomain, z: PointC2, w: PointC2) -> float:
+    """Float-level boundary-distance ratio bound from certified brackets,
+    with the coefficient 1/2 that convexity gives."""
     bz = domain.boundary_distance_bracket(z)
     bw = domain.boundary_distance_bracket(w)
-    coeff = 0.5 if convex else 0.25
     ratio = max(bw.lo / bz.hi, bz.lo / bw.hi)
     if ratio <= 1.0:
         return 0.0
-    return coeff * math.log(ratio)
+    return 0.5 * math.log(ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ assume this convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -26,20 +26,12 @@ Quadruple = tuple[Point, Point, Point, Point]
 METRIC_TOL = 1e-9
 
 
-class QuasiIsometryFitError(RuntimeError):
-    """No (c1, c2) on the fitting grid satisfies all pair inequalities."""
-
-    def __init__(self, witness_pair):
-        self.witness_pair = witness_pair
-        super().__init__(f"no admissible (c1, c2) on grid; worst pair: {witness_pair!r}")
-
-
 @dataclass(frozen=True)
 class DistanceOracle:
     """A pseudo-distance evaluator tagged with the point space it expects.
 
-    ``validate`` is optional membership screening; oracles never check it on
-    the hot path, but samplers and the verification suite do.
+    ``validate`` is optional membership screening; the oracle itself never
+    checks it.
     """
 
     point_space: str
@@ -85,18 +77,6 @@ class DeltaEstimate:
     n: int
     seed: int
     checkpoints: tuple[tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
-class QuasiIsometryFit:
-    c1: float
-    c2: float
-    max_violation: float
-
-
-def gromov_product(d: Callable[[Point, Point], float], x: Point, y: Point, w: Point) -> float:
-    """(x, y)_w in the additive convention (no 1/2 factor)."""
-    return d(x, w) + d(w, y) - d(x, y)
 
 
 def four_point_defect(
@@ -254,41 +234,6 @@ def estimate_delta(d: ArrayDistance, sampler: Sampler, n: int, seed: int = 0) ->
     )
 
 
-def max_product_metric(d1: DistanceOracle, d2: DistanceOracle) -> DistanceOracle:
-    """Sup metric on the product: d((x1,x2),(y1,y2)) = max(d1(x1,y1), d2(x2,y2)).
-
-    Points are 2-tuples with one component per factor; anything else is a
-    point-space mismatch.
-    """
-
-    def fn(x, y) -> float:
-        if len(x) != 2 or len(y) != 2:
-            raise ValueError("product points must be 2-tuples (one entry per factor)")
-        return max(d1(x[0], y[0]), d2(x[1], y[1]))
-
-    def validate(p) -> bool:
-        if len(p) != 2:
-            return False
-        ok1 = d1.validate(p[0]) if d1.validate is not None else True
-        ok2 = d2.validate(p[1]) if d2.validate is not None else True
-        return ok1 and ok2
-
-    return DistanceOracle(
-        point_space=f"({d1.point_space})x({d2.point_space})",
-        fn=fn,
-        validate=validate,
-    )
-
-
-def product_delta_bound(delta: float, c: float) -> float:
-    """Hyperbolicity constant for a sup-product of a delta-hyperbolic factor
-    with a factor of diameter at most c: the product is (delta + 3c)-hyperbolic.
-    """
-    if delta < 0 or c < 0:
-        raise ValueError("delta and c must be nonnegative")
-    return delta + 3.0 * c
-
-
 def weak_midpoint_ratios(
     triples: Iterable[tuple[Point, Point, Point]],
     d: Callable[[Point, Point], float],
@@ -305,42 +250,6 @@ def weak_midpoint_ratios(
             raise ValueError("degenerate triple: d(x, y) = 0")
         out.append((d(x, z) / base, d(y, z) / base, base))
     return out
-
-
-_DEFAULT_C1_GRID = tuple(1.0 + 0.25 * k for k in range(61))  # 1.0 .. 16.0
-_DEFAULT_C2_GRID = tuple(0.25 * k for k in range(33))  # 0.0 .. 8.0
-
-
-def quasi_isometry_fit(
-    d1: Callable[[Point, Point], float],
-    d2: Callable[[Point, Point], float],
-    pairs: Sequence[tuple[Point, Point]],
-    c1_grid: Sequence[float] = _DEFAULT_C1_GRID,
-    c2_grid: Sequence[float] = _DEFAULT_C2_GRID,
-) -> QuasiIsometryFit:
-    """Smallest (c1, then c2) on the grid with
-    d1/c1 - c2 <= d2 <= c1*d1 + c2 on every supplied pair.
-
-    Selection is lexicographic in (c1, c2).  If no grid point works, raises
-    with the pair that resisted the largest (c1, c2) as a witness.
-    """
-    if not pairs:
-        raise ValueError("need at least one pair")
-    v1 = np.array([d1(x, y) for x, y in pairs], dtype=float)
-    v2 = np.array([d2(x, y) for x, y in pairs], dtype=float)
-    for c1 in sorted(c1_grid):
-        if c1 < 1.0:
-            raise ValueError("c1 grid entries must be >= 1")
-        # minimal additive slack this c1 needs on the data
-        need = np.maximum(v2 - c1 * v1, v1 / c1 - v2)
-        needed = max(0.0, float(need.max()))
-        for c2 in sorted(c2_grid):
-            if c2 >= needed:
-                return QuasiIsometryFit(c1=c1, c2=c2, max_violation=0.0)
-    c1 = max(c1_grid)
-    need = np.maximum(v2 - c1 * v1, v1 / c1 - v2)
-    worst = int(np.argmax(need))
-    raise QuasiIsometryFitError(pairs[worst])
 
 
 def metric_axiom_violations(

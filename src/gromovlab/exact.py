@@ -2,11 +2,11 @@
 
 Disc, half-plane, strip, polydisc and ball carry closed-form distances
 (Kobayashi = Caratheodory on these domains) in the atanh normalization.
-The symmetrized bidisc and the tetrablock get two-sided enclosures built
-from distance-decreasing function families (lower bounds) and explicit
-analytic discs / matrix lifts (upper bounds); on the special
-configurations the witness constructions use, the two sides collapse and
-the enclosure is exact.
+The symmetrized bidisc gets a two-sided enclosure built from
+distance-decreasing maps to the disc (lower bound) and polydisc lifts
+(upper bound).  The tetrablock gets the closed form for distances to the
+origin, and through its automorphisms for pairs that one of them aligns
+to the origin: the configurations the witness constructions use.
 
 Numerical contract: every distance evaluator stays accurate all the way
 to boundary gaps of order 1e-300 when handed analytic gap parameters.
@@ -43,6 +43,10 @@ _STABLE_SWITCH = 0.19
 # How close to 0 a tetrablock shift must send the first point of a pair,
 # relative to the size of the images, for the origin form to apply.
 _ALIGN_TOL = 1e-10
+
+# Phases of the symmetrized bidisc's inner family scanned before the
+# golden-section polish around the best one.
+_PHASE_GRID = 720
 
 
 @dataclass(frozen=True)
@@ -319,8 +323,8 @@ def tetra_royal_distance_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return (a - t + t * t * a - t * p) / den, (p - t * (a + a) + t * t) / den
 
     # a vanishing denominator (|t| within an ulp or two of 1, where the
-    # scalar shift raises ZeroDivisionError) gives inf or NaN here and
-    # fails the check below
+    # scalar shift raises OracleError) gives inf or NaN here and fails the
+    # check below
     with np.errstate(divide="ignore", invalid="ignore"):
         x1, x3 = shift(t, t * t)
         y1, y3 = shift(v, v * v)
@@ -402,10 +406,6 @@ def disc_to_halfplane(z: complex) -> complex:
     return (1.0 + z) / (1.0 - z)
 
 
-def halfplane_to_disc(w: complex) -> complex:
-    return (w - 1.0) / (w + 1.0)
-
-
 def mobius_disc_automorphism(a: complex, theta: float = 0.0) -> Callable[[complex], complex]:
     """z -> e^{i theta} (z - a)/(1 - conj(a) z), an automorphism of the disc."""
     if abs(a) >= 1.0:
@@ -419,48 +419,7 @@ def mobius_disc_automorphism(a: complex, theta: float = 0.0) -> Callable[[comple
 
 
 # ---------------------------------------------------------------------------
-# oracle factories
-
-
-def disc_oracle() -> DistanceOracle:
-    return DistanceOracle(
-        point_space="unit_disc",
-        fn=lambda z, w: disc_distance(z, w),
-        validate=lambda z: abs(complex(z)) < 1.0,
-    )
-
-
-def halfplane_oracle() -> DistanceOracle:
-    return DistanceOracle(
-        point_space="right_halfplane",
-        fn=lambda z, w: halfplane_distance(z, w),
-        validate=lambda z: complex(z).real > 0.0,
-    )
-
-
-def strip_oracle(half_width: float = 1.0) -> DistanceOracle:
-    return DistanceOracle(
-        point_space=f"strip_{half_width:g}",
-        fn=lambda z, w: strip_distance(z, w, half_width),
-        validate=lambda z: abs(complex(z).real) < half_width,
-    )
-
-
-def polydisc_oracle(n: int) -> DistanceOracle:
-    return DistanceOracle(
-        point_space=f"polydisc_{n}",
-        fn=polydisc_distance,
-        validate=lambda zs: len(zs) == n and all(abs(complex(z)) < 1.0 for z in zs),
-    )
-
-
-def ball_oracle(n: int) -> DistanceOracle:
-    return DistanceOracle(
-        point_space=f"ball_{n}",
-        fn=ball_distance,
-        validate=lambda zs: len(zs) == n
-        and sum(abs(complex(z)) ** 2 for z in zs) < 1.0,
-    )
+# oracle factory
 
 
 def polydisc_axis_oracle(n: int) -> DistanceOracle:
@@ -543,7 +502,7 @@ def _grid_refine_max(f: Callable[[float], float], lo: float, hi: float, iters: i
     return best
 
 
-def gn_lower_bound(x: Sequence[complex], y: Sequence[complex], grid: int = 720) -> float:
+def gn_lower_bound(x: Sequence[complex], y: Sequence[complex]) -> float:
     """Certified lower bound for the invariant distance on the symmetrized
     polydisc: best separation over distance-decreasing maps to the disc.
 
@@ -568,8 +527,8 @@ def gn_lower_bound(x: Sequence[complex], y: Sequence[complex], grid: int = 720) 
             except OracleError:
                 return 0.0
 
-        step = 2.0 * math.pi / grid
-        vals = [val(k * step) for k in range(grid)]
+        step = 2.0 * math.pi / _PHASE_GRID
+        vals = [val(k * step) for k in range(_PHASE_GRID)]
         k0 = int(np.argmax(vals))
         best = max(best, vals[k0])
         best = max(best, _grid_refine_max(val, (k0 - 1) * step, (k0 + 1) * step))
@@ -618,33 +577,6 @@ def gn_pair_bounds(x: Sequence[complex], y: Sequence[complex]) -> DistBound:
 TetraPoint = tuple[complex, complex, complex]
 
 
-def tetra_lift(x: TetraPoint) -> np.ndarray:
-    """Symmetric 2x2 matrix with diagonal (x1, x2) and determinant x3."""
-    a, b, p = (complex(v) for v in x)
-    c = cmath.sqrt(a * b - p)
-    return np.array([[a, c], [c, b]], dtype=complex)
-
-
-def _spectral_norm(Z: np.ndarray) -> float:
-    return float(np.linalg.svd(Z, compute_uv=False)[0])
-
-
-def tetra_membership(x: TetraPoint, margin: float = 1e-10) -> bool:
-    """Interior membership: the symmetric lift is a strict contraction.
-
-    (Both square-root branches of the off-diagonal entry are conjugate by
-    diag(1, -1), so they share singular values.)
-    """
-    return _spectral_norm(tetra_lift(x)) < 1.0 - margin
-
-
-def tetra_magic(beta: complex, x: TetraPoint) -> complex:
-    """Rational inner family of the tetrablock; maps it into the disc and
-    fixes the origin."""
-    a, b, p = (complex(v) for v in x)
-    return (p * beta - a) / (b * beta - 1.0)
-
-
 def tetra_automorphism(t: float, x: TetraPoint) -> TetraPoint:
     """Matrix Mobius shift Z -> (Z - tI)(I - tZ)^{-1} pushed to the
     tetrablock, for real t in (-1, 1).
@@ -657,16 +589,13 @@ def tetra_automorphism(t: float, x: TetraPoint) -> TetraPoint:
         raise OracleError("automorphism parameter must be in (-1, 1)")
     a, b, p = (complex(v) for v in x)
     den = 1.0 - t * (a + b) + t * t * p
+    if den == 0.0:
+        # |t| within an ulp or two of 1 at a point near the royal line
+        raise OracleError(f"automorphism t={t} divides by 0 at {x}")
     m1 = (a - t + t * t * b - t * p) / den
     m2 = (b - t + t * t * a - t * p) / den
     m3 = (p - t * (a + b) + t * t) / den
     return (m1, m2, m3)
-
-
-def tetra_royal_geodesic(a: float, lam: complex) -> TetraPoint:
-    """Complex geodesic through (a, a, a^2): the shift by -a of the
-    middle-slot disc lam -> (0, lam, 0)."""
-    return tetra_automorphism(-a, (0.0, complex(lam), 0.0))
 
 
 def tetra_origin_distance(x: TetraPoint) -> float:
@@ -692,86 +621,17 @@ def tetra_origin_distance(x: TetraPoint) -> float:
     return math.atanh(m)
 
 
-def tetra_slot_distance(b1: complex, b2: complex) -> float:
-    """Exact distance between middle-slot points (0, b, 0).
-
-    Sandwich: the disc lam -> (0, lam, 0) gives <= rho(b1, b2); the
-    coordinate projection onto the middle slot gives >=.
-    """
-    return disc_distance(b1, b2)
-
-
-def tetra_origin_bounds(x: TetraPoint, grid: int = 720) -> DistBound:
-    """Enclosure of the distance to the origin.
-
-    Lower: coordinate projections and the rational inner family (all fix
-    0).  Upper: atanh of the symmetric lift's norm, via the lifted disc
-    through 0 and the lift in the 2x2 contraction ball.
-    """
-    lo = max(math.atanh(min(abs(complex(v)), 1.0 - 1e-16)) for v in x)
-
-    def val(theta: float) -> float:
-        beta = cmath.exp(1j * theta)
-        m = abs(tetra_magic(beta, x))
-        return math.atanh(m) if m < 1.0 else 0.0
-
-    step = 2.0 * math.pi / grid
-    vals = [val(k * step) for k in range(grid)]
-    k0 = int(np.argmax(vals))
-    lo = max(lo, vals[k0], _grid_refine_max(val, (k0 - 1) * step, (k0 + 1) * step))
-    norm = _spectral_norm(tetra_lift(x))
-    if norm >= 1.0:
-        raise OracleError("point outside the open tetrablock")
-    return DistBound(lo=lo, hi=math.atanh(norm), lo_tag="inner family", hi_tag="matrix lift")
-
-
-def tetra_pair_distance(x: TetraPoint, y: TetraPoint, t: float, tol: float = _ALIGN_TOL) -> float:
+def tetra_pair_distance(x: TetraPoint, y: TetraPoint, t: float) -> float:
     """Exact distance for pairs that an automorphism aligns to the origin.
 
-    Applies the shift by t, requires the image of x to vanish within tol,
-    and evaluates the closed origin form at the image of y.  Raises
-    OracleError when the alignment fails rather than guessing.
+    Applies the shift by t, requires the image of x to vanish within
+    ``_ALIGN_TOL`` relative to the size of the images, and evaluates the
+    closed origin form at the image of y.  Raises OracleError when the
+    alignment fails rather than guessing.
     """
     X = tetra_automorphism(t, x)
     Y = tetra_automorphism(t, y)
     scale = 1.0 + max(abs(c) for c in (*X, *Y))
-    if max(abs(c) for c in X) > tol * scale:
+    if max(abs(c) for c in X) > _ALIGN_TOL * scale:
         raise OracleError(f"automorphism t={t} does not send the first point to 0")
     return tetra_origin_distance(Y)
-
-
-def tetra_pair_bounds(x: TetraPoint, y: TetraPoint, grid: int = 360) -> DistBound:
-    """Generic enclosure for a tetrablock pair (loose but certified).
-
-    Lower: coordinate projections and the inner family.  Upper: triangle
-    inequality through the origin after the best aligning shift found on
-    a parameter grid.
-    """
-    lo = max(
-        disc_distance(complex(x[k]), complex(y[k])) for k in range(3)
-    )
-
-    def val(theta: float) -> float:
-        beta = cmath.exp(1j * theta)
-        u, v = tetra_magic(beta, x), tetra_magic(beta, y)
-        try:
-            return disc_distance(u, v)
-        except OracleError:
-            return 0.0
-
-    step = 2.0 * math.pi / grid
-    vals = [val(k * step) for k in range(grid)]
-    k0 = int(np.argmax(vals))
-    lo = max(lo, vals[k0], _grid_refine_max(val, (k0 - 1) * step, (k0 + 1) * step))
-
-    hi = math.inf
-    for t in np.linspace(-0.95, 0.95, 39):
-        try:
-            hx = tetra_origin_distance(tetra_automorphism(float(t), x))
-            hy = tetra_origin_distance(tetra_automorphism(float(t), y))
-        except OracleError:
-            continue
-        hi = min(hi, hx + hy)
-    if not math.isfinite(hi):
-        raise OracleError("no aligning shift kept both points inside")
-    return DistBound(lo=lo, hi=hi, lo_tag="inner family", hi_tag="shift + triangle")

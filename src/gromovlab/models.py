@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .convex import AffineConstraint, CertificateError, ModelDomain, PointC2
-from .profiles import EXP_FLAT, HINGE, PROFILES, QUARTIC
+from .profiles import EXP_FLAT, HINGE, QUARTIC
 
 _BOX = (
     AffineConstraint(1.0 + 0.0j, 0.0 + 0.0j, 3.0),
@@ -76,78 +76,6 @@ FLAT_QUARTIC_MODEL = ModelDomain(
 MODELS: dict[str, ModelDomain] = {
     m.name: m for m in (HINGE_MODEL, FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL)
 }
-
-
-# ---------------------------------------------------------------------------
-# plain-text round trip (config-style, '#' comments, no nesting)
-
-
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real!r} {z.imag!r}"
-
-
-def format_model(domain: ModelDomain) -> str:
-    lines = [
-        f"# model domain {domain.name}",
-        f"name = {domain.name}",
-        f"profile = {domain.profile.name}",
-        f"z2_cap = {domain.z2_cap!r}",
-        f"disc_radius = {domain.disc_radius!r}",
-        f"base = {_fmt_complex(domain.base_point[0])} {_fmt_complex(domain.base_point[1])}",
-        f"ball = {domain.ball_radius!r} {domain.ball_contact_cap!r} {domain.ball_curvature_sup!r}",
-    ]
-    for f in domain.affine:
-        lines.append(f"affine = {_fmt_complex(f.a)} {_fmt_complex(f.b)} {f.c!r}")
-    if domain.notes:
-        lines.append(f"notes = {domain.notes}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_model(text: str) -> ModelDomain:
-    fields: dict[str, str] = {}
-    affine: list[AffineConstraint] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"unparseable model line: {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key == "affine":
-            parts = [float(tok) for tok in val.split()]
-            if len(parts) != 5:
-                raise ValueError(f"affine row needs 5 numbers, got {val!r}")
-            affine.append(
-                AffineConstraint(
-                    complex(parts[0], parts[1]), complex(parts[2], parts[3]), parts[4]
-                )
-            )
-        else:
-            fields[key] = val
-    try:
-        profile = PROFILES[fields["profile"]]
-    except KeyError as exc:
-        raise ValueError(f"unknown or missing profile: {fields.get('profile')}") from exc
-    base_parts = [float(tok) for tok in fields["base"].split()]
-    if len(base_parts) != 4:
-        raise ValueError("base point needs 4 numbers")
-    ball = [float(tok) for tok in fields.get("ball", "0 0 0").split()]
-    return ModelDomain(
-        name=fields["name"],
-        profile=profile,
-        affine=tuple(affine),
-        z2_cap=float(fields["z2_cap"]),
-        base_point=(
-            complex(base_parts[0], base_parts[1]),
-            complex(base_parts[2], base_parts[3]),
-        ),
-        disc_radius=float(fields.get("disc_radius", 1.45)),
-        ball_radius=ball[0],
-        ball_contact_cap=ball[1],
-        ball_curvature_sup=ball[2],
-        notes=fields.get("notes", ""),
-    )
 
 
 # ---------------------------------------------------------------------------

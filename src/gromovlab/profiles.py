@@ -10,7 +10,7 @@ sense (exp(-1/t) is subnormal already at t ~ 1/740).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 
@@ -194,5 +194,3 @@ QUARTIC = ProfileFn(
     inverse_log=lambda ly: math.exp(0.25 * ly),
     notes="finite-type control profile",
 )
-
-PROFILES: dict[str, ProfileFn] = {p.name: p for p in (HINGE, EXP_FLAT, QUARTIC)}

@@ -23,6 +23,7 @@ from . import core, exact, models, witnesses
 from .convex import (
     ModelDomain,
     TangentHalfspaceCert,
+    hop_chain,
     lb_boundary_ratio,
     ub_interior_ball,
 )
@@ -138,13 +139,10 @@ def suite_metric_axioms(ctx: VerifyContext) -> SuiteResult:
         return complex(rad * math.cos(th), rad * math.sin(th))
 
     disc_pts = [disc_pt(rng) for _ in range(10)]
-    failures += core.metric_axiom_violations(exact.disc_oracle().fn, disc_pts)
+    failures += core.metric_axiom_violations(exact.disc_distance, disc_pts)
 
-    poly = exact.polydisc_oracle(2)
     poly_pts = [(disc_pt(rng), disc_pt(rng)) for _ in range(10)]
-    failures += core.metric_axiom_violations(poly.fn, poly_pts)
-
-    ball = exact.ball_oracle(2)
+    failures += core.metric_axiom_violations(exact.polydisc_distance, poly_pts)
 
     def ball_pt(r):
         v = r.normal(size=4)
@@ -152,7 +150,7 @@ def suite_metric_axioms(ctx: VerifyContext) -> SuiteResult:
         return (complex(v[0], v[1]), complex(v[2], v[3]))
 
     ball_pts = [ball_pt(rng) for _ in range(10)]
-    failures += core.metric_axiom_violations(ball.fn, ball_pts)
+    failures += core.metric_axiom_violations(exact.ball_distance, ball_pts)
     return _result("metric-axioms", failures)
 
 
@@ -286,22 +284,6 @@ def suite_disc_pointwise(ctx: VerifyContext) -> SuiteResult:
     rng = np.random.default_rng(ctx.seed + 5)
     tol = 1e-12 * ctx.tolerance
     failures = []
-
-    def hop_chain(z: complex, w: complex) -> float:
-        # same ball-hop scheme as the C^2 domains, one complex dimension
-        length = abs(w - z)
-        if length == 0.0:
-            return 0.0
-        unit = (w - z) / length
-        done, total = 0.0, 0.0
-        while done < length * (1.0 - 1e-15):
-            cur = z + done * unit
-            r = 1.0 - abs(cur)
-            step = min(length - done, 0.5 * r)
-            total += math.atanh(step / r)
-            done += step
-        return total
-
     for k in range(300):
         rad = np.sqrt(rng.uniform(0, 1, 2)) * 0.98
         th = rng.uniform(0, 2 * np.pi, 2)
@@ -311,7 +293,10 @@ def suite_disc_pointwise(ctx: VerifyContext) -> SuiteResult:
         # sharp on the disc: |atanh|z| - atanh|w|| >= (1/2)|log(dw/dz)|
         lower = 0.5 * abs(math.log(dw / dz))
         ex = exact.disc_distance(z, w)
-        upper = hop_chain(z, w)
+        # the C^2 domains' ball-hop chain, in one complex dimension
+        length = abs(w - z)
+        unit = (w - z) / length  # independent draws never coincide
+        upper = hop_chain(lambda s: 1.0 - abs(z + s * unit), length)
         if lower > ex + tol:
             failures.append(f"draw {k}: ratio lower {lower} exceeds exact {ex}")
         if ex > upper + tol:

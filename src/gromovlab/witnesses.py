@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .convex import (
     CertificateError,
     ModelDomain,
@@ -53,7 +51,7 @@ from .exact import (
     tetra_automorphism,
     tetra_origin_distance,
 )
-from .models import HINGE_MODEL
+from .models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL
 from .profiles import ProfileFn
 
 # deep-parameter switch: below this the profile heights underflow the
@@ -289,105 +287,6 @@ def tetra_witness(a: float) -> WitnessReport:
 
 
 # ---------------------------------------------------------------------------
-# slice-disc placement inside a planar convex section
-
-
-@dataclass(frozen=True)
-class SliceDiscPair:
-    """Two well-separated discs pressed into a planar convex body."""
-
-    center: complex
-    rho: float
-    r: float
-    contact_p: complex
-    contact_q: complex
-    p_center: complex
-    q_center: complex
-    separation: float
-
-
-# depth factor sqrt(3)/(5 + sqrt(3)); with contacts subtending at least
-# 2 pi / 3 on the inscribed circle, discs of this radius pressed against
-# the two contact faces stay disjoint with room to spare
-_DISC_FACTOR = math.sqrt(3.0) / (5.0 + math.sqrt(3.0))
-_DISC_SAFETY = 0.97  # keeps the strict inequalities strict under rounding
-
-
-def contact_disc_pair(support: Callable[[float], float], grid: int = 1440) -> SliceDiscPair:
-    """Place two separated discs against the faces of a convex body.
-
-    The body is given by its support function h(theta).  A linear
-    program finds the Chebyshev (deepest) center and radius rho; the
-    support lines active there touch the inscribed circle, and among
-    them some pair subtends a central angle >= 2 pi / 3 (a circle
-    inscribed in fewer directions could grow).  The two discs of radius
-    r = 0.97 * sqrt(3)/(5+sqrt(3)) * rho sit at depth r inward from the
-    two contact points.
-
-    Ties in the separation are broken lexicographically in (theta_1,
-    theta_2), so e.g. a square yields the two opposite mid-edge
-    contacts at angles (0, pi).
-    """
-    from scipy.optimize import linprog
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    h = np.array([float(support(float(t))) for t in thetas])
-    if not np.all(np.isfinite(h)):
-        raise CertificateError("support function produced non-finite values")
-    rows = np.column_stack([np.cos(thetas), np.sin(thetas), np.ones_like(thetas)])
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=rows,
-        b_ub=h,
-        bounds=[(None, None)] * 3,
-        method="highs",
-    )
-    if not res.success:
-        raise CertificateError(f"Chebyshev center LP failed: {res.message}")
-    cx, cy, rho = (float(v) for v in res.x)
-    if rho <= 0.0:
-        raise CertificateError("convex section has empty interior")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    slack = h - rows @ res.x
-    active = [float(t) for t, s in zip(thetas, slack) if s <= 1e-8 * scale]
-    if len(active) < 2:
-        raise CertificateError("fewer than two active support directions")
-
-    best: tuple[float, float] | None = None
-    best_sep = -1.0
-    for i in range(len(active)):
-        for j in range(i + 1, len(active)):
-            diff = abs(active[i] - active[j])
-            sep = min(diff, 2.0 * math.pi - diff)
-            if sep > best_sep + 1e-15:
-                best_sep = sep
-                best = (active[i], active[j])
-    assert best is not None
-    if best_sep < 2.0 * math.pi / 3.0 - 1e-9:
-        raise CertificateError(
-            f"largest contact separation {best_sep:.6f} is below 2*pi/3; "
-            "the Chebyshev contacts do not certify the disc placement"
-        )
-    t1, t2 = best
-    center = complex(cx, cy)
-    contact_p = center + rho * complex(math.cos(t1), math.sin(t1))
-    contact_q = center + rho * complex(math.cos(t2), math.sin(t2))
-    r = _DISC_SAFETY * _DISC_FACTOR * rho
-    if abs(contact_p - contact_q) <= 5.0 * r:
-        raise CertificateError("contact points are not separated enough for the radius")
-    return SliceDiscPair(
-        center=center,
-        rho=rho,
-        r=r,
-        contact_p=contact_p,
-        contact_q=contact_q,
-        p_center=contact_p - r * complex(math.cos(t1), math.sin(t1)),
-        q_center=contact_q - r * complex(math.cos(t2), math.sin(t2)),
-        separation=best_sep,
-    )
-
-
-# ---------------------------------------------------------------------------
 # hinge family: quadruple against the rim of the flat face
 
 
@@ -518,29 +417,6 @@ def hinge_witness(delta: float) -> WitnessReport:
 # flat-profile family: quadruple at the infinitely flat boundary point
 
 
-def find_steep_point(profile: ProfileFn, eps: float, ratio_min: float) -> float:
-    """Largest grid point t < eps with steepness t psi'(t)/psi(t) > ratio_min.
-
-    The grid is eps * s * 10^-k for s in {5, 2, 1}, k = 0, 1, ...; the
-    scan is descending, so the first hit is the coarsest usable
-    tangency radius.  Profiles of finite type have bounded steepness
-    and exhaust the grid.
-    """
-    if eps <= 0.0:
-        raise CertificateError("steep-point search needs eps > 0")
-    for k in range(0, 80):
-        for s in (5.0, 2.0, 1.0):
-            t = eps * s * 10.0**-k
-            if t >= eps:
-                continue
-            if profile.steepness(t) > ratio_min:
-                return t
-    raise CertificateError(
-        f"steepness of {profile.name} never exceeded {ratio_min}: "
-        "the profile has finite type (steepness plateau)"
-    )
-
-
 def alpha_schedule(profile: ProfileFn, x: float, max_halvings: int = 10) -> float:
     """Offset fraction alpha with psi'((1-alpha) x) >= psi'(x)/2.
 
@@ -622,6 +498,12 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
 
     # normalized functional values, all real by construction:
     #   f_-(w) = 1,  f_-(p) = alpha,  f_+(q) = alpha
+    # the crossing split needs the two starting values real: record that
+    # against the actual imaginary parts (the rotations at theta = 0, pi
+    # are exactly +-1)
+    dpsi = profile.deriv(x)
+    im_q = q[0].imag - dpsi * q[1].imag
+    im_p = p[0].imag - dpsi * (-p[1]).imag
     lb_half = lb_halfplane_ratio_log(cert_m, log_alpha, 0.0)
     lb_cross = lb_crossing_split(cert_p, cert_m, log_alpha, log_alpha, domain=domain)
     log_tau = cert_p.log_tau_cert(cert_m)
@@ -704,9 +586,8 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
 
     checks = tuple(
         [
-            ("derivative-halving schedule stabilized", True),
             ("tangency is admissibly steep", sigma < 0.5),
-            ("crossing start values are real by symmetry", True),
+            ("crossing start values are real", im_p == 0.0 and im_q == 0.0),
             ("crossing starts below tau", log_alpha <= log_tau),
             ("formula below branch interval", s_lb <= interval.lo + 1e-9),
         ]
@@ -835,3 +716,51 @@ def claims_check(domain: ModelDomain, x: float) -> tuple[ClaimCheck, ...]:
         )
     )
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the family table: what a sweep evaluates, writes and regresses
+
+
+@dataclass(frozen=True)
+class Family:
+    """One witness family as a sweep runs it.
+
+    ``witness(param)`` builds the report; ``terms`` are the names of its
+    terms, in order, which become the CSV columns (a report whose names
+    disagree is a row error, never a silently reshaped file); the summary
+    regresses S_lb against ``axis(param)``, the coordinate the family's
+    divergence rate is stated in, labelled ``axis_label``.
+    """
+
+    witness: Callable[[float], WitnessReport]
+    terms: tuple[str, ...]
+    axis_label: str
+    axis: Callable[[float], float]
+
+
+# module-level functions, not partials: they look flat_witness up by its
+# global name at each call, so a wrapper installed there sees these calls
+def _flat_exp(x: float) -> WitnessReport:
+    return flat_witness(FLAT_EXP_MODEL, x)
+
+
+def _flat_quartic(x: float) -> WitnessReport:
+    return flat_witness(FLAT_QUARTIC_MODEL, x)
+
+
+def _log_inverse(p: float) -> float:
+    return -math.log(p)
+
+
+_FLAT_TERMS = ("lb_ratio", "lb_half", "ub_ball", "lb_cross", "ub_slice")
+
+FAMILIES: dict[str, Family] = {
+    "tetra": Family(tetra_witness, ("royal", "pq"), "atanh(param)", math.atanh),
+    "gn": Family(gn_witness, ("lb_mid", "shift", "honest_lo"), "atanh(param)", math.atanh),
+    "product": Family(product_witness, ("defect_exact", "midpoint_dev"), "param", lambda p: p),
+    "hinge": Family(hinge_witness, ("lb_split", "ub_pair", "lb_ratio", "ub_chain"),
+                    "log(1/param)", _log_inverse),
+    "flat_exp": Family(_flat_exp, _FLAT_TERMS, "log(1/param)", _log_inverse),
+    "flat_quartic": Family(_flat_quartic, _FLAT_TERMS, "log(1/param)", _log_inverse),
+}

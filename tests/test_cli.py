@@ -129,6 +129,13 @@ def test_sweep_usage_errors(tmp_path):
     assert run(["sweep", "--family", "tetra", "--out", str(tmp_path / "x.csv")]) == 1
 
 
+def test_removed_options_are_usage_errors(tmp_path):
+    # witnesses are deterministic, and verify reads no config
+    out = str(tmp_path / "x.csv")
+    assert run(["sweep", "--family", "tetra", "--grid", "0.5", "--seed", "1", "--out", out]) == 1
+    assert run(["verify", "--config", "c.cfg"]) == 1
+
+
 # -- sample -----------------------------------------------------------------------
 
 def test_sample_disc_checkpoints_and_determinism(tmp_path):

@@ -1,14 +1,12 @@
 """Four-point machinery on abstract metric spaces."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gromovlab import core
-from gromovlab.exact import disc_distance, disc_distance_array, disc_oracle
+from gromovlab.exact import disc_distance, disc_distance_array
 
 
 def d_real(x, y):
@@ -21,7 +19,7 @@ coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 @given(x=coords, y=coords, w=coords)
 def test_gromov_product_on_the_line(x, y, w):
     # on R the product is twice the distance from w to the segment [x, y]
-    gp = core.gromov_product(d_real, x, y, w)
+    gp = core.four_point_defect(d_real, x, y, x, w).gp_pq_w
     seg = max(min(x, y) - w, w - max(x, y), 0.0)
     assert gp == pytest.approx(2.0 * seg, abs=1e-9)
     assert gp >= -1e-12
@@ -106,36 +104,9 @@ def test_mixed_sampler_injects_at_period():
     assert np.all(quads[[i for i in range(12) if i not in injected]] < 1.0)
 
 
-def test_max_product_metric_is_max():
-    d1 = disc_oracle()
-    prod = core.max_product_metric(d1, d1)
-    z = (0.3 + 0.0j, 0.1 + 0.0j)
-    w = (-0.2 + 0.0j, 0.4 + 0.1j)
-    expect = max(disc_distance(z[0], w[0]), disc_distance(z[1], w[1]))
-    assert prod.fn(z, w) == pytest.approx(expect, abs=1e-14)
-
-
-def test_product_delta_bound_grows_with_slack():
-    assert core.product_delta_bound(0.7, 0.0) >= 0.7
-    assert core.product_delta_bound(0.7, 2.0) > core.product_delta_bound(0.7, 0.5)
-
-
 def test_weak_midpoint_ratios_on_the_line():
     triples = [(0.0, 4.0, 2.0), (0.0, 4.0, 3.0)]
     out = core.weak_midpoint_ratios(triples, d_real)
     (r1a, r1b, _), (r2a, r2b, _) = out
     assert (r1a, r1b) == pytest.approx((0.5, 0.5))
     assert (r2a, r2b) == pytest.approx((0.75, 0.25))
-
-
-def test_quasi_isometry_fit_identity():
-    pairs = [(float(i), float(j)) for i in range(6) for j in range(6) if i != j]
-    fit = core.quasi_isometry_fit(d_real, d_real, pairs)
-    assert fit.c1 == pytest.approx(1.0)
-    assert fit.c2 == pytest.approx(0.0)
-
-
-def test_quasi_isometry_fit_rejects_exponential_gap():
-    pairs = [(0.0, float(k)) for k in range(1, 12)]
-    with pytest.raises(core.QuasiIsometryFitError):
-        core.quasi_isometry_fit(d_real, lambda x, y: math.exp(abs(x - y)), pairs)

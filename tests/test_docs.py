@@ -1,11 +1,38 @@
 """The code the README shows runs as written."""
 
+import re
+import shlex
+import textwrap
 from pathlib import Path
 
+from gromovlab import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _code_blocks(text):
+    # fenced blocks, also those indented under a list item
+    return [
+        textwrap.dedent(body)
+        for body in re.findall(r"^[ \t]*```[a-z]*\n(.*?)^[ \t]*```", text, re.M | re.S)
+    ]
 
 
 def test_readme_library_sketch_runs():
     section = README.read_text().split("## Library sketch", 1)[1]
     code = section.split("```python", 1)[1].split("```", 1)[0]
     exec(compile(code, str(README), "exec"), {})
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch):
+    section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    blocks = _code_blocks(section)
+    commands = [shlex.split(line)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("gromovlab ")]
+    (config,) = [block for block in blocks if block.startswith("[family.")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if "--config" in argv:
+            Path(argv[argv.index("--config") + 1]).write_text(config)
+        assert cli.main(argv) == 0, argv

@@ -13,10 +13,7 @@ from gromovlab.models import (
     MODELS,
     QUARTIC,
     curvature_margin,
-    format_model,
-    parse_model,
 )
-from gromovlab.profiles import PROFILES
 
 
 def test_model_registry():
@@ -24,10 +21,6 @@ def test_model_registry():
     for name, m in MODELS.items():
         assert m.name == name
         assert m.contains(m.base_point)
-
-
-def test_profiles_registry_consistent():
-    assert {p.name for p in (HINGE, EXP_FLAT, QUARTIC)} <= set(PROFILES)
 
 
 @pytest.mark.parametrize("p", [HINGE, EXP_FLAT, QUARTIC], ids=lambda p: p.name)
@@ -79,13 +72,3 @@ def test_ball_data_certified(m):
     assert m.ball_radius * m.ball_curvature_sup <= 1.0 + 1e-12
     assert curvature_margin(m) >= -1e-3
     assert m.ball_contact_cap + m.ball_radius <= m.z2_cap
-
-
-def test_format_parse_roundtrip():
-    for m in MODELS.values():
-        again = parse_model(format_model(m))
-        assert again.name == m.name
-        assert again.z2_cap == m.z2_cap
-        assert again.base_point == m.base_point
-        assert again.profile.name == m.profile.name
-        assert len(again.affine) == len(m.affine)

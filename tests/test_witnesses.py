@@ -11,11 +11,9 @@ from gromovlab.witnesses import (
     alpha_schedule,
     claims_check,
     defect_interval,
-    find_steep_point,
     flat_witness,
     gn_witness,
     hinge_witness,
-    contact_disc_pair,
     product_witness,
     tetra_witness,
 )
@@ -140,18 +138,3 @@ def test_alpha_schedule_keeps_increment_in_slab():
         inc = p.value(x) - p.value((1.0 - a) * x)
         hi = a * x * p.deriv(x)
         assert hi / 4.0 <= inc <= hi * (1.0 + 1e-12)
-
-
-def test_find_steep_point_meets_ratio():
-    p = FLAT_EXP_MODEL.profile
-    t = find_steep_point(p, 1e-8, ratio_min=20.0)
-    assert p.steepness(t) >= 20.0
-    assert p.value(t) <= 1e-8
-
-
-def test_contact_disc_pair_opposite_mid_edges():
-    pair = contact_disc_pair(lambda th: 1.0)
-    # unit-ball support function: two discs pinched at opposite contact points
-    assert pair.separation > 0.0
-    assert pair.r > 0.0 and pair.rho > 0.0
-    assert abs(pair.contact_p + pair.contact_q) < 1e-9
