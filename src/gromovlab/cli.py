@@ -7,13 +7,13 @@ Three subcommands:
   verify  -- run every invariant suite; exit 3 on any failure
 
 CSV conventions: mandatory header, 17 significant digits, one row per
-parameter, a trailing `error` column that is empty on success, and a
-final `# summary ...` comment line.  `wall_ms` is 0 unless --timings is
-given, so that identical arguments reproduce identical bytes (witnesses
-are deterministic; `sample` draws from its seed).
+parameter or checkpoint, a trailing `error` column that is empty on
+success, and a final `# summary ...` comment line.  The sweep's
+`wall_ms` column is 0 unless --timings is given, so that identical
+arguments reproduce identical bytes (witnesses are deterministic;
+`sample` draws from its --seed).
 
-Config files are plain `key = value` lines with optional `[family.<id>]`
-sections; command-line flags win over config values.  The environment
+Every setting is a flag; there are no config files.  The environment
 variable GROMOVLAB_LOG sets the logging level.
 
 Exit codes: 0 success, 1 usage error, 2 row-level computation failure,
@@ -175,18 +175,21 @@ def run_sweep(config: SweepConfig) -> int:
 
 def _sample_setup(domain: str, directed_scale: float | None, period: int):
     """Array distance and block sampler for one backend."""
-    if domain == "polydisc" and directed_scale is not None:
-        # witness-directed run: the axis representation stays exact at any
-        # scale (tanh saturates doubles near 19), so the injected product
-        # quadruples keep their defect verbatim
-        rep = witnesses.product_witness(directed_scale)
-        axis = exact.SAMPLE_DOMAINS["polydisc_axis"]
-        base = core.uniform_quadruple_sampler(axis.points)
-        return axis.distance, core.mixed_quadruple_sampler(base, [rep.quadruple], period=period)
     if domain not in exact.SAMPLE_DOMAINS:
         raise ValueError(f"unknown sample domain {domain!r}")
-    dom = exact.SAMPLE_DOMAINS[domain]
-    return dom.distance, core.uniform_quadruple_sampler(dom.points)
+    if directed_scale is None:
+        dom = exact.SAMPLE_DOMAINS[domain]
+        return dom.distance, core.uniform_quadruple_sampler(dom.points)
+    if domain != "polydisc":
+        # the injected quadruples are product witnesses: bidisc points
+        raise ValueError(f"directed sampling runs on polydisc, not {domain!r}")
+    # witness-directed run: the axis representation stays exact at any
+    # scale (tanh saturates doubles near 19), so the injected product
+    # quadruples keep their defect verbatim
+    rep = witnesses.product_witness(directed_scale)
+    axis = exact.SAMPLE_DOMAINS["polydisc_axis"]
+    base = core.uniform_quadruple_sampler(axis.points)
+    return axis.distance, core.mixed_quadruple_sampler(base, [rep.quadruple], period=period)
 
 
 def run_sample(
@@ -213,12 +216,12 @@ def run_sample(
     log.debug("sampled n=%d sup=%.6g (%.0f ms)",
               n, est.sup_defect, 1e3 * (time.perf_counter() - t0))
     rows = [
-        {"n": str(ck), "sup_defect": _fmt(sup), "wall_ms": "0", "error": ""}
+        {"n": str(ck), "sup_defect": _fmt(sup), "error": ""}
         for ck, sup in est.checkpoints
     ]
     with open(out, "w", newline="") as fh:
         writer = csv.DictWriter(
-            fh, fieldnames=["n", "sup_defect", "wall_ms", "error"], lineterminator="\n"
+            fh, fieldnames=["n", "sup_defect", "error"], lineterminator="\n"
         )
         writer.writeheader()
         writer.writerows(rows)
@@ -227,38 +230,6 @@ def run_sample(
                  f"{scale_note} sup={_fmt(est.sup_defect)}\n")
         fh.write(f"# argmax {est.argmax!r}\n")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# config files
-
-def load_config(path: str) -> dict[str, dict[str, str]]:
-    """Plain `key = value` lines with `[family.<id>]` sections.
-
-    Returns {section: {key: value}}; the anonymous leading section is "".
-    """
-    sections: dict[str, dict[str, str]] = {"": {}}
-    current = ""
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key = value")
-            key, _, value = line.partition("=")
-            sections[current][key.strip()] = value.strip()
-    return sections
-
-
-def _cfg_lookup(cfg: dict[str, dict[str, str]], section: str, key: str) -> str | None:
-    if section in cfg and key in cfg[section]:
-        return cfg[section][key]
-    return cfg[""].get(key)
 
 
 # ---------------------------------------------------------------------------
@@ -279,65 +250,45 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="witness-family parameter sweep")
     p_sweep.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p_sweep.add_argument("--grid", help="comma list or geom:start:ratio:count")
+    p_sweep.add_argument("--grid", required=True, help="comma list or geom:start:ratio:count")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--timings", action="store_true",
                          help="record real wall_ms (breaks byte reproducibility)")
-    p_sweep.add_argument("--config", default=None)
 
     p_sample = sub.add_parser("sample", help="random-quadruple defect sampling")
     p_sample.add_argument("--domain", required=True,
                           choices=("disc", "ball", "polydisc", "tetra"))
     p_sample.add_argument("--n", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, default=None)
+    p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", required=True)
-    p_sample.add_argument("--config", default=None)
+    p_sample.add_argument("--directed-scale", type=float, default=None, metavar="S",
+                          help="polydisc only: inject product witnesses of defect S")
 
     p_verify = sub.add_parser("verify", help="run every invariant suite")
-    p_verify.add_argument("--tolerance", type=float, default=1.0)
     p_verify.add_argument("--mutate", action="store_true",
                           help="perturb frozen anchors; the run must fail")
     return parser
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config) if args.config else {"": {}}
-    section = f"family.{args.family}"
-    grid_spec = args.grid or _cfg_lookup(cfg, section, "grid")
-    if grid_spec is None:
-        print("gromovlab sweep: no --grid and no grid in config", file=sys.stderr)
-        return 1
-    workers = (args.workers if args.workers is not None
-               else int(_cfg_lookup(cfg, section, "workers") or 1))
     config = SweepConfig(
         family=args.family,
-        grid=parse_grid(grid_spec),
+        grid=parse_grid(args.grid),
         out=args.out,
-        workers=workers,
+        workers=args.workers,
         timings=args.timings,
     )
     return run_sweep(config)
 
 
 def _cmd_sample(args) -> int:
-    cfg = load_config(args.config) if args.config else {"": {}}
-    section = f"family.{args.domain}"
-    seed = args.seed if args.seed is not None else int(_cfg_lookup(cfg, section, "seed") or 0)
-    raw_scale = _cfg_lookup(cfg, section, "directed_scale")
-    period = int(_cfg_lookup(cfg, section, "period") or 8)
-    return run_sample(
-        domain=args.domain,
-        n=args.n,
-        seed=seed,
-        out=args.out,
-        directed_scale=float(raw_scale) if raw_scale is not None else None,
-        period=period,
-    )
+    return run_sample(args.domain, args.n, args.seed, args.out,
+                      directed_scale=args.directed_scale)
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_all(tolerance=args.tolerance, mutate=args.mutate)
+    results = verify.run_all(mutate=args.mutate)
     all_passed = True
     for res in results:
         word = "PASS" if res.passed else "FAIL"

@@ -42,6 +42,22 @@ class CertificateError(RuntimeError):
 # exp(-745) ~ 5e-324)
 _PSI_UNDERFLOW_UB = 1e-300
 
+# branch and bound of the boundary bracket: cells of the first uniform
+# pass, relative gap at which a surviving cell no longer pays to split,
+# and the cap on splits
+_BB_COARSE = 256
+_BB_GAP = 1e-4
+_BB_MAX_ITER = 6000
+
+# how far inside an affine face, the radial cap or the profile an analytic
+# disc must stay
+_DISC_CHECK_MARGIN = 1e-12
+
+# containment_check: sample points on each of its two circles, and the
+# slack allowed at each
+_NET_POINTS = 48
+_NET_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class AffineConstraint:
@@ -82,15 +98,12 @@ def _certified_scalar_min(
     cell_lb: Callable[[float, float], float],
     lo: float,
     hi: float,
-    coarse: int = 256,
-    gap: float = 1e-4,
-    max_iter: int = 6000,
 ) -> tuple[float, float]:
     """Global minimum of h on [lo, hi] with a certified lower bound.
 
     cell_lb(a, b) must lower-bound h on [a, b].  Branch-and-bound over
-    interval cells; stops once every surviving cell's bound is within gap
-    (relative to best itself, so tiny-scale minima such as squared
+    interval cells; stops once every surviving cell's bound is within
+    _BB_GAP (relative to best itself, so tiny-scale minima such as squared
     near-boundary distances are still bracketed to relative precision) of
     the best evaluation.  A cell whose midpoint rounds onto an endpoint is
     at float resolution and cannot be split; its bound is taken as final.
@@ -99,18 +112,18 @@ def _certified_scalar_min(
     if hi <= lo:
         v = h(lo)
         return v, v
-    ts = np.linspace(lo, hi, coarse + 1)
+    ts = np.linspace(lo, hi, _BB_COARSE + 1)
     best = min(h(float(t)) for t in ts)
     heap: list[tuple[float, float, float]] = []
-    for i in range(coarse):
+    for i in range(_BB_COARSE):
         a, b = float(ts[i]), float(ts[i + 1])
         heapq.heappush(heap, (cell_lb(a, b), a, b))
     floor = math.inf
-    for _ in range(max_iter):
+    for _ in range(_BB_MAX_ITER):
         if not heap:
             break
         lb, a, b = heap[0]
-        if lb >= best - gap * abs(best) - 1e-300 or lb >= floor:
+        if lb >= best - _BB_GAP * abs(best) - 1e-300 or lb >= floor:
             break
         heapq.heappop(heap)
         m = 0.5 * (a + b)
@@ -143,7 +156,6 @@ class ModelDomain:
     ball_radius: float = 0.0
     ball_contact_cap: float = 0.0
     ball_curvature_sup: float = 0.0
-    notes: str = ""
 
     # -- membership ---------------------------------------------------------
 
@@ -264,7 +276,7 @@ class ModelDomain:
 
     # -- analytic discs ------------------------------------------------------
 
-    def z1_disc(self, w2: complex, check_margin: float = 1e-12) -> AffineDisc:
+    def z1_disc(self, w2: complex) -> AffineDisc:
         """Tangent disc in the z1 plane at fixed z2 = w2.
 
         Center psi(|w2|) + R on the real axis, radius R; tangent to the
@@ -278,7 +290,7 @@ class ModelDomain:
         center = self.psi_float_ub(s) + R
         for f in self.affine:
             worst = (f.a * center + f.b * w2).real + R * abs(f.a)
-            if worst >= f.c - check_margin:
+            if worst >= f.c - _DISC_CHECK_MARGIN:
                 raise CertificateError(
                     f"z1 disc at |z2|={s:g} violates affine face {f}"
                 )
@@ -293,7 +305,6 @@ class ModelDomain:
         c: complex,
         w_center: complex = 0.0 + 0.0j,
         radius: float | None = None,
-        check_margin: float = 1e-12,
     ) -> AffineDisc:
         """Disc in the z2 plane at fixed z1 = c, centered at w_center.
 
@@ -315,13 +326,13 @@ class ModelDomain:
                 raise CertificateError("no positive slice radius at this height")
         else:
             r = radius
-            if r > r_cap + check_margin:
+            if r > r_cap + _DISC_CHECK_MARGIN:
                 raise CertificateError("requested slice radius exceeds the radial cap")
-            if self.profile.value(wc + r) > c.real + check_margin:
+            if self.profile.value(wc + r) > c.real + _DISC_CHECK_MARGIN:
                 raise CertificateError("requested slice radius pierces the profile face")
         for f in self.affine:
             worst = (f.a * c + f.b * w_center).real + r * abs(f.b)
-            if worst >= f.c - check_margin:
+            if worst >= f.c - _DISC_CHECK_MARGIN:
                 raise CertificateError(f"slice disc at z1={c} violates affine face {f}")
         return AffineDisc(
             origin=(complex(c), complex(w_center)),
@@ -329,14 +340,15 @@ class ModelDomain:
             note=f"z2 slice disc at Re z1={c.real:g}",
         )
 
-    def containment_check(self, disc: AffineDisc, n: int = 48, slack: float = 1e-9) -> None:
+    def containment_check(self, disc: AffineDisc) -> None:
         """Sampled sanity net under the analytic containment arguments."""
+        n = _NET_POINTS
         for rad in (0.5, 1.0 - 1e-9):
             for k in range(n):
                 lam = rad * complex(
                     math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n)
                 )
-                if not self.contains(disc.point_at(lam), slack=slack):
+                if not self.contains(disc.point_at(lam), slack=_NET_SLACK):
                     raise CertificateError(
                         f"disc {disc.note!r} leaves {self.name} at lam={lam}"
                     )
@@ -623,11 +635,9 @@ def ub_slice_discs(
     )
 
 
-def lb_boundary_ratio(domain: ModelDomain, z: PointC2, w: PointC2) -> float:
-    """Float-level boundary-distance ratio bound from certified brackets,
-    with the coefficient 1/2 that convexity gives."""
-    bz = domain.boundary_distance_bracket(z)
-    bw = domain.boundary_distance_bracket(w)
+def lb_boundary_ratio(bz: DistBound, bw: DistBound) -> float:
+    """k(z, w) >= (1/2) log(d(w)/d(z)) on a convex domain, from certified
+    brackets bz, bw of the two boundary distances (in either order)."""
     ratio = max(bw.lo / bz.hi, bz.lo / bw.hi)
     if ratio <= 1.0:
         return 0.0

@@ -22,21 +22,15 @@ import numpy as np
 Point = Any
 Quadruple = tuple[Point, Point, Point, Point]
 
-#: default absolute tolerance for metric-axiom checks
+#: absolute tolerance for metric-axiom checks
 METRIC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class DistanceOracle:
-    """A pseudo-distance evaluator tagged with the point space it expects.
+    """A pseudo-distance evaluator on points of one space."""
 
-    ``validate`` is optional membership screening; the oracle itself never
-    checks it.
-    """
-
-    point_space: str
     fn: Callable[[Point, Point], float]
-    validate: Callable[[Point], bool] | None = None
 
     def __call__(self, x: Point, y: Point) -> float:
         return self.fn(x, y)
@@ -255,14 +249,15 @@ def weak_midpoint_ratios(
 def metric_axiom_violations(
     d: Callable[[Point, Point], float],
     points: Sequence[Point],
-    tol: float = METRIC_TOL,
 ) -> list[str]:
-    """Spot-check identity, symmetry and the triangle inequality on a sample.
+    """Spot-check identity, symmetry and the triangle inequality on a sample,
+    to within METRIC_TOL.
 
     Returns human-readable violation descriptions (empty list = clean).
     Quadratic in len(points) for symmetry, cubic for triangles on a capped
     subset; intended for verification suites, not hot paths.
     """
+    tol = METRIC_TOL
     msgs = []
     n = len(points)
     for i in range(n):

@@ -45,8 +45,15 @@ _STABLE_SWITCH = 0.19
 _ALIGN_TOL = 1e-10
 
 # Phases of the symmetrized bidisc's inner family scanned before the
-# golden-section polish around the best one.
+# golden-section polish around the best one, and the polish's steps.
 _PHASE_GRID = 720
+_GOLDEN_ITERS = 70
+
+# Relative width under which a DistBound counts as exact.
+_EXACT_REL_TOL = 1e-12
+
+# How far inside the unit circle every root of a symmetrized point must be.
+_GN_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,8 @@ class DistBound:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def is_exact(self, tol: float = 1e-12) -> bool:
-        return self.width <= tol * (1.0 + abs(self.lo))
+    def is_exact(self) -> bool:
+        return self.width <= _EXACT_REL_TOL * (1.0 + abs(self.lo))
 
     def contains(self, value: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= value <= self.hi + tol
@@ -134,22 +141,14 @@ def disc_distance(
     return _atanh_stable(m, one_minus_m2)
 
 
-def halfplane_distance(
-    z: complex,
-    w: complex,
-    re_z: float | None = None,
-    re_w: float | None = None,
-) -> float:
+def halfplane_distance(z: complex, w: complex) -> float:
     """atanh|(z-w)/(z+conj(w))| on the right half-plane Re > 0.
 
-    On the positive reals this is 0.5*|log(z/w)|.  re_z / re_w override
-    the real parts analytically for points whose float real part has
-    underflowed or rounded.
+    On the positive reals this is 0.5*|log(z/w)|.
     """
     z = complex(z)
     w = complex(w)
-    rz = z.real if re_z is None else re_z
-    rw = w.real if re_w is None else re_w
+    rz, rw = z.real, w.real
     if rz <= 0.0 or rw <= 0.0:
         raise OracleError("halfplane_distance: point outside Re > 0")
     den = abs(z + w.conjugate()) ** 2
@@ -158,19 +157,16 @@ def halfplane_distance(
     return _atanh_stable(m, one_minus_m2)
 
 
-def strip_distance(z: complex, w: complex, half_width: float = 1.0) -> float:
-    """Invariant distance on the vertical strip |Re z| < half_width.
+def strip_distance(z: complex, w: complex) -> float:
+    """Invariant distance on the vertical strip |Re z| < 1.
 
-    tan(pi z / (4L)) is a biholomorphism onto the unit disc.
+    tan(pi z / 4) is a biholomorphism onto the unit disc.
     """
-    L = half_width
-    if L <= 0.0:
-        raise OracleError("strip half_width must be positive")
     z = complex(z)
     w = complex(w)
-    if abs(z.real) >= L or abs(w.real) >= L:
+    if abs(z.real) >= 1.0 or abs(w.real) >= 1.0:
         raise OracleError("strip_distance: point outside the strip")
-    s = math.pi / (4.0 * L)
+    s = math.pi / 4.0
     return disc_distance(cmath.tan(s * z), cmath.tan(s * w))
 
 
@@ -439,11 +435,7 @@ def polydisc_axis_oracle(n: int) -> DistanceOracle:
             raise OracleError("dimension mismatch")
         return max(abs(float(a) - float(b)) for a, b in zip(ts, ss))
 
-    return DistanceOracle(
-        point_space=f"polydisc_axis_{n}",
-        fn=fn,
-        validate=lambda ts: len(ts) == n and all(math.isfinite(float(t)) for t in ts),
-    )
+    return DistanceOracle(fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +459,10 @@ def gn_roots(s: Sequence[complex]) -> np.ndarray:
     return np.roots(coeffs)
 
 
-def gn_membership(s: Sequence[complex], margin: float = 1e-10) -> bool:
+def gn_membership(s: Sequence[complex]) -> bool:
     """Interior membership in the symmetrized polydisc, with a safety margin."""
     r = gn_roots(s)
-    return bool(np.max(np.abs(r)) < 1.0 - margin)
+    return bool(np.max(np.abs(r)) < 1.0 - _GN_MARGIN)
 
 
 def _gn_magic(lam: complex, s: complex, p: complex) -> complex:
@@ -478,7 +470,7 @@ def _gn_magic(lam: complex, s: complex, p: complex) -> complex:
     return (2.0 * lam * p - s) / (2.0 - lam * s)
 
 
-def _grid_refine_max(f: Callable[[float], float], lo: float, hi: float, iters: int = 70) -> float:
+def _grid_refine_max(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Golden-section polish of a 1-d maximum; returns the best value seen.
 
     Only ever used to improve a lower bound, so non-unimodality is safe.
@@ -489,7 +481,7 @@ def _grid_refine_max(f: Callable[[float], float], lo: float, hi: float, iters: i
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     best = max(f(a), f(b), fc, fd)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

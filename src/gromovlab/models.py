@@ -37,6 +37,12 @@ _BOX = (
 
 _BASE: PointC2 = (1.0 + 0.0j, 0.0 + 0.0j)
 
+# rejection-sampling tries per requested point
+_MAX_TRIES = 200
+
+# grid intervals of the curvature check
+_CURVATURE_SAMPLES = 2048
+
 HINGE_MODEL = ModelDomain(
     name="hinge",
     profile=HINGE,
@@ -46,7 +52,6 @@ HINGE_MODEL = ModelDomain(
     ball_radius=0.4,
     ball_contact_cap=1.2,
     ball_curvature_sup=2.0,
-    notes="C^{1,1} boundary with a genuinely flat face",
 )
 
 FLAT_EXP_MODEL = ModelDomain(
@@ -58,7 +63,6 @@ FLAT_EXP_MODEL = ModelDomain(
     ball_radius=0.39,
     ball_contact_cap=0.25,
     ball_curvature_sup=2.5513,
-    notes="smooth boundary, infinitely flat at the marked point",
 )
 
 FLAT_QUARTIC_MODEL = ModelDomain(
@@ -70,7 +74,6 @@ FLAT_QUARTIC_MODEL = ModelDomain(
     ball_radius=0.2,
     ball_contact_cap=0.35,
     ball_curvature_sup=3.63,
-    notes="finite-type control",
 )
 
 MODELS: dict[str, ModelDomain] = {
@@ -87,7 +90,6 @@ def sample_interior(
     n: int,
     rng: np.random.Generator,
     margin: float = 1e-6,
-    max_tries: int = 200,
 ) -> list[PointC2]:
     """n interior points with all face margins above `margin`.
 
@@ -96,7 +98,7 @@ def sample_interior(
     """
     cap = domain.z2_cap
     out: list[PointC2] = []
-    for _ in range(max_tries * n):
+    for _ in range(_MAX_TRIES * n):
         if len(out) >= n:
             break
         z = (
@@ -107,12 +109,12 @@ def sample_interior(
             out.append(z)
     if len(out) < n:
         raise CertificateError(
-            f"interior sampling starved after {max_tries * n} tries on {domain.name}"
+            f"interior sampling starved after {_MAX_TRIES * n} tries on {domain.name}"
         )
     return out
 
 
-def curvature_margin(domain: ModelDomain, samples: int = 2048) -> float:
+def curvature_margin(domain: ModelDomain) -> float:
     """min over a grid of (ball_curvature_sup - psi'') on the certified
     span [0, contact_cap + radius]; a nonnegative value (up to second
     difference noise) means the recorded ball constants dominate the
@@ -122,6 +124,7 @@ def curvature_margin(domain: ModelDomain, samples: int = 2048) -> float:
     span = domain.ball_contact_cap + domain.ball_radius
     worst = math.inf
     h = 1e-5
+    samples = _CURVATURE_SAMPLES
     for k in range(samples + 1):
         t = h + (span - h) * k / samples
         # central second difference; profiles are C^1 with piecewise

@@ -20,8 +20,7 @@ class ProfileFn:
 
     value/deriv may underflow to 0.0 for flat profiles; log_value and
     log_deriv stay exact (they return -inf only where psi or psi' is
-    genuinely zero).  inverse expects a representable positive height;
-    inverse_log takes log(height) instead and never underflows.
+    genuinely zero).  inverse expects a representable positive height.
     """
 
     name: str
@@ -30,9 +29,7 @@ class ProfileFn:
     log_value: Callable[[float], float]
     log_deriv: Callable[[float], float]
     inverse: Callable[[float], float]
-    inverse_log: Callable[[float], float]
     convex: bool = True
-    notes: str = ""
 
     def steepness(self, t: float) -> float:
         """t * psi'(t) / psi(t), evaluated in the log domain."""
@@ -169,8 +166,6 @@ HINGE = ProfileFn(
     log_value=_hinge_log_value,
     log_deriv=_hinge_log_deriv,
     inverse=lambda y: 1.0 + math.sqrt(y),
-    inverse_log=lambda ly: 1.0 + math.exp(0.5 * ly),
-    notes="flat unit disc footprint, parabolic rim",
 )
 
 EXP_FLAT = ProfileFn(
@@ -180,8 +175,6 @@ EXP_FLAT = ProfileFn(
     log_value=_exp_log_value,
     log_deriv=_exp_log_deriv,
     inverse=_exp_inverse,
-    inverse_log=_exp_inverse_log,
-    notes="infinitely flat at 0; quadratic continuation past t=1/4",
 )
 
 QUARTIC = ProfileFn(
@@ -191,6 +184,4 @@ QUARTIC = ProfileFn(
     log_value=_quartic_log_value,
     log_deriv=_quartic_log_deriv,
     inverse=lambda y: y**0.25,
-    inverse_log=lambda ly: math.exp(0.25 * ly),
-    notes="finite-type control profile",
 )

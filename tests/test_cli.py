@@ -1,4 +1,4 @@
-"""Command-line harness: grids, configs, CSV contracts, exit codes."""
+"""Command-line harness: grids, CSV contracts, exit codes."""
 
 import csv
 import math
@@ -23,7 +23,7 @@ def read_comments(path):
         return [ln.strip() for ln in fh if ln.startswith("#")]
 
 
-# -- grids and configs ---------------------------------------------------------
+# -- grids --------------------------------------------------------------------
 
 def test_parse_grid_comma_list():
     assert cli.parse_grid("0.5,0.9") == (0.5, 0.9)
@@ -50,21 +50,6 @@ def test_sweep_config_validates():
         cli.SweepConfig(family="tetra", grid=(), out="x.csv")
     # descending grids are how geometric sweeps arrive
     cli.SweepConfig(family="hinge", grid=(1e-6, 1e-10), out="x.csv")
-
-
-def test_load_config_sections(tmp_path):
-    p = tmp_path / "c.cfg"
-    p.write_text("seed = 3\n\n# comment\n[family.hinge]\ngrid = 1e-6,1e-10\n")
-    cfg = cli.load_config(str(p))
-    assert cfg[""]["seed"] == "3"
-    assert cfg["family.hinge"]["grid"] == "1e-6,1e-10"
-
-
-def test_load_config_rejects_bare_line(tmp_path):
-    p = tmp_path / "c.cfg"
-    p.write_text("seed\n")
-    with pytest.raises(ValueError):
-        cli.load_config(str(p))
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -115,25 +100,22 @@ def test_sweep_workers_match_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_grid_from_config(tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("[family.product]\ngrid = 1,5\n")
-    out = tmp_path / "p.csv"
-    assert run(["sweep", "--family", "product", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = read_rows(out)
-    assert [float(r["S_lb"]) for r in rows] == [1.0, 5.0]
-
-
 def test_sweep_usage_errors(tmp_path):
     assert run(["sweep", "--family", "bogus", "--grid", "1", "--out", "x.csv"]) == 1
     assert run(["sweep", "--family", "tetra", "--out", str(tmp_path / "x.csv")]) == 1
 
 
 def test_removed_options_are_usage_errors(tmp_path):
-    # witnesses are deterministic, and verify reads no config
+    # witnesses are deterministic, every setting is a flag, and verify's
+    # tolerances are fixed
     out = str(tmp_path / "x.csv")
     assert run(["sweep", "--family", "tetra", "--grid", "0.5", "--seed", "1", "--out", out]) == 1
     assert run(["verify", "--config", "c.cfg"]) == 1
+    assert run(["sweep", "--family", "tetra", "--grid", "0.5", "--config", "c.cfg",
+                "--out", out]) == 1
+    assert run(["sample", "--domain", "disc", "--n", "10", "--config", "c.cfg",
+                "--out", out]) == 1
+    assert run(["verify", "--tolerance", "2"]) == 1
 
 
 # -- sample -----------------------------------------------------------------------
@@ -154,13 +136,23 @@ def test_sample_disc_checkpoints_and_determinism(tmp_path):
 
 
 def test_sample_directed_polydisc_dominates(tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("[family.polydisc]\ndirected_scale = 40.0\n")
     out = tmp_path / "d.csv"
     assert run(["sample", "--domain", "polydisc", "--n", "64", "--seed", "2",
-                "--config", str(cfg), "--out", str(out)]) == 0
+                "--directed-scale", "40", "--out", str(out)]) == 0
     rows = read_rows(out)
     assert float(rows[-1]["sup_defect"]) == pytest.approx(40.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("domain", ["disc", "ball", "tetra"])
+def test_sample_directed_scale_needs_polydisc(tmp_path, domain):
+    # a directed run elsewhere would sample undirected under a directed label
+    out = tmp_path / "d.csv"
+    with pytest.raises(ValueError):
+        cli.run_sample(domain, 100, 3, str(out), directed_scale=50.0)
+    assert not out.exists()
+    assert run(["sample", "--domain", domain, "--n", "100", "--directed-scale", "50",
+                "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_sample_rejects_bad_n(tmp_path):

@@ -108,7 +108,7 @@ def test_sandwich_on_random_pairs(m, rng):
     pts = sample_interior(m, 12, rng, margin=0.02)
     for i in range(0, 12, 2):
         z, w = pts[i], pts[i + 1]
-        lb = lb_boundary_ratio(m, z, w)
+        lb = lb_boundary_ratio(m.boundary_distance_bracket(z), m.boundary_distance_bracket(w))
         ub = m.ub_euclidean_chain(z, w)
         assert lb <= ub + 1e-9
 
@@ -129,7 +129,8 @@ def test_chain_upper_bound_basics(rng):
     assert m.ub_euclidean_chain(z, z) == 0.0
     fwd, bwd = m.ub_euclidean_chain(z, w), m.ub_euclidean_chain(w, z)
     assert fwd > 0.0 and bwd > 0.0
-    assert min(fwd, bwd) >= lb_boundary_ratio(m, z, w) - 1e-9
+    lb = lb_boundary_ratio(m.boundary_distance_bracket(z), m.boundary_distance_bracket(w))
+    assert min(fwd, bwd) >= lb - 1e-9
 
 
 # -- tangent half-space certificates ------------------------------------------
@@ -173,7 +174,8 @@ def test_interior_ball_dominates_ratio_lower():
     for t1 in (0.0, 0.12, 0.25):
         z = (complex(m.profile.value(t1) + 1e-4), complex(t1))
         assert m.contains(z)
-        lb = lb_boundary_ratio(m, z, m.base_point)
+        lb = lb_boundary_ratio(m.boundary_distance_bracket(z),
+                               m.boundary_distance_bracket(m.base_point))
         assert lb <= ub_interior_ball(m, z) + 1e-9
 
 

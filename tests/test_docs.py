@@ -29,10 +29,7 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch):
     blocks = _code_blocks(section)
     commands = [shlex.split(line)[1:] for block in blocks
                 for line in block.splitlines() if line.startswith("gromovlab ")]
-    (config,) = [block for block in blocks if block.startswith("[family.")]
     assert commands
     monkeypatch.chdir(tmp_path)
     for argv in commands:
-        if "--config" in argv:
-            Path(argv[argv.index("--config") + 1]).write_text(config)
         assert cli.main(argv) == 0, argv

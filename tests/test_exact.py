@@ -56,14 +56,6 @@ def test_halfplane_distance_near_boundary_pair():
     assert v == pytest.approx(math.log(2.0 / eps), rel=1e-14)
 
 
-def test_halfplane_distance_real_part_override():
-    # re_z replaces a rounded real part in the stable 1 - m^2 path
-    z, w = 2e-9 + 1j, 3e-9 - 1j
-    poisoned = complex(2e-9 * (1.0 + 1e-4), 1.0)
-    fixed = exact.halfplane_distance(poisoned, w, re_z=2e-9)
-    assert fixed == pytest.approx(exact.halfplane_distance(z, w), rel=1e-7)
-
-
 def test_strip_distance_against_conformal_map():
     z, w = 0.3 + 0.2j, -0.5 - 0.1j
     t1 = cmath.tan(math.pi * z / 4.0)

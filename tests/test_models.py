@@ -48,7 +48,6 @@ def test_profile_inverse_roundtrip(p):
         y = p.value(t)
         if y > 0.0:
             assert p.inverse(y) == pytest.approx(t, rel=1e-9)
-        assert p.inverse_log(p.log_value(t)) == pytest.approx(t, rel=1e-9)
 
 
 def test_flat_profiles_are_genuinely_flat():

@@ -30,7 +30,6 @@ def _all_checks_pass(rep):
 def test_product_witness_defect_is_exact(s):
     rep = product_witness(s)
     assert rep.s_lb == s
-    assert rep.divergence_certified
     _all_checks_pass(rep)
 
 
@@ -80,20 +79,12 @@ def test_gn_witness_log2_shift():
     _all_checks_pass(rep)
 
 
-def test_gn_witness_three_disc_analogue_stays_bounded():
-    # the same construction one dimension up certifies nothing
-    rep = gn_witness(0.9, n=3)
-    assert not rep.divergence_certified
-    assert rep.s_lb < 0.0
-
-
 # -- hinge -----------------------------------------------------------------------
 
 @pytest.mark.parametrize("delta", [1e-4, 1e-10, 1e-22])
 def test_hinge_witness_checks_pass(delta):
     rep = hinge_witness(delta)
     _all_checks_pass(rep)
-    assert rep.divergence_certified
 
 
 def test_hinge_witness_values_increase_as_delta_shrinks():
