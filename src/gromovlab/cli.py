@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, exact, verify, witnesses
+from .convex import CertificateError
 
 log = logging.getLogger("gromovlab.cli")
 
@@ -186,7 +187,11 @@ def _sample_setup(domain: str, directed_scale: float | None, period: int):
     # witness-directed run: the axis representation stays exact at any
     # scale (tanh saturates doubles near 19), so the injected product
     # quadruples keep their defect verbatim
-    rep = witnesses.product_witness(directed_scale)
+    try:
+        rep = witnesses.product_witness(directed_scale)
+    except CertificateError as e:
+        # an out-of-range scale is a usage error, not a failed certificate
+        raise ValueError(f"directed scale {directed_scale!r}: {e}") from e
     axis = exact.SAMPLE_DOMAINS["polydisc_axis"]
     base = core.uniform_quadruple_sampler(axis.points)
     return axis.distance, core.mixed_quadruple_sampler(base, [rep.quadruple], period=period)

@@ -194,7 +194,7 @@ class ModelDomain:
         s = abs(z[1])
         if self.profile.name == "hinge":
             v = self._hinge_profile_distance(x1, s)
-            return DistBound.exact(v, "hinge closed form")
+            return DistBound.exact(v)
         psi = self.profile.value
 
         def h(t: float) -> float:
@@ -217,12 +217,7 @@ class ModelDomain:
         t_hi = s + math.sqrt(min(h(0.0), h(s))) + 1e-9
         best, lower = _certified_scalar_min(h, cell_lb, 0.0, t_hi)
         best = min(best, h(0.0), h(s))
-        return DistBound(
-            lo=math.sqrt(max(lower, 0.0)),
-            hi=math.sqrt(best),
-            lo_tag="grid + Lipschitz",
-            hi_tag="evaluated point",
-        )
+        return DistBound(lo=math.sqrt(max(lower, 0.0)), hi=math.sqrt(best))
 
     def boundary_distance_bracket(self, z: PointC2) -> DistBound:
         """Enclosure of the Euclidean distance to the boundary.
@@ -237,12 +232,7 @@ class ModelDomain:
         exact_faces.append(self.z2_cap - abs(z[1]))
         cap = min(exact_faces)
         prof = self._profile_distance_bracket(z)
-        return DistBound(
-            lo=min(cap, prof.lo),
-            hi=min(cap, prof.hi),
-            lo_tag=prof.lo_tag if prof.lo < cap else "affine face",
-            hi_tag=prof.hi_tag if prof.hi < cap else "affine face",
-        )
+        return DistBound(lo=min(cap, prof.lo), hi=min(cap, prof.hi))
 
     def cheap_boundary_lower(self, z: PointC2) -> float:
         """Closed-form certified lower bound for the boundary distance.
@@ -671,16 +661,15 @@ def ub_interior_ball(
     arc stays above the profile.  Affine faces and the radial cap are
     checked directly on the ball.
 
-    The point itself sits inside the ball whenever its height above the
-    contact g = Re z1 - psi(t1) satisfies g < 2 R cos(phi); the hop to
-    the center costs atanh(|z - c|/R), bounded through
+    The point, whose z1 must be real, sits inside the ball whenever its
+    height above the contact g = z1 - psi(t1) satisfies g < 2 R cos(phi);
+    the hop to the center costs atanh(|z - c|/R), bounded through
 
-        1 - m^2 = (g/R) (2 cos(phi) - g/R) - (Im z1 / R)^2,
+        1 - m^2 = (g/R) (2 cos(phi) - g/R),
 
     evaluated in the log domain when (log_g_lo, log_g_hi) is passed (the
-    deep-parameter path; Im z1 must then be 0).  From the center a fixed
-    three-leg disc chain reaches the base point.  The return value
-    includes _LOG_PATH_SLACK.
+    deep-parameter path).  From the center a fixed three-leg disc chain
+    reaches the base point.  The return value includes _LOG_PATH_SLACK.
     """
     R = domain.ball_radius
     if R <= 0.0:
@@ -694,7 +683,8 @@ def ub_interior_ball(
     hyp = math.hypot(1.0, dpsi)
     cos_phi = 1.0 / hyp
     sin_phi = dpsi / hyp
-    im1 = z[0].imag
+    if z[0].imag != 0.0:
+        raise CertificateError("the ball hop needs a real z1")
 
     if log_g_lo is None or log_g_hi is None:
         g = z[0].real - domain.profile.value(t1)
@@ -702,8 +692,6 @@ def ub_interior_ball(
             raise CertificateError("point is not above the contact height")
         log_g_lo = math.log(g) + math.log1p(-1e-9)
         log_g_hi = math.log(g) + math.log1p(1e-9)
-    elif im1 != 0.0:
-        raise CertificateError("log-domain ball hop needs a real z1")
     if log_g_hi < log_g_lo:
         raise CertificateError("inverted height bracket")
 
@@ -731,11 +719,6 @@ def ub_interior_ball(
     if second <= 0.0:
         raise CertificateError("tangent-ball hop lost its positivity margin")
     log_one_minus_m2 = log_g_lo - math.log(R) + math.log(second)
-    if im1 != 0.0:
-        a_lo = math.exp(log_one_minus_m2) - (im1 / R) ** 2
-        if a_lo <= 0.0:
-            raise CertificateError("point is outside the tangent ball")
-        log_one_minus_m2 = math.log(a_lo)
     hop = math.log(2.0) - 0.5 * log_one_minus_m2
 
     # fixed three-leg chain: center -> its z1 tangent disc center,

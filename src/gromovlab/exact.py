@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -58,20 +57,18 @@ _GN_MARGIN = 1e-10
 
 @dataclass(frozen=True)
 class DistBound:
-    """Two-sided enclosure [lo, hi] of a distance, with provenance tags."""
+    """Two-sided enclosure [lo, hi] of a distance."""
 
     lo: float
     hi: float
-    lo_tag: str = ""
-    hi_tag: str = ""
 
     def __post_init__(self):
         if not (self.hi >= self.lo - 1e-12 * (1.0 + abs(self.lo))):
             raise ValueError(f"inverted enclosure: lo={self.lo} hi={self.hi}")
 
     @classmethod
-    def exact(cls, value: float, tag: str = "") -> "DistBound":
-        return cls(lo=value, hi=value, lo_tag=tag, hi_tag=tag)
+    def exact(cls, value: float) -> "DistBound":
+        return cls(lo=value, hi=value)
 
     @property
     def width(self) -> float:
@@ -439,7 +436,7 @@ def polydisc_axis_oracle(n: int) -> DistanceOracle:
 
 
 # ---------------------------------------------------------------------------
-# symmetrized polydisc
+# symmetrized bidisc
 
 
 def sym_poly_map(zs: Sequence[complex]) -> tuple[complex, ...]:
@@ -453,14 +450,17 @@ def sym_poly_map(zs: Sequence[complex]) -> tuple[complex, ...]:
 
 
 def gn_roots(s: Sequence[complex]) -> np.ndarray:
-    """Coordinates of any polydisc preimage of a symmetrized point."""
-    n = len(s)
-    coeffs = [1.0 + 0.0j] + [(-1.0) ** k * complex(s[k - 1]) for k in range(1, n + 1)]
-    return np.roots(coeffs)
+    """Coordinates of any bidisc preimage of a symmetrized point (s, p):
+    the roots of X^2 - s X + p."""
+    if len(s) != 2:
+        raise OracleError("the symmetrized bidisc has two coordinates")
+    # -1.0 * s rather than -s: the two differ in signed zeros, which
+    # np.roots may see; the gn pins in tests/test_exact.py hold for this form
+    return np.roots([1.0 + 0.0j, -1.0 * complex(s[0]), 1.0 * complex(s[1])])
 
 
 def gn_membership(s: Sequence[complex]) -> bool:
-    """Interior membership in the symmetrized polydisc, with a safety margin."""
+    """Interior membership in the symmetrized bidisc, with a safety margin."""
     r = gn_roots(s)
     return bool(np.max(np.abs(r)) < 1.0 - _GN_MARGIN)
 
@@ -496,71 +496,54 @@ def _grid_refine_max(f: Callable[[float], float], lo: float, hi: float) -> float
 
 def gn_lower_bound(x: Sequence[complex], y: Sequence[complex]) -> float:
     """Certified lower bound for the invariant distance on the symmetrized
-    polydisc: best separation over distance-decreasing maps to the disc.
+    bidisc: best separation over distance-decreasing maps to the disc.
 
-    Always includes the scaled coordinate maps e_k / C(n, k); for n = 2
-    also the rational inner family, scanned over a phase grid and polished.
+    The maps are the scaled coordinates s/2 and p, and the rational inner
+    family, scanned over a phase grid and polished.
     """
-    n = len(x)
-    if len(y) != n:
-        raise OracleError("dimension mismatch")
-    best = 0.0
-    for k in range(1, n + 1):
-        c = math.comb(n, k)
-        best = max(best, disc_distance(complex(x[k - 1]) / c, complex(y[k - 1]) / c))
-    if n == 2:
-        sx, px = complex(x[0]), complex(x[1])
-        sy, py = complex(y[0]), complex(y[1])
+    if len(x) != 2 or len(y) != 2:
+        raise OracleError("the symmetrized bidisc has two coordinates")
+    sx, px = complex(x[0]), complex(x[1])
+    sy, py = complex(y[0]), complex(y[1])
+    best = max(disc_distance(sx / 2, sy / 2), disc_distance(px, py))
 
-        def val(theta: float) -> float:
-            lam = cmath.exp(1j * theta)
-            try:
-                return disc_distance(_gn_magic(lam, sx, px), _gn_magic(lam, sy, py))
-            except OracleError:
-                return 0.0
+    def val(theta: float) -> float:
+        lam = cmath.exp(1j * theta)
+        try:
+            return disc_distance(_gn_magic(lam, sx, px), _gn_magic(lam, sy, py))
+        except OracleError:
+            return 0.0
 
-        step = 2.0 * math.pi / _PHASE_GRID
-        vals = [val(k * step) for k in range(_PHASE_GRID)]
-        k0 = int(np.argmax(vals))
-        best = max(best, vals[k0])
-        best = max(best, _grid_refine_max(val, (k0 - 1) * step, (k0 + 1) * step))
-    return best
+    step = 2.0 * math.pi / _PHASE_GRID
+    vals = [val(k * step) for k in range(_PHASE_GRID)]
+    k0 = int(np.argmax(vals))
+    best = max(best, vals[k0])
+    return max(best, _grid_refine_max(val, (k0 - 1) * step, (k0 + 1) * step))
 
 
 def gn_upper_bound(x: Sequence[complex], y: Sequence[complex]) -> float:
-    """Upper bound via polydisc preimages: min over root pairings of the
-    polydisc distance between lifted tuples.
+    """Upper bound via bidisc preimages: min over the two root pairings of
+    the bidisc distance between lifted pairs.
 
-    Pairs lying on the top-coordinate axis (e_1 = ... = e_{n-1} = 0) also
-    get the analytic disc lam -> (0, ..., 0, lam), whose preimage tuples
-    have coordinates of modulus |lam|^{1/n} < 1; that leg is much tighter
-    than any root pairing when the top coordinates are close.
+    Pairs on the p axis (s = 0) also get the analytic disc
+    lam -> (0, lam), whose preimages have coordinates of modulus
+    |lam|^{1/2} < 1; that leg is much tighter than either root pairing
+    when the p coordinates are close.
     """
-    n = len(x)
-    if n > 6:
-        raise OracleError("root-pairing upper bound limited to n <= 6")
     rx = gn_roots(x)
     ry = gn_roots(y)
     if np.max(np.abs(rx)) >= 1.0 or np.max(np.abs(ry)) >= 1.0:
-        raise OracleError("point outside the open symmetrized polydisc")
+        raise OracleError("point outside the open symmetrized bidisc")
     best = math.inf
-    if all(abs(complex(v)) < 1e-15 for v in x[:-1]) and all(
-        abs(complex(v)) < 1e-15 for v in y[:-1]
-    ):
-        best = disc_distance(complex(x[-1]), complex(y[-1]))
-    for perm in itertools.permutations(range(n)):
-        cand = max(disc_distance(rx[i], ry[perm[i]]) for i in range(n))
-        best = min(best, cand)
+    if abs(complex(x[0])) < 1e-15 and abs(complex(y[0])) < 1e-15:
+        best = disc_distance(complex(x[1]), complex(y[1]))
+    for j, k in ((0, 1), (1, 0)):
+        best = min(best, max(disc_distance(rx[0], ry[j]), disc_distance(rx[1], ry[k])))
     return best
 
 
 def gn_pair_bounds(x: Sequence[complex], y: Sequence[complex]) -> DistBound:
-    return DistBound(
-        lo=gn_lower_bound(x, y),
-        hi=gn_upper_bound(x, y),
-        lo_tag="inner function family",
-        hi_tag="polydisc lift pairing",
-    )
+    return DistBound(lo=gn_lower_bound(x, y), hi=gn_upper_bound(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -172,9 +172,6 @@ def suite_symmetrized_bidisc(ctx: VerifyContext) -> SuiteResult:
         if not rep.checks_passed:
             bad = [n for n, ok in rep.checks if not ok]
             failures.append(f"gn witness checks failed at a={a}: {bad}")
-        recomputed = rep.terms[0][1] + rep.terms[1][1]
-        if rep.s_lb != recomputed:
-            failures.append(f"gn formula drifted at a={a}")
     return _result("symmetrized-bidisc", failures)
 
 

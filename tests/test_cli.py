@@ -155,6 +155,17 @@ def test_sample_directed_scale_needs_polydisc(tmp_path, domain):
     assert not out.exists()
 
 
+def test_sample_directed_scale_out_of_range_is_usage_error(tmp_path, capsys):
+    # product witnesses refuse scales above 300; that reads as a usage error
+    out = tmp_path / "d.csv"
+    assert run(["sample", "--domain", "polydisc", "--n", "10", "--directed-scale", "500",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "scale must be in (0, 300]" in err
+    assert not out.exists()
+
+
 def test_sample_rejects_bad_n(tmp_path):
     assert run(["sample", "--domain", "disc", "--n", "0",
                 "--out", str(tmp_path / "x.csv")]) == 1

@@ -187,6 +187,16 @@ def test_interior_ball_off_contact_range_raises():
             ub_interior_ball(m, z)
 
 
+def test_interior_ball_refuses_complex_z1():
+    m = FLAT_EXP_MODEL
+    z = (complex(m.profile.value(0.12) + 1e-4, 1e-6), 0.12 + 0.0j)
+    assert m.contains(z)
+    with pytest.raises(CertificateError):
+        ub_interior_ball(m, z)
+    with pytest.raises(CertificateError):
+        ub_interior_ball(m, z, log_g_lo=math.log(1e-4), log_g_hi=math.log(1e-4))
+
+
 # -- slice discs ---------------------------------------------------------------
 
 def test_z1_disc_containment():

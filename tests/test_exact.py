@@ -96,11 +96,11 @@ def test_ball_distance_radial_and_rotation():
 
 def test_dist_bound_rejects_inversion():
     with pytest.raises(ValueError):
-        DistBound(lo=1.0, hi=0.5, lo_tag="a", hi_tag="b")
+        DistBound(lo=1.0, hi=0.5)
 
 
 def test_dist_bound_tolerates_roundoff_crossing():
-    b = DistBound(lo=1.0 + 5e-13, hi=1.0, lo_tag="a", hi_tag="b")
+    b = DistBound(lo=1.0 + 5e-13, hi=1.0)
     assert b.width <= 1e-12
 
 
@@ -151,6 +151,30 @@ def test_gn_diagonal_matches_disc():
         expect = exact.disc_distance(complex(z), complex(w))
         assert bd.lo == pytest.approx(expect, abs=1e-9)
         assert bd.hi == pytest.approx(expect, abs=1e-6)
+
+
+# (roots of x, roots of y) -> (gn_lower_bound, gn_upper_bound), bit for bit;
+# the last pair has s = 0 at both ends and takes the p-axis disc
+GN_PINS = {
+    ((0.3 + 0.2j, -0.5 + 0.1j), (0.1 - 0.4j, 0.6 + 0.3j)):
+        (0.7876579234049608, 0.878949709048692),
+    ((0.7j, 0.2 - 0.3j), (-0.45 + 0.45j, 0.05)):
+        (0.7060581661547668, 0.8342917134272988),
+    ((0.85 + 0.1j, 0.8 - 0.2j), (-0.3 - 0.6j, 0.4j)):
+        (1.6551807253967148, 1.7498596502950199),
+    ((0.6 + 0.6j, 0.1), (0.6 - 0.6j, -0.1)):
+        (1.3035471794638622, 1.3264471932564459),
+    ((0.9 - 0.3j, 0.2j), (0.5 - 0.5j, 0.5 + 0.5j)):
+        (1.3347732499566753, 1.443635475178803),
+    ((0.5j, -0.5j), (0.3 + 0.4j, -0.3 - 0.4j)):
+        (0.31477598001879026, 0.31477598001879015),
+}
+
+
+@pytest.mark.parametrize("roots", list(GN_PINS), ids=range(len(GN_PINS)))
+def test_gn_bounds_pinned_off_the_real_axis(roots):
+    x, y = (exact.sym_poly_map(zs) for zs in roots)
+    assert (exact.gn_lower_bound(x, y), exact.gn_upper_bound(x, y)) == GN_PINS[roots]
 
 
 def test_gn_lower_bound_hits_extremal_direction():
