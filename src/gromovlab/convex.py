@@ -1,9 +1,10 @@
 """Certified two-sided distance machinery on convex profile domains in C^2.
 
-Domains have the shape { (z1, z2) : Re z1 > psi(|z2|) } intersected with
-affine half-spaces and a radial cap |z2| < B, where psi is a convex
-nondecreasing profile.  Such a domain is convex, which is what every
-lower-bound certificate here leans on.
+Domains have the shape { (z1, z2) : Re z1 > psi(|z2|) } cut down by the
+box Re z1 < BOX, |Im z1| < BOX and the radial cap |z2| < Z2_CAP, where psi
+is a convex nondecreasing profile.  Such a domain is bounded and convex,
+which is what every lower-bound certificate here leans on.  The box only
+involves z1, and the profile and the cap only |z2|.
 
 Lower bounds
     * boundary-distance ratio: k(z, w) >= (1/2) log(d(w)/d(z)),
@@ -37,6 +38,14 @@ class CertificateError(RuntimeError):
     """A bound certificate failed one of its checkable preconditions."""
 
 
+# the box Re z1 < BOX, |Im z1| < BOX and the radial cap |z2| < Z2_CAP that
+# bound every model domain, the base point its witness chains end at, and
+# the radius of its z1 tangent discs
+BOX = 3.0
+Z2_CAP = 2.0
+BASE_POINT: PointC2 = (1.0 + 0.0j, 0.0 + 0.0j)
+_DISC_RADIUS = 1.45
+
 # underflow guard: when psi underflows to 0.0 but is analytically positive,
 # this is still a valid float upper bound for it (exp() underflows below
 # exp(-745) ~ 5e-324)
@@ -49,8 +58,8 @@ _BB_COARSE = 256
 _BB_GAP = 1e-4
 _BB_MAX_ITER = 6000
 
-# how far inside an affine face, the radial cap or the profile an analytic
-# disc must stay
+# how far inside the box, the radial cap or the profile an analytic disc
+# must stay
 _DISC_CHECK_MARGIN = 1e-12
 
 # containment_check: sample points on each of its two circles, and the
@@ -59,23 +68,10 @@ _NET_POINTS = 48
 _NET_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class AffineConstraint:
-    """Open half-space Re(a z1 + b z2) < c."""
-
-    a: complex
-    b: complex
-    c: float
-
-    def margin(self, z: PointC2) -> float:
-        return self.c - (self.a * z[0] + self.b * z[1]).real
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(abs(self.a), abs(self.b))
-
-    def boundary_distance(self, z: PointC2) -> float:
-        return self.margin(z) / self.norm
+def _box_margin(z1: complex) -> float:
+    """Signed Euclidean distance from a point (z1, z2) to the box faces
+    Re z1 = BOX and |Im z1| = BOX; z2 does not enter."""
+    return min(BOX - z1.real, BOX - abs(z1.imag))
 
 
 @dataclass(frozen=True)
@@ -145,17 +141,13 @@ class ModelDomain:
 
     name: str
     profile: ProfileFn
-    affine: tuple[AffineConstraint, ...]
-    z2_cap: float
-    base_point: PointC2
-    disc_radius: float = 1.45
-    # interior tangent-ball data (0 = feature off).  ball_curvature_sup must
-    # dominate psi'' on [0, ball_contact_cap + ball_radius], and the ball
-    # radius must satisfy ball_radius * ball_curvature_sup <= 1; both are
-    # recorded per model and spot-checked by the test suite.
-    ball_radius: float = 0.0
-    ball_contact_cap: float = 0.0
-    ball_curvature_sup: float = 0.0
+    # interior tangent-ball data.  ball_curvature_sup must dominate psi''
+    # on [0, ball_contact_cap + ball_radius], and the ball radius must
+    # satisfy ball_radius * ball_curvature_sup <= 1; both are recorded per
+    # model and spot-checked by the test suite.
+    ball_radius: float
+    ball_contact_cap: float
+    ball_curvature_sup: float
 
     # -- membership ---------------------------------------------------------
 
@@ -172,9 +164,9 @@ class ModelDomain:
     def contains(self, z: PointC2, slack: float = 0.0) -> bool:
         if self.profile_margin(z) <= -slack:
             return False
-        if self.z2_cap - abs(z[1]) <= -slack:
+        if Z2_CAP - abs(z[1]) <= -slack:
             return False
-        return all(f.margin(z) > -slack for f in self.affine)
+        return _box_margin(z[0]) > -slack
 
     # -- boundary distance ---------------------------------------------------
 
@@ -223,14 +215,12 @@ class ModelDomain:
         """Enclosure of the Euclidean distance to the boundary.
 
         The domain is an intersection of regions, so the distance is the
-        minimum of the distances to each region's boundary; every face
-        except the profile graph is exact.
+        minimum of the distances to each region's boundary; the box and
+        the cap are exact, the profile graph is bracketed.
         """
         if not self.contains(z):
             raise CertificateError(f"{z} is not an interior point of {self.name}")
-        exact_faces = [f.boundary_distance(z) for f in self.affine]
-        exact_faces.append(self.z2_cap - abs(z[1]))
-        cap = min(exact_faces)
+        cap = min(_box_margin(z[0]), Z2_CAP - abs(z[1]))
         prof = self._profile_distance_bracket(z)
         return DistBound(lo=min(cap, prof.lo), hi=min(cap, prof.hi))
 
@@ -243,25 +233,23 @@ class ModelDomain:
         """
         x1 = z[0].real
         s = abs(z[1])
-        faces = [f.boundary_distance(z) for f in self.affine]
-        faces.append(self.z2_cap - s)
-        t_rel = self.z2_cap
-        if self.profile.value(self.z2_cap) > x1 > 0.0:
+        t_rel = Z2_CAP
+        if self.profile.value(Z2_CAP) > x1 > 0.0:
             t_rel = min(t_rel, self.profile.inverse(x1))
         slope = self.profile.deriv(t_rel)
-        faces.append((x1 - self.profile.value(s)) / math.hypot(1.0, slope))
-        return min(faces)
+        return min(
+            _box_margin(z[0]),
+            Z2_CAP - s,
+            (x1 - self.profile.value(s)) / math.hypot(1.0, slope),
+        )
 
     def slice_radius(self, x1: float) -> float:
-        """Radius of the z2 slice {w : psi(|w|) < x1, |w| < cap} at height x1.
-
-        Only the rotation-invariant faces enter; affine faces that involve
-        z2 must be handled by the caller (none of the stock models has one).
-        """
+        """Radius of the z2 slice {w : psi(|w|) < x1, |w| < Z2_CAP} at height
+        x1; the box does not involve z2."""
         if x1 <= 0.0:
             raise CertificateError("slice height must be positive")
-        if self.profile.value(self.z2_cap) <= x1:
-            return self.z2_cap
+        if self.profile.value(Z2_CAP) <= x1:
+            return Z2_CAP
         return self.profile.inverse(x1)
 
     # -- analytic discs ------------------------------------------------------
@@ -270,20 +258,17 @@ class ModelDomain:
         """Tangent disc in the z1 plane at fixed z2 = w2.
 
         Center psi(|w2|) + R on the real axis, radius R; tangent to the
-        profile face from inside by construction, so only the affine
-        faces and the radial cap need checking.
+        profile face from inside by construction, so only the box face
+        Re z1 = BOX (R < BOX keeps it off |Im z1| = BOX) and the radial cap
+        need checking.
         """
-        R = self.disc_radius
+        R = _DISC_RADIUS
         s = abs(w2)
-        if s >= self.z2_cap:
+        if s >= Z2_CAP:
             raise CertificateError("z1 disc outside the radial cap")
         center = self.psi_float_ub(s) + R
-        for f in self.affine:
-            worst = (f.a * center + f.b * w2).real + R * abs(f.a)
-            if worst >= f.c - _DISC_CHECK_MARGIN:
-                raise CertificateError(
-                    f"z1 disc at |z2|={s:g} violates affine face {f}"
-                )
+        if center + R >= BOX - _DISC_CHECK_MARGIN:
+            raise CertificateError(f"z1 disc at |z2|={s:g} leaves the box")
         return AffineDisc(
             origin=(complex(center), complex(w2)),
             direction=(complex(R), 0.0 + 0.0j),
@@ -299,13 +284,13 @@ class ModelDomain:
         """Disc in the z2 plane at fixed z1 = c, centered at w_center.
 
         Containment needs psi(|w_center| + r) <= Re c (profile face, with
-        tangency allowed because the disc is open) plus the affine faces
-        and the radial cap.
+        tangency allowed because the disc is open), c inside the box, and
+        the radial cap.
         """
         if c.real <= 0.0:
             raise CertificateError("slice disc needs Re z1 > 0")
         wc = abs(w_center)
-        r_cap = self.z2_cap - wc
+        r_cap = Z2_CAP - wc
         if r_cap <= 0.0:
             raise CertificateError("slice center outside the radial cap")
         if radius is None:
@@ -320,10 +305,8 @@ class ModelDomain:
                 raise CertificateError("requested slice radius exceeds the radial cap")
             if self.profile.value(wc + r) > c.real + _DISC_CHECK_MARGIN:
                 raise CertificateError("requested slice radius pierces the profile face")
-        for f in self.affine:
-            worst = (f.a * c + f.b * w_center).real + r * abs(f.b)
-            if worst >= f.c - _DISC_CHECK_MARGIN:
-                raise CertificateError(f"slice disc at z1={c} violates affine face {f}")
+        if max(c.real, abs(c.imag)) >= BOX - _DISC_CHECK_MARGIN:
+            raise CertificateError(f"slice disc at z1={c} leaves the box")
         return AffineDisc(
             origin=(complex(c), complex(w_center)),
             direction=(0.0 + 0.0j, complex(r)),
@@ -409,8 +392,6 @@ class TangentHalfspaceCert:
     normalizer_log: float = 0.0
 
     def verify(self, domain: ModelDomain | None = None) -> "TangentHalfspaceCert":
-        if not self.profile.convex:
-            raise CertificateError("tangent halfspace needs a convex profile")
         if self.t0 < 0.0:
             raise CertificateError("tangency radius must be >= 0")
         if domain is not None and domain.profile.name != self.profile.name:
@@ -555,20 +536,12 @@ def ub_disc_leg(
 def directional_z2_distance(domain: ModelDomain, z: PointC2) -> float:
     """Distance from z to the boundary inside its own z2 slice.
 
-    The slice {w : (z1, w) in D} is the intersection of the disc of
-    radius slice_radius(Re z1) with the affine faces' traces; the
-    returned minimum is exact when the binding face's nearest point is
-    feasible for the others (always true for the stock models, whose
-    affine faces do not involve z2), and a certified lower bound in
-    general -- the safe direction for every use here.
+    The slice {w : (z1, w) in D} of an interior point is the disc of
+    radius slice_radius(Re z1), since the box does not involve z2.
     """
     if not domain.contains(z):
         raise CertificateError(f"{z} is not an interior point of {domain.name}")
-    rad = domain.slice_radius(z[0].real)
-    best = rad - abs(z[1])
-    for f in domain.affine:
-        if abs(f.b) > 0.0:
-            best = min(best, f.margin(z) / abs(f.b))
+    best = domain.slice_radius(z[0].real) - abs(z[1])
     if best <= 0.0:
         raise CertificateError("point is not interior to its z2 slice")
     return best
@@ -598,10 +571,8 @@ def ub_slice_discs(
     for center in (p_tilde2, s_tilde2):
         if abs(center) + r > rad + 1e-12:
             raise CertificateError("slice disc leaves the profile slice")
-        for f in domain.affine:
-            worst = (f.a * p[0] + f.b * center).real + r * abs(f.b)
-            if worst >= f.c - 1e-12:
-                raise CertificateError(f"slice disc violates affine face {f}")
+    if max(p[0].real, abs(p[0].imag)) >= BOX - 1e-12:
+        raise CertificateError("slice discs leave the box")
     if not domain.contains(p):
         raise CertificateError("base point of the two-disc bound is not interior")
     e = abs(p[1] - p_tilde2)
@@ -658,8 +629,8 @@ def ub_interior_ball(
     enlarges distances), the lower arc of the ball is a convex graph
     with second derivative >= 1/R, tangent to psi at t1, and
     1/R >= ball_curvature_sup >= sup psi'' on the arc's span -- so the
-    arc stays above the profile.  Affine faces and the radial cap are
-    checked directly on the ball.
+    arc stays above the profile.  The box face Re z1 = BOX and the radial
+    cap are checked directly on the ball.
 
     The point, whose z1 must be real, sits inside the ball whenever its
     height above the contact g = z1 - psi(t1) satisfies g < 2 R cos(phi);
@@ -672,8 +643,6 @@ def ub_interior_ball(
     reaches the base point.  The return value includes _LOG_PATH_SLACK.
     """
     R = domain.ball_radius
-    if R <= 0.0:
-        raise CertificateError(f"{domain.name} has no certified interior-ball radius")
     if R * domain.ball_curvature_sup > 1.0:
         raise CertificateError("ball radius exceeds the curvature budget")
     t1 = abs(z[1])
@@ -695,7 +664,7 @@ def ub_interior_ball(
     if log_g_hi < log_g_lo:
         raise CertificateError("inverted height bracket")
 
-    # ball containment: cap and affine faces at the float-shadow center
+    # ball containment: cap and box at the float-shadow center
     c1 = domain.psi_float_ub(t1) + R * cos_phi
     c2_mag = t1 - R * sin_phi
     if c2_mag < 0.0:
@@ -704,12 +673,10 @@ def ub_interior_ball(
         raise CertificateError("ball center crossed the z2 axis")
     phase = z[1] / t1 if t1 > 0.0 else 1.0 + 0.0j
     c2 = c2_mag * phase
-    if c2_mag + R > domain.z2_cap:
+    if c2_mag + R > Z2_CAP:
         raise CertificateError("interior ball pokes through the radial cap")
-    for f in domain.affine:
-        worst = (f.a * c1 + f.b * c2).real + R * f.norm
-        if worst >= f.c - 1e-9:
-            raise CertificateError(f"interior ball violates affine face {f}")
+    if c1 + R >= BOX - 1e-9:
+        raise CertificateError("interior ball leaves the box")
 
     # hop from z into the ball center
     g_hi_float = math.exp(log_g_hi) if log_g_hi > -700.0 else 0.0
@@ -723,8 +690,6 @@ def ub_interior_ball(
 
     # fixed three-leg chain: center -> its z1 tangent disc center,
     # slide z2 to 0 in the slice, then z1 disc at z2 = 0 to the base
-    if abs(domain.base_point[1]) != 0.0:
-        raise CertificateError("interior-ball chain needs a base point on the z2 axis")
     disc_a = domain.z1_disc(c2)
     lam_a = (c1 - disc_a.origin[0]) / disc_a.direction[0]
     leg_a = ub_disc_leg(domain, disc_a, lam_a, 0.0, rim_shrink=1e-14)
@@ -735,6 +700,6 @@ def ub_interior_ball(
     )
     disc_c = domain.z1_disc(0.0 + 0.0j)
     lam_from = (level - disc_c.origin[0]) / disc_c.direction[0]
-    lam_to = (domain.base_point[0] - disc_c.origin[0]) / disc_c.direction[0]
+    lam_to = (BASE_POINT[0] - disc_c.origin[0]) / disc_c.direction[0]
     leg_c = ub_disc_leg(domain, disc_c, lam_from, lam_to, rim_shrink=1e-14)
     return hop + leg_a + leg_b + leg_c + _LOG_PATH_SLACK

@@ -95,7 +95,7 @@ def _atanh_stable(m_direct: float, one_minus_m2: float) -> float:
     if one_minus_m2 <= 0.0:
         raise OracleError("point on or outside the boundary")
     if one_minus_m2 >= _STABLE_SWITCH:
-        return math.atanh(min(m_direct, 1.0 - 1e-17))
+        return math.atanh(m_direct)
     m = math.sqrt(max(0.0, 1.0 - one_minus_m2))
     return math.log1p(m) - 0.5 * math.log(one_minus_m2)
 
@@ -215,9 +215,12 @@ def _atanh_stable_array(m_direct: np.ndarray, one_minus_m2: np.ndarray) -> np.nd
     if not np.all(one_minus_m2 > 0.0):
         raise OracleError("point on or outside the boundary")
     # both branches on every entry, then the switch: cheaper than indexing
-    # the two halves; the direct one may meet m = 1 on entries it loses
+    # the two halves.  On the entries the direct branch wins, 1 - m^2 >=
+    # _STABLE_SWITCH keeps m well below 1; on those it loses m may round
+    # above 1, where the cap keeps arctanh from warning "invalid value"
+    # (m = 1 itself gives inf, hence the divide guard)
     with np.errstate(divide="ignore"):
-        direct = np.arctanh(np.minimum(m_direct, 1.0 - 1e-17))
+        direct = np.arctanh(np.minimum(m_direct, 1.0))
     m = np.sqrt(np.maximum(0.0, 1.0 - one_minus_m2))
     via_log = np.log1p(m) - 0.5 * np.log(one_minus_m2)
     return np.where(one_minus_m2 >= _STABLE_SWITCH, direct, via_log)

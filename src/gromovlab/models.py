@@ -1,9 +1,11 @@
 """Stock model domains: convex profile domains in C^2 with named shapes.
 
-Each domain is { (z1, z2) : Re z1 > psi(|z2|) } cut down by the affine
-box Re z1 < 3, |Im z1| < 3 and the radial cap |z2| < 2, so everything
-is bounded and convex.  The three stock profiles differ only in how
-flat the boundary is at the distinguished point (0, 0):
+Each domain is { (z1, z2) : Re z1 > psi(|z2|) } cut down by the box
+Re z1 < 3, |Im z1| < 3 and the radial cap |z2| < 2 (``convex.BOX`` and
+``convex.Z2_CAP``, shared by every model), so everything is bounded and
+convex.  A model is its profile and its interior tangent-ball constants.
+The three stock profiles differ only in how flat the boundary is at the
+distinguished point (0, 0):
 
   hinge          flat unit-disc face, parabolic rim, C^{1,1} but not C^2
   flat_exp       infinitely flat (all derivatives vanish at the center)
@@ -26,16 +28,8 @@ import math
 
 import numpy as np
 
-from .convex import AffineConstraint, CertificateError, ModelDomain, PointC2
+from .convex import BOX, Z2_CAP, CertificateError, ModelDomain, PointC2
 from .profiles import EXP_FLAT, HINGE, QUARTIC
-
-_BOX = (
-    AffineConstraint(1.0 + 0.0j, 0.0 + 0.0j, 3.0),
-    AffineConstraint(0.0 + 1.0j, 0.0 + 0.0j, 3.0),
-    AffineConstraint(0.0 - 1.0j, 0.0 + 0.0j, 3.0),
-)
-
-_BASE: PointC2 = (1.0 + 0.0j, 0.0 + 0.0j)
 
 # rejection-sampling tries per requested point
 _MAX_TRIES = 200
@@ -46,9 +40,6 @@ _CURVATURE_SAMPLES = 2048
 HINGE_MODEL = ModelDomain(
     name="hinge",
     profile=HINGE,
-    affine=_BOX,
-    z2_cap=2.0,
-    base_point=_BASE,
     ball_radius=0.4,
     ball_contact_cap=1.2,
     ball_curvature_sup=2.0,
@@ -57,9 +48,6 @@ HINGE_MODEL = ModelDomain(
 FLAT_EXP_MODEL = ModelDomain(
     name="flat_exp",
     profile=EXP_FLAT,
-    affine=_BOX,
-    z2_cap=2.0,
-    base_point=_BASE,
     ball_radius=0.39,
     ball_contact_cap=0.25,
     ball_curvature_sup=2.5513,
@@ -68,9 +56,6 @@ FLAT_EXP_MODEL = ModelDomain(
 FLAT_QUARTIC_MODEL = ModelDomain(
     name="flat_quartic",
     profile=QUARTIC,
-    affine=_BOX,
-    z2_cap=2.0,
-    base_point=_BASE,
     ball_radius=0.2,
     ball_contact_cap=0.35,
     ball_curvature_sup=3.63,
@@ -93,17 +78,17 @@ def sample_interior(
 ) -> list[PointC2]:
     """n interior points with all face margins above `margin`.
 
-    Rejection sampling from the bounding box; the stock domains fill a
-    decent fraction of it, so the try budget is generous rather than tight.
+    Rejection sampling from the box with 0 < Re z1 and the square around
+    the radial cap; the stock domains fill a decent fraction of it, so the
+    try budget is generous rather than tight.
     """
-    cap = domain.z2_cap
     out: list[PointC2] = []
     for _ in range(_MAX_TRIES * n):
         if len(out) >= n:
             break
         z = (
-            complex(rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0)),
-            complex(rng.uniform(-cap, cap), rng.uniform(-cap, cap)),
+            complex(rng.uniform(0.0, BOX), rng.uniform(-BOX, BOX)),
+            complex(rng.uniform(-Z2_CAP, Z2_CAP), rng.uniform(-Z2_CAP, Z2_CAP)),
         )
         if domain.contains(z, slack=-margin):
             out.append(z)
@@ -119,8 +104,6 @@ def curvature_margin(domain: ModelDomain) -> float:
     span [0, contact_cap + radius]; a nonnegative value (up to second
     difference noise) means the recorded ball constants dominate the
     profile's curvature as required by ub_interior_ball."""
-    if domain.ball_radius <= 0.0:
-        raise CertificateError(f"{domain.name} has no interior-ball data")
     span = domain.ball_contact_cap + domain.ball_radius
     worst = math.inf
     h = 1e-5

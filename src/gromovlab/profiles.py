@@ -29,7 +29,6 @@ class ProfileFn:
     log_value: Callable[[float], float]
     log_deriv: Callable[[float], float]
     inverse: Callable[[float], float]
-    convex: bool = True
 
     def steepness(self, t: float) -> float:
         """t * psi'(t) / psi(t), evaluated in the log domain."""

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import core, exact, models, witnesses
 from .convex import (
+    BASE_POINT,
     ModelDomain,
     TangentHalfspaceCert,
     hop_chain,
@@ -130,25 +131,12 @@ def suite_conformal_consistency(ctx: VerifyContext) -> SuiteResult:
 def suite_metric_axioms(ctx: VerifyContext) -> SuiteResult:
     rng = np.random.default_rng(ctx.seed + 1)
     failures = []
-
-    def disc_pt(r):
-        rad = math.sqrt(r.uniform(0, 0.96))
-        th = r.uniform(0, 2 * math.pi)
-        return complex(rad * math.cos(th), rad * math.sin(th))
-
-    disc_pts = [disc_pt(rng) for _ in range(10)]
-    failures += core.metric_axiom_violations(exact.disc_distance, disc_pts)
-
-    poly_pts = [(disc_pt(rng), disc_pt(rng)) for _ in range(10)]
-    failures += core.metric_axiom_violations(exact.polydisc_distance, poly_pts)
-
-    def ball_pt(r):
-        v = r.normal(size=4)
-        v *= r.uniform(0, 0.97) ** 0.25 / np.linalg.norm(v)
-        return (complex(v[0], v[1]), complex(v[2], v[3]))
-
-    ball_pts = [ball_pt(rng) for _ in range(10)]
-    failures += core.metric_axiom_violations(exact.ball_distance, ball_pts)
+    for distance, points in (
+        (exact.disc_distance, exact.disc_points),
+        (exact.polydisc_distance, exact.polydisc_points),
+        (exact.ball_distance, exact.ball_points),
+    ):
+        failures += core.metric_axiom_violations(distance, points(rng, 10))
     return _result("metric-axioms", failures)
 
 
@@ -293,12 +281,10 @@ def suite_interior_ball(ctx: VerifyContext) -> SuiteResult:
     boundary-ratio lower bound against the base point."""
     failures = []
     for domain in models.MODELS.values():
-        if domain.ball_radius <= 0.0:
-            continue
         margin = models.curvature_margin(domain)
         if margin < -1e-3:
             failures.append(f"{domain.name}: curvature budget violated ({margin})")
-        b_base = domain.boundary_distance_bracket(domain.base_point)
+        b_base = domain.boundary_distance_bracket(BASE_POINT)
         for t1 in (0.0, 0.4 * domain.ball_contact_cap, domain.ball_contact_cap):
             psi = domain.profile.value(t1)
             for h in (1e-3, 1e-6):

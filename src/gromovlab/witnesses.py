@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .convex import (
+    BASE_POINT,
     CertificateError,
     ModelDomain,
     PointC2,
@@ -298,7 +299,7 @@ def hinge_witness(delta: float) -> WitnessReport:
     p: PointC2 = (complex(delta), complex(1.0 - delta))
     q: PointC2 = (complex(delta), complex(-(1.0 - delta)))
     x: PointC2 = (complex(delta), 0.0 + 0.0j)
-    w: PointC2 = domain.base_point
+    w: PointC2 = BASE_POINT
 
     # -- long pair: coupled tangent functionals at the rim ------------------
     cert_p = TangentHalfspaceCert(profile, t0, 0.0).verify(domain)
@@ -474,7 +475,7 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
 
     p: PointC2 = (complex(px1), complex(-t1))
     q: PointC2 = (complex(px1), complex(t1))
-    xb: PointC2 = domain.base_point
+    xb: PointC2 = BASE_POINT
     w: PointC2 = (complex(px1), 0.0 + 0.0j)
 
     norm_log = math.log(x) + profile.log_deriv(x)
@@ -569,7 +570,7 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
         + shadow_checks
     )
     return WitnessReport(
-        family=f"flat_{profile.name}",
+        family=domain.name,
         param=x,
         quadruple=(p, q, xb, w),
         bounds=bounds,

@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gromovlab.convex import (
+    BASE_POINT,
+    Z2_CAP,
     CertificateError,
     TangentHalfspaceCert,
     lb_boundary_ratio,
@@ -30,8 +32,46 @@ ALL = (HINGE_MODEL, FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL)
 
 def test_contains_base_point():
     for m in ALL:
-        assert m.contains(m.base_point)
+        assert m.contains(BASE_POINT)
         assert not m.contains((-1.0 + 0.0j, 0.0j))
+
+
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+def test_box_faces_bound_every_model(m):
+    # Re z1 < 3 and |Im z1| < 3, open, just inside and just outside
+    eps = 1e-9
+    assert m.contains((complex(3.0 - eps), 0.0j))
+    assert not m.contains((3.0 + 0.0j, 0.0j))
+    assert not m.contains((complex(3.0 + eps), 0.0j))
+    for sign in (1.0, -1.0):
+        assert m.contains((complex(1.0, sign * (3.0 - eps)), 0.0j))
+        assert not m.contains((complex(1.0, sign * 3.0), 0.0j))
+        assert not m.contains((complex(1.0, sign * (3.0 + eps)), 0.0j))
+
+
+@pytest.mark.parametrize("m", [HINGE_MODEL, FLAT_EXP_MODEL], ids=lambda m: m.name)
+def test_radial_cap_bounds_above_psi_of_two(m):
+    # psi(2) is 1 on the hinge and 127 e^-4 ~ 2.33 on flat_exp, so at
+    # height 2.9 only the cap |z2| < 2 binds
+    eps = 1e-9
+    assert m.profile.value(2.0 + eps) < 2.9
+    for phase in (1.0, 1j, -1.0, complex(0.6, -0.8)):
+        assert m.contains((2.9 + 0.0j, (2.0 - eps) * phase))
+        assert not m.contains((2.9 + 0.0j, (2.0 + eps) * phase))
+
+
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+def test_profile_binds_before_cap_below_psi_of_two(m):
+    # below the height psi(2) the profile refuses points inside the cap
+    # (on flat_quartic psi(2) = 16 lies above the box, so everywhere)
+    x1 = min(m.profile.value(2.0), 3.0) - 0.1
+    assert not m.contains((complex(x1), 2.0 - 1e-9 + 0.0j))
+    assert m.contains((complex(x1), complex(m.profile.inverse(x1) - 1e-9)))
+
+
+def test_box_is_the_nearest_face_on_hinge():
+    b = HINGE_MODEL.boundary_distance_bracket((2.9 + 0.0j, 0.0j))
+    assert b.lo == b.hi == 3.0 - 2.9
 
 
 def test_sample_interior_respects_margin(rng):
@@ -175,7 +215,7 @@ def test_interior_ball_dominates_ratio_lower():
         z = (complex(m.profile.value(t1) + 1e-4), complex(t1))
         assert m.contains(z)
         lb = lb_boundary_ratio(m.boundary_distance_bracket(z),
-                               m.boundary_distance_bracket(m.base_point))
+                               m.boundary_distance_bracket(BASE_POINT))
         assert lb <= ub_interior_ball(m, z) + 1e-9
 
 
@@ -209,4 +249,4 @@ def test_z1_disc_containment():
 def test_slice_disc_rejects_exterior_center():
     m = FLAT_QUARTIC_MODEL
     with pytest.raises(CertificateError):
-        m.z1_disc(complex(m.z2_cap + 0.3))
+        m.z1_disc(complex(Z2_CAP + 0.3))

@@ -1,9 +1,11 @@
-"""Pinned model data: profiles, affine boxes, tangent-ball constants."""
+"""Pinned model data: profiles, the shared box, cap and base point, and
+tangent-ball constants."""
 
 import math
 
 import pytest
 
+from gromovlab.convex import BASE_POINT, BOX, Z2_CAP
 from gromovlab.models import (
     EXP_FLAT,
     FLAT_EXP_MODEL,
@@ -18,9 +20,10 @@ from gromovlab.models import (
 
 def test_model_registry():
     assert set(MODELS) == {"hinge", "flat_exp", "flat_quartic"}
+    assert (BOX, Z2_CAP, BASE_POINT) == (3.0, 2.0, (1.0 + 0.0j, 0.0j))
     for name, m in MODELS.items():
         assert m.name == name
-        assert m.contains(m.base_point)
+        assert m.contains(BASE_POINT)
 
 
 @pytest.mark.parametrize("p", [HINGE, EXP_FLAT, QUARTIC], ids=lambda p: p.name)
@@ -70,4 +73,4 @@ def test_quartic_profile_is_polynomial_flat():
 def test_ball_data_certified(m):
     assert m.ball_radius * m.ball_curvature_sup <= 1.0 + 1e-12
     assert curvature_margin(m) >= -1e-3
-    assert m.ball_contact_cap + m.ball_radius <= m.z2_cap
+    assert m.ball_contact_cap + m.ball_radius <= Z2_CAP

@@ -1,6 +1,6 @@
 """Static checks on the source: no unreached public names, no defaulted
-parameter that no caller sets, no dataclass field that nothing reads, no
-checks that are constants."""
+parameter or dataclass field that no caller sets, no dataclass field that
+nothing reads, no checks that are constants."""
 
 import ast
 from pathlib import Path
@@ -105,6 +105,30 @@ def _defaulted(func, bound):
             yield arg.arg, None
 
 
+def _is_dataclass(cls):
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _fields(cls):
+    """The field declarations of a dataclass, in declaration order."""
+    return [item for item in cls.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def _signatures(tree):
+    """(callable name, its defaulted parameters as (name, position)) for
+    every function and method, and for every dataclass, whose generated
+    constructor takes the fields by position in declaration order or by
+    keyword."""
+    for func, bound in _functions(tree):
+        yield func.name, list(_defaulted(func, bound))
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+            yield cls.name, [(item.target.id, k) for k, item in enumerate(_fields(cls))
+                             if item.value is not None]
+
+
 def _called_name(call):
     if isinstance(call.func, ast.Name):
         return call.func.id
@@ -118,10 +142,10 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
              if isinstance(node, ast.Call)]
     unset = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for func, bound in _functions(_parse(path)):
-            own = [c for c in calls if _called_name(c) == func.name]
-            for name, pos in _defaulted(func, bound):
-                if (func.name, name) in BENCHMARK_KNOBS:
+        for callee, defaulted in _signatures(_parse(path)):
+            own = [c for c in calls if _called_name(c) == callee]
+            for name, pos in defaulted:
+                if (callee, name) in BENCHMARK_KNOBS:
                     continue
                 if not any(
                     any(kw.arg in (name, None) for kw in c.keywords)
@@ -129,8 +153,8 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                     or (pos is not None and pos < len(c.args))
                     for c in own
                 ):
-                    unset.append(f"{path.stem}.{func.name}({name}=)")
-    assert not unset, f"defaulted parameters no call in src/ or scripts/ sets: {unset}"
+                    unset.append(f"{path.stem}.{callee}({name}=)")
+    assert not unset, f"defaulted parameters or fields no call in src/ or scripts/ sets: {unset}"
 
 
 def test_every_dataclass_field_is_read():
@@ -138,14 +162,11 @@ def test_every_dataclass_field_is_read():
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.walk(_parse(path)):
-            if not isinstance(cls, ast.ClassDef) or cls.name in TEST_ONLY_DATACLASSES:
+            if (not isinstance(cls, ast.ClassDef) or cls.name in TEST_ONLY_DATACLASSES
+                    or not _is_dataclass(cls)):
                 continue
-            decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
-            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-                continue
-            for item in cls.body:
-                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                        and item.target.id not in read):
+            for item in _fields(cls):
+                if item.target.id not in read:
                     unread.append(f"{path.stem}.{cls.name}.{item.target.id}")
     assert not unread, f"dataclass fields nothing in src/ or scripts/ reads: {unread}"
 

@@ -129,3 +129,16 @@ def test_alpha_schedule_keeps_increment_in_slab():
         inc = p.value(x) - p.value((1.0 - a) * x)
         hi = a * x * p.deriv(x)
         assert hi / 4.0 <= inc <= hi * (1.0 + 1e-12)
+
+
+# -- family registry -----------------------------------------------------------
+
+_ONE_PARAM = {"tetra": 0.5, "gn": 0.9, "product": 5.0, "hinge": 1e-6,
+              "flat_exp": 0.02, "flat_quartic": 0.02}
+
+
+@pytest.mark.parametrize("name", sorted(witnesses.FAMILIES))
+def test_report_carries_its_registry_name(name):
+    assert set(_ONE_PARAM) == set(witnesses.FAMILIES)
+    rep = witnesses.FAMILIES[name].witness(_ONE_PARAM[name])
+    assert rep.family == name
