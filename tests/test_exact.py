@@ -3,7 +3,6 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -112,20 +111,13 @@ def test_atanh_one_minus_deep_argument():
 
 # -- symmetrized bidisc ------------------------------------------------------
 
-def test_sym_poly_map_and_membership():
-    s = exact.sym_poly_map((0.3 + 0.1j, -0.5))
-    assert s[0] == pytest.approx(-0.2 + 0.1j)
-    assert s[1] == pytest.approx(-0.15 - 0.05j)
-    assert exact.gn_membership(s)
-    assert not exact.gn_membership(exact.sym_poly_map((1.2, 0.3)))
-
-
-def test_gn_roots_recover_coordinates():
-    zs = (0.4 + 0.2j, -0.6 + 0.1j)
-    roots = exact.gn_roots(exact.sym_poly_map(zs))
-    assert sorted(np.round(roots, 10), key=lambda z: z.real) == pytest.approx(
-        sorted(zs, key=lambda z: z.real), abs=1e-9
-    )
+def test_gn_bounds_refuse_lift_outside_bidisc():
+    inside = (0.3 + 0.1j, -0.5)
+    for outside in ((1.2, 0.3), (0.3, 1.0), (0.6 + 0.8j, 0.0)):
+        with pytest.raises(OracleError):
+            exact.gn_lower_bound(inside, outside)
+        with pytest.raises(OracleError):
+            exact.gn_upper_bound(outside, inside)
 
 
 @given(
@@ -135,52 +127,59 @@ def test_gn_roots_recover_coordinates():
     e=st.floats(min_value=-0.9, max_value=0.9),
 )
 def test_gn_pair_bounds_are_ordered(a, b, c, e):
-    x = exact.sym_poly_map((complex(a, 0.1 * b), complex(b)))
-    y = exact.sym_poly_map((complex(c, -0.05), complex(e)))
+    x = (complex(a, 0.1 * b), complex(b))
+    y = (complex(c, -0.05), complex(e))
     bd = exact.gn_pair_bounds(x, y)
     assert bd.lo <= bd.hi + 1e-12
     assert bd.lo >= -1e-12
 
 
 def test_gn_diagonal_matches_disc():
-    # on the diagonal s = (2z, z^2) both bounds collapse to the disc distance
+    # on the diagonal, lifts (z, z), both bounds collapse to the disc distance
     for z, w in [(0.0, 0.5), (0.2, -0.4), (0.6, 0.61)]:
-        x = exact.sym_poly_map((z, z))
-        y = exact.sym_poly_map((w, w))
-        bd = exact.gn_pair_bounds(x, y)
+        bd = exact.gn_pair_bounds((z, z), (w, w))
         expect = exact.disc_distance(complex(z), complex(w))
         assert bd.lo == pytest.approx(expect, abs=1e-9)
-        assert bd.hi == pytest.approx(expect, abs=1e-6)
+        assert bd.hi == pytest.approx(expect, abs=1e-12)
 
 
-# (roots of x, roots of y) -> (gn_lower_bound, gn_upper_bound), bit for bit;
-# the last pair has s = 0 at both ends and takes the p-axis disc
+# (lift of x, lift of y) -> (gn_lower_bound, gn_upper_bound), bit for bit;
+# the last pair has z1 + z2 = 0 at both ends and takes the p-axis disc
 GN_PINS = {
     ((0.3 + 0.2j, -0.5 + 0.1j), (0.1 - 0.4j, 0.6 + 0.3j)):
-        (0.7876579234049608, 0.878949709048692),
+        (0.787657923404961, 0.8789497090486915),
     ((0.7j, 0.2 - 0.3j), (-0.45 + 0.45j, 0.05)):
-        (0.7060581661547668, 0.8342917134272988),
+        (0.706058166154767, 0.8342917134272988),
     ((0.85 + 0.1j, 0.8 - 0.2j), (-0.3 - 0.6j, 0.4j)):
         (1.6551807253967148, 1.7498596502950199),
     ((0.6 + 0.6j, 0.1), (0.6 - 0.6j, -0.1)):
-        (1.3035471794638622, 1.3264471932564459),
+        (1.3035471794638622, 1.3264471932564463),
     ((0.9 - 0.3j, 0.2j), (0.5 - 0.5j, 0.5 + 0.5j)):
-        (1.3347732499566753, 1.443635475178803),
+        (1.3347732499566742, 1.4436354751788107),
     ((0.5j, -0.5j), (0.3 + 0.4j, -0.3 - 0.4j)):
-        (0.31477598001879026, 0.31477598001879015),
+        (0.31477598001879037, 0.31477598001879015),
 }
 
 
-@pytest.mark.parametrize("roots", list(GN_PINS), ids=range(len(GN_PINS)))
-def test_gn_bounds_pinned_off_the_real_axis(roots):
-    x, y = (exact.sym_poly_map(zs) for zs in roots)
-    assert (exact.gn_lower_bound(x, y), exact.gn_upper_bound(x, y)) == GN_PINS[roots]
+@pytest.mark.parametrize("lifts", list(GN_PINS), ids=range(len(GN_PINS)))
+def test_gn_bounds_pinned_off_the_real_axis(lifts):
+    x, y = lifts
+    assert (exact.gn_lower_bound(x, y), exact.gn_upper_bound(x, y)) == GN_PINS[lifts]
+
+
+@pytest.mark.parametrize("lifts", list(GN_PINS), ids=range(len(GN_PINS)))
+def test_gn_bounds_ignore_lift_order(lifts):
+    # (z1, z2) and (z2, z1) lift the same point
+    x, y = lifts
+    want = (exact.gn_lower_bound(x, y), exact.gn_upper_bound(x, y))
+    for u in (x, x[::-1]):
+        for v in (y, y[::-1]):
+            assert (exact.gn_lower_bound(u, v), exact.gn_upper_bound(u, v)) == want
 
 
 def test_gn_lower_bound_hits_extremal_direction():
     # royal-axis pairs (0, -p^2): the theta grid contains the maximizer
-    x = exact.sym_poly_map((0.8, -0.8))
-    assert exact.gn_lower_bound((0.0, 0.0), x) == pytest.approx(
+    assert exact.gn_lower_bound((0.0, 0.0), (0.8, -0.8)) == pytest.approx(
         math.atanh(0.64), abs=1e-12
     )
 

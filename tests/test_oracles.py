@@ -108,3 +108,32 @@ def test_witness_regression_pins(key):
     else:
         got = witnesses.flat_witness(FLAT_EXP_MODEL, param).s_lb
     assert got == pytest.approx(PINS[key], abs=1e-12, rel=1e-12)
+
+
+# gn parameters near the boundary: ten points of the perfbench gn lattice
+# and its edge point 1 - 1e-6, where a round trip of the lifts through
+# (s, p) once made the pair enclosures cross, and three deeper ones down to
+# the last float below 1
+GN_DEEP = (
+    0.9986072462056359,
+    0.999015045378817,
+    0.9990809879590864,
+    0.9992534985813551,
+    0.9993034823140653,
+    0.9993501203580076,
+    0.9996267341651909,
+    0.99969681659832,
+    0.9997537423422765,
+    0.9998585712390334,
+    1.0 - 1e-6,
+    1.0 - 1e-8,
+    1.0 - 1e-12,
+    1.0 - 1.1e-16,
+)
+
+
+@pytest.mark.parametrize("a", GN_DEEP)
+def test_gn_witness_certifies_near_the_boundary(a):
+    rep = witnesses.gn_witness(a)
+    assert rep.checks_passed, rep.checks
+    assert rep.s_lb <= float(oracle_gen.gn_s_lb(a)) + 4 * math.ulp(rep.s_lb)
