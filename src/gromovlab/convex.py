@@ -76,7 +76,8 @@ def _box_margin(z1: complex) -> float:
 
 @dataclass(frozen=True)
 class AffineDisc:
-    """Analytic disc lam -> origin + lam * direction, |lam| < 1."""
+    """Analytic disc lam -> origin + lam * direction, |lam| < 1, that
+    moves one coordinate and holds the other fixed."""
 
     origin: PointC2
     direction: PointC2
@@ -87,6 +88,14 @@ class AffineDisc:
             self.origin[0] + lam * self.direction[0],
             self.origin[1] + lam * self.direction[1],
         )
+
+    def parameter(self, pt: PointC2) -> complex:
+        """The lam at which the disc passes through pt; pt's fixed
+        coordinate must equal the disc's."""
+        k = 0 if self.direction[0] != 0.0 else 1
+        if pt[1 - k] != self.origin[1 - k]:
+            raise CertificateError(f"{pt} is off the disc {self.note!r}")
+        return (pt[k] - self.origin[k]) / self.direction[k]
 
 
 def _certified_scalar_min(
@@ -267,7 +276,7 @@ class ModelDomain:
         if s >= Z2_CAP:
             raise CertificateError("z1 disc outside the radial cap")
         center = self.psi_float_ub(s) + R
-        if center + R >= BOX - _DISC_CHECK_MARGIN:
+        if _box_margin(center + R) <= _DISC_CHECK_MARGIN:
             raise CertificateError(f"z1 disc at |z2|={s:g} leaves the box")
         return AffineDisc(
             origin=(complex(center), complex(w2)),
@@ -275,40 +284,32 @@ class ModelDomain:
             note=f"z1 tangent disc at |z2|={s:g}",
         )
 
-    def slice_disc(
-        self,
-        c: complex,
-        w_center: complex = 0.0 + 0.0j,
-        radius: float | None = None,
-    ) -> AffineDisc:
-        """Disc in the z2 plane at fixed z1 = c, centered at w_center.
+    def slice_disc(self, c: complex, radius: float | None = None) -> AffineDisc:
+        """Disc in the z2 plane at fixed z1 = c, centered at z2 = 0; by
+        default the whole slice.
 
-        Containment needs psi(|w_center| + r) <= Re c (profile face, with
-        tangency allowed because the disc is open), c inside the box, and
-        the radial cap.
+        Containment needs psi(r) <= Re c (profile face, with tangency
+        allowed because the disc is open), c inside the box, and the
+        radial cap.
         """
         if c.real <= 0.0:
             raise CertificateError("slice disc needs Re z1 > 0")
-        wc = abs(w_center)
-        r_cap = Z2_CAP - wc
-        if r_cap <= 0.0:
-            raise CertificateError("slice center outside the radial cap")
         if radius is None:
-            r = r_cap
-            if self.profile.value(wc + r) > c.real:
-                r = self.profile.inverse(c.real) - wc
+            r = Z2_CAP
+            if self.profile.value(r) > c.real:
+                r = self.profile.inverse(c.real)
             if r <= 0.0:
                 raise CertificateError("no positive slice radius at this height")
         else:
             r = radius
-            if r > r_cap + _DISC_CHECK_MARGIN:
+            if r > Z2_CAP + _DISC_CHECK_MARGIN:
                 raise CertificateError("requested slice radius exceeds the radial cap")
-            if self.profile.value(wc + r) > c.real + _DISC_CHECK_MARGIN:
+            if self.profile.value(r) > c.real + _DISC_CHECK_MARGIN:
                 raise CertificateError("requested slice radius pierces the profile face")
-        if max(c.real, abs(c.imag)) >= BOX - _DISC_CHECK_MARGIN:
+        if _box_margin(c) <= _DISC_CHECK_MARGIN:
             raise CertificateError(f"slice disc at z1={c} leaves the box")
         return AffineDisc(
-            origin=(complex(c), complex(w_center)),
+            origin=(complex(c), 0.0 + 0.0j),
             direction=(0.0 + 0.0j, complex(r)),
             note=f"z2 slice disc at Re z1={c.real:g}",
         )
@@ -355,8 +356,9 @@ def hop_chain(radius: Callable[[float], float], length: float) -> float:
     on a convex domain).
 
     radius(s) is a certified lower bound for the boundary distance of the
-    segment's point at arc length s.  Each hop goes half that radius (or
-    to the end) inside the ball, costing atanh(step/r).
+    segment's point at arc length s.  Each hop goes half that radius
+    inside the ball, costing atanh(1/2), until the rest of the segment
+    fits in one hop, which costs atanh(rest/r).
     """
     done = 0.0
     total = 0.0
@@ -364,11 +366,12 @@ def hop_chain(radius: Callable[[float], float], length: float) -> float:
         r = radius(done)
         if r <= 1e-12:
             raise CertificateError("chain ran out of certified radius")
-        step = min(length - done, 0.5 * r)
+        rest = length - done
+        if rest <= 0.5 * r:
+            return total + math.atanh(rest / r)
+        step = 0.5 * r
         total += math.atanh(step / r)
         done += step
-        if done >= length - 1e-15 * length:
-            return total
     raise CertificateError("euclidean chain exceeded the step budget")
 
 
@@ -386,25 +389,24 @@ class TangentHalfspaceCert:
     and psi'(t0) >= 0 lets |z2| be replaced by any Re(e^{-i theta} z2).
     """
 
-    profile: ProfileFn
+    domain: ModelDomain
     t0: float
     theta: float
     normalizer_log: float = 0.0
 
-    def verify(self, domain: ModelDomain | None = None) -> "TangentHalfspaceCert":
+    def verify(self) -> "TangentHalfspaceCert":
         if self.t0 < 0.0:
             raise CertificateError("tangency radius must be >= 0")
-        if domain is not None and domain.profile.name != self.profile.name:
-            raise CertificateError("certificate profile does not match the domain")
         return self
 
     def re_f_float(self, z: PointC2) -> float:
         """Direct float evaluation, for the moderate-parameter regime."""
         t0 = self.t0
+        profile = self.domain.profile
         val = (
             z[0].real
-            - self.profile.value(t0)
-            - self.profile.deriv(t0)
+            - profile.value(t0)
+            - profile.deriv(t0)
             * ((complex(math.cos(-self.theta), math.sin(-self.theta)) * z[1]).real - t0)
         )
         return val * math.exp(-self.normalizer_log)
@@ -416,6 +418,8 @@ class TangentHalfspaceCert:
         Re f + Re f_partner >= 2 (t0 psi'(t0) - psi(t0)) e^{-normalizer}
         on the domain (using Re z1 > psi >= 0), so tau is half of that.
         """
+        if partner.domain is not self.domain:
+            raise CertificateError("coupled certificates must live on one domain")
         if abs(self.t0 - partner.t0) > 1e-15 * (1.0 + self.t0):
             raise CertificateError("coupled certificates must share the tangency radius")
         if abs(self.normalizer_log - partner.normalizer_log) > 1e-12:
@@ -425,11 +429,12 @@ class TangentHalfspaceCert:
         )
         if abs(phase) > 1e-12:
             raise CertificateError("coupled certificates must point in opposite directions")
-        steep = self.profile.steepness(self.t0)
+        profile = self.domain.profile
+        steep = profile.steepness(self.t0)
         if steep <= 1.0:
             raise CertificateError("coupling level is not positive at this tangency")
         # t0 psi' - psi = psi (steepness - 1)
-        return self.profile.log_value(self.t0) + math.log(steep - 1.0) - self.normalizer_log
+        return profile.log_value(self.t0) + math.log(steep - 1.0) - self.normalizer_log
 
 
 def lb_boundary_ratio_log(log_d_z_hi: float, log_d_w_lo: float) -> float:
@@ -453,7 +458,6 @@ def lb_crossing_split(
     log_re_a_z: float,
     log_re_b_w: float,
     log_tau: float | None = None,
-    domain: ModelDomain | None = None,
 ) -> float:
     """Crossing lower bound for a coupled pair of opposed functionals.
 
@@ -478,8 +482,8 @@ def lb_crossing_split(
     arranges real starting values by symmetry; callers with genuinely
     complex values must not use this bound.
     """
-    cert_a.verify(domain)
-    cert_b.verify(domain)
+    cert_a.verify()
+    cert_b.verify()
     cap = cert_a.log_tau_cert(cert_b)
     if log_tau is None:
         log_tau = cap
@@ -497,14 +501,18 @@ def lb_crossing_split(
 def ub_disc_leg(
     domain: ModelDomain,
     disc: AffineDisc,
-    lam_a: complex,
-    lam_b: complex,
-    gap_a: float | None = None,
-    gap_b: float | None = None,
+    z: PointC2,
+    w: PointC2,
+    gap_z: float | None = None,
+    gap_w: float | None = None,
     rim_shrink: float = 0.0,
 ) -> float:
-    """Cost of one chain leg along an analytic disc: the disc is
-    distance-decreasing from the parameter disc into the domain.
+    """Cost of the chain leg from z to w along an analytic disc: the disc
+    is distance-decreasing from the parameter disc into the domain.
+
+    Both ends must lie on the disc (CertificateError otherwise); gap_z and
+    gap_w are optional analytic values of 1 - |lam| at z and w, for ends
+    so near the rim that their float parameters have rounded.
 
     rim_shrink > 0 computes the leg inside the concentric subdisc of
     radius (1 - rim_shrink).  Use it whenever the disc's tangency level
@@ -517,34 +525,46 @@ def ub_disc_leg(
     can keep rim_shrink = 0.
     """
     domain.containment_check(disc)
+    lam_z, lam_w = disc.parameter(z), disc.parameter(w)
     if rim_shrink > 0.0:
         scale = 1.0 - rim_shrink
-        lam_a, lam_b = lam_a / scale, lam_b / scale
-        if gap_a is not None:
-            gap_a = (gap_a - rim_shrink) / scale
-        if gap_b is not None:
-            gap_b = (gap_b - rim_shrink) / scale
-        if (gap_a is not None and gap_a <= 0.0) or (gap_b is not None and gap_b <= 0.0):
+        lam_z, lam_w = lam_z / scale, lam_w / scale
+        if gap_z is not None:
+            gap_z = (gap_z - rim_shrink) / scale
+        if gap_w is not None:
+            gap_w = (gap_w - rim_shrink) / scale
+        if (gap_z is not None and gap_z <= 0.0) or (gap_w is not None and gap_w <= 0.0):
             raise CertificateError("rim shrink swallowed a parameter gap")
-    return disc_distance(lam_a, lam_b, gap_u=gap_a, gap_v=gap_b)
+    return disc_distance(lam_z, lam_w, gap_u=gap_z, gap_v=gap_w)
+
+
+def ub_base_chain(
+    domain: ModelDomain,
+    z: PointC2,
+    gap: float | None = None,
+    rim_shrink: float = 0.0,
+) -> tuple[float, float, float]:
+    """The three legs of a disc chain from z to BASE_POINT: along the z1
+    tangent disc at z2 = z[1] to its center, down the z2 slice at that
+    height to z2 = 0, then along the z1 disc at z2 = 0.
+
+    gap, when given, is the height Re z1 - psi(|z2|) of z over the
+    tangency of its disc, for a z so near the face that its float
+    parameter has rounded.  The legs come back separately so that each
+    caller sums them in its own order.
+    """
+    disc_a = domain.z1_disc(z[1])
+    gap_a = None if gap is None else gap / disc_a.direction[0].real
+    leg_a = ub_disc_leg(domain, disc_a, z, disc_a.origin, gap_z=gap_a, rim_shrink=rim_shrink)
+    disc_b = domain.slice_disc(disc_a.origin[0])
+    leg_b = ub_disc_leg(domain, disc_b, disc_a.origin, disc_b.origin, rim_shrink=rim_shrink)
+    disc_c = domain.z1_disc(0.0 + 0.0j)
+    leg_c = ub_disc_leg(domain, disc_c, disc_b.origin, BASE_POINT, rim_shrink=rim_shrink)
+    return leg_a, leg_b, leg_c
 
 
 # ---------------------------------------------------------------------------
-# directional boundary distance and the two-disc slice bound
-
-
-def directional_z2_distance(domain: ModelDomain, z: PointC2) -> float:
-    """Distance from z to the boundary inside its own z2 slice.
-
-    The slice {w : (z1, w) in D} of an interior point is the disc of
-    radius slice_radius(Re z1), since the box does not involve z2.
-    """
-    if not domain.contains(z):
-        raise CertificateError(f"{z} is not an interior point of {domain.name}")
-    best = domain.slice_radius(z[0].real) - abs(z[1])
-    if best <= 0.0:
-        raise CertificateError("point is not interior to its z2 slice")
-    return best
+# the two-disc slice bound
 
 
 def ub_slice_discs(
@@ -559,19 +579,21 @@ def ub_slice_discs(
         k(p, (p1, s_tilde2)) <= -(1/2) log d'(p) + (1/2) log(2r)
                                   + 4 |p_tilde2 - s_tilde2| / r,
 
-    where d' is the distance to the boundary within the z2 slice.  The
-    slice discs of radius r around p_tilde2 and s_tilde2 must both lie
-    in the slice; their convex hull then lies in the (convex) slice, so
-    inclusion into the domain is distance-decreasing.  The first leg is
-    the Poincare distance inside the p_tilde2 disc, coarsened through
-    d_disc = r - |p2 - p_tilde2|; the second is a hop chain of discs of
-    radius r/2 along the segment between the two centers.
+    where d' is the distance to the boundary within the z2 slice, the
+    disc of radius slice_radius(Re p1) since the box does not involve
+    z2.  The slice discs of radius r around p_tilde2 and s_tilde2 must
+    both lie in the slice; their convex hull then lies in the (convex)
+    slice, so inclusion into the domain is distance-decreasing.  The
+    first leg is the Poincare distance inside the p_tilde2 disc,
+    coarsened through d_disc = r - |p2 - p_tilde2|; the second is a hop
+    chain of discs of radius r/2 along the segment between the two
+    centers.
     """
     rad = domain.slice_radius(p[0].real)
     for center in (p_tilde2, s_tilde2):
         if abs(center) + r > rad + 1e-12:
             raise CertificateError("slice disc leaves the profile slice")
-    if max(p[0].real, abs(p[0].imag)) >= BOX - 1e-12:
+    if _box_margin(p[0]) <= _DISC_CHECK_MARGIN:
         raise CertificateError("slice discs leave the box")
     if not domain.contains(p):
         raise CertificateError("base point of the two-disc bound is not interior")
@@ -579,7 +601,9 @@ def ub_slice_discs(
     if e >= r:
         raise CertificateError("point is not inside its slice disc")
     d_disc = r - e
-    d_prime = directional_z2_distance(domain, p)
+    d_prime = rad - abs(p[1])
+    if d_prime <= 0.0:
+        raise CertificateError("point is not interior to its z2 slice")
     if abs(d_disc - d_prime) > 1e-9 * (1.0 + r):
         raise CertificateError(
             "slice-disc depth and directional boundary distance disagree; "
@@ -614,12 +638,7 @@ def lb_boundary_ratio(bz: DistBound, bw: DistBound) -> float:
 _LOG_PATH_SLACK = 1e-9
 
 
-def ub_interior_ball(
-    domain: ModelDomain,
-    z: PointC2,
-    log_g_lo: float | None = None,
-    log_g_hi: float | None = None,
-) -> float:
+def ub_interior_ball(domain: ModelDomain, z: PointC2, log_g: float) -> float:
     """Upper bound via the interior ball tangent to the profile face.
 
     At contact radius t1 = |z2| the ball of radius R = ball_radius whose
@@ -638,9 +657,10 @@ def ub_interior_ball(
 
         1 - m^2 = (g/R) (2 cos(phi) - g/R),
 
-    evaluated in the log domain when (log_g_lo, log_g_hi) is passed (the
-    deep-parameter path).  From the center a fixed three-leg disc chain
-    reaches the base point.  The return value includes _LOG_PATH_SLACK.
+    evaluated in the log domain from log_g = log g, widened by a relative
+    1e-9 either way to cover its rounding.  From the center
+    :func:`ub_base_chain` reaches the base point.  The return value
+    includes _LOG_PATH_SLACK.
     """
     R = domain.ball_radius
     if R * domain.ball_curvature_sup > 1.0:
@@ -654,15 +674,8 @@ def ub_interior_ball(
     sin_phi = dpsi / hyp
     if z[0].imag != 0.0:
         raise CertificateError("the ball hop needs a real z1")
-
-    if log_g_lo is None or log_g_hi is None:
-        g = z[0].real - domain.profile.value(t1)
-        if g <= 0.0:
-            raise CertificateError("point is not above the contact height")
-        log_g_lo = math.log(g) + math.log1p(-1e-9)
-        log_g_hi = math.log(g) + math.log1p(1e-9)
-    if log_g_hi < log_g_lo:
-        raise CertificateError("inverted height bracket")
+    log_g_lo = log_g + math.log1p(-1e-9)
+    log_g_hi = log_g + math.log1p(1e-9)
 
     # ball containment: cap and box at the float-shadow center
     c1 = domain.psi_float_ub(t1) + R * cos_phi
@@ -675,7 +688,7 @@ def ub_interior_ball(
     c2 = c2_mag * phase
     if c2_mag + R > Z2_CAP:
         raise CertificateError("interior ball pokes through the radial cap")
-    if c1 + R >= BOX - 1e-9:
+    if _box_margin(c1 + R) <= 1e-9:
         raise CertificateError("interior ball leaves the box")
 
     # hop from z into the ball center
@@ -688,18 +701,5 @@ def ub_interior_ball(
     log_one_minus_m2 = log_g_lo - math.log(R) + math.log(second)
     hop = math.log(2.0) - 0.5 * log_one_minus_m2
 
-    # fixed three-leg chain: center -> its z1 tangent disc center,
-    # slide z2 to 0 in the slice, then z1 disc at z2 = 0 to the base
-    disc_a = domain.z1_disc(c2)
-    lam_a = (c1 - disc_a.origin[0]) / disc_a.direction[0]
-    leg_a = ub_disc_leg(domain, disc_a, lam_a, 0.0, rim_shrink=1e-14)
-    level = disc_a.origin[0]
-    disc_b = domain.slice_disc(level)
-    leg_b = ub_disc_leg(
-        domain, disc_b, c2 / disc_b.direction[1], 0.0, rim_shrink=1e-14
-    )
-    disc_c = domain.z1_disc(0.0 + 0.0j)
-    lam_from = (level - disc_c.origin[0]) / disc_c.direction[0]
-    lam_to = (BASE_POINT[0] - disc_c.origin[0]) / disc_c.direction[0]
-    leg_c = ub_disc_leg(domain, disc_c, lam_from, lam_to, rim_shrink=1e-14)
+    leg_a, leg_b, leg_c = ub_base_chain(domain, (c1, c2), rim_shrink=1e-14)
     return hop + leg_a + leg_b + leg_c + _LOG_PATH_SLACK

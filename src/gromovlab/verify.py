@@ -239,7 +239,7 @@ def suite_tangent_certs(ctx: VerifyContext) -> SuiteResult:
         pts = models.sample_interior(domain, 60, rng, margin=1e-3)
         for t0 in (0.3, 0.9, 1.4):
             for theta in (0.0, math.pi / 3.0, math.pi):
-                cert = TangentHalfspaceCert(domain.profile, t0, theta).verify(domain)
+                cert = TangentHalfspaceCert(domain, t0, theta).verify()
                 worst = min(cert.re_f_float(z) for z in pts)
                 if worst <= 0.0:
                     failures.append(
@@ -289,7 +289,8 @@ def suite_interior_ball(ctx: VerifyContext) -> SuiteResult:
                 z = (complex(psi + h), complex(t1))
                 if not domain.contains(z):
                     continue
-                ub = ub_interior_ball(domain, z)
+                # the height as it rounds, (psi + h) - psi
+                ub = ub_interior_ball(domain, z, math.log(z[0].real - psi))
                 lb = lb_boundary_ratio(domain.boundary_distance_bracket(z), b_base)
                 if lb > ub + 1e-9:
                     failures.append(

@@ -37,6 +37,7 @@ from .convex import (
     lb_boundary_ratio_log,
     lb_crossing_split,
     lb_halfplane_ratio_log,
+    ub_base_chain,
     ub_disc_leg,
     ub_interior_ball,
     ub_slice_discs,
@@ -299,8 +300,8 @@ def hinge_witness(delta: float) -> WitnessReport:
     w: PointC2 = BASE_POINT
 
     # -- long pair: coupled tangent functionals at the rim ------------------
-    cert_p = TangentHalfspaceCert(profile, t0, 0.0).verify(domain)
-    cert_m = TangentHalfspaceCert(profile, t0, math.pi).verify(domain)
+    cert_p = TangentHalfspaceCert(domain, t0, 0.0).verify()
+    cert_m = TangentHalfspaceCert(domain, t0, math.pi).verify()
     # F is affine with real coefficients and every coordinate is real,
     # so the starting values are real by construction; record the check
     # against the actual imaginary parts anyway (the rotations at
@@ -311,9 +312,7 @@ def hinge_witness(delta: float) -> WitnessReport:
     re_q = cert_m.re_f_float(q)
     cap = cert_p.log_tau_cert(cert_m)
     log_tau = min(math.log(2.0) + 0.5 * math.log(delta), cap)
-    lb_split = lb_crossing_split(
-        cert_p, cert_m, math.log(re_p), math.log(re_q), log_tau=log_tau, domain=domain
-    )
+    lb_split = lb_crossing_split(cert_p, cert_m, math.log(re_p), math.log(re_q), log_tau=log_tau)
 
     # -- near pairs: two-disc slice bound ------------------------------------
     r = 0.25
@@ -329,31 +328,15 @@ def hinge_witness(delta: float) -> WitnessReport:
     lb_ratio = lb_boundary_ratio_log(math.log(bx.hi), math.log(bw.lo))
 
     # -- three-leg chain q -> w (p -> w is its mirror) ------------------------
-    disc_a = domain.z1_disc(q[1])
-    lam_qa = (q[0] - disc_a.origin[0]) / disc_a.direction[0]
-    leg_a = ub_disc_leg(domain, disc_a, lam_qa, 0.0, gap_a=float(delta / disc_a.direction[0].real))
-    disc_b = domain.slice_disc(disc_a.origin[0], 0.0 + 0.0j, radius=2.0)
-    leg_b = ub_disc_leg(domain, disc_b, q[1] / disc_b.direction[1], 0.0)
-    disc_c = domain.z1_disc(0.0 + 0.0j)
-    lam_cw = (w[0] - disc_c.origin[0]) / disc_c.direction[0]
-    lam_cx = (x[0] - disc_c.origin[0]) / disc_c.direction[0]
-    leg_c = ub_disc_leg(domain, disc_c, (disc_b.origin[0] - disc_c.origin[0]) / disc_c.direction[0], lam_cw)
+    leg_a, leg_b, leg_c = ub_base_chain(domain, q, gap=delta)
     ub_chain = leg_a + leg_b + leg_c
 
     # -- remaining pair enclosures -------------------------------------------
     disc_pq = domain.slice_disc(p[0])
-    rad = disc_pq.direction[1].real
-    gap_rim = (u + delta) / rad
-    hi_pq = ub_disc_leg(
-        domain,
-        disc_pq,
-        p[1] / rad,
-        q[1] / rad,
-        gap_a=gap_rim,
-        gap_b=gap_rim,
-        rim_shrink=1e-13,
-    )
-    hi_xw = ub_disc_leg(domain, disc_c, lam_cx, lam_cw, gap_a=float(delta / disc_c.direction[0].real))
+    gap_rim = (u + delta) / disc_pq.direction[1].real
+    hi_pq = ub_disc_leg(domain, disc_pq, p, q, gap_z=gap_rim, gap_w=gap_rim, rim_shrink=1e-13)
+    disc_c = domain.z1_disc(0.0 + 0.0j)
+    hi_xw = ub_disc_leg(domain, disc_c, x, w, gap_z=delta / disc_c.direction[0].real)
     lb_pw = lb_boundary_ratio_log(math.log(bp.hi), math.log(bw.lo))
     lb_qw = lb_boundary_ratio_log(math.log(bq.hi), math.log(bw.lo))
 
@@ -476,8 +459,8 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     w: PointC2 = (complex(px1), 0.0 + 0.0j)
 
     norm_log = math.log(x) + profile.log_deriv(x)
-    cert_p = TangentHalfspaceCert(profile, x, 0.0, norm_log).verify(domain)
-    cert_m = TangentHalfspaceCert(profile, x, math.pi, norm_log).verify(domain)
+    cert_p = TangentHalfspaceCert(domain, x, 0.0, norm_log).verify()
+    cert_m = TangentHalfspaceCert(domain, x, math.pi, norm_log).verify()
 
     # normalized functional values, all real by construction:
     #   f_-(w) = 1,  f_-(p) = alpha,  f_+(q) = alpha
@@ -488,7 +471,7 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     im_q = q[0].imag - dpsi * q[1].imag
     im_p = p[0].imag - dpsi * (-p[1]).imag
     lb_half = lb_halfplane_ratio_log(cert_m, log_alpha, 0.0)
-    lb_cross = lb_crossing_split(cert_p, cert_m, log_alpha, log_alpha, domain=domain)
+    lb_cross = lb_crossing_split(cert_p, cert_m, log_alpha, log_alpha)
     log_tau = cert_p.log_tau_cert(cert_m)
 
     # boundary ratio for (base, w): d(w) = psi(x) exactly (the nearest
@@ -502,34 +485,25 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     # contact in logs, g = psi(x) - psi(t1)
     rr = math.exp(profile.log_value(t1) - log_psi)
     log_g = log_psi + math.log1p(-rr)
-    ub_ball = ub_interior_ball(
-        domain, p, log_g_lo=log_g + math.log1p(-1e-9), log_g_hi=log_g + math.log1p(1e-9)
-    )
+    ub_ball = ub_interior_ball(domain, p, log_g)
 
     # slice-disc caps at radius exactly x (analytic tangency psi(x) <= psi(x))
+    # and the z1 disc at z2 = 0 for (base, w), in logs; the float disc legs
+    # take over above LOG_PATH_THRESHOLD and must agree with the logs
+    slice_log = atanh_one_minus(log_alpha)
+    disc_c = domain.z1_disc(0.0 + 0.0j)
+    rad_c = disc_c.direction[0].real
+    xw_log = _ub_real_leg_log(disc_c.parameter(xb).real, log_psi - math.log(rad_c))
     shadow_checks: list[tuple[str, bool]] = []
     if deep:
-        ub_slice = atanh_one_minus(log_alpha)
+        ub_slice = slice_log
         pq_hi = 2.0 * ub_slice
-        disc_c = domain.z1_disc(0.0 + 0.0j)
-        lam_base = float(((xb[0] - disc_c.origin[0]) / disc_c.direction[0]).real)
-        xw_hi = _ub_real_leg_log(lam_base, log_psi - math.log(disc_c.direction[0].real))
+        xw_hi = xw_log
     else:
-        sdisc = domain.slice_disc(complex(px1), 0.0 + 0.0j, radius=x)
-        ub_slice = ub_disc_leg(
-            domain, sdisc, 0.0, t1 / x, gap_b=alpha, rim_shrink=1e-13
-        )
-        pq_hi = ub_disc_leg(
-            domain, sdisc, -t1 / x, t1 / x, gap_a=alpha, gap_b=alpha, rim_shrink=1e-13
-        )
-        disc_c = domain.z1_disc(0.0 + 0.0j)
-        lam_base = float(((xb[0] - disc_c.origin[0]) / disc_c.direction[0]).real)
-        lam_w = (w[0] - disc_c.origin[0]) / disc_c.direction[0]
-        rad_c = disc_c.direction[0].real
-        xw_hi = ub_disc_leg(domain, disc_c, lam_base, lam_w, gap_b=px1 / rad_c)
-        # the two evaluation styles must agree where both are defined
-        slice_log = atanh_one_minus(log_alpha)
-        xw_log = _ub_real_leg_log(lam_base, log_psi - math.log(rad_c))
+        sdisc = domain.slice_disc(complex(px1), radius=x)
+        ub_slice = ub_disc_leg(domain, sdisc, w, q, gap_w=alpha, rim_shrink=1e-13)
+        pq_hi = ub_disc_leg(domain, sdisc, p, q, gap_z=alpha, gap_w=alpha, rim_shrink=1e-13)
+        xw_hi = ub_disc_leg(domain, disc_c, xb, w, gap_w=px1 / rad_c)
         shadow_checks.append(
             ("float/log agreement (slice leg)", abs(ub_slice - slice_log) <= 1e-8 * (1.0 + slice_log))
         )

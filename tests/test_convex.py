@@ -12,9 +12,13 @@ from gromovlab.convex import (
     Z2_CAP,
     CertificateError,
     TangentHalfspaceCert,
+    hop_chain,
     lb_boundary_ratio,
     lb_boundary_ratio_log,
+    ub_base_chain,
+    ub_disc_leg,
     ub_interior_ball,
+    ub_slice_discs,
 )
 from gromovlab.models import (
     FLAT_EXP_MODEL,
@@ -179,7 +183,7 @@ def test_tangent_cert_verifies_on_positive_part():
     m = FLAT_EXP_MODEL
     t0 = 0.9
     norm_log = math.log(t0) + m.profile.log_deriv(t0)
-    cert = TangentHalfspaceCert(m.profile, t0, 0.0, norm_log).verify(m)
+    cert = TangentHalfspaceCert(m, t0, 0.0, norm_log).verify()
     for z in [(1.0 + 0.0j, 0.0j), (0.5 + 0.1j, 0.3 + 0.2j)]:
         assert cert.re_f_float(z) > 0.0
 
@@ -187,19 +191,27 @@ def test_tangent_cert_verifies_on_positive_part():
 def test_tangent_cert_rejects_negative_time():
     m = FLAT_EXP_MODEL
     with pytest.raises(CertificateError):
-        TangentHalfspaceCert(m.profile, -0.2, 0.0, 0.0).verify(m)
+        TangentHalfspaceCert(m, -0.2, 0.0, 0.0).verify()
 
 
 def test_log_tau_cert_needs_opposed_phases():
     m = FLAT_EXP_MODEL
     t0 = 0.9
     norm_log = math.log(t0) + m.profile.log_deriv(t0)
-    cp = TangentHalfspaceCert(m.profile, t0, 0.0, norm_log).verify(m)
-    cm = TangentHalfspaceCert(m.profile, t0, math.pi, norm_log).verify(m)
+    cp = TangentHalfspaceCert(m, t0, 0.0, norm_log).verify()
+    cm = TangentHalfspaceCert(m, t0, math.pi, norm_log).verify()
     tau = cp.log_tau_cert(cm)
     assert math.isfinite(tau)
     with pytest.raises(CertificateError):
         cp.log_tau_cert(cp)
+
+
+def test_log_tau_cert_needs_one_domain():
+    t0 = 0.9
+    cp = TangentHalfspaceCert(FLAT_EXP_MODEL, t0, 0.0).verify()
+    cm = TangentHalfspaceCert(FLAT_QUARTIC_MODEL, t0, math.pi).verify()
+    with pytest.raises(CertificateError, match="one domain"):
+        cp.log_tau_cert(cm)
 
 
 # -- interior tangent ball ----------------------------------------------------
@@ -209,6 +221,10 @@ def test_curvature_margin_nonnegative(m):
     assert curvature_margin(m) >= -1e-3
 
 
+def _log_height(m, z):
+    return math.log(z[0].real - m.profile.value(abs(z[1])))
+
+
 def test_interior_ball_dominates_ratio_lower():
     m = FLAT_EXP_MODEL
     for t1 in (0.0, 0.12, 0.25):
@@ -216,7 +232,7 @@ def test_interior_ball_dominates_ratio_lower():
         assert m.contains(z)
         lb = lb_boundary_ratio(m.boundary_distance_bracket(z),
                                m.boundary_distance_bracket(BASE_POINT))
-        assert lb <= ub_interior_ball(m, z) + 1e-9
+        assert lb <= ub_interior_ball(m, z, _log_height(m, z)) + 1e-9
 
 
 def test_interior_ball_off_contact_range_raises():
@@ -224,7 +240,7 @@ def test_interior_ball_off_contact_range_raises():
     z = (1.0 + 0.0j, complex(m.ball_contact_cap + 0.5))
     if m.contains(z):
         with pytest.raises(CertificateError):
-            ub_interior_ball(m, z)
+            ub_interior_ball(m, z, _log_height(m, z))
 
 
 def test_interior_ball_refuses_complex_z1():
@@ -232,9 +248,7 @@ def test_interior_ball_refuses_complex_z1():
     z = (complex(m.profile.value(0.12) + 1e-4, 1e-6), 0.12 + 0.0j)
     assert m.contains(z)
     with pytest.raises(CertificateError):
-        ub_interior_ball(m, z)
-    with pytest.raises(CertificateError):
-        ub_interior_ball(m, z, log_g_lo=math.log(1e-4), log_g_hi=math.log(1e-4))
+        ub_interior_ball(m, z, math.log(1e-4))
 
 
 # -- slice discs ---------------------------------------------------------------
@@ -250,3 +264,69 @@ def test_slice_disc_rejects_exterior_center():
     m = FLAT_QUARTIC_MODEL
     with pytest.raises(CertificateError):
         m.z1_disc(complex(Z2_CAP + 0.3))
+
+
+def test_disc_constructors_refuse_at_the_box():
+    # each reads _box_margin against 1e-12: a disc or slice point 1e-13
+    # inside a box face is refused, one 1e-11 inside is not
+    m = HINGE_MODEL
+    for c in (complex(3.0 - 1e-13), complex(1.0, 3.0 - 1e-13), complex(1.0, -3.0 + 1e-13)):
+        with pytest.raises(CertificateError, match="leaves the box"):
+            m.slice_disc(c)
+        with pytest.raises(CertificateError, match="leave the box"):
+            ub_slice_discs(m, (c, 0.0j), 0.0j, 0.0j, 1.0)
+    m.slice_disc(complex(3.0 - 1e-11))
+    ub_slice_discs(m, (complex(3.0 - 1e-11), 0.0j), 0.0j, 0.0j, 2.0 - 1e-12)
+    # flat_quartic: psi(s) + 2 * 1.45 reaches the face Re z1 = 3 at s = 0.1^(1/4)
+    q = FLAT_QUARTIC_MODEL
+    q.z1_disc(complex(0.1 ** 0.25 - 1e-6))
+    with pytest.raises(CertificateError, match="leaves the box"):
+        q.z1_disc(complex(0.1 ** 0.25 + 1e-6))
+
+
+# -- disc legs and the base chain ----------------------------------------------
+
+def _next_up(v):
+    return complex(math.nextafter(v.real, math.inf), v.imag)
+
+
+def test_disc_leg_refuses_an_end_off_its_z1_disc():
+    m = HINGE_MODEL
+    disc = m.z1_disc(0.0j)
+    x = (0.5 + 0.0j, 0.0j)
+    assert ub_disc_leg(m, disc, x, BASE_POINT) > 0.0
+    off = (x[0], _next_up(x[1]))
+    with pytest.raises(CertificateError, match="off the disc"):
+        ub_disc_leg(m, disc, off, BASE_POINT)
+    with pytest.raises(CertificateError, match="off the disc"):
+        ub_disc_leg(m, disc, BASE_POINT, off)
+
+
+def test_disc_leg_refuses_an_end_off_its_slice_disc():
+    m = HINGE_MODEL
+    disc = m.slice_disc(0.5 + 0.0j)
+    z, w = (0.5 + 0.0j, 0.3 + 0.0j), (0.5 + 0.0j, -0.4j)
+    assert ub_disc_leg(m, disc, z, w) > 0.0
+    off = (_next_up(z[0]), z[1])
+    with pytest.raises(CertificateError, match="off the disc"):
+        ub_disc_leg(m, disc, off, w)
+    with pytest.raises(CertificateError, match="off the disc"):
+        ub_disc_leg(m, disc, w, off)
+
+
+def test_base_chain_legs_sum_to_the_hinge_chain():
+    from gromovlab.witnesses import hinge_witness
+
+    for delta in (1e-6, 1e-14, 1e-22):
+        q = (complex(delta), complex(-(1.0 - delta)))
+        leg_a, leg_b, leg_c = ub_base_chain(HINGE_MODEL, q, gap=delta)
+        assert dict(hinge_witness(delta).terms)["ub_chain"] == leg_a + leg_b + leg_c
+
+
+# -- the Euclidean hop chain -------------------------------------------------------
+
+def test_hop_chain_charges_its_last_sliver():
+    # three full hops of radius 2 and a sliver of about 2e-15
+    got = hop_chain(lambda s: 2.0, 3.0 + 2e-15)
+    assert got >= 3.0 * math.atanh(0.5) + math.atanh(1e-15)
+    assert got == 1.6479184330021655

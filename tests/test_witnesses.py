@@ -92,6 +92,43 @@ def test_hinge_witness_values_increase_as_delta_shrinks():
     assert v[0] < v[1] < v[2]
 
 
+# bit-exact pins of the pair bounds that the disc legs, the base chain
+# and the interior ball feed; they pin determinism, not correctness, so a
+# change that moves S_lb on purpose records them again
+HINGE_PINS = {
+    1e-06: {
+        "pq": (6.906755778649135, 7.60040233460035),
+        "px": (0.0, 15.122804299044596),
+        "qx": (0.0, 15.122804299044596),
+        "pw": (6.907755278982137, 8.310342895818337),
+        "qw": (6.907755278982137, 8.310342895818337),
+        "xw": (6.907755278982137, 7.119183531978331),
+    },
+    1e-14: {
+        "pq": (16.118095550454385, 16.811243781518716),
+        "px": (0.0, 19.71247578550233),
+        "qx": (0.0, 19.71247578550233),
+        "pw": (16.11809565095832, 17.520684106874775),
+        "qw": (16.11809565095832, 17.520684106874775),
+        "xw": (16.11809565095832, 16.329524076368337),
+    },
+    1e-22: {
+        "pq": (25.32843594019413, 26.0316335393429),
+        "px": (0.0, 24.317644379977096),
+        "qx": (0.0, 24.317644379977096),
+        "pw": (25.328436022934504, 26.731024478850966),
+        "qw": (25.328436022934504, 26.731024478850966),
+        "xw": (25.328436022934504, 25.539864448344517),
+    },
+}
+
+
+@pytest.mark.parametrize("delta", list(HINGE_PINS))
+def test_hinge_bounds_pinned(delta):
+    rep = hinge_witness(delta)
+    assert {k: (b.lo, b.hi) for k, b in rep.bounds.items()} == HINGE_PINS[delta]
+
+
 # -- flat profiles ----------------------------------------------------------------
 
 @pytest.mark.parametrize("x", [0.02, 0.0005, 1e-7])
@@ -129,6 +166,42 @@ def test_alpha_schedule_keeps_increment_in_slab():
         inc = p.value(x) - p.value((1.0 - a) * x)
         hi = a * x * p.deriv(x)
         assert hi / 4.0 <= inc <= hi * (1.0 + 1e-12)
+
+
+# (model, x) -> (ub_ball, ub_slice, pq bound, xw bound); x = 0.02 runs the
+# float disc legs, x = 1e-5 the log path
+FLAT_PINS = {
+    ("flat_exp", 0.02): (
+        26.75125644856162, 2.8306792658332043,
+        (4.951480399252239, 5.661358531666409),
+        (25.0, 25.211428425410016),
+    ),
+    ("flat_exp", 1e-05): (
+        50001.74162036811, 6.632865506901165,
+        (12.572575566064797, 13.26573101380233),
+        (49999.99999999999, 50000.2114284254),
+    ),
+    ("flat_quartic", 0.02): (
+        10.804164292484467, 2.8306792658332043,
+        (4.684001034117974, 5.661358531666409),
+        (7.804978459310703, 8.035474408680102),
+    ),
+    ("flat_quartic", 1e-05): (
+        29.78313466599373, 6.632865506901165,
+        (12.284903493660059, 13.26573101380233),
+        (23.006783378394868, 23.237279355350474),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(FLAT_PINS), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_flat_bounds_pinned(key):
+    model = {"flat_exp": FLAT_EXP_MODEL, "flat_quartic": FLAT_QUARTIC_MODEL}[key[0]]
+    rep = flat_witness(model, key[1])
+    terms = dict(rep.terms)
+    pq, xw = rep.bounds["pq"], rep.bounds["xw"]
+    got = (terms["ub_ball"], terms["ub_slice"], (pq.lo, pq.hi), (xw.lo, xw.hi))
+    assert got == FLAT_PINS[key]
 
 
 # -- family registry -----------------------------------------------------------
