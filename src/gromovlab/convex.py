@@ -358,7 +358,9 @@ def hop_chain(radius: Callable[[float], float], length: float) -> float:
     radius(s) is a certified lower bound for the boundary distance of the
     segment's point at arc length s.  Each hop goes half that radius
     inside the ball, costing atanh(1/2), until the rest of the segment
-    fits in one hop, which costs atanh(rest/r).
+    fits in one hop, which costs atanh(rest/r).  Each new position is
+    rounded down and the last rest up, so no hop covers more than it is
+    charged for.
     """
     done = 0.0
     total = 0.0
@@ -366,13 +368,25 @@ def hop_chain(radius: Callable[[float], float], length: float) -> float:
         r = radius(done)
         if r <= 1e-12:
             raise CertificateError("chain ran out of certified radius")
-        rest = length - done
+        rest, err = _two_sum(length, -done)
+        if err > 0.0:
+            rest = math.nextafter(rest, math.inf)
         if rest <= 0.5 * r:
             return total + math.atanh(rest / r)
         step = 0.5 * r
         total += math.atanh(step / r)
-        done += step
+        nxt, err = _two_sum(done, step)
+        done = math.nextafter(nxt, -math.inf) if err < 0.0 else nxt
     raise CertificateError("euclidean chain exceeded the step budget")
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    # a + b rounded, and its rounding error: the two sum to a + b exactly
+    # (Knuth's TwoSum)
+    s = a + b
+    a_part = s - b
+    b_part = s - a_part
+    return s, (a - a_part) + (b - b_part)
 
 
 # ---------------------------------------------------------------------------

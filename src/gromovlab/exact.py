@@ -5,10 +5,11 @@ Disc, half-plane, strip, polydisc and ball carry closed-form distances
 A symmetrized-bidisc point is carried as either of its bidisc lifts
 (z1, z2), with the same bits for both, and gets a two-sided enclosure
 from the lifts and their gaps 1 - |z_i|^2: maps to the disc (lower) and
-the lifts' bidisc distance (upper).  The tetrablock gets the closed form
-for distances to the origin, and through its automorphisms for pairs
-that one of them aligns to the origin: the configurations the witness
-constructions use.
+the lifts' bidisc distance (upper).  These take a stack of pairs and
+bound them all in one numpy pass, each pair with the bits it gets alone.
+The tetrablock gets the closed form for distances to the origin, and
+through its automorphisms for pairs that one of them aligns to the
+origin: the configurations the witness constructions use.
 
 Numerical contract: every distance evaluator stays accurate all the way
 to boundary gaps of order 1e-300 when handed analytic gap parameters.
@@ -449,85 +450,109 @@ def polydisc_axis_oracle(n: int) -> DistanceOracle:
 # symmetrized bidisc
 
 
-def _lift_gaps(z: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
-    # a lift (z1, z2) as an array, and its gaps 1 - |z_i|^2 in the form
-    # (1 - |z_i|)(1 + |z_i|), which keeps its digits as |z_i| -> 1
-    if len(z) != 2:
+def _lift_gaps(zs: Sequence[Sequence[complex]]) -> tuple[np.ndarray, np.ndarray]:
+    # a stack of k lifts (z1, z2) as a (k, 2) array, and their gaps
+    # 1 - |z_i|^2 in the form (1 - |z_i|)(1 + |z_i|), which keeps its
+    # digits as |z_i| -> 1; NaN fails the gap test too
+    z = np.asarray(zs, dtype=complex)
+    if z.ndim != 2 or z.shape[1] != 2:
         raise OracleError("a symmetrized-bidisc point lifts to two coordinates")
-    z = np.asarray(z, dtype=complex)
     r = np.abs(z)
     g = (1.0 - r) * (1.0 + r)
-    if not np.all(g > 0.0):
-        raise OracleError(f"lift {tuple(z)} is outside the open bidisc")
+    bad = ~np.all(g > 0.0, axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise OracleError(
+            f"lift {i} of the stack, {tuple(z[i].tolist())}, is outside the open bidisc")
     return z, g
 
 
+def _pair_gaps(xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # both stacks' lifts and gaps, refused before any scan runs
+    zx, gx = _lift_gaps(xs)
+    zy, gy = _lift_gaps(ys)
+    if len(zx) != len(zy):
+        raise OracleError(f"{len(zx)} lifts cannot pair with {len(zy)}")
+    return zx, gx, zy, gy
+
+
 def _phi(lam: np.ndarray, z: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phi_lam(s, p) = (2 lam p - s)/(2 - lam s) at the point with lift z
-    and gaps g, and 1 - |Phi_lam|^2, for each lam of the array.
+    """Phi_lam(s, p) = (2 lam p - s)/(2 - lam s) at the points with lifts z
+    and gaps g, (k, 2) arrays, and 1 - |Phi_lam|^2, for each lam of the
+    row of the (k or 1, n) array that belongs to that point.
 
     With w_i = 1 - lam z_i these are -(z1 w2 + z2 w1)/(w1 + w2) and
     2 (g1 |w2|^2 + g2 |w1|^2)/|w1 + w2|^2, which does not cancel.
     """
-    w1 = 1.0 - lam * z[0]
-    w2 = 1.0 - lam * z[1]
+    z1, z2 = z[:, :1], z[:, 1:]
+    w1 = 1.0 - lam * z1
+    w2 = 1.0 - lam * z2
     den = w1 + w2
-    phi = -(z[0] * w2 + z[1] * w1) / den
-    return phi, 2.0 * (g[0] * np.abs(w2) ** 2 + g[1] * np.abs(w1) ** 2) / np.abs(den) ** 2
+    phi = -(z1 * w2 + z2 * w1) / den
+    return phi, 2.0 * (g[:, :1] * np.abs(w2) ** 2 + g[:, 1:] * np.abs(w1) ** 2) / np.abs(den) ** 2
 
 
-def gn_lower_bound(x: Sequence[complex], y: Sequence[complex]) -> float:
-    """Certified lower bound for the invariant distance between the points
-    with lifts x and y: the best disc distance between their images under
-    the maps Phi_lam, |lam| = 1, which are holomorphic into the disc.
+def gn_lower_bound(xs: Sequence[Sequence[complex]], ys: Sequence[Sequence[complex]]) -> np.ndarray:
+    """Certified lower bounds for the invariant distances between the
+    points with lifts xs[i] and ys[i], for a stack of k pairs: the best
+    disc distance between their images under the maps Phi_lam, |lam| = 1,
+    which are holomorphic into the disc.
 
-    A grid of _PHASE_GRID phases, then _REFINE_ROUNDS rescans of
-    _REFINE_POINTS over the two cells around the best phase so far.  Every
-    value is the distance of two images, so the scan can only undershoot.
+    One (k, _PHASE_GRID) scan of phases, then _REFINE_ROUNDS rescans of
+    _REFINE_POINTS over the two cells around each row's own best phase
+    so far.  Every value is the distance of two images, so the scan can
+    only undershoot.  Each operation is elementwise and each row keeps
+    its first maximum, so a pair gets the same bits in any stack.
     """
-    zx, gx = _lift_gaps(x)
-    zy, gy = _lift_gaps(y)
+    zx, gx, zy, gy = _pair_gaps(xs, ys)
+    rows = np.arange(len(zx))
 
-    def scan(theta: np.ndarray) -> tuple[float, float]:
+    def scan(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lam = np.exp(1j * theta)
         (u, gap_u), (v, gap_v) = _phi(lam, zx, gx), _phi(lam, zy, gy)
         d = _disc_distance_gaps(u, v, gap_u, gap_v)
-        k = int(np.argmax(d))
-        return float(d[k]), float(theta[k])
+        j = np.argmax(d, axis=1)
+        return d[rows, j], np.broadcast_to(theta, d.shape)[rows, j]
 
     step = 2.0 * math.pi / _PHASE_GRID
-    best, theta0 = scan(step * np.arange(_PHASE_GRID))
+    best, theta0 = scan(step * np.arange(_PHASE_GRID)[None, :])
     for _ in range(_REFINE_ROUNDS):
-        val, theta0 = scan(theta0 + step * np.linspace(-1.0, 1.0, _REFINE_POINTS))
-        best = max(best, val)
+        val, theta0 = scan(theta0[:, None] + step * np.linspace(-1.0, 1.0, _REFINE_POINTS))
+        best = np.maximum(best, val)
         step *= 2.0 / (_REFINE_POINTS - 1)
     return best
 
 
-def gn_upper_bound(x: Sequence[complex], y: Sequence[complex]) -> float:
-    """Upper bound between the points with lifts x and y: their bidisc
-    distance under the better of the two pairings of coordinates.
+def gn_upper_bound(xs: Sequence[Sequence[complex]], ys: Sequence[Sequence[complex]]) -> np.ndarray:
+    """Upper bounds between the points with lifts xs[i] and ys[i], for a
+    stack of k pairs: their bidisc distance under the better of the two
+    pairings of coordinates.
 
     When z1 + z2 = 0 at both ends the analytic disc lam -> (0, lam) also
     joins them, through p = z1 z2 = -z1^2 with 1 - |p|^2 = g1 (2 - g1);
     that leg is much tighter than either pairing when the p are close.
     """
-    zx, gx = _lift_gaps(x)
-    zy, gy = _lift_gaps(y)
+    zx, gx, zy, gy = _pair_gaps(xs, ys)
     # legs (x1, y1), (x2, y2), then (x1, y2), (x2, y1)
     ix, iy = [0, 1, 0, 1], [0, 1, 1, 0]
-    d = _disc_distance_gaps(zx[ix], zy[iy], gx[ix], gy[iy])
-    best = min(max(d[0], d[1]), max(d[2], d[3]))
-    if zx.sum() == 0.0 and zy.sum() == 0.0:
-        p_gaps = (gx[0] * (2.0 - gx[0]), gy[0] * (2.0 - gy[0]))
-        best = min(best, _disc_distance_gaps(zx.prod(), zy.prod(), *p_gaps))
-    return float(best)
+    d = _disc_distance_gaps(zx[:, ix], zy[:, iy], gx[:, ix], gy[:, iy])
+    best = np.minimum(np.maximum(d[:, 0], d[:, 1]), np.maximum(d[:, 2], d[:, 3]))
+    axis = (zx.sum(axis=1) == 0.0) & (zy.sum(axis=1) == 0.0)
+    if axis.any():
+        gx0, gy0 = gx[axis, 0], gy[axis, 0]
+        p = _disc_distance_gaps(
+            zx[axis].prod(axis=1), zy[axis].prod(axis=1), gx0 * (2.0 - gx0), gy0 * (2.0 - gy0))
+        best[axis] = np.minimum(best[axis], p)
+    return best
 
 
-def gn_pair_bounds(x: Sequence[complex], y: Sequence[complex]) -> DistBound:
-    """Enclosure of the distance between the symmetrized-bidisc points with
-    bidisc lifts x and y."""
-    return DistBound(lo=gn_lower_bound(x, y), hi=gn_upper_bound(x, y))
+def gn_pair_bounds(
+    xs: Sequence[Sequence[complex]], ys: Sequence[Sequence[complex]]
+) -> list[tuple[float, float]]:
+    """(lower, upper) enclosure of the distance between the
+    symmetrized-bidisc points with bidisc lifts xs[i] and ys[i], for each
+    pair of the stack; the caller's DistBound refuses an inverted one."""
+    return list(zip(gn_lower_bound(xs, ys).tolist(), gn_upper_bound(xs, ys).tolist()))
 
 
 # ---------------------------------------------------------------------------

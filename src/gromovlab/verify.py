@@ -143,12 +143,12 @@ def suite_metric_axioms(ctx: VerifyContext) -> SuiteResult:
 def suite_symmetrized_bidisc(ctx: VerifyContext) -> SuiteResult:
     rng = np.random.default_rng(ctx.seed + 2)
     failures = []
-    for k in range(12):
-        x = rng.uniform(-0.9, 0.9, 2)
-        y = rng.uniform(-0.9, 0.9, 2)
+    draws = [(rng.uniform(-0.9, 0.9, 2), rng.uniform(-0.9, 0.9, 2)) for _ in range(12)]
+    xs, ys = zip(*draws)
+    for k, (lo, hi) in enumerate(exact.gn_pair_bounds(xs, ys)):
         try:
-            b = exact.gn_pair_bounds(x, y)  # construction rejects inversion
-        except Exception as e:  # pragma: no cover - failure reporting only
+            b = exact.DistBound(lo, hi)  # construction rejects inversion
+        except ValueError as e:  # pragma: no cover - failure reporting only
             failures.append(f"pair bounds failed at draw {k}: {e}")
             continue
         if b.lo < 0.0:

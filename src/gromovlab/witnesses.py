@@ -170,11 +170,11 @@ def gn_witness(a: float) -> WitnessReport:
 
     The points are the images of the bidisc points (a, a) and (a, -a),
     the midpoint-like (a, 0) and the origin; ``quadruple`` holds these
-    lifts, from which every pair bound is computed.  s_lb is the
-    certified lower bound for the defect: the midpoint leg through the
-    rational one-parameter family of holomorphic maps to the disc, plus
-    the exact shift 2 atanh(a^2) - 2 atanh(a) (which tends to -log 2), so
-    that s_lb ~ (1/2) log(1/(1-a)) - log 2.
+    lifts, and one stacked call bounds all six pairs from them.  s_lb is
+    the certified lower bound for the defect: the midpoint leg through
+    the rational one-parameter family of holomorphic maps to the disc,
+    plus the exact shift 2 atanh(a^2) - 2 atanh(a) (which tends to
+    -log 2), so that s_lb ~ (1/2) log(1/(1-a)) - log 2.
     """
     if not 0.0 < a < 1.0:
         raise CertificateError("parameter must be in (0, 1)")
@@ -191,7 +191,8 @@ def gn_witness(a: float) -> WitnessReport:
         "qw": (q, w),
         "xw": (x, w),
     }
-    bounds = {k: gn_pair_bounds(u, v) for k, (u, v) in pairs.items()}
+    us, vs = zip(*pairs.values())
+    bounds = {k: DistBound(lo, hi) for k, (lo, hi) in zip(pairs, gn_pair_bounds(us, vs))}
     interval = defect_interval(bounds)
 
     lb_mid = bounds["xw"].lo

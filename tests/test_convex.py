@@ -1,6 +1,7 @@
 """Certified bounds on the convex profile domains."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -330,3 +331,27 @@ def test_hop_chain_charges_its_last_sliver():
     got = hop_chain(lambda s: 2.0, 3.0 + 2e-15)
     assert got >= 3.0 * math.atanh(0.5) + math.atanh(1e-15)
     assert got == 1.6479184330021655
+
+
+def test_hop_chain_rounds_toward_overcharging(monkeypatch):
+    # 75 hops of radius 0.0027 (steps of 0.00135, whose float sums drift),
+    # then one last hop of radius 1 over a rest that length - done would
+    # round down; every hop's exact length is at most half its radius, and
+    # the charged rest is at least the exact one
+    seen, charged = [], []
+
+    def r_at(s):
+        return 0.0027 if s < 0.1 else 1.0
+
+    def radius(s):
+        seen.append(s)
+        return r_at(s)
+
+    atanh = math.atanh
+    monkeypatch.setattr(math, "atanh", lambda t: charged.append(t) or atanh(t))
+    length = 0.45
+    hop_chain(radius, length)
+    assert len(seen) == 76
+    for a, b in zip(seen, seen[1:]):
+        assert Fraction(b) - Fraction(a) <= Fraction(r_at(a)) / 2
+    assert Fraction(charged[-1]) >= Fraction(length) - Fraction(seen[-1])

@@ -115,9 +115,34 @@ def test_gn_bounds_refuse_lift_outside_bidisc():
     inside = (0.3 + 0.1j, -0.5)
     for outside in ((1.2, 0.3), (0.3, 1.0), (0.6 + 0.8j, 0.0)):
         with pytest.raises(OracleError):
-            exact.gn_lower_bound(inside, outside)
+            exact.gn_lower_bound([inside], [outside])
         with pytest.raises(OracleError):
-            exact.gn_upper_bound(outside, inside)
+            exact.gn_upper_bound([outside], [inside])
+
+
+@pytest.mark.parametrize(
+    "bad", [(1.2, 0.3), (0.3, 1.0), (math.nan, 0.1), (0.2, complex(0.0, math.nan))])
+@pytest.mark.parametrize("at", [0, 3, 6])
+def test_gn_stack_refuses_a_bad_lift_before_scanning(monkeypatch, bad, at):
+    # the bad lift first, in the middle and last of a stack of 7; no scan
+    # or disc distance may run before the refusal
+    def never(*args):
+        raise AssertionError("a scan ran before the stack was checked")
+
+    monkeypatch.setattr(exact, "_phi", never)
+    monkeypatch.setattr(exact, "_disc_distance_gaps", never)
+    good = [(0.1 * k, -0.05 * k + 0.2j) for k in range(7)]
+    bad_stack = good[:at] + [bad] + good[at + 1:]
+    for fn in (exact.gn_lower_bound, exact.gn_upper_bound):
+        for xs, ys in ((bad_stack, good), (good, bad_stack)):
+            with pytest.raises(OracleError, match=f"lift {at} of the stack") as err:
+                fn(xs, ys)
+            assert repr(complex(bad[0])) in str(err.value)
+
+
+def test_gn_stacks_must_pair_up():
+    with pytest.raises(OracleError):
+        exact.gn_lower_bound([(0.1, 0.2)] * 3, [(0.3, 0.4)] * 2)
 
 
 @given(
@@ -129,18 +154,22 @@ def test_gn_bounds_refuse_lift_outside_bidisc():
 def test_gn_pair_bounds_are_ordered(a, b, c, e):
     x = (complex(a, 0.1 * b), complex(b))
     y = (complex(c, -0.05), complex(e))
-    bd = exact.gn_pair_bounds(x, y)
-    assert bd.lo <= bd.hi + 1e-12
-    assert bd.lo >= -1e-12
+    [(lo, hi)] = exact.gn_pair_bounds([x], [y])
+    assert lo <= hi + 1e-12
+    assert lo >= -1e-12
 
 
 def test_gn_diagonal_matches_disc():
     # on the diagonal, lifts (z, z), both bounds collapse to the disc distance
     for z, w in [(0.0, 0.5), (0.2, -0.4), (0.6, 0.61)]:
-        bd = exact.gn_pair_bounds((z, z), (w, w))
+        [(lo, hi)] = exact.gn_pair_bounds([(z, z)], [(w, w)])
         expect = exact.disc_distance(complex(z), complex(w))
-        assert bd.lo == pytest.approx(expect, abs=1e-9)
-        assert bd.hi == pytest.approx(expect, abs=1e-12)
+        assert lo == pytest.approx(expect, abs=1e-9)
+        assert hi == pytest.approx(expect, abs=1e-12)
+
+
+def _one_pair(x, y):
+    return exact.gn_lower_bound([x], [y])[0], exact.gn_upper_bound([x], [y])[0]
 
 
 # (lift of x, lift of y) -> (gn_lower_bound, gn_upper_bound), bit for bit;
@@ -164,22 +193,44 @@ GN_PINS = {
 @pytest.mark.parametrize("lifts", list(GN_PINS), ids=range(len(GN_PINS)))
 def test_gn_bounds_pinned_off_the_real_axis(lifts):
     x, y = lifts
-    assert (exact.gn_lower_bound(x, y), exact.gn_upper_bound(x, y)) == GN_PINS[lifts]
+    assert _one_pair(x, y) == GN_PINS[lifts]
 
 
 @pytest.mark.parametrize("lifts", list(GN_PINS), ids=range(len(GN_PINS)))
 def test_gn_bounds_ignore_lift_order(lifts):
     # (z1, z2) and (z2, z1) lift the same point
     x, y = lifts
-    want = (exact.gn_lower_bound(x, y), exact.gn_upper_bound(x, y))
+    want = _one_pair(x, y)
     for u in (x, x[::-1]):
         for v in (y, y[::-1]):
-            assert (exact.gn_lower_bound(u, v), exact.gn_upper_bound(u, v)) == want
+            assert _one_pair(u, v) == want
+
+
+def _lift(log_gap1, log_gap2, phase1, phase2, on_p_axis):
+    # a lift with gaps 1 - |z_i| from 1e-12 up, at any phases; on the
+    # p-axis it is (z, -z)
+    z1 = (1.0 - 10.0 ** log_gap1) * cmath.exp(1j * phase1)
+    return (z1, -z1) if on_p_axis else (z1, (1.0 - 10.0 ** log_gap2) * cmath.exp(1j * phase2))
+
+
+_log_gaps = st.floats(min_value=-12.0, max_value=0.0)
+_phases = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+_lifts = st.builds(_lift, _log_gaps, _log_gaps, _phases, _phases, st.booleans())
+
+
+@given(pairs=st.lists(st.tuples(_lifts, _lifts), min_size=1, max_size=16), data=st.data())
+def test_gn_stack_bits_match_each_pair_alone(pairs, data):
+    xs, ys = zip(*pairs)
+    stacked = exact.gn_pair_bounds(xs, ys)
+    assert stacked == [exact.gn_pair_bounds([x], [y])[0] for x, y in pairs]
+    order = data.draw(st.permutations(range(len(pairs))))
+    shuffled = exact.gn_pair_bounds([xs[i] for i in order], [ys[i] for i in order])
+    assert shuffled == [stacked[i] for i in order]
 
 
 def test_gn_lower_bound_hits_extremal_direction():
     # royal-axis pairs (0, -p^2): the theta grid contains the maximizer
-    assert exact.gn_lower_bound((0.0, 0.0), (0.8, -0.8)) == pytest.approx(
+    assert exact.gn_lower_bound([(0.0, 0.0)], [(0.8, -0.8)])[0] == pytest.approx(
         math.atanh(0.64), abs=1e-12
     )
 

@@ -79,6 +79,75 @@ def test_gn_witness_log2_shift():
     _all_checks_pass(rep)
 
 
+# bit-exact pins, as hex, of s_lb and the six (lo, hi) pair bounds; they
+# pin determinism (a stack of pairs scans each pair as it would alone),
+# not correctness
+GN_WITNESS_PINS = {
+    0.5: (
+        '-0x1.ee011ed6f532ap-3',
+        {
+            'pq': ('0x1.9c041f7ed8d33p-1', '0x1.193ea7aad030bp+0'),
+            'px': ('0x1.62e42fefa39efp-2', '0x1.193ea7aad030bp-1'),
+            'qx': ('0x1.d5240f0e0e077p-2', '0x1.193ea7aad030bp-1'),
+            'pw': ('0x1.193ea7aad030bp-1', '0x1.193ea7aad030bp-1'),
+            'qw': ('0x1.058aefa811453p-2', '0x1.058aefa811452p-2'),
+            'xw': ('0x1.62e42fefa39efp-2', '0x1.193ea7aad030bp-1'),
+        },
+    ),
+    0.9: (
+        '0x1.d7f9372f31434p-2',
+        {
+            'pq': ('0x1.4cb42ce468f2bp+1', '0x1.78e360604b32dp+1'),
+            'px': ('0x1.26bb1bbb5551ep+0', '0x1.78e360604b32dp+0'),
+            'qx': ('0x1.72ad3e0d7c942p+0', '0x1.78e360604b32dp+0'),
+            'pw': ('0x1.78e360604b32ep+0', '0x1.78e360604b32dp+0'),
+            'qw': ('0x1.2084f96886b2cp+0', '0x1.2084f96886b2ap+0'),
+            'xw': ('0x1.26bb1bbb55515p+0', '0x1.78e360604b32dp+0'),
+        },
+    ),
+    0.9999: (
+        '0x1.f4bd2b802049ap+1',
+        {
+            'pq': ('0x1.31d1d45f46c8bp+3', '0x1.3ce8f5de1814cp+3'),
+            'px': ('0x1.26bb1bbb55553p+2', '0x1.3ce8f5de1814dp+2'),
+            'qx': ('0x1.3ce88d03383c2p+2', '0x1.3ce8f5de1814dp+2'),
+            'pw': ('0x1.3ce8f5de1814dp+2', '0x1.3ce8f5de1814dp+2'),
+            'qw': ('0x1.26bab2e0757c9p+2', '0x1.26bab2e0757c9p+2'),
+            'xw': ('0x1.26bb1bbb55553p+2', '0x1.3ce8f5de1814dp+2'),
+        },
+    ),
+    0.999999: (
+        '0x1.8dbc239b07a41p+2',
+        {
+            'pq': ('0x1.c52fca0c09a94p+3', '0x1.d046eb8b86c1cp+3'),
+            'px': ('0x1.ba18a998fc065p+2', '0x1.d046eb8b86c1cp+2'),
+            'qx': ('0x1.d046ea7f174c2p+2', '0x1.d046eb8b86c1cp+2'),
+            'pw': ('0x1.d046eb8b86c1dp+2', '0x1.d046eb8b86c1cp+2'),
+            'qw': ('0x1.ba18a88c8c90ap+2', '0x1.ba18a88c8c90ap+2'),
+            'xw': ('0x1.ba18a998fc065p+2', '0x1.d046eb8b86c1cp+2'),
+        },
+    ),
+    0.9999999999999999: (
+        '0x1.1acdd632f662ap+4',
+        {
+            'pq': ('0x1.28aac01252c6ep+5', '0x1.2b708872320e2p+5'),
+            'px': ('0x1.25e4f7b2737fap+4', '0x1.2b708872320e1p+4'),
+            'qx': ('0x1.2b708872320e1p+4', '0x1.2b708872320e1p+4'),
+            'pw': ('0x1.2b708872320e1p+4', '0x1.2b708872320e1p+4'),
+            'qw': ('0x1.25e4f7b2737fap+4', '0x1.25e4f7b2737fap+4'),
+            'xw': ('0x1.25e4f7b2737fap+4', '0x1.2b708872320e1p+4'),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("a", list(GN_WITNESS_PINS))
+def test_gn_witness_pinned(a):
+    rep = gn_witness(a)
+    got = (rep.s_lb.hex(), {k: (b.lo.hex(), b.hi.hex()) for k, b in rep.bounds.items()})
+    assert got == GN_WITNESS_PINS[a]
+
+
 # -- hinge -----------------------------------------------------------------------
 
 @pytest.mark.parametrize("delta", [1e-4, 1e-10, 1e-22])
