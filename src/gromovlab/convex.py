@@ -21,8 +21,8 @@ CertificateError always means "could not verify a precondition", never
 
 from __future__ import annotations
 
-import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,10 +53,11 @@ _PSI_UNDERFLOW_UB = 1e-300
 
 # branch and bound of the boundary bracket: cells of the first uniform
 # pass, relative gap at which a surviving cell no longer pays to split,
-# and the cap on splits
+# the cap on one point's splits, and the points bracketed together
 _BB_COARSE = 256
 _BB_GAP = 1e-4
 _BB_MAX_ITER = 6000
+_BB_BLOCK = 32
 
 # how far inside the box, the radial cap or the profile an analytic disc
 # must stay
@@ -98,50 +99,72 @@ class AffineDisc:
         return (pt[k] - self.origin[k]) / self.direction[k]
 
 
-def _certified_scalar_min(
-    h: Callable[[float], float],
-    cell_lb: Callable[[float, float], float],
-    lo: float,
-    hi: float,
-) -> tuple[float, float]:
-    """Global minimum of h on [lo, hi] with a certified lower bound.
+def _certified_block_min(
+    f: Callable[[np.ndarray], np.ndarray],
+    h: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    cell_lb: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Global minimum of a block of functions, the k-th on [0, hi[k]],
+    each with a certified lower bound.
 
-    cell_lb(a, b) must lower-bound h on [a, b].  Branch-and-bound over
-    interval cells; stops once every surviving cell's bound is within
-    _BB_GAP (relative to best itself, so tiny-scale minima such as squared
-    near-boundary distances are still bracketed to relative precision) of
-    the best evaluation.  A cell whose midpoint rounds onto an endpoint is
-    at float resolution and cannot be split; its bound is taken as final.
-    Returns (best, lower).
+    The functions read an inner function f, evaluated once at each grid
+    point and midpoint and shared by the cells that end there:
+    h(owner, t, f(t)) evaluates function owner[i] at t[i], and
+    cell_lb(owner, a, b, f(a), f(b)) must lower-bound it on [a[i], b[i]].
+    Breadth-first branch and bound over interval cells: after a uniform
+    pass, each round settles every cell whose bound reaches its
+    function's threshold (within _BB_GAP of the best evaluation,
+    relative to best itself, so that tiny-scale minima such as squared
+    near-boundary distances are still bracketed to relative precision)
+    or its floor, and splits all the others, evaluating h at their
+    midpoints.  best and floor only fall, so a settled cell would never
+    be split later; its bound goes into a running minimum.  A cell whose
+    midpoint rounds onto an endpoint is at float resolution and cannot be
+    split; its bound becomes a floor.  A function whose next round would
+    take it past _BB_MAX_ITER splits stops there, cut short: its lower
+    bound stays valid, only looser.  Every step is elementwise in the
+    functions, so each gets the same bits alone as in any block.
+    Returns (best, lower, cut_short).
     """
-    if hi <= lo:
-        v = h(lo)
-        return v, v
-    ts = np.linspace(lo, hi, _BB_COARSE + 1)
-    best = min(h(float(t)) for t in ts)
-    heap: list[tuple[float, float, float]] = []
-    for i in range(_BB_COARSE):
-        a, b = float(ts[i]), float(ts[i + 1])
-        heapq.heappush(heap, (cell_lb(a, b), a, b))
-    floor = math.inf
-    for _ in range(_BB_MAX_ITER):
-        if not heap:
-            break
-        lb, a, b = heap[0]
-        if lb >= best - _BB_GAP * abs(best) - 1e-300 or lb >= floor:
-            break
-        heapq.heappop(heap)
+    n = len(hi)
+    ts = np.linspace(0.0, hi, _BB_COARSE + 1, axis=1)
+    fts = f(ts)
+    best = h(np.arange(n)[:, None], ts, fts).min(axis=1)
+    owner = np.repeat(np.arange(n), _BB_COARSE)
+    a, b = ts[:, :-1].ravel(), ts[:, 1:].ravel()
+    fa, fb = fts[:, :-1].ravel(), fts[:, 1:].ravel()
+    lb = cell_lb(owner, a, b, fa, fb)
+    floor = np.full(n, math.inf)
+    settled = np.full(n, math.inf)
+    splits = np.zeros(n, dtype=np.int64)
+    cut_short = np.zeros(n, dtype=bool)
+    while owner.size:
+        threshold = best - _BB_GAP * np.abs(best) - 1e-300
         m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            floor = min(floor, lb)
-            continue
-        best = min(best, h(m))
-        heapq.heappush(heap, (cell_lb(a, m), a, m))
-        heapq.heappush(heap, (cell_lb(m, b), m, b))
-    lower = min(best, floor)
-    if heap:
-        lower = min(lower, heap[0][0])
-    return best, lower
+        settle = (lb >= threshold[owner]) | (lb >= floor[owner])
+        atomic = ~settle & ((m <= a) | (m >= b))
+        if atomic.any():
+            np.minimum.at(floor, owner[atomic], lb[atomic])
+        split = ~(settle | atomic)
+        wanted = np.bincount(owner[split], minlength=n)
+        over = splits + wanted > _BB_MAX_ITER
+        if over.any():
+            cut_short |= over
+            settle |= split & over[owner]
+            split &= ~over[owner]
+            wanted[over] = 0
+        splits += wanted
+        np.minimum.at(settled, owner[settle], lb[settle])
+        keep = np.flatnonzero(split)
+        owner, a, b, m, fa, fb = owner[keep], a[keep], b[keep], m[keep], fa[keep], fb[keep]
+        fm = f(m)
+        np.minimum.at(best, owner, h(owner, m, fm))
+        owner = np.concatenate([owner, owner])
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+        lb = cell_lb(owner, a, b, fa, fb)
+    return best, np.minimum(np.minimum(best, floor), settled), cut_short
 
 
 @dataclass(frozen=True)
@@ -190,66 +213,95 @@ class ModelDomain:
         )
         return min(flat, para)
 
-    def _profile_distance_bracket(self, z: PointC2) -> DistBound:
-        x1 = z[0].real
-        s = abs(z[1])
-        if self.profile.name == "hinge":
-            v = self._hinge_profile_distance(x1, s)
-            return DistBound.exact(v)
-        psi = self.profile.value
+    def _profile_distance_block(
+        self, x1: np.ndarray, s: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # squared distance from (x1, s) to the graph point (psi(t), t) is
+        # h(t), minimized by the branch and bound over [0, t_hi]: past t_hi
+        # the axis term alone exceeds h at 0 or at s
+        def h(owner: np.ndarray, t: np.ndarray, psi_t: np.ndarray) -> np.ndarray:
+            return (x1[owner] - psi_t) ** 2 + (s[owner] - t) ** 2
 
-        def h(t: float) -> float:
-            return (x1 - psi(t)) ** 2 + (s - t) ** 2
-
-        def cell_lb(a: float, b: float) -> float:
+        def cell_lb(
+            owner: np.ndarray, a: np.ndarray, b: np.ndarray, psi_a: np.ndarray, psi_b: np.ndarray
+        ) -> np.ndarray:
             # psi nondecreasing, so x1 - psi(t) runs over [x1-psi(b), x1-psi(a)]
             # and each squared term is minimized endpoint-wise; second order
             # accurate near the minimum, where the two linear slopes cancel
-            da, db = x1 - psi(a), x1 - psi(b)
-            if db >= 0.0:
-                graph = db * db
-            elif da <= 0.0:
-                graph = da * da
-            else:
-                graph = 0.0
-            axis = 0.0 if a <= s <= b else min((s - a) ** 2, (s - b) ** 2)
+            da, db = x1[owner] - psi_a, x1[owner] - psi_b
+            graph = np.where(db >= 0.0, db * db, np.where(da <= 0.0, da * da, 0.0))
+            so = s[owner]
+            inside = (a <= so) & (so <= b)
+            axis = np.where(inside, 0.0, np.minimum((so - a) ** 2, (so - b) ** 2))
             return graph + axis
 
-        t_hi = s + math.sqrt(min(h(0.0), h(s))) + 1e-9
-        best, lower = _certified_scalar_min(h, cell_lb, 0.0, t_hi)
-        best = min(best, h(0.0), h(s))
-        return DistBound(lo=math.sqrt(max(lower, 0.0)), hi=math.sqrt(best))
+        psi = self.profile.value_array
+        every = np.arange(len(x1))
+        ends = np.minimum(h(every, np.zeros_like(s), psi(np.zeros_like(s))), h(every, s, psi(s)))
+        best, lower, cut_short = _certified_block_min(psi, h, cell_lb, s + np.sqrt(ends) + 1e-9)
+        return np.sqrt(np.maximum(lower, 0.0)), np.sqrt(np.minimum(best, ends)), cut_short
 
-    def boundary_distance_bracket(self, z: PointC2) -> DistBound:
-        """Enclosure of the Euclidean distance to the boundary.
+    def boundary_distance_brackets(
+        self, zs: Sequence[PointC2]
+    ) -> tuple[list[DistBound], np.ndarray]:
+        """Enclosures of the Euclidean distance to the boundary at each
+        point, and whether each point's branch and bound was cut short at
+        _BB_MAX_ITER (its bracket is still an enclosure, only looser).
 
         The domain is an intersection of regions, so the distance is the
         minimum of the distances to each region's boundary; the box and
-        the cap are exact, the profile graph is bracketed.
+        the cap are exact, the profile graph is bracketed, in blocks of
+        _BB_BLOCK points.  A point that is not interior refuses the
+        whole block, naming its index.
         """
-        if not self.contains(z):
-            raise CertificateError(f"{z} is not an interior point of {self.name}")
-        cap = min(_box_margin(z[0]), Z2_CAP - abs(z[1]))
-        prof = self._profile_distance_bracket(z)
-        return DistBound(lo=min(cap, prof.lo), hi=min(cap, prof.hi))
+        for k, z in enumerate(zs):
+            if not self.contains(z):
+                raise CertificateError(
+                    f"point {k} of the block, {z}, is not an interior point of {self.name}"
+                )
+        x1 = np.array([z[0].real for z in zs], dtype=float)
+        s = np.array([abs(z[1]) for z in zs], dtype=float)
+        lo, hi = np.empty(len(zs)), np.empty(len(zs))
+        cut_short = np.zeros(len(zs), dtype=bool)
+        if self.profile.name == "hinge":
+            exact = [self._hinge_profile_distance(a, b) for a, b in zip(x1.tolist(), s.tolist())]
+            lo[:] = hi[:] = exact
+        else:
+            for k in range(0, len(zs), _BB_BLOCK):
+                blk = slice(k, k + _BB_BLOCK)
+                lo[blk], hi[blk], cut_short[blk] = self._profile_distance_block(x1[blk], s[blk])
+        brackets = []
+        for z, lo_k, hi_k in zip(zs, lo.tolist(), hi.tolist()):
+            cap = min(_box_margin(z[0]), Z2_CAP - abs(z[1]))
+            brackets.append(DistBound(lo=min(cap, lo_k), hi=min(cap, hi_k)))
+        return brackets, cut_short
 
-    def cheap_boundary_lower(self, z: PointC2) -> float:
-        """Closed-form certified lower bound for the boundary distance.
+    def boundary_distance_bracket(self, z: PointC2) -> DistBound:
+        """The bracket of :meth:`boundary_distance_brackets` at one point;
+        callers that must know whether it was cut short use the block."""
+        return self.boundary_distance_brackets([z])[0][0]
+
+    def cheap_boundary_lower(self, z: PointC2) -> np.ndarray:
+        """Closed-form certified lower bound for the boundary distance,
+        elementwise over z's coordinates, which may be complex arrays.
 
         Profile face: the graph of psi is Lipschitz with constant
         psi'(t_rel) on the relevant radius range, so the vertical margin
         divided by sqrt(1 + psi'(t_rel)^2) is a valid lower bound.
         """
-        x1 = z[0].real
-        s = abs(z[1])
-        t_rel = Z2_CAP
-        if self.profile.value(Z2_CAP) > x1 > 0.0:
-            t_rel = min(t_rel, self.profile.inverse(x1))
-        slope = self.profile.deriv(t_rel)
-        return min(
-            _box_margin(z[0]),
-            Z2_CAP - s,
-            (x1 - self.profile.value(s)) / math.hypot(1.0, slope),
+        z1, z2 = np.asarray(z[0]), np.asarray(z[1])
+        x1 = z1.real
+        s = np.abs(z2)
+        profile = self.profile
+        steep = (profile.value(Z2_CAP) > x1) & (x1 > 0.0)
+        # the inverse is read only where the profile reaches the height x1
+        inverse = profile.inverse_array(np.where(steep, x1, 1.0))
+        t_rel = np.where(steep, np.minimum(Z2_CAP, inverse), Z2_CAP)
+        slope = profile.deriv_array(t_rel)
+        box = np.minimum(BOX - x1, BOX - np.abs(z1.imag))
+        return np.minimum(
+            np.minimum(box, Z2_CAP - s),
+            (x1 - profile.value_array(s)) / np.hypot(1.0, slope),
         )
 
     def slice_radius(self, x1: float) -> float:
@@ -329,64 +381,109 @@ class ModelDomain:
 
     # -- generic upper bound --------------------------------------------------
 
-    def ub_euclidean_chain(self, z: PointC2, w: PointC2) -> float:
-        """:func:`hop_chain` along the straight segment from z to w, with
-        the closed-form boundary lower bound as the ball radius."""
-        dz = (w[0] - z[0], w[1] - z[1])
-        length = math.hypot(abs(dz[0]), abs(dz[1]))
-        if length == 0.0:
-            return 0.0
-        unit = (dz[0] / length, dz[1] / length)
-        return hop_chain(
-            lambda s: self.cheap_boundary_lower((z[0] + s * unit[0], z[1] + s * unit[1])),
-            length,
-        )
+    def ub_euclidean_chain(self, zs: Sequence[PointC2], ws: Sequence[PointC2]) -> np.ndarray:
+        """:func:`hop_chain` along the straight segment from each zs[k] to
+        ws[k], with the closed-form boundary lower bound as the ball
+        radius; the pairs hop in lockstep, in blocks of _CHAIN_BLOCK."""
+        z = np.array(zs, dtype=complex).reshape(-1, 2)
+        step = np.array(ws, dtype=complex).reshape(-1, 2) - z
+        length = np.hypot(np.abs(step[:, 0]), np.abs(step[:, 1]))
+        # a pair with z = w stays put and is charged atanh(0) = 0
+        unit = step / np.where(length > 0.0, length, 1.0)[:, None]
+        out = np.empty(len(length))
+        for k in range(0, len(length), _CHAIN_BLOCK):
+            blk = slice(k, k + _CHAIN_BLOCK)
+            start, direction = z[blk], unit[blk]
+
+            def radius(live: np.ndarray, t: np.ndarray) -> np.ndarray:
+                at = start[live] + t[:, None] * direction[live]
+                return self.cheap_boundary_lower((at[:, 0], at[:, 1]))
+
+            out[blk] = hop_chain(radius, length[blk])
+        return out
 
 
 # ---------------------------------------------------------------------------
 # Euclidean ball-hop chain
 
-# hops a chain may take before it is refused
+# hops a chain may take before it is refused, and the chains that hop in
+# lockstep
 _HOP_BUDGET = 50000
+_CHAIN_BLOCK = 1024
+
+# the charge of a full hop: the float next above atanh(1/2), since
+# math.atanh(0.5) lies 6.6e-17 under it
+_FULL_HOP = math.nextafter(math.atanh(0.5), math.inf)
+
+# np.arctanh may be a SIMD implementation a few ulps off the true value (2
+# ulps from math.atanh on x86-64 with AVX-512); a relative 2**-49 is at
+# least 8 ulps, and the charge then steps one float up past the
+# product's own rounding
+_ATANH_SLACK = 2.0**-49
 
 
-def hop_chain(radius: Callable[[float], float], length: float) -> float:
-    """Upper bound for the invariant distance between the ends of a
-    segment of the given length, by Euclidean ball hops along it (valid
-    on a convex domain).
+def hop_chain(
+    radius: Callable[[np.ndarray, np.ndarray], np.ndarray], length: np.ndarray
+) -> np.ndarray:
+    """Upper bounds for the invariant distance between the ends of
+    segments of the given lengths, by Euclidean ball hops along each
+    (valid on a convex domain); all chains hop in lockstep.
 
-    radius(s) is a certified lower bound for the boundary distance of the
-    segment's point at arc length s.  Each hop goes half that radius
-    inside the ball, costing atanh(1/2), until the rest of the segment
-    fits in one hop, which costs atanh(rest/r).  Each new position is
-    rounded down and the last rest up, so no hop covers more than it is
-    charged for.
+    radius(live, s) is a certified lower bound for the boundary distance
+    of chain live[i]'s point at arc length s[i].  Each hop goes half that
+    radius inside the ball, costing atanh(1/2), until the rest of the
+    segment fits in one hop, which costs atanh(rest/r).  Each new
+    position is rounded down and the last rest up, so no hop covers more
+    than it is charged for, and every charge and the running sum are
+    rounded up.  Each chain's steps are elementwise, so its total has the
+    same bits alone as in any block.
     """
-    done = 0.0
-    total = 0.0
+    length = np.asarray(length, dtype=float)
+    out = np.zeros_like(length)
+    # the chains still hopping and how far each has come; all of them
+    # have taken the same number of full hops, charged `full` in all
+    live = np.arange(len(length))
+    done = np.zeros_like(length)
+    full = 0.0
     for _ in range(_HOP_BUDGET):
-        r = radius(done)
-        if r <= 1e-12:
-            raise CertificateError("chain ran out of certified radius")
+        if not live.size:
+            return out
+        r = radius(live, done)
+        starved = r <= 1e-12
+        if starved.any():
+            raise CertificateError(f"chain {live[starved][0]} ran out of certified radius")
         rest, err = _two_sum(length, -done)
-        if err > 0.0:
-            rest = math.nextafter(rest, math.inf)
-        if rest <= 0.5 * r:
-            return total + math.atanh(rest / r)
-        step = 0.5 * r
-        total += math.atanh(step / r)
-        nxt, err = _two_sum(done, step)
-        done = math.nextafter(nxt, -math.inf) if err < 0.0 else nxt
+        rest = np.where(err > 0.0, np.nextafter(rest, math.inf), rest)
+        last = rest <= 0.5 * r
+        if last.any():
+            ratio = rest[last] / r[last]
+            ratio = np.where(ratio > 0.0, np.nextafter(ratio, math.inf), 0.0)
+            charge = np.arctanh(ratio)
+            charge = np.where(
+                charge > 0.0, np.nextafter(charge * (1.0 + _ATANH_SLACK), math.inf), 0.0
+            )
+            out[live[last]] = _sum_up(full, charge)
+            going = ~last
+            live, length, done, r = live[going], length[going], done[going], r[going]
+        full = _sum_up(full, _FULL_HOP)
+        nxt, err = _two_sum(done, 0.5 * r)
+        done = np.where(err < 0.0, np.nextafter(nxt, -math.inf), nxt)
     raise CertificateError("euclidean chain exceeded the step budget")
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a + b rounded, and its rounding error: the two sum to a + b exactly
     # (Knuth's TwoSum)
     s = a + b
     a_part = s - b
     b_part = s - a_part
     return s, (a - a_part) + (b - b_part)
+
+
+def _sum_up(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
+    # a + b rounded up
+    s, err = _two_sum(a, b)
+    return np.where(err > 0.0, np.nextafter(s, math.inf), s)
 
 
 # ---------------------------------------------------------------------------

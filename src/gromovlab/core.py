@@ -254,19 +254,21 @@ def metric_axiom_violations(
     to within METRIC_TOL.
 
     Returns human-readable violation descriptions (empty list = clean).
-    Quadratic in len(points) for symmetry, cubic for triangles on a capped
-    subset; intended for verification suites, not hot paths.
+    The n x n distance matrix is computed once, with n^2 calls of d; the
+    triangles are read from it on a capped subset.  Intended for
+    verification suites, not hot paths.
     """
     tol = METRIC_TOL
     msgs = []
     n = len(points)
+    dist = [[d(x, y) for y in points] for x in points]
     for i in range(n):
-        if abs(d(points[i], points[i])) > tol:
+        if abs(dist[i][i]) > tol:
             msgs.append(f"d(x,x) != 0 at index {i}")
     for i in range(n):
         for j in range(i + 1, n):
-            a = d(points[i], points[j])
-            b = d(points[j], points[i])
+            a = dist[i][j]
+            b = dist[j][i]
             if a < -tol:
                 msgs.append(f"negative distance at ({i},{j})")
             if abs(a - b) > tol:
@@ -275,6 +277,6 @@ def metric_axiom_violations(
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                if d(points[i], points[k]) > d(points[i], points[j]) + d(points[j], points[k]) + tol:
+                if dist[i][k] > dist[i][j] + dist[j][k] + tol:
                     msgs.append(f"triangle violation at ({i},{j},{k})")
     return msgs

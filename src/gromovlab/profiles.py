@@ -4,7 +4,10 @@ A profile is a convex, nondecreasing psi on [0, inf) with psi(0) = 0; the
 associated domain is { (z1, z2) : Re z1 > psi(|z2|) } cut by a box.  Each
 profile also carries log-domain evaluators, because the flat profiles
 underflow float range long before the witness constructions stop making
-sense (exp(-1/t) is subnormal already at t ~ 1/740).
+sense (exp(-1/t) is subnormal already at t ~ 1/740).  Each float
+evaluator has an array twin for the batched boundary geometry; numpy's
+exp, pow and log may differ from the math module's by an ulp, so the
+witnesses, whose pinned bits come from the scalar evaluators, keep those.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -21,6 +26,11 @@ class ProfileFn:
     value/deriv may underflow to 0.0 for flat profiles; log_value and
     log_deriv stay exact (they return -inf only where psi or psi' is
     genuinely zero).  inverse expects a representable positive height.
+    value_array, deriv_array and inverse_array are the elementwise twins
+    of value, deriv and inverse on float arrays, within an ulp of the
+    scalars wherever np.log agrees with math.log; where it is an ulp off,
+    exp_flat's inverse can sit 2 ulps off and its derivative, an exp of
+    a sum with that log, a relative ulp of the exponent.
     """
 
     name: str
@@ -29,6 +39,9 @@ class ProfileFn:
     log_value: Callable[[float], float]
     log_deriv: Callable[[float], float]
     inverse: Callable[[float], float]
+    value_array: Callable[[np.ndarray], np.ndarray]
+    deriv_array: Callable[[np.ndarray], np.ndarray]
+    inverse_array: Callable[[np.ndarray], np.ndarray]
 
     def steepness(self, t: float) -> float:
         """t * psi'(t) / psi(t), evaluated in the log domain."""
@@ -47,6 +60,20 @@ def _check_nonneg(t: float) -> float:
     if t < 0.0:
         raise ValueError("profile argument must be >= 0")
     return t
+
+
+def _check_nonneg_array(t: np.ndarray) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if (t < 0.0).any():
+        raise ValueError("profile argument must be >= 0")
+    return t
+
+
+def _check_positive_array(y: np.ndarray) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if not (y > 0.0).all():
+        raise ValueError("inverse needs a positive height")
+    return y
 
 
 # -- hinge: flat up to 1, then a parabola -----------------------------------
@@ -73,6 +100,19 @@ def _hinge_log_deriv(t: float) -> float:
     t = _check_nonneg(t)
     u = t - 1.0
     return math.log(2.0) + math.log(u) if u > 0.0 else -math.inf
+
+
+def _hinge_value_array(t: np.ndarray) -> np.ndarray:
+    u = np.maximum(_check_nonneg_array(t) - 1.0, 0.0)
+    return u * u
+
+
+def _hinge_deriv_array(t: np.ndarray) -> np.ndarray:
+    return 2.0 * np.maximum(_check_nonneg_array(t) - 1.0, 0.0)
+
+
+def _hinge_inverse_array(y: np.ndarray) -> np.ndarray:
+    return 1.0 + np.sqrt(np.asarray(y, dtype=float))
 
 
 # -- exp_flat: e^{-1/t}, C^1 convex quadratic continuation past 1/4 ----------
@@ -136,6 +176,32 @@ def _exp_inverse(y: float) -> float:
     return _exp_inverse_log(math.log(y))
 
 
+# below this argument both e^{-1/t} and its derivative underflow to 0.0,
+# the scalars' value at t = 0 too; the array twins clamp t up to it
+# rather than divide by zero
+_T_UNDERFLOW = 1e-300
+
+
+def _exp_value_array(t: np.ndarray) -> np.ndarray:
+    t = _check_nonneg_array(t)
+    flat = np.exp(-1.0 / np.maximum(t, _T_UNDERFLOW))
+    u = t - _T_KNEE
+    return np.where(t <= _T_KNEE, flat, _E4 * (1.0 + 16.0 * u + 32.0 * u * u))
+
+
+def _exp_deriv_array(t: np.ndarray) -> np.ndarray:
+    t = np.maximum(_check_nonneg_array(t), _T_UNDERFLOW)
+    flat = np.exp(-1.0 / t - 2.0 * np.log(t))
+    return np.where(t <= _T_KNEE, flat, 64.0 * _E4 * t)
+
+
+def _exp_inverse_array(y: np.ndarray) -> np.ndarray:
+    log_y = np.log(_check_positive_array(y))
+    u = (-2.0 + math.sqrt(2.0) * np.sqrt(1.0 + np.exp(log_y + 4.0))) / 8.0
+    # the clamp only touches the entries the other branch takes
+    return np.where(log_y <= -4.0, -1.0 / np.minimum(log_y, -4.0), _T_KNEE + u)
+
+
 # -- quartic: t^4 (steepness identically 4; the non-flat control) ------------
 
 def _quartic_value(t: float) -> float:
@@ -158,6 +224,18 @@ def _quartic_log_deriv(t: float) -> float:
     return math.log(4.0) + 3.0 * math.log(t) if t > 0.0 else -math.inf
 
 
+def _quartic_value_array(t: np.ndarray) -> np.ndarray:
+    return _check_nonneg_array(t) ** 4
+
+
+def _quartic_deriv_array(t: np.ndarray) -> np.ndarray:
+    return 4.0 * _check_nonneg_array(t) ** 3
+
+
+def _quartic_inverse_array(y: np.ndarray) -> np.ndarray:
+    return np.asarray(y, dtype=float) ** 0.25
+
+
 HINGE = ProfileFn(
     name="hinge",
     value=_hinge_value,
@@ -165,6 +243,9 @@ HINGE = ProfileFn(
     log_value=_hinge_log_value,
     log_deriv=_hinge_log_deriv,
     inverse=lambda y: 1.0 + math.sqrt(y),
+    value_array=_hinge_value_array,
+    deriv_array=_hinge_deriv_array,
+    inverse_array=_hinge_inverse_array,
 )
 
 EXP_FLAT = ProfileFn(
@@ -174,6 +255,9 @@ EXP_FLAT = ProfileFn(
     log_value=_exp_log_value,
     log_deriv=_exp_log_deriv,
     inverse=_exp_inverse,
+    value_array=_exp_value_array,
+    deriv_array=_exp_deriv_array,
+    inverse_array=_exp_inverse_array,
 )
 
 QUARTIC = ProfileFn(
@@ -183,4 +267,7 @@ QUARTIC = ProfileFn(
     log_value=_quartic_log_value,
     log_deriv=_quartic_log_deriv,
     inverse=lambda y: y**0.25,
+    value_array=_quartic_value_array,
+    deriv_array=_quartic_deriv_array,
+    inverse_array=_quartic_inverse_array,
 )

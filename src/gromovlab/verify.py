@@ -207,21 +207,24 @@ def _sample_pairs(domain: ModelDomain, rng, n_points: int, n_pairs: int):
 def suite_bound_sandwich(ctx: VerifyContext) -> SuiteResult:
     """Certified lowers never cross certified uppers on random pairs.
 
-    Boundary brackets are computed once per point and shared by every
-    pair's ratio lower bound.
+    Boundary brackets are computed once per point, in one block call, and
+    shared by every pair's ratio lower bound; the pairs' chains hop in
+    one lockstep call.
     """
     rng = np.random.default_rng(ctx.seed + 3)
     tol = 1e-9
     failures = []
     for domain in models.MODELS.values():
         pts, pairs = _sample_pairs(domain, rng, 120, 1000)
-        brackets = [domain.boundary_distance_bracket(z) for z in pts]
+        brackets, cut_short = domain.boundary_distance_brackets(pts)
         for k, b in enumerate(brackets):
             if not 0.0 < b.lo <= b.hi:
                 failures.append(f"{domain.name}: bad boundary bracket at point {k}")
-        for i, j in pairs:
+            if cut_short[k]:
+                failures.append(f"{domain.name}: boundary bracket cut short at point {k}")
+        uppers = domain.ub_euclidean_chain([pts[i] for i, _ in pairs], [pts[j] for _, j in pairs])
+        for (i, j), upper in zip(pairs, uppers.tolist()):
             lower = lb_boundary_ratio(brackets[i], brackets[j])
-            upper = domain.ub_euclidean_chain(pts[i], pts[j])
             if lower > upper + tol:
                 failures.append(
                     f"{domain.name}: lower {lower} exceeds upper {upper} "
@@ -254,19 +257,25 @@ def suite_disc_pointwise(ctx: VerifyContext) -> SuiteResult:
     rng = np.random.default_rng(ctx.seed + 5)
     tol = 1e-12
     failures = []
-    for k in range(300):
+    draws = []
+    for _ in range(300):
         rad = np.sqrt(rng.uniform(0, 1, 2)) * 0.98
         th = rng.uniform(0, 2 * np.pi, 2)
         z = complex(rad[0] * math.cos(th[0]), rad[0] * math.sin(th[0]))
         w = complex(rad[1] * math.cos(th[1]), rad[1] * math.sin(th[1]))
+        draws.append((z, w))
+    # the C^2 domains' ball-hop chain, in one complex dimension, all draws
+    # in one lockstep call
+    zs = np.array([z for z, _ in draws])
+    step = np.array([w for _, w in draws]) - zs
+    length = np.abs(step)
+    units = step / length  # independent draws never coincide
+    uppers = hop_chain(lambda live, s: 1.0 - np.abs(zs[live] + s * units[live]), length)
+    for k, ((z, w), upper) in enumerate(zip(draws, uppers.tolist())):
         dz, dw = 1.0 - abs(z), 1.0 - abs(w)
         # sharp on the disc: |atanh|z| - atanh|w|| >= (1/2)|log(dw/dz)|
         lower = 0.5 * abs(math.log(dw / dz))
         ex = exact.disc_distance(z, w)
-        # the C^2 domains' ball-hop chain, in one complex dimension
-        length = abs(w - z)
-        unit = (w - z) / length  # independent draws never coincide
-        upper = hop_chain(lambda s: 1.0 - abs(z + s * unit), length)
         if lower > ex + tol:
             failures.append(f"draw {k}: ratio lower {lower} exceeds exact {ex}")
         if ex > upper + tol:
@@ -282,21 +291,27 @@ def suite_interior_ball(ctx: VerifyContext) -> SuiteResult:
         margin = models.curvature_margin(domain)
         if margin < -1e-3:
             failures.append(f"{domain.name}: curvature budget violated ({margin})")
-        b_base = domain.boundary_distance_bracket(BASE_POINT)
+        cases = []
         for t1 in (0.0, 0.4 * domain.ball_contact_cap, domain.ball_contact_cap):
             psi = domain.profile.value(t1)
             for h in (1e-3, 1e-6):
                 z = (complex(psi + h), complex(t1))
-                if not domain.contains(z):
-                    continue
-                # the height as it rounds, (psi + h) - psi
-                ub = ub_interior_ball(domain, z, math.log(z[0].real - psi))
-                lb = lb_boundary_ratio(domain.boundary_distance_bracket(z), b_base)
-                if lb > ub + 1e-9:
-                    failures.append(
-                        f"{domain.name}: ball bound {ub} below ratio bound {lb} "
-                        f"at t1={t1}, h={h}"
-                    )
+                if domain.contains(z):
+                    cases.append((t1, h, psi, z))
+        # the base point first, then every case, in one block call
+        pts = [BASE_POINT] + [z for *_, z in cases]
+        (b_base, *b_cases), cut_short = domain.boundary_distance_brackets(pts)
+        for k in np.flatnonzero(cut_short):
+            failures.append(f"{domain.name}: boundary bracket cut short at {pts[k]}")
+        for (t1, h, psi, z), b_z in zip(cases, b_cases):
+            # the height as it rounds, (psi + h) - psi
+            ub = ub_interior_ball(domain, z, math.log(z[0].real - psi))
+            lb = lb_boundary_ratio(b_z, b_base)
+            if lb > ub + 1e-9:
+                failures.append(
+                    f"{domain.name}: ball bound {ub} below ratio bound {lb} "
+                    f"at t1={t1}, h={h}"
+                )
     return _result("interior-ball", failures)
 
 

@@ -479,7 +479,7 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     # boundary point is the flat point itself: for t in (0, cap],
     # t^2 >= psi(t) (2 psi(x) - psi(t)) because psi(t) <= psi(x) << t
     # on these profiles), d(base) from the branch-and-bound bracket
-    b_base = domain.boundary_distance_bracket(xb)
+    (b_base,), base_cut_short = domain.boundary_distance_brackets([xb])
     lb_ratio = lb_boundary_ratio_log(log_psi, math.log(b_base.lo))
 
     # interior-ball cap for (p, base) and (q, base): height above the
@@ -537,6 +537,7 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
         [
             ("crossing start values are real", im_p == 0.0 and im_q == 0.0),
             ("crossing starts below tau", log_alpha <= log_tau),
+            ("base-point bracket converged", not base_cut_short[0]),
             ("formula below branch interval", s_lb <= interval.lo + 1e-9),
         ]
         + shadow_checks
@@ -608,7 +609,7 @@ def claims_check(domain: ModelDomain, x: float) -> tuple[ClaimCheck, ...]:
     )
 
     inc = px1 - profile.value(t1)
-    mine_lo = domain.cheap_boundary_lower(s_pt)
+    mine_lo = float(domain.cheap_boundary_lower(s_pt))
     target_hi = alpha * x * profile.deriv(x)
     target_lo = 0.25 * target_hi
     bs = domain.boundary_distance_bracket(s_pt)

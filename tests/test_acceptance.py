@@ -1,8 +1,9 @@
-"""Acceptance harness: the eight headline guarantees, one test each.
+"""Acceptance harness: the eight headline guarantees, one test each, and
+the wall-clock budget of a whole `verify` run.
 
-Each test prints a single summary line (visible under -s and in failure
-reports) and enforces its wall-clock budget, so `pytest -v` reads as a
-checklist of the guarantees.
+Each criterion test prints a single summary line (visible under -s and
+in failure reports) and enforces its wall-clock budget, so `pytest -v`
+reads as a checklist of the guarantees.
 """
 
 import contextlib
@@ -158,6 +159,14 @@ def test_criterion_7_bound_sandwich():
         assert pointwise.passed, pointwise.detail
     report(7, True, "1000 pairs per model: max(lower) <= min(upper) + 1e-9; "
                     "disc pointwise lb <= exact <= chain ub")
+
+
+def test_verify_run_all_budget():
+    # every suite, warm: about 0.2 s on a 2-core x86-64 VM
+    verify.run_all()
+    with budget(0.75):
+        results = verify.run_all()
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def test_criterion_8_byte_determinism(tmp_path):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gromovlab import convex, verify
 from gromovlab.convex import (
     BASE_POINT,
     Z2_CAP,
@@ -29,6 +30,7 @@ from gromovlab.models import (
     curvature_margin,
     sample_interior,
 )
+from gromovlab.witnesses import flat_witness
 
 ALL = (HINGE_MODEL, FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL)
 
@@ -131,6 +133,109 @@ def test_bracket_rejects_exterior_point():
         FLAT_QUARTIC_MODEL.boundary_distance_bracket((0.3 + 0.0j, 1.5 + 0.0j))
 
 
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+@pytest.mark.parametrize("where", [0, 20, 39])
+def test_block_with_an_exterior_point_is_refused_by_index(m, where, rng):
+    pts = sample_interior(m, 40, rng, margin=0.02)
+    pts[where] = (-0.5 + 0.0j, 0.0j)
+    with pytest.raises(CertificateError, match=f"point {where} of the block"):
+        m.boundary_distance_brackets(pts)
+
+
+# boundary_distance_bracket(BASE_POINT) as hex (lo, hi), bit-exact; the
+# flat witnesses' ratio bounds read these brackets
+BASE_BRACKET_PINS = {
+    "hinge": ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    "flat_exp": ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    "flat_quartic": ("0x1.ecd7a9ee8212cp-1", "0x1.ecddf4878171bp-1"),
+}
+
+
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+def test_base_point_bracket_pinned(m):
+    b = m.boundary_distance_bracket(BASE_POINT)
+    assert (b.lo.hex(), b.hi.hex()) == BASE_BRACKET_PINS[m.name]
+
+
+_interior = st.tuples(
+    st.floats(min_value=0.02, max_value=2.95),
+    st.floats(min_value=-2.9, max_value=2.9),
+    st.floats(min_value=0.0, max_value=1.95),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+
+
+def _interior_points(m, raw):
+    pts = [(complex(x1, y1), r * complex(math.cos(th), math.sin(th))) for x1, y1, r, th in raw]
+    return [z for z in pts if m.contains(z, slack=-1e-6)]
+
+
+def _bits(bracket):
+    return bracket.lo.hex(), bracket.hi.hex()
+
+
+@settings(max_examples=8)
+@given(
+    m=st.sampled_from(ALL),
+    raw=st.lists(_interior, min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bracket_bits_do_not_depend_on_the_block(m, raw, seed):
+    pts = _interior_points(m, raw)
+    if not pts:
+        return
+    alone = [m.boundary_distance_brackets([z]) for z in pts]
+    alone = [(_bits(b[0]), bool(cut[0])) for b, cut in alone]
+    block, cut = m.boundary_distance_brackets(pts)
+    assert [(_bits(b), bool(c)) for b, c in zip(block, cut)] == alone
+    order = np.random.default_rng(seed).permutation(len(pts))
+    shuffled, cut = m.boundary_distance_brackets([pts[k] for k in order])
+    assert [(_bits(b), bool(c)) for b, c in zip(shuffled, cut)] == [alone[k] for k in order]
+
+
+@settings(max_examples=15)
+@given(
+    m=st.sampled_from(ALL),
+    raw=st.lists(st.tuples(_interior, _interior), min_size=1, max_size=24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_bits_do_not_depend_on_the_block(m, raw, seed):
+    pairs = [(z, w) for z, w in ((_interior_points(m, [a]), _interior_points(m, [b]))
+                                  for a, b in raw) if z and w]
+    if not pairs:
+        return
+    zs, ws = [z[0] for z, _ in pairs], [w[0] for _, w in pairs]
+    alone = [m.ub_euclidean_chain([z], [w])[0].hex() for z, w in zip(zs, ws)]
+    assert [v.hex() for v in m.ub_euclidean_chain(zs, ws)] == alone
+    order = np.random.default_rng(seed).permutation(len(zs))
+    shuffled = m.ub_euclidean_chain([zs[k] for k in order], [ws[k] for k in order])
+    assert [v.hex() for v in shuffled] == [alone[k] for k in order]
+
+
+def test_bracket_cut_short_still_encloses_and_says_so(monkeypatch):
+    # flat_quartic's base-point bracket needs splits: with the cap at one
+    # split it stops after the uniform pass, still an enclosure of the
+    # distance to the graph, and every caller reports it
+    m = FLAT_QUARTIC_MODEL
+    (full,), cut = m.boundary_distance_brackets([BASE_POINT])
+    assert not cut[0]
+    monkeypatch.setattr(convex, "_BB_MAX_ITER", 1)
+    (short,), cut = m.boundary_distance_brackets([BASE_POINT])
+    assert cut[0]
+    t = np.linspace(0.0, 2.0, 400001)
+    grid_min = float(np.sqrt(np.min((1.0 - m.profile.value_array(t)) ** 2 + t * t)))
+    assert short.lo <= full.lo <= grid_min <= full.hi <= short.hi
+    assert (short.lo, short.hi) != (full.lo, full.hi)
+
+    checks = dict(flat_witness(m, 0.02).checks)
+    assert checks["base-point bracket converged"] is False
+    ctx = verify.VerifyContext()
+    for suite in (verify.suite_bound_sandwich, verify.suite_interior_ball):
+        result = suite(ctx)
+        assert not result.passed
+        assert "boundary bracket cut short" in result.detail
+
+
 @given(
     x1=st.floats(min_value=0.05, max_value=2.5),
     t=st.floats(min_value=0.0, max_value=1.8),
@@ -151,10 +256,10 @@ def test_cheap_lower_never_beats_bracket(x1, t):
 @pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
 def test_sandwich_on_random_pairs(m, rng):
     pts = sample_interior(m, 12, rng, margin=0.02)
-    for i in range(0, 12, 2):
+    ubs = m.ub_euclidean_chain(pts[0::2], pts[1::2])
+    for i, ub in zip(range(0, 12, 2), ubs):
         z, w = pts[i], pts[i + 1]
         lb = lb_boundary_ratio(m.boundary_distance_bracket(z), m.boundary_distance_bracket(w))
-        ub = m.ub_euclidean_chain(z, w)
         assert lb <= ub + 1e-9
 
 
@@ -171,8 +276,8 @@ def test_chain_upper_bound_basics(rng):
     m = FLAT_EXP_MODEL
     pts = sample_interior(m, 2, rng, margin=0.1)
     z, w = pts
-    assert m.ub_euclidean_chain(z, z) == 0.0
-    fwd, bwd = m.ub_euclidean_chain(z, w), m.ub_euclidean_chain(w, z)
+    assert m.ub_euclidean_chain([z], [z])[0] == 0.0
+    fwd, bwd = m.ub_euclidean_chain([z, w], [w, z])
     assert fwd > 0.0 and bwd > 0.0
     lb = lb_boundary_ratio(m.boundary_distance_bracket(z), m.boundary_distance_bracket(w))
     assert min(fwd, bwd) >= lb - 1e-9
@@ -326,11 +431,29 @@ def test_base_chain_legs_sum_to_the_hinge_chain():
 
 # -- the Euclidean hop chain -------------------------------------------------------
 
+def _constant_radius(r):
+    return lambda live, s: np.full(len(live), r)
+
+
 def test_hop_chain_charges_its_last_sliver():
     # three full hops of radius 2 and a sliver of about 2e-15
-    got = hop_chain(lambda s: 2.0, 3.0 + 2e-15)
+    got = hop_chain(_constant_radius(2.0), np.array([3.0 + 2e-15]))[0]
     assert got >= 3.0 * math.atanh(0.5) + math.atanh(1e-15)
-    assert got == 1.6479184330021655
+    assert got == 1.6479184330021661
+
+
+def test_hop_chain_total_covers_the_exact_charges():
+    # n full hops of radius 2 and a last hop over 0.3: the float total is
+    # at least n atanh(1/2) + atanh(rest/2) summed exactly, for every n
+    mpmath = pytest.importorskip("mpmath")
+    n = np.arange(1, 201)
+    lengths = n + 0.3
+    totals = hop_chain(_constant_radius(2.0), lengths)
+    with mpmath.workdps(50):
+        half = mpmath.atanh(mpmath.mpf(1) / 2)
+        for k, length, total in zip(n.tolist(), lengths.tolist(), totals.tolist()):
+            exact = k * half + mpmath.atanh((mpmath.mpf(length) - k) / 2)
+            assert mpmath.mpf(total) >= exact, k
 
 
 def test_hop_chain_rounds_toward_overcharging(monkeypatch):
@@ -343,14 +466,14 @@ def test_hop_chain_rounds_toward_overcharging(monkeypatch):
     def r_at(s):
         return 0.0027 if s < 0.1 else 1.0
 
-    def radius(s):
-        seen.append(s)
-        return r_at(s)
+    def radius(live, s):
+        seen.extend(s.tolist())
+        return np.array([r_at(v) for v in s.tolist()])
 
-    atanh = math.atanh
-    monkeypatch.setattr(math, "atanh", lambda t: charged.append(t) or atanh(t))
+    arctanh = np.arctanh
+    monkeypatch.setattr(np, "arctanh", lambda t: charged.extend(t.tolist()) or arctanh(t))
     length = 0.45
-    hop_chain(radius, length)
+    hop_chain(radius, np.array([length]))
     assert len(seen) == 76
     for a, b in zip(seen, seen[1:]):
         assert Fraction(b) - Fraction(a) <= Fraction(r_at(a)) / 2

@@ -59,6 +59,52 @@ def test_metric_axiom_violations_catches_asymmetry():
     assert core.metric_axiom_violations(d_real, [0.0, 1.0, 2.0]) == []
 
 
+def test_metric_axiom_violations_calls_d_once_per_ordered_pair():
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return abs(x - y)
+
+    points = [float(k) for k in range(10)]
+    assert core.metric_axiom_violations(counting, points) == []
+    assert sorted(calls) == sorted((x, y) for x in points for y in points)
+
+
+def _axiom_violations_by_calls(d, points, tol=core.METRIC_TOL):
+    # the reference: one call of d per check, in the order of the checks
+    msgs = []
+    n = len(points)
+    for i in range(n):
+        if abs(d(points[i], points[i])) > tol:
+            msgs.append(f"d(x,x) != 0 at index {i}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = d(points[i], points[j])
+            b = d(points[j], points[i])
+            if a < -tol:
+                msgs.append(f"negative distance at ({i},{j})")
+            if abs(a - b) > tol:
+                msgs.append(f"asymmetry at ({i},{j}): {a} vs {b}")
+    m = min(n, 12)
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                if d(points[i], points[k]) > d(points[i], points[j]) + d(points[j], points[k]) + tol:
+                    msgs.append(f"triangle violation at ({i},{j},{k})")
+    return msgs
+
+
+def test_metric_axiom_violations_match_the_call_by_call_reference():
+    def rough(x, y):
+        return (x - y) ** 2 - 0.3 + (0.1 if x < y else 0.0) + (0.2 if x == 3.0 else 0.0)
+
+    points = [float(k % 7) * 0.5 for k in range(14)]
+    msgs = core.metric_axiom_violations(rough, points)
+    assert len(msgs) > 100
+    assert msgs == _axiom_violations_by_calls(rough, points)
+
+
 def test_metric_axiom_violations_catches_triangle():
     def bad(x, y):
         return abs(x - y) ** 2

@@ -3,6 +3,7 @@ tangent-ball constants."""
 
 import math
 
+import numpy as np
 import pytest
 
 from gromovlab.convex import BASE_POINT, BOX, Z2_CAP
@@ -51,6 +52,42 @@ def test_profile_inverse_roundtrip(p):
         y = p.value(t)
         if y > 0.0:
             assert p.inverse(y) == pytest.approx(t, rel=1e-9)
+
+
+def _ulps(a, b):
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+# every twin sits within an ulp of its scalar, except where np.log and
+# math.log differ by an ulp (at a few arguments in a thousand): the exp
+# profile's inverse takes a log and then a reciprocal, and can sit 2 ulps
+# off; its derivative exp(-1/t - 2 log t) can move its exponent x by an
+# ulp, which exp turns into a relative ulp(x), 32 ulps of the result at
+# t ~ 0.04
+INVERSE_ULPS = {"hinge": 1, "exp_flat": 2, "quartic": 1}
+
+
+@pytest.mark.parametrize("p", [HINGE, EXP_FLAT, QUARTIC], ids=lambda p: p.name)
+def test_array_twins_match_the_scalars(p):
+    t = np.concatenate([[0.0, 1e-300, 0.25, 1.0], np.linspace(0.0, 2.5, 50001),
+                        np.geomspace(1e-4, 0.25, 20001)])
+    y = np.concatenate([[math.exp(-4.0), 1.0], np.geomspace(1e-300, 3.0, 50001)])
+    assert _ulps(p.value_array(t), [p.value(v) for v in t.tolist()]).max() <= 1
+    inverse = [p.inverse(v) for v in y.tolist()]
+    assert _ulps(p.inverse_array(y), inverse).max() <= INVERSE_ULPS[p.name]
+    twin, scalar = p.deriv_array(t), np.array([p.deriv(v) for v in t.tolist()])
+    if p is EXP_FLAT:
+        x = -1.0 / np.maximum(t, 1e-300) - 2.0 * np.log(np.maximum(t, 1e-300))
+        off = _ulps(twin, scalar) > 1
+        assert off.sum() <= 5
+        rel = np.abs(twin - scalar)[off] / scalar[off]
+        assert np.all(rel <= 2.0 * np.spacing(np.abs(x[off])) + 2.0**-52)
+    else:
+        assert _ulps(twin, scalar).max() <= 1
+    with pytest.raises(ValueError):
+        p.value_array(np.array([0.5, -0.5]))
+    with pytest.raises(ValueError):
+        p.deriv_array(np.array([-0.5]))
 
 
 def test_flat_profiles_are_genuinely_flat():
