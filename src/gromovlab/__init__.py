@@ -9,9 +9,7 @@ and control experiments on hyperbolic domains.
 from .core import (
     DeltaEstimate,
     DistanceOracle,
-    FourPointReport,
     estimate_delta,
-    four_point_defect,
     metric_axiom_violations,
     mixed_quadruple_sampler,
     uniform_quadruple_sampler,
@@ -50,7 +48,6 @@ __all__ = [
     "EXP_FLAT",
     "FLAT_EXP_MODEL",
     "FLAT_QUARTIC_MODEL",
-    "FourPointReport",
     "HINGE",
     "HINGE_MODEL",
     "MODELS",
@@ -66,7 +63,6 @@ __all__ = [
     "disc_distance",
     "estimate_delta",
     "flat_witness",
-    "four_point_defect",
     "gn_pair_bounds",
     "gn_witness",
     "halfplane_distance",

@@ -347,9 +347,7 @@ class ModelDomain:
         if c.real <= 0.0:
             raise CertificateError("slice disc needs Re z1 > 0")
         if radius is None:
-            r = Z2_CAP
-            if self.profile.value(r) > c.real:
-                r = self.profile.inverse(c.real)
+            r = self.slice_radius(c.real)
             if r <= 0.0:
                 raise CertificateError("no positive slice radius at this height")
         else:
@@ -505,10 +503,9 @@ class TangentHalfspaceCert:
     theta: float
     normalizer_log: float = 0.0
 
-    def verify(self) -> "TangentHalfspaceCert":
+    def __post_init__(self):
         if self.t0 < 0.0:
             raise CertificateError("tangency radius must be >= 0")
-        return self
 
     def re_f_float(self, z: PointC2) -> float:
         """Direct float evaluation, for the moderate-parameter regime."""
@@ -558,8 +555,8 @@ def lb_halfplane_ratio_log(
     cert: TangentHalfspaceCert, log_re_z: float, log_re_w: float
 ) -> float:
     """Push the pair through one positive functional into Re > 0, where
-    the distance between real parts is at least half the log ratio."""
-    cert.verify()
+    the distance between real parts is at least half the log ratio.  The
+    logs are of cert's values; its constructor checked the tangency."""
     return 0.5 * abs(log_re_w - log_re_z)
 
 
@@ -593,8 +590,6 @@ def lb_crossing_split(
     arranges real starting values by symmetry; callers with genuinely
     complex values must not use this bound.
     """
-    cert_a.verify()
-    cert_b.verify()
     cap = cert_a.log_tau_cert(cert_b)
     if log_tau is None:
         log_tau = cap

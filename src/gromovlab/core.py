@@ -1,8 +1,8 @@
 """Metric kernel: Gromov products, four-point defects, sampled delta estimates.
 
-Everything here works over abstract distance oracles so the same machinery
-runs on exact model-domain backends, certified-bound tables, and synthetic
-metrics alike.  The Gromov product uses the additive convention
+Everything here works over abstract array distances, so the same
+machinery runs on exact model-domain backends and synthetic metrics
+alike.  The Gromov product uses the additive convention
 
     (x, y)_w = d(x, w) + d(w, y) - d(x, y)
 
@@ -37,31 +37,6 @@ class DistanceOracle:
 
 
 @dataclass(frozen=True)
-class FourPointReport:
-    """Defect data for one quadruple (p, q, x, w).
-
-    defect = min{(p,x)_w, (x,q)_w} - (p,q)_w.  Negative Gromov products
-    beyond twice the metric tolerance indicate a broken oracle, so the
-    constructor refuses them.
-    """
-
-    quadruple: Quadruple
-    gp_px_w: float
-    gp_xq_w: float
-    gp_pq_w: float
-    defect: float
-
-    def __post_init__(self):
-        scale = 1.0 + max(abs(self.gp_px_w), abs(self.gp_xq_w), abs(self.gp_pq_w))
-        floor = -2.0 * METRIC_TOL * scale
-        if min(self.gp_px_w, self.gp_xq_w, self.gp_pq_w) < floor:
-            raise ValueError(
-                "negative Gromov product beyond tolerance; distance oracle "
-                "violates the triangle inequality on this quadruple"
-            )
-
-
-@dataclass(frozen=True)
 class DeltaEstimate:
     """Sampled supremum of four-point defects, with the running sup at
     each decade checkpoint as (n, sup) pairs."""
@@ -71,27 +46,6 @@ class DeltaEstimate:
     n: int
     seed: int
     checkpoints: tuple[tuple[int, float], ...]
-
-
-def four_point_defect(
-    d: Callable[[Point, Point], float], p: Point, q: Point, x: Point, w: Point
-) -> FourPointReport:
-    """Evaluate min{(p,x)_w, (x,q)_w} - (p,q)_w for one quadruple.
-
-    Exactly six distances are needed; the three products share them.
-    """
-    d_pw, d_qw, d_xw = d(p, w), d(q, w), d(x, w)
-    d_px, d_xq, d_pq = d(p, x), d(x, q), d(p, q)
-    gp_px = d_pw + d_xw - d_px
-    gp_xq = d_xw + d_qw - d_xq
-    gp_pq = d_pw + d_qw - d_pq
-    return FourPointReport(
-        quadruple=(p, q, x, w),
-        gp_px_w=gp_px,
-        gp_xq_w=gp_xq,
-        gp_pq_w=gp_pq,
-        defect=min(gp_px, gp_xq) - gp_pq,
-    )
 
 
 #: ``points(rng, m)``: m points drawn from ``rng``, as an array whose
@@ -152,11 +106,10 @@ def four_point_defects(d: ArrayDistance, quads: np.ndarray) -> np.ndarray:
     """Defects min{(p,x)_w, (x,q)_w} - (p,q)_w of a (N, 4, ...) block of
     quadruples (p, q, x, w), as an (N,) array.
 
-    The six distances go to ``d`` as one batch.  The operations run in the
-    order of :func:`four_point_defect`, so equal distances give bit-equal
-    defects, and the block is refused as :class:`FourPointReport` refuses
-    one quadruple: a Gromov product below the tolerance (or a NaN one)
-    means the oracle is not a metric.
+    The six distances go to ``d`` as one batch, and the three Gromov
+    products share them.  The block is refused when a product lies below
+    -2 METRIC_TOL (1 + the largest |product| of its quadruple), or is NaN:
+    the oracle is then not a metric.
     """
     p, q, x, w = (quads[:, k] for k in range(4))
     dist = d(np.concatenate((p, q, x, p, x, p)), np.concatenate((w, w, w, x, q, q)))
@@ -246,37 +199,33 @@ def weak_midpoint_ratios(
     return out
 
 
-def metric_axiom_violations(
-    d: Callable[[Point, Point], float],
-    points: Sequence[Point],
-) -> list[str]:
-    """Spot-check identity, symmetry and the triangle inequality on a sample,
-    to within METRIC_TOL.
+def metric_axiom_violations(d: ArrayDistance, points: np.ndarray) -> list[str]:
+    """Spot-check identity, symmetry and the triangle inequality on a sample
+    of points (on axis 0 of the array), to within METRIC_TOL.
 
-    Returns human-readable violation descriptions (empty list = clean).
-    The n x n distance matrix is computed once, with n^2 calls of d; the
-    triangles are read from it on a capped subset.  Intended for
-    verification suites, not hot paths.
+    Returns human-readable violation descriptions (empty list = clean):
+    identities, then each pair i < j's sign and symmetry, then triangles
+    (i, j, k) of the first 12 points, in index order.  One call of d on
+    all ordered pairs gives the n x n distance matrix that they all read.
     """
     tol = METRIC_TOL
-    msgs = []
+    points = np.asarray(points)
     n = len(points)
-    dist = [[d(x, y) for y in points] for x in points]
-    for i in range(n):
-        if abs(dist[i][i]) > tol:
-            msgs.append(f"d(x,x) != 0 at index {i}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = dist[i][j]
-            b = dist[j][i]
-            if a < -tol:
-                msgs.append(f"negative distance at ({i},{j})")
-            if abs(a - b) > tol:
-                msgs.append(f"asymmetry at ({i},{j}): {a} vs {b}")
+    first, second = np.divmod(np.arange(n * n), n)
+    dist = np.reshape(d(points[first], points[second]), (n, n))
+    msgs = [f"d(x,x) != 0 at index {i}" for i in np.flatnonzero(np.abs(np.diagonal(dist)) > tol)]
+    # (i, j, 0) flags a negative d(i, j), (i, j, 1) an asymmetry, so
+    # argwhere lists them pair by pair
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    pair_checks = np.stack((upper & (dist < -tol), upper & (np.abs(dist - dist.T) > tol)), axis=-1)
+    for i, j, asym in np.argwhere(pair_checks):
+        if asym:
+            msgs.append(f"asymmetry at ({i},{j}): {float(dist[i, j])} vs {float(dist[j, i])}")
+        else:
+            msgs.append(f"negative distance at ({i},{j})")
     m = min(n, 12)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if dist[i][k] > dist[i][j] + dist[j][k] + tol:
-                    msgs.append(f"triangle violation at ({i},{j},{k})")
+    sub = dist[:m, :m]
+    # [i, j, k]: d(i, k) > d(i, j) + d(j, k) + tol
+    triangle = sub[:, None, :] > sub[:, :, None] + sub[None, :, :] + tol
+    msgs += [f"triangle violation at ({i},{j},{k})" for i, j, k in np.argwhere(triangle)]
     return msgs

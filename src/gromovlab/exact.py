@@ -11,6 +11,10 @@ The tetrablock gets the closed form for distances to the origin, and
 through its automorphisms for pairs that one of them aligns to the
 origin: the configurations the witness constructions use.
 
+Each sampled domain has exactly one distance kernel, an array function
+in SAMPLE_DOMAINS that both `sample` and `verify` run; the scalar
+distances serve the witnesses' legs and the anchors.
+
 Numerical contract: every distance evaluator stays accurate all the way
 to boundary gaps of order 1e-300 when handed analytic gap parameters.
 The key identity is
@@ -169,48 +173,9 @@ def strip_distance(z: complex, w: complex) -> float:
     return disc_distance(cmath.tan(s * z), cmath.tan(s * w))
 
 
-def polydisc_distance(zs: Sequence[complex], ws: Sequence[complex]) -> float:
-    """Sup of coordinate Poincare distances."""
-    if len(zs) != len(ws):
-        raise OracleError("dimension mismatch")
-    return max(disc_distance(a, b) for a, b in zip(zs, ws))
-
-
-def ball_distance(zs: Sequence[complex], ws: Sequence[complex]) -> float:
-    """Kobayashi distance on the Euclidean unit ball of C^n.
-
-    The Mobius quotient numerator is evaluated through the Lagrange
-    identity  |z|^2|w|^2 - |<z,w>|^2 = sum_{i<j} |z_i w_j - z_j w_i|^2,
-    which keeps nearby points accurate; the boundary side goes through
-    the product form of 1 - m^2.
-    """
-    z = np.asarray(zs, dtype=complex)
-    w = np.asarray(ws, dtype=complex)
-    if z.shape != w.shape or z.ndim != 1:
-        raise OracleError("ball_distance: shape mismatch")
-    nz2 = float(np.sum(z.real**2 + z.imag**2))
-    nw2 = float(np.sum(w.real**2 + w.imag**2))
-    if nz2 >= 1.0 or nw2 >= 1.0:
-        raise OracleError("ball_distance: point outside the open ball")
-    ip = complex(np.sum(z * np.conj(w)))
-    den = abs(1.0 - ip) ** 2
-    one_minus_m2 = (1.0 - nz2) * (1.0 - nw2) / den
-    diff2 = float(np.sum(np.abs(z - w) ** 2))
-    gram = 0.0
-    for i in range(len(z)):
-        for j in range(i + 1, len(z)):
-            gram += abs(z[i] * w[j] - z[j] * w[i]) ** 2
-    m = math.sqrt(max(0.0, diff2 - gram) / den)
-    return _atanh_stable(m, one_minus_m2)
-
-
 # ---------------------------------------------------------------------------
-# array twins of the sampling kernels
-#
-# Each works on whole arrays of point pairs with its scalar twin's formula
-# and stable branch, and raises OracleError when any point of the batch is
-# on or outside the boundary.  The scalar kernels above stay the reference
-# (the tests compare the two) and serve every path but sampling.
+# sampling kernels: each takes whole arrays of point pairs and raises
+# OracleError when any point of the batch is on or outside the boundary
 
 
 def _atanh_stable_array(m_direct: np.ndarray, one_minus_m2: np.ndarray) -> np.ndarray:
@@ -249,11 +214,13 @@ def disc_distance_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def ball_distance_array(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`ball_distance` on (N, n) complex arrays, with
-    the same Lagrange identity for the numerator.
+    """Kobayashi distance on the Euclidean unit ball of C^n, on (N, n)
+    complex arrays.
 
-    Sums over the n coordinates run column by column, in the order
-    ``np.sum`` adds the n entries of one point in the scalar twin.
+    The Mobius quotient numerator is evaluated through the Lagrange
+    identity  |z|^2|w|^2 - |<z,w>|^2 = sum_{i<j} |z_i w_j - z_j w_i|^2,
+    which keeps nearby points accurate; the boundary side goes through
+    the product form of 1 - m^2.
     """
     z = np.asarray(zs, dtype=complex)
     w = np.asarray(ws, dtype=complex)
@@ -282,7 +249,8 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 
 def polydisc_distance_array(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`polydisc_distance` on (N, n) complex arrays."""
+    """Sup of coordinate Poincare distances on the polydisc, on (N, n)
+    complex arrays."""
     z = np.asarray(zs, dtype=complex)
     w = np.asarray(ws, dtype=complex)
     if z.shape != w.shape or z.ndim != 2:
@@ -310,11 +278,11 @@ def tetra_royal_distance_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Distances between the royal-line points (u, u, u^2) and (v, v, v^2)
     of the tetrablock, on (N,) real arrays.
 
-    Array twin of ``tetra_pair_distance((u, u, u*u), (v, v, v*v), u)``:
-    the shift by u (:func:`tetra_automorphism`, here in real arithmetic,
-    which rounds like the complex form with zero imaginary parts), the
-    same alignment check on the image of the first point, then
-    :func:`tetra_origin_distance` at the image of the second.
+    The shift by u (:func:`tetra_automorphism`, here in real arithmetic,
+    which rounds like the complex form with zero imaginary parts) must send
+    the first point to 0 within ``_ALIGN_TOL`` relative to the size of the
+    images; :func:`tetra_origin_distance` at the image of the second point
+    is then the distance.
     """
     t = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -326,9 +294,9 @@ def tetra_royal_distance_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         den = 1.0 - t * (a + a) + t * t * p
         return (a - t + t * t * a - t * p) / den, (p - t * (a + a) + t * t) / den
 
-    # a vanishing denominator (|t| within an ulp or two of 1, where the
-    # scalar shift raises OracleError) gives inf or NaN here and fails the
-    # check below
+    # a vanishing denominator (|t| within an ulp or two of 1, where
+    # tetra_automorphism raises OracleError) gives inf or NaN here and
+    # fails the check below
     with np.errstate(divide="ignore", invalid="ignore"):
         x1, x3 = shift(t, t * t)
         y1, y3 = shift(v, v * v)
@@ -603,19 +571,3 @@ def tetra_origin_distance(x: TetraPoint) -> float:
     if m >= 1.0:
         raise OracleError("point outside the open tetrablock")
     return math.atanh(m)
-
-
-def tetra_pair_distance(x: TetraPoint, y: TetraPoint, t: float) -> float:
-    """Exact distance for pairs that an automorphism aligns to the origin.
-
-    Applies the shift by t, requires the image of x to vanish within
-    ``_ALIGN_TOL`` relative to the size of the images, and evaluates the
-    closed origin form at the image of y.  Raises OracleError when the
-    alignment fails rather than guessing.
-    """
-    X = tetra_automorphism(t, x)
-    Y = tetra_automorphism(t, y)
-    scale = 1.0 + max(abs(c) for c in (*X, *Y))
-    if max(abs(c) for c in X) > _ALIGN_TOL * scale:
-        raise OracleError(f"automorphism t={t} does not send the first point to 0")
-    return tetra_origin_distance(Y)

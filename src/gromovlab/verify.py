@@ -57,18 +57,25 @@ def _result(name: str, failures: list[str]) -> SuiteResult:
 # ---------------------------------------------------------------------------
 # frozen closed-form anchors
 
+
+def _sampled(domain: str, x, y) -> float:
+    # the distance `sample` computes between x and y
+    kernel = exact.SAMPLE_DOMAINS[domain].distance
+    return float(kernel(np.array([x]), np.array([y]))[0])
+
+
 _ANCHORS: tuple[tuple[str, Callable[[], float], float], ...] = (
     ("disc 0..0.5", lambda: exact.disc_distance(0.0, 0.5), math.atanh(0.5)),
     ("disc 0..0.9", lambda: exact.disc_distance(0.0, 0.9), math.atanh(0.9)),
     ("halfplane 1..3", lambda: exact.halfplane_distance(1.0, 3.0), 0.5 * math.log(3.0)),
     (
         "polydisc sup",
-        lambda: exact.polydisc_distance((0.5, 0.1), (0.0, 0.0)),
+        lambda: _sampled("polydisc", (0.5, 0.1), (0.0, 0.0)),
         math.atanh(0.5),
     ),
     (
         "ball radial",
-        lambda: exact.ball_distance((0.7, 0.0), (0.0, 0.0)),
+        lambda: _sampled("ball", (0.7, 0.0), (0.0, 0.0)),
         math.atanh(0.7),
     ),
     (
@@ -129,14 +136,13 @@ def suite_conformal_consistency(ctx: VerifyContext) -> SuiteResult:
 
 
 def suite_metric_axioms(ctx: VerifyContext) -> SuiteResult:
+    """Identity, symmetry and the triangle inequality on ten draws from
+    each sampled domain, through the kernel `sample` runs there."""
     rng = np.random.default_rng(ctx.seed + 1)
     failures = []
-    for distance, points in (
-        (exact.disc_distance, exact.disc_points),
-        (exact.polydisc_distance, exact.polydisc_points),
-        (exact.ball_distance, exact.ball_points),
-    ):
-        failures += core.metric_axiom_violations(distance, points(rng, 10))
+    for name, domain in exact.SAMPLE_DOMAINS.items():
+        violations = core.metric_axiom_violations(domain.distance, domain.points(rng, 10))
+        failures += [f"{name}: {msg}" for msg in violations]
     return _result("metric-axioms", failures)
 
 
@@ -242,7 +248,7 @@ def suite_tangent_certs(ctx: VerifyContext) -> SuiteResult:
         pts = models.sample_interior(domain, 60, rng, margin=1e-3)
         for t0 in (0.3, 0.9, 1.4):
             for theta in (0.0, math.pi / 3.0, math.pi):
-                cert = TangentHalfspaceCert(domain, t0, theta).verify()
+                cert = TangentHalfspaceCert(domain, t0, theta)
                 worst = min(cert.re_f_float(z) for z in pts)
                 if worst <= 0.0:
                     failures.append(

@@ -301,8 +301,8 @@ def hinge_witness(delta: float) -> WitnessReport:
     w: PointC2 = BASE_POINT
 
     # -- long pair: coupled tangent functionals at the rim ------------------
-    cert_p = TangentHalfspaceCert(domain, t0, 0.0).verify()
-    cert_m = TangentHalfspaceCert(domain, t0, math.pi).verify()
+    cert_p = TangentHalfspaceCert(domain, t0, 0.0)
+    cert_m = TangentHalfspaceCert(domain, t0, math.pi)
     # F is affine with real coefficients and every coordinate is real,
     # so the starting values are real by construction; record the check
     # against the actual imaginary parts anyway (the rotations at
@@ -460,8 +460,8 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     w: PointC2 = (complex(px1), 0.0 + 0.0j)
 
     norm_log = math.log(x) + profile.log_deriv(x)
-    cert_p = TangentHalfspaceCert(domain, x, 0.0, norm_log).verify()
-    cert_m = TangentHalfspaceCert(domain, x, math.pi, norm_log).verify()
+    cert_p = TangentHalfspaceCert(domain, x, 0.0, norm_log)
+    cert_m = TangentHalfspaceCert(domain, x, math.pi, norm_log)
 
     # normalized functional values, all real by construction:
     #   f_-(w) = 1,  f_-(p) = alpha,  f_+(q) = alpha

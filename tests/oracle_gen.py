@@ -28,6 +28,28 @@ def strip_distance(z, w, half_width=1):
     return disc_distance(f(z), f(w))
 
 
+def bidisc_distance(z, w):
+    """Sup of the two coordinate Poincare distances."""
+    if any(abs(mp.mpc(c)) >= 1 for c in (*z, *w)):
+        raise ValueError("point outside the open bidisc")
+    return max(disc_distance(a, b) for a, b in zip(z, w))
+
+
+def unit_ball_distance(z, w):
+    """Kobayashi distance on the unit ball of C^n: atanh |phi_z(w)| for the
+    ball automorphism phi_z taking z to 0, where
+
+        1 - |phi_z(w)|^2 = (1 - |z|^2) (1 - |w|^2) / |1 - <w, z>|^2.
+    """
+    z, w = [mp.mpc(c) for c in z], [mp.mpc(c) for c in w]
+    gap_z = 1 - sum(mp.re(c) ** 2 + mp.im(c) ** 2 for c in z)
+    gap_w = 1 - sum(mp.re(c) ** 2 + mp.im(c) ** 2 for c in w)
+    if gap_z <= 0 or gap_w <= 0:
+        raise ValueError("point outside the open ball")
+    inner = sum(a * mp.conj(b) for a, b in zip(w, z))
+    return mp.atanh(mp.sqrt(1 - gap_z * gap_w / abs(1 - inner) ** 2))
+
+
 def tetra_origin_distance(x):
     a, b, p = (mp.mpc(v) for v in x)
     cross = abs(a * b - p)

@@ -61,11 +61,12 @@ def test_criterion_2_symmetrized_bidisc_divergence():
 def test_criterion_3_product_exact_defect():
     with budget(1.0):
         d = exact.polydisc_axis_oracle(2).fn
+        axis = exact.SAMPLE_DOMAINS["polydisc_axis"].distance
         worst_defect = 0.0
         for s in (1.0, 5.0, 50.0):
             rep = witnesses.product_witness(s)
             p, q, x, w = rep.quadruple
-            got = core.four_point_defect(d, p, q, x, w).defect
+            got = core.four_point_defects(axis, np.array([rep.quadruple]))[0]
             worst_defect = max(worst_defect, abs(got - s))
             # the exact midpoint and a unit-displaced one; the latter
             # saturates the 1/(2s) tolerance exactly

@@ -1,5 +1,6 @@
 """Certified bounds on the convex profile domains."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from gromovlab.convex import (
     hop_chain,
     lb_boundary_ratio,
     lb_boundary_ratio_log,
+    lb_crossing_split,
     ub_base_chain,
     ub_disc_leg,
     ub_interior_ball,
@@ -289,23 +291,28 @@ def test_tangent_cert_verifies_on_positive_part():
     m = FLAT_EXP_MODEL
     t0 = 0.9
     norm_log = math.log(t0) + m.profile.log_deriv(t0)
-    cert = TangentHalfspaceCert(m, t0, 0.0, norm_log).verify()
+    cert = TangentHalfspaceCert(m, t0, 0.0, norm_log)
     for z in [(1.0 + 0.0j, 0.0j), (0.5 + 0.1j, 0.3 + 0.2j)]:
         assert cert.re_f_float(z) > 0.0
 
 
 def test_tangent_cert_rejects_negative_time():
     m = FLAT_EXP_MODEL
-    with pytest.raises(CertificateError):
-        TangentHalfspaceCert(m, -0.2, 0.0, 0.0).verify()
+    with pytest.raises(CertificateError, match="tangency radius must be >= 0"):
+        TangentHalfspaceCert(m, -0.2, 0.0, 0.0)
+
+
+def _opposed_certs(t0, norm_shift=0.0, t0_shift=0.0):
+    # the flat witness's coupled pair at tangency t0, the second one moved
+    # by the given shifts
+    m = FLAT_EXP_MODEL
+    norm_log = math.log(t0) + m.profile.log_deriv(t0)
+    return (TangentHalfspaceCert(m, t0, 0.0, norm_log),
+            TangentHalfspaceCert(m, t0 + t0_shift, math.pi, norm_log + norm_shift))
 
 
 def test_log_tau_cert_needs_opposed_phases():
-    m = FLAT_EXP_MODEL
-    t0 = 0.9
-    norm_log = math.log(t0) + m.profile.log_deriv(t0)
-    cp = TangentHalfspaceCert(m, t0, 0.0, norm_log).verify()
-    cm = TangentHalfspaceCert(m, t0, math.pi, norm_log).verify()
+    cp, cm = _opposed_certs(0.9)
     tau = cp.log_tau_cert(cm)
     assert math.isfinite(tau)
     with pytest.raises(CertificateError):
@@ -314,10 +321,40 @@ def test_log_tau_cert_needs_opposed_phases():
 
 def test_log_tau_cert_needs_one_domain():
     t0 = 0.9
-    cp = TangentHalfspaceCert(FLAT_EXP_MODEL, t0, 0.0).verify()
-    cm = TangentHalfspaceCert(FLAT_QUARTIC_MODEL, t0, math.pi).verify()
+    cp = TangentHalfspaceCert(FLAT_EXP_MODEL, t0, 0.0)
+    cm = TangentHalfspaceCert(FLAT_QUARTIC_MODEL, t0, math.pi)
     with pytest.raises(CertificateError, match="one domain"):
         cp.log_tau_cert(cm)
+
+
+def test_log_tau_cert_needs_one_tangency_radius():
+    cp, cm = _opposed_certs(0.9, t0_shift=1e-9)
+    with pytest.raises(CertificateError, match="share the tangency radius"):
+        cp.log_tau_cert(cm)
+
+
+def test_log_tau_cert_needs_one_normalizer():
+    cp, cm = _opposed_certs(0.9, norm_shift=1e-9)
+    with pytest.raises(CertificateError, match="share the normalizer"):
+        cp.log_tau_cert(cm)
+
+
+def test_crossing_split_refuses_tau_above_the_coupling_level():
+    cp, cm = _opposed_certs(0.9)
+    cap = cp.log_tau_cert(cm)
+    start = cap - 5.0
+    assert lb_crossing_split(cp, cm, start, start, cap) == pytest.approx(5.0)
+    with pytest.raises(CertificateError,
+                       match="requested tau exceeds the certified coupling level"):
+        lb_crossing_split(cp, cm, start, start, cap + 1e-6)
+
+
+def test_crossing_split_refuses_a_start_above_tau():
+    cp, cm = _opposed_certs(0.9)
+    cap = cp.log_tau_cert(cm)
+    for starts in ((cap + 1e-6, cap - 5.0), (cap - 5.0, cap + 1e-6)):
+        with pytest.raises(CertificateError, match="both endpoints below the tau level"):
+            lb_crossing_split(cp, cm, *starts)
 
 
 # -- interior tangent ball ----------------------------------------------------
@@ -347,6 +384,16 @@ def test_interior_ball_off_contact_range_raises():
     if m.contains(z):
         with pytest.raises(CertificateError):
             ub_interior_ball(m, z, _log_height(m, z))
+
+
+def test_interior_ball_refuses_a_radius_over_the_curvature_budget():
+    m = FLAT_EXP_MODEL
+    z = (complex(m.profile.value(0.12) + 1e-4), complex(0.12))
+    assert math.isfinite(ub_interior_ball(m, z, _log_height(m, z)))
+    # 0.5 * ball_curvature_sup = 1.28 > 1
+    wide = dataclasses.replace(m, ball_radius=0.5)
+    with pytest.raises(CertificateError, match="curvature budget"):
+        ub_interior_ball(wide, z, _log_height(m, z))
 
 
 def test_interior_ball_refuses_complex_z1():
@@ -418,6 +465,17 @@ def test_disc_leg_refuses_an_end_off_its_slice_disc():
         ub_disc_leg(m, disc, off, w)
     with pytest.raises(CertificateError, match="off the disc"):
         ub_disc_leg(m, disc, w, off)
+
+
+def test_disc_leg_refuses_a_rim_shrink_that_swallows_a_gap():
+    m = HINGE_MODEL
+    disc = m.z1_disc(0.0j)
+    x = (0.5 + 0.0j, 0.0j)
+    gap = 1.0 - abs(disc.parameter(x))
+    assert ub_disc_leg(m, disc, x, BASE_POINT, gap_z=gap, rim_shrink=0.5 * gap) > 0.0
+    for shrink in (gap, 2.0 * gap):
+        with pytest.raises(CertificateError, match="rim shrink swallowed a parameter gap"):
+            ub_disc_leg(m, disc, x, BASE_POINT, gap_z=gap, rim_shrink=shrink)
 
 
 def test_base_chain_legs_sum_to_the_hinge_chain():

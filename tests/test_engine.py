@@ -1,9 +1,12 @@
-"""The batched four-point engine against its scalar reference.
+"""The batched four-point engine against independent pair-by-pair references.
 
-The array kernels agree with their scalar twins and refuse the same
-points; block defects agree with a ``four_point_defect`` loop; the
-engine's checks fire on a non-metric oracle and on a point outside the
-domain; one ``run_sample`` pass gives every decade checkpoint.
+Each sampled domain's array kernel agrees with a reference and refuses
+the pairs it refuses: the scalar disc distance, mpmath for the ball and
+the bidisc (``tests/oracle_gen.py``), the tetrablock's shift and origin
+form for the royal line, and the axis oracle.  Block defects agree with
+a loop over the reference distances; the engine's checks fire on a
+non-metric oracle and on a point outside the domain; one ``run_sample``
+pass gives every decade checkpoint.
 """
 
 import csv
@@ -14,51 +17,102 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_gen
 from gromovlab import cli, core, exact, witnesses
 
-# relative agreement of a kernel with its scalar twin: the formulas are
-# the same, so only the libm and numpy transcendental functions differ,
-# by a few ulps
+KERNELS = {name: dom.distance for name, dom in exact.SAMPLE_DOMAINS.items()}
+
+# relative agreement of a kernel with a float reference of the same
+# formula: only the libm and numpy transcendental functions differ, by a
+# few ulps
 RTOL = 1e-12
+
+# The ball and bidisc kernels against mpmath.  A kernel forms the gap
+# g = 1 - |z|^2 of a point (ball) or coordinate (bidisc) in floats: the
+# squares and their sum near 1 round, the subtraction is exact, so g
+# carries an absolute error of a few U = 2**-52.  The distance is
+#     atanh m = log(1 + m) - (1/2) log(1 - m^2),
+#     1 - m^2 = g_z g_w / |1 - <z, w>|^2,
+# so an absolute error k U in g moves it by (1/2) k U / g; the other
+# steps add a few ulps relative to d and to 1.  Hence
+#     |kernel - exact| <= 8 U (1 + d + sum 1/g)
+# over the gaps of the pair.  Membership, too, is decided on the float
+# gap, so a pair with an exact gap within MEMBERSHIP_BAND of 0 may be
+# refused or accepted.
+ULP = 2.0**-52
+MEMBERSHIP_BAND = 4.0 * ULP
 
 
 def _royal_distance(u, v):
-    return exact.tetra_pair_distance((u, u, u * u), (v, v, v * v), u)
+    # the tetrablock shift by u must send (u, u, u^2) to 0; at |u| within
+    # an ulp or two of 1 its denominator vanishes and it raises
+    exact.tetra_automorphism(u, (u, u, u * u))
+    return exact.tetra_origin_distance(exact.tetra_automorphism(u, (v, v, v * v)))
 
 
-SCALAR = {
+FLOAT_REFERENCES = {
     "disc": exact.disc_distance,
-    "ball": exact.ball_distance,
-    "polydisc": exact.polydisc_distance,
     "tetra": _royal_distance,
     "polydisc_axis": exact.polydisc_axis_oracle(2).fn,
 }
-# sampled domain -> (array kernel, scalar twin)
-TWINS = {name: (dom.distance, SCALAR[name]) for name, dom in exact.SAMPLE_DOMAINS.items()}
 
 
-def check_twins(domain, xs, ys):
-    """The array kernel refuses exactly the pairs the scalar one refuses
-    and agrees with it on the rest; returns the scalar distances.
+def _exact_gaps(domain, pt):
+    # 1 - |z|^2 of a ball point, or of each bidisc coordinate, in mpmath
+    mp = oracle_gen.mp
+    sq = [mp.re(c) ** 2 + mp.im(c) ** 2 for c in map(mp.mpc, pt)]
+    return [1 - sum(sq)] if domain == "ball" else [1 - s for s in sq]
 
-    The scalar tetra shift divides by zero when |u| is within an ulp or
-    two of 1 and raises ZeroDivisionError; its array twin refuses the
-    same pairs with OracleError.
-    """
-    array_fn, scalar_fn = TWINS[domain]
-    keep, want = [], []
-    for k, (x, y) in enumerate(zip(xs, ys)):
+
+MP_REFERENCES = {
+    "ball": oracle_gen.unit_ball_distance,
+    "polydisc": oracle_gen.bidisc_distance,
+}
+
+
+def reference(domain, x, y):
+    """(d, tol, certain) for one pair: the reference distance, or None
+    where a point is not inside the domain; the kernel's tolerance around
+    it; and False where the kernel may decide membership either way."""
+    if domain in FLOAT_REFERENCES:
         try:
-            want.append(scalar_fn(x, y))
-        except (exact.OracleError, ZeroDivisionError):
-            with pytest.raises(exact.OracleError):
-                array_fn(np.array([x]), np.array([y]))
-        else:
-            keep.append(k)
-    if keep:
-        got = array_fn(np.array([xs[k] for k in keep]), np.array([ys[k] for k in keep]))
-        np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
-    return want
+            d = FLOAT_REFERENCES[domain](x, y)
+        except exact.OracleError:
+            return None, 0.0, True
+        return d, RTOL * d, True
+    gaps = _exact_gaps(domain, x) + _exact_gaps(domain, y)
+    certain = abs(min(gaps)) >= MEMBERSHIP_BAND
+    if min(gaps) <= 0:
+        return None, 0.0, certain
+    d = float(MP_REFERENCES[domain](x, y))
+    return d, 8.0 * ULP * (1.0 + d + float(sum(1 / g for g in gaps))), certain
+
+
+def check_kernel(domain, xs, ys):
+    """The array kernel refuses exactly the pairs the reference refuses,
+    but for pairs within the membership band, and agrees with it within
+    the tolerance on the rest.  The pairs it must accept go to the kernel
+    as one batch."""
+    kernel = KERNELS[domain]
+    batch, want, tol = [], [], []
+    for x, y in zip(xs, ys):
+        d, t, certain = reference(domain, x, y)
+        if d is not None and certain:
+            batch.append((x, y))
+            want.append(d)
+            tol.append(t)
+            continue
+        try:
+            got = kernel(np.array([x]), np.array([y]))[0]
+        except exact.OracleError:
+            continue
+        assert not certain, f"{domain} kernel accepts ({x}, {y}), outside the domain"
+        if d is not None:
+            assert abs(got - d) <= t, f"{domain} kernel at ({x}, {y}): {got} vs {d}"
+    if batch:
+        got = kernel(np.array([x for x, _ in batch]), np.array([y for _, y in batch]))
+        off = np.flatnonzero(~(np.abs(got - np.array(want)) <= np.array(tol)))
+        assert not off.size, f"{domain} kernel off its reference at {[batch[k] for k in off]}"
 
 
 # boundary gaps 1 - |z| from 1e-8 to 1: small gaps put pairs on the log
@@ -89,20 +143,20 @@ POINTS = {
 }
 
 
-@pytest.mark.parametrize("domain", sorted(TWINS))
+@pytest.mark.parametrize("domain", sorted(KERNELS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_array_kernel_agrees_with_scalar(domain, data):
     pairs = data.draw(st.lists(st.tuples(POINTS[domain], POINTS[domain]), min_size=1,
                                max_size=12))
-    check_twins(domain, [x for x, _ in pairs], [y for _, y in pairs])
+    check_kernel(domain, [x for x, _ in pairs], [y for _, y in pairs])
 
 
 def test_disc_kernel_covers_both_sides_of_the_switch():
     # pairs on both sides of 1 - m^2 = 0.19, and deep on the log path
     xs = [0.0, 0.0, 0.0, 0.5j, 1.0 - 1e-8, -(1.0 - 1e-8), 0.3 + 0.4j]
     ys = [0.89, 0.9, 0.91, -0.5j, 1.0 - 2e-8, 1.0 - 1e-8, 0.3 + 0.4j]
-    check_twins("disc", xs, ys)
+    check_kernel("disc", xs, ys)
     u, v = np.array(xs), np.array(ys)
     a = 1.0 - np.abs(u) ** 2
     b = 1.0 - np.abs(v) ** 2
@@ -132,7 +186,7 @@ def test_array_kernel_refuses_like_scalar(domain, data):
         edge = (data.draw(disc_pts), data.draw(edge_disc))
     else:
         edge = data.draw(radii) * data.draw(st.sampled_from((-1.0, 1.0)))
-    check_twins(domain, [inside, edge], [edge, inside])
+    check_kernel(domain, [inside, edge], [edge, inside])
 
 
 @pytest.mark.parametrize("domain, outside", [
@@ -142,33 +196,45 @@ def test_array_kernel_refuses_like_scalar(domain, data):
     ("tetra", 1.0), ("tetra", -1.0),
 ])
 def test_boundary_points_raise_in_both(domain, outside):
-    array_fn, scalar_fn = TWINS[domain]
     inside = {"disc": 0.1j, "tetra": 0.2}.get(domain, (0.1j, 0.2 + 0.0j))
     for x, y in ((inside, outside), (outside, inside)):
+        assert reference(domain, x, y)[0] is None
         with pytest.raises(exact.OracleError):
-            scalar_fn(x, y)
-        with pytest.raises(exact.OracleError):
-            array_fn(np.array([inside, x, inside]), np.array([inside, y, inside]))
+            KERNELS[domain](np.array([inside, x, inside]), np.array([inside, y, inside]))
 
 
 def _python_quads(quads):
     return [core._python_quadruple(row) for row in quads]
 
 
-@pytest.mark.parametrize("domain", sorted(TWINS))
+def _defect(dist, p, q, x, w):
+    # min{(p,x)_w, (x,q)_w} - (p,q)_w from six distances, in the engine's
+    # order of operations
+    d_pw, d_qw, d_xw = dist(p, w), dist(q, w), dist(x, w)
+    d_px, d_xq, d_pq = dist(p, x), dist(x, q), dist(p, q)
+    return min(d_pw + d_xw - d_px, d_xw + d_qw - d_xq) - (d_pw + d_qw - d_pq)
+
+
+@pytest.mark.parametrize("domain", sorted(KERNELS))
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_block_defects_match_scalar_loop(domain, seed):
-    array_fn, scalar_fn = TWINS[domain]
     sampler = core.uniform_quadruple_sampler(exact.SAMPLE_DOMAINS[domain].points)
     quads = sampler(np.random.default_rng(seed), 0, 64)
-    got = core.four_point_defects(array_fn, quads)
-    reps = [core.four_point_defect(scalar_fn, *q) for q in _python_quads(quads)]
-    want = np.array([rep.defect for rep in reps])
-    # a defect adds and subtracts six distances, each within RTOL of its
-    # twin relative to itself
-    largest = max(scalar_fn(a, b) for q in _python_quads(quads) for a in q for b in q)
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=RTOL * (1.0 + 6.0 * largest))
+    got = core.four_point_defects(KERNELS[domain], quads)
+    for k, quad in enumerate(_python_quads(quads)):
+        tols = []
+
+        def dist(a, b):
+            d, tol, certain = reference(domain, a, b)
+            assert d is not None and certain
+            tols.append(tol)
+            return d
+
+        want = _defect(dist, *quad)
+        # a defect adds and subtracts six distances, each within its
+        # tolerance of the reference
+        assert abs(got[k] - want) <= RTOL + sum(tols), (k, got[k], want)
 
 
 @pytest.mark.parametrize("scale", (1.0, 10.0, 300.0))
@@ -180,7 +246,7 @@ def test_directed_block_defects_are_bit_equal(scale):
     quads = sampler(np.random.default_rng(3), 0, 64)
     got = core.four_point_defects(axis.distance, quads)
     d = exact.polydisc_axis_oracle(2).fn
-    want = [core.four_point_defect(d, *q).defect for q in _python_quads(quads)]
+    want = [_defect(d, *q) for q in _python_quads(quads)]
     assert got.tolist() == want
     assert all(got[7::8] == scale)
 
@@ -189,7 +255,7 @@ def test_directed_block_defects_are_bit_equal(scale):
 
 @pytest.mark.parametrize("domain", ("disc", "polydisc_axis"))
 def test_non_metric_oracle_is_refused(domain):
-    array_fn = TWINS[domain][0]
+    array_fn = KERNELS[domain]
     sampler = core.uniform_quadruple_sampler(exact.SAMPLE_DOMAINS[domain].points)
     squared = lambda a, b: array_fn(a, b) ** 2  # noqa: E731
     with pytest.raises(ValueError, match="negative Gromov product"):
@@ -211,7 +277,7 @@ def test_outside_point_mid_chunk_raises(domain, bad):
             quads[target - start, 2] = bad
         return quads
 
-    d = TWINS[domain][0]
+    d = KERNELS[domain]
     with pytest.raises(exact.OracleError):
         core.estimate_delta(d, corrupt, 2 * core.CHUNK, seed=3)
     # drawn but past n, the bad quadruple is never evaluated

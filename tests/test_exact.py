@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -70,7 +71,8 @@ def test_strip_distance_against_conformal_map():
 def test_polydisc_distance_is_max(a, b, c, e):
     zs, ws = (complex(a), complex(b)), (complex(c), complex(e))
     expect = max(exact.disc_distance(zs[0], ws[0]), exact.disc_distance(zs[1], ws[1]))
-    assert exact.polydisc_distance(zs, ws) == pytest.approx(expect, abs=1e-14)
+    got = exact.polydisc_distance_array(np.array([zs]), np.array([ws]))[0]
+    assert got == pytest.approx(expect, abs=1e-14)
 
 
 def test_polydisc_axis_oracle_beyond_tanh_saturation():
@@ -81,14 +83,15 @@ def test_polydisc_axis_oracle_beyond_tanh_saturation():
 
 
 def test_ball_distance_radial_and_rotation():
+    def ball(z, w):
+        return exact.ball_distance_array(np.array([z]), np.array([w]))[0]
+
     z = (0.7 + 0.0j, 0.0 + 0.0j)
-    assert exact.ball_distance((0j, 0j), z) == pytest.approx(math.atanh(0.7), abs=1e-14)
+    assert ball((0j, 0j), z) == pytest.approx(math.atanh(0.7), abs=1e-14)
     th = 1.1
     rot = lambda p: (cmath.exp(1j * th) * p[0], p[1])
     w = (0.2 + 0.1j, -0.3 + 0.4j)
-    assert exact.ball_distance(rot(z), rot(w)) == pytest.approx(
-        exact.ball_distance(z, w), abs=1e-12
-    )
+    assert ball(rot(z), rot(w)) == pytest.approx(ball(z, w), abs=1e-12)
 
 
 # -- DistBound ---------------------------------------------------------------
@@ -255,20 +258,17 @@ def test_tetra_automorphism_fixes_membership():
         exact.tetra_origin_distance((0.9, 0.9, -0.9))
 
 
-def test_tetra_pair_distance_on_royal_line():
+def test_royal_kernel_on_the_royal_line():
+    # the royal line is a geodesic, with the disc's metric in u
     u, v = 0.3, 0.7
-    x, y = (u, u, u * u), (v, v, v * v)
-    got = exact.tetra_pair_distance(x, y, u)
+    got = exact.tetra_royal_distance_array(np.array([u]), np.array([v]))[0]
     assert got == pytest.approx(abs(math.atanh(v) - math.atanh(u)), abs=1e-12)
-
-
-def test_tetra_pair_distance_needs_vanishing_image():
-    with pytest.raises(OracleError):
-        exact.tetra_pair_distance((0.3, 0.2, 0.05), (0.1, 0.1, 0.01), 0.9)
 
 
 def test_tetra_shift_with_vanishing_denominator_raises_oracle_error():
     # 1 - 2u^2 + u^4 rounds to 0 one ulp below 1
     u = 0.9999999999999999
     with pytest.raises(OracleError):
-        exact.tetra_pair_distance((u, u, u * u), (-1.0, -1.0, 1.0), u)
+        exact.tetra_automorphism(u, (u, u, u * u))
+    with pytest.raises(OracleError, match="divides by 0"):
+        exact.tetra_royal_distance_array(np.array([u]), np.array([-1.0]))

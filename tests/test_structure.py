@@ -8,16 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gromovlab"
 
-# the scalar references that tests/test_engine.py compares the array
-# kernels against; nothing in the library calls them
-SCALAR_REFERENCES = {"four_point_defect", "tetra_pair_distance"}
-
 # defaulted parameters that only the benchmark (perfbench/) sets
 BENCHMARK_KNOBS = {("run_sample", "period"), ("run_all", "seed")}
-
-# dataclasses whose fields only tests read: FourPointReport is the scalar
-# reference that tests/test_engine.py compares the batched defects against
-TEST_ONLY_DATACLASSES = {"FourPointReport"}
 
 
 def _parse(path):
@@ -65,7 +57,7 @@ def test_every_public_name_is_reached():
         if path.name == "__init__.py":
             continue
         for name, node in _definitions(trees[path]):
-            if name.startswith("_") or name in SCALAR_REFERENCES:
+            if name.startswith("_"):
                 continue
             # the re-exports in __init__ are imports, not loads
             if not any(
@@ -162,8 +154,7 @@ def test_every_dataclass_field_is_read():
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.walk(_parse(path)):
-            if (not isinstance(cls, ast.ClassDef) or cls.name in TEST_ONLY_DATACLASSES
-                    or not _is_dataclass(cls)):
+            if not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls):
                 continue
             for item in _fields(cls):
                 if item.target.id not in read:

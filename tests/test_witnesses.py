@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from gromovlab import witnesses
-from gromovlab.exact import polydisc_axis_oracle
+from gromovlab.core import four_point_defects
+from gromovlab.exact import SAMPLE_DOMAINS
 from gromovlab.models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL
 from gromovlab.witnesses import (
     alpha_schedule,
@@ -34,13 +36,11 @@ def test_product_witness_defect_is_exact(s):
 
 
 def test_product_witness_quadruple_realizes_defect():
-    from gromovlab.core import four_point_defect
-
     s = 7.0
     rep = product_witness(s)
-    d = polydisc_axis_oracle(2).fn
-    p, q, x, w = rep.quadruple
-    assert four_point_defect(d, p, q, x, w).defect == pytest.approx(s, abs=1e-12)
+    axis = SAMPLE_DOMAINS["polydisc_axis"].distance
+    defect = four_point_defects(axis, np.array([rep.quadruple]))[0]
+    assert defect == pytest.approx(s, abs=1e-12)
 
 
 # -- tetrablock ----------------------------------------------------------------
