@@ -202,7 +202,8 @@ class ModelDomain:
 
     # -- boundary distance ---------------------------------------------------
 
-    def _hinge_profile_distance(self, x1: float, s: float) -> float:
+    @staticmethod
+    def _hinge_profile_distance(x1: float, s: float) -> float:
         # exact closed form for psi = (t-1)_+^2: flat facet + parabola arc
         flat = math.hypot(x1, max(0.0, s - 1.0)) if s > 1.0 else x1
         # stationary points of (x1 - u^2)^2 + (1 + u - s)^2 over u >= 0
@@ -551,12 +552,11 @@ def lb_boundary_ratio_log(log_d_z_hi: float, log_d_w_lo: float) -> float:
     return 0.5 * max(0.0, log_d_w_lo - log_d_z_hi)
 
 
-def lb_halfplane_ratio_log(
-    cert: TangentHalfspaceCert, log_re_z: float, log_re_w: float
-) -> float:
+def lb_halfplane_ratio_log(log_re_z: float, log_re_w: float) -> float:
     """Push the pair through one positive functional into Re > 0, where
     the distance between real parts is at least half the log ratio.  The
-    logs are of cert's values; its constructor checked the tangency."""
+    logs are of the values of a tangent functional whose certificate
+    checked the tangency."""
     return 0.5 * abs(log_re_w - log_re_z)
 
 

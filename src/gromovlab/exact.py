@@ -9,11 +9,15 @@ the lifts' bidisc distance (upper).  These take a stack of pairs and
 bound them all in one numpy pass, each pair with the bits it gets alone.
 The tetrablock gets the closed form for distances to the origin, and
 through its automorphisms for pairs that one of them aligns to the
-origin: the configurations the witness constructions use.
+origin: the configurations the witness constructions use.  Its royal
+line lambda -> (lambda, lambda, lambda^2) is a complex geodesic (x -> x1
+maps the tetrablock back onto the disc), so the distance between two of
+its points is the disc distance of their parameters.
 
 Each sampled domain has exactly one distance kernel, an array function
-in SAMPLE_DOMAINS that both `sample` and `verify` run; the scalar
-distances serve the witnesses' legs and the anchors.
+in SAMPLE_DOMAINS that both `sample` and `verify` run; the royal line
+is sampled with the disc kernel on its parameter.  The scalar distances
+serve the witnesses' legs and the anchors.
 
 Numerical contract: every distance evaluator stays accurate all the way
 to boundary gaps of order 1e-300 when handed analytic gap parameters.
@@ -45,10 +49,6 @@ class OracleError(ValueError):
 # Below this value of 1 - m^2 the direct |u-v|/|1-conj(u)v| quotient loses
 # digits, so we switch to the log1p identity.
 _STABLE_SWITCH = 0.19
-
-# How close to 0 a tetrablock shift must send the first point of a pair,
-# relative to the size of the images, for the origin form to apply.
-_ALIGN_TOL = 1e-10
 
 # Phases of the symmetrized bidisc's maps to the disc scanned at first,
 # then the rounds of rescans around the best phase and the points in each;
@@ -274,45 +274,6 @@ def polydisc_axis_distance_array(ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
     return _row_max(np.abs(t - s))
 
 
-def tetra_royal_distance_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Distances between the royal-line points (u, u, u^2) and (v, v, v^2)
-    of the tetrablock, on (N,) real arrays.
-
-    The shift by u (:func:`tetra_automorphism`, here in real arithmetic,
-    which rounds like the complex form with zero imaginary parts) must send
-    the first point to 0 within ``_ALIGN_TOL`` relative to the size of the
-    images; :func:`tetra_origin_distance` at the image of the second point
-    is then the distance.
-    """
-    t = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.abs(t) < 1.0):
-        raise OracleError("automorphism parameter must be in (-1, 1)")
-
-    def shift(a, p):
-        # tetra_automorphism(t, (a, a, p)): both diagonal images agree
-        den = 1.0 - t * (a + a) + t * t * p
-        return (a - t + t * t * a - t * p) / den, (p - t * (a + a) + t * t) / den
-
-    # a vanishing denominator (|t| within an ulp or two of 1, where
-    # tetra_automorphism raises OracleError) gives inf or NaN here and
-    # fails the check below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x1, x3 = shift(t, t * t)
-        y1, y3 = shift(v, v * v)
-    scale = 1.0 + np.maximum.reduce([np.abs(x1), np.abs(x3), np.abs(y1), np.abs(y3)])
-    aligned = np.maximum(np.abs(x1), np.abs(x3)) <= _ALIGN_TOL * scale
-    if not np.all(aligned & np.isfinite(scale)):
-        raise OracleError("royal shift does not send the first point to 0, or divides by 0")
-    if not np.all(np.abs(y1) < 1.0):
-        raise OracleError("point outside the open tetrablock")
-    cross = np.abs(y1 * y1 - y3)
-    m = (np.abs(y1 - y1 * y3) + cross) / (1.0 - np.abs(y1) ** 2)
-    if not np.all(m < 1.0):
-        raise OracleError("point outside the open tetrablock")
-    return np.arctanh(m)
-
-
 def disc_points(rng: np.random.Generator, m: int) -> np.ndarray:
     """m points of the disc of radius 0.999, uniform in area: (m,) complex.
 
@@ -343,7 +304,8 @@ def polydisc_points(rng: np.random.Generator, m: int) -> np.ndarray:
 
 def royal_line_points(rng: np.random.Generator, m: int) -> np.ndarray:
     """m royal-line parameters u, uniform in (-0.9, 0.9), each standing for
-    the tetrablock point (u, u, u^2): (m,) real."""
+    the tetrablock point (u, u, u^2): (m,) real.  The disc kernel on the
+    parameters is the tetrablock distance of the points."""
     return rng.uniform(-0.9, 0.9, m)
 
 
@@ -368,7 +330,7 @@ SAMPLE_DOMAINS = {
     "disc": SampleDomain(disc_distance_array, disc_points),
     "ball": SampleDomain(ball_distance_array, ball_points),
     "polydisc": SampleDomain(polydisc_distance_array, polydisc_points),
-    "tetra": SampleDomain(tetra_royal_distance_array, royal_line_points),
+    "tetra": SampleDomain(disc_distance_array, royal_line_points),
     "polydisc_axis": SampleDomain(polydisc_axis_distance_array, polydisc_axis_points),
 }
 

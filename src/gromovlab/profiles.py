@@ -50,10 +50,6 @@ class ProfileFn:
             raise ValueError(f"profile {self.name} vanishes at t={t}")
         return math.exp(self.log_deriv(t) + math.log(t) - lv)
 
-    def sigma(self, t: float) -> float:
-        """psi(t) / (t * psi'(t)), the inverse steepness."""
-        return 1.0 / self.steepness(t)
-
 
 def _check_nonneg(t: float) -> float:
     t = float(t)

@@ -441,10 +441,9 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     profile = domain.profile
     if profile.name == "hinge":
         raise CertificateError("the flat witness needs a strictly increasing profile")
-    sigma = profile.sigma(x)
-    if sigma >= 0.5:
-        # the coupling level tau = 1 - sigma must clear the functional
-        # values ~alpha; sigma < 1/2 keeps it clear with a full margin
+    if profile.steepness(x) <= 2.0:
+        # the coupling level tau = 1 - 1/steepness must clear the functional
+        # values ~alpha; steepness > 2 keeps it clear with a full margin
         raise CertificateError("profile is not steep enough at this radius")
     deep = x < LOG_PATH_THRESHOLD
 
@@ -471,7 +470,7 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     dpsi = profile.deriv(x)
     im_q = q[0].imag - dpsi * q[1].imag
     im_p = p[0].imag - dpsi * (-p[1]).imag
-    lb_half = lb_halfplane_ratio_log(cert_m, log_alpha, 0.0)
+    lb_half = lb_halfplane_ratio_log(log_alpha, 0.0)
     lb_cross = lb_crossing_split(cert_p, cert_m, log_alpha, log_alpha)
     log_tau = cert_p.log_tau_cert(cert_m)
 

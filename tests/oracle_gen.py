@@ -60,6 +60,17 @@ def tetra_origin_distance(x):
     return mp.atanh(m)
 
 
+def royal_distance(u, v):
+    """Tetrablock distance between the royal-line points (u, u, u^2) and
+    (v, v, v^2), for real u, v in (-1, 1).  The line is a complex geodesic
+    (x -> x1 maps the tetrablock onto the disc), and on the disc's real
+    axis atanh is the geodesic parameter."""
+    u, v = mp.mpf(u), mp.mpf(v)
+    if abs(u) >= 1 or abs(v) >= 1:
+        raise ValueError("point outside the open disc")
+    return abs(mp.atanh(v) - mp.atanh(u))
+
+
 def tetra_defect(a):
     # five legs atanh(a), long leg 2 atanh(a): defect comes out atanh(a)
     return mp.atanh(mp.mpf(a))

@@ -1,9 +1,10 @@
 """The batched four-point engine against independent pair-by-pair references.
 
 Each sampled domain's array kernel agrees with a reference and refuses
-the pairs it refuses: the scalar disc distance, mpmath for the ball and
-the bidisc (``tests/oracle_gen.py``), the tetrablock's shift and origin
-form for the royal line, and the axis oracle.  Block defects agree with
+the pairs it refuses: the scalar disc distance, mpmath for the ball, the
+bidisc and the tetrablock's royal line (``tests/oracle_gen.py``), and
+the axis oracle.  The royal line is a complex geodesic, sampled with the
+disc kernel on its real parameter u.  Block defects agree with
 a loop over the reference distances; the engine's checks fire on a
 non-metric oracle and on a point outside the domain; one ``run_sample``
 pass gives every decade checkpoint.
@@ -27,10 +28,11 @@ KERNELS = {name: dom.distance for name, dom in exact.SAMPLE_DOMAINS.items()}
 # few ulps
 RTOL = 1e-12
 
-# The ball and bidisc kernels against mpmath.  A kernel forms the gap
-# g = 1 - |z|^2 of a point (ball) or coordinate (bidisc) in floats: the
-# squares and their sum near 1 round, the subtraction is exact, so g
-# carries an absolute error of a few U = 2**-52.  The distance is
+# The ball, bidisc and royal-line kernels against mpmath.  A kernel forms
+# the gap g = 1 - |z|^2 of a point (ball), coordinate (bidisc) or royal
+# parameter (g = 1 - u^2) in floats: the squares and their sum near 1
+# round, the subtraction is exact, so g carries an absolute error of a
+# few U = 2**-52.  The distance is
 #     atanh m = log(1 + m) - (1/2) log(1 - m^2),
 #     1 - m^2 = g_z g_w / |1 - <z, w>|^2,
 # so an absolute error k U in g moves it by (1/2) k U / g; the other
@@ -38,35 +40,31 @@ RTOL = 1e-12
 #     |kernel - exact| <= 8 U (1 + d + sum 1/g)
 # over the gaps of the pair.  Membership, too, is decided on the float
 # gap, so a pair with an exact gap within MEMBERSHIP_BAND of 0 may be
-# refused or accepted.
+# refused or accepted; but for a real u the float 1 - u*u is positive
+# exactly when |u| < 1, so the royal line's membership is exact.
 ULP = 2.0**-52
 MEMBERSHIP_BAND = 4.0 * ULP
 
 
-def _royal_distance(u, v):
-    # the tetrablock shift by u must send (u, u, u^2) to 0; at |u| within
-    # an ulp or two of 1 its denominator vanishes and it raises
-    exact.tetra_automorphism(u, (u, u, u * u))
-    return exact.tetra_origin_distance(exact.tetra_automorphism(u, (v, v, v * v)))
-
-
 FLOAT_REFERENCES = {
     "disc": exact.disc_distance,
-    "tetra": _royal_distance,
     "polydisc_axis": exact.polydisc_axis_oracle(2).fn,
 }
 
 
 def _exact_gaps(domain, pt):
-    # 1 - |z|^2 of a ball point, or of each bidisc coordinate, in mpmath
+    # 1 - |z|^2 of a ball point, of each bidisc coordinate or of a royal
+    # parameter, in mpmath
     mp = oracle_gen.mp
-    sq = [mp.re(c) ** 2 + mp.im(c) ** 2 for c in map(mp.mpc, pt)]
+    coords = [pt] if domain == "tetra" else pt
+    sq = [mp.re(c) ** 2 + mp.im(c) ** 2 for c in map(mp.mpc, coords)]
     return [1 - sum(sq)] if domain == "ball" else [1 - s for s in sq]
 
 
 MP_REFERENCES = {
     "ball": oracle_gen.unit_ball_distance,
     "polydisc": oracle_gen.bidisc_distance,
+    "tetra": oracle_gen.royal_distance,
 }
 
 
@@ -81,7 +79,7 @@ def reference(domain, x, y):
             return None, 0.0, True
         return d, RTOL * d, True
     gaps = _exact_gaps(domain, x) + _exact_gaps(domain, y)
-    certain = abs(min(gaps)) >= MEMBERSHIP_BAND
+    certain = domain == "tetra" or abs(min(gaps)) >= MEMBERSHIP_BAND
     if min(gaps) <= 0:
         return None, 0.0, certain
     d = float(MP_REFERENCES[domain](x, y))
@@ -163,6 +161,22 @@ def test_disc_kernel_covers_both_sides_of_the_switch():
     one_minus_m2 = a * b / np.abs(1.0 - np.conj(u) * v) ** 2
     assert np.any(one_minus_m2 < 0.19) and np.any(one_minus_m2 >= 0.19)
     assert np.min(one_minus_m2) < 1e-7
+
+
+def test_royal_kernel_accepts_deep_pairs():
+    # interior pairs within 8e-5 of the boundary that a tetrablock shift
+    # by u refuses once its rounding swamps the aligned image: the disc
+    # kernel takes them, in either order
+    pairs = [
+        (0.9999999885843504, 0.2759816644138481),
+        (1.0 - 8e-5, -(1.0 - 8e-5)),
+        (1.0 - 1e-5, -0.999),
+        (1.0 - 1e-6, -0.99),
+        (1.0 - 1e-7, -0.9),
+        (1.0 - 1e-8, -0.5),
+    ]
+    xs, ys = zip(*pairs)
+    check_kernel("tetra", xs + ys, ys + xs)
 
 
 # radii on, just inside and outside the unit circle
@@ -316,6 +330,17 @@ def test_run_sample_checkpoints_in_one_pass(tmp_path, monkeypatch):
     d, sampler = cli._sample_setup("disc", None, 8)
     for n in (10, 100, 1000):
         assert sups[n] == estimate(d, sampler, n, 11).sup_defect
+
+
+@pytest.mark.parametrize("seed", (0, 5, 11))
+def test_royal_sup_is_rounding_at_every_checkpoint(tmp_path, seed):
+    # the royal line is a geodesic, so every defect on it is 0 but for
+    # the kernel's rounding
+    out = tmp_path / "tetra.csv"
+    assert cli.run_sample("tetra", 10**4, seed, str(out)) == 0
+    sups = _sups(out)
+    assert list(sups) == [10, 100, 1000, 10**4]
+    assert all(sup <= 1e-14 for sup in sups.values()), sups
 
 
 @pytest.mark.parametrize("scale", (10.0, 100.0, 300.0))

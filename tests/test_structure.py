@@ -1,6 +1,7 @@
-"""Static checks on the source: no unreached public names, no defaulted
-parameter or dataclass field that no caller sets, no dataclass field that
-nothing reads, no checks that are constants."""
+"""Static checks on the source: no unreached public names, no parameter
+that its function never reads, no defaulted parameter or dataclass field
+that no caller sets, no dataclass field that nothing reads, no checks
+that are constants."""
 
 import ast
 from pathlib import Path
@@ -95,6 +96,35 @@ def _defaulted(func, bound):
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
             yield arg.arg, None
+
+
+def _suites(tree):
+    """The names of the functions in the module's ``SUITES`` table."""
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and node.target.id == "SUITES":
+            return {elt.id for elt in node.value.elts}
+    return set()
+
+
+def test_every_parameter_is_read():
+    # verify's suites share one signature, so a suite may leave its ctx
+    suites = _suites(_parse(PACKAGE / "verify.py"))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        funcs += [item for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for item in cls.body if isinstance(item, ast.FunctionDef)]
+        for func in funcs:
+            args = func.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for n in ast.walk(func)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for name in params:
+                if name not in read and not (func.name in suites and name == "ctx"):
+                    unread.append(f"{path.stem}.{func.name}({name})")
+    assert not unread, f"parameters their function never reads: {unread}"
 
 
 def _is_dataclass(cls):
