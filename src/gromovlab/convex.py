@@ -337,9 +337,9 @@ class ModelDomain:
             note=f"z1 tangent disc at |z2|={s:g}",
         )
 
-    def slice_disc(self, c: complex, radius: float | None = None) -> AffineDisc:
-        """Disc in the z2 plane at fixed z1 = c, centered at z2 = 0; by
-        default the whole slice.
+    def slice_disc(self, c: complex) -> AffineDisc:
+        """The whole slice in the z2 plane at fixed z1 = c, as a disc
+        centered at z2 = 0.
 
         Containment needs psi(r) <= Re c (profile face, with tangency
         allowed because the disc is open), c inside the box, and the
@@ -347,16 +347,9 @@ class ModelDomain:
         """
         if c.real <= 0.0:
             raise CertificateError("slice disc needs Re z1 > 0")
-        if radius is None:
-            r = self.slice_radius(c.real)
-            if r <= 0.0:
-                raise CertificateError("no positive slice radius at this height")
-        else:
-            r = radius
-            if r > Z2_CAP + _DISC_CHECK_MARGIN:
-                raise CertificateError("requested slice radius exceeds the radial cap")
-            if self.profile.value(r) > c.real + _DISC_CHECK_MARGIN:
-                raise CertificateError("requested slice radius pierces the profile face")
+        r = self.slice_radius(c.real)
+        if r <= 0.0:
+            raise CertificateError("no positive slice radius at this height")
         if _box_margin(c) <= _DISC_CHECK_MARGIN:
             raise CertificateError(f"slice disc at z1={c} leaves the box")
         return AffineDisc(

@@ -107,18 +107,23 @@ def _atanh_stable(m_direct: float, one_minus_m2: float) -> float:
 
 
 def atanh_one_minus(log_eps: float) -> float:
-    """atanh(1 - eps) given log(eps), exact in the log domain.
+    """atanh(1 - eps) given log(eps), in the log domain, rounded up.
 
     atanh(1-eps) = 0.5*(log(2-eps) - log(eps)).  The eps inside (2-eps)
     only matters to relative order eps, so evaluating it in floats (or
-    dropping it entirely on underflow) keeps the result correct; the
-    rounding direction is upward, which is the safe side for the upper
-    bounds this feeds.
+    dropping it entirely on underflow) keeps the result correct.  log_eps
+    may be an ulp off log(eps), as one libm log leaves it.
     """
     eps = math.exp(log_eps) if log_eps > -745.0 else 0.0
     if eps >= 1.0:
         raise OracleError("atanh_one_minus needs eps < 1")
-    return 0.5 * (math.log(2.0 - eps) - log_eps)
+    # with libm's exp and log within an ulp, log_eps an ulp high costs
+    # 2^-53 |log_eps|, and log(2 - eps) errs by under 2^-50 (exp by
+    # 2^-52 eps, the input's ulp by 2^-52 eps |log eps| <= 2^-52/e, 2 - eps
+    # and log by 2^-53 each), which costs half that: 5 for 4 covers the
+    # slack's own rounding, one step up the difference's and the sum's
+    slack = 2.0**-53 * (5.0 + abs(log_eps))
+    return math.nextafter(0.5 * (math.log(2.0 - eps) - log_eps) + slack, math.inf)
 
 
 def disc_distance(
@@ -175,7 +180,10 @@ def strip_distance(z: complex, w: complex) -> float:
 
 # ---------------------------------------------------------------------------
 # sampling kernels: each takes whole arrays of point pairs and raises
-# OracleError when any point of the batch is on or outside the boundary
+# OracleError when a point of the batch fails its membership test, which
+# reads the float gap 1 - |z|^2: exact on real points, but on complex ones
+# (disc, ball, bidisc) only outside a band about 4 ulps wide about the
+# boundary, inside which a point may be refused or accepted either way
 
 
 def _atanh_stable_array(m_direct: np.ndarray, one_minus_m2: np.ndarray) -> np.ndarray:
@@ -221,6 +229,9 @@ def ball_distance_array(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     identity  |z|^2|w|^2 - |<z,w>|^2 = sum_{i<j} |z_i w_j - z_j w_i|^2,
     which keeps nearby points accurate; the boundary side goes through
     the product form of 1 - m^2.
+
+    A point is refused by its float |z|^2, so exactly only outside a band
+    about 4 ulps wide about the sphere.
     """
     z = np.asarray(zs, dtype=complex)
     w = np.asarray(ws, dtype=complex)

@@ -15,11 +15,10 @@ either branch of the defect cancels one distance, leaving a four-term
 expression whose interval evaluation must dominate s_lb.  Every witness
 records that comparison in its checks.
 
-Two regimes per parameter are deliberate.  Moderate parameters run in
-plain float geometry; deep parameters (boundary gaps far below float
-resolution) switch to analytic log-domain certificates, and the float
-coordinates stored in the report become shadows of the true witness
-points.  The overlap region is cross-validated in the tests.
+Near-boundary gaps are carried as logs: the flat witness's disc legs
+and the hinge's (x, w) leg are closed forms in log heights, rounded
+outward, so one path serves every parameter, and the float coordinates
+stored in a report are shadows once the heights underflow.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from .exact import (
     DistBound,
     _atanh_stable,
     atanh_one_minus,
+    disc_distance,
     gn_pair_bounds,
     tetra_automorphism,
     tetra_origin_distance,
@@ -53,9 +53,8 @@ from .exact import (
 from .models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL
 from .profiles import ProfileFn
 
-# deep-parameter switch: below this the profile heights underflow the
-# useful float range and every certificate runs through logs
-LOG_PATH_THRESHOLD = 0.02
+# claims_check's floor: its claims are checked in plain float geometry
+_CLAIMS_MIN_X = 0.02
 
 # halvings alpha_schedule tries before it refuses
 _MAX_HALVINGS = 10
@@ -337,7 +336,7 @@ def hinge_witness(delta: float) -> WitnessReport:
     gap_rim = (u + delta) / disc_pq.direction[1].real
     hi_pq = ub_disc_leg(domain, disc_pq, p, q, gap_z=gap_rim, gap_w=gap_rim, rim_shrink=1e-13)
     disc_c = domain.z1_disc(0.0 + 0.0j)
-    hi_xw = ub_disc_leg(domain, disc_c, x, w, gap_z=delta / disc_c.direction[0].real)
+    hi_xw = _ub_real_leg_log(disc_c.parameter(w).real, math.log(delta) - math.log(disc_c.direction[0].real))
     lb_pw = lb_boundary_ratio_log(math.log(bp.hi), math.log(bw.lo))
     lb_qw = lb_boundary_ratio_log(math.log(bq.hi), math.log(bw.lo))
 
@@ -402,12 +401,14 @@ def alpha_schedule(profile: ProfileFn, x: float) -> float:
 
 
 def _ub_real_leg_log(a: float, log_e: float) -> float:
-    """Poincare distance from real parameter a to -(1 - e), log-domain e.
+    """Poincare distance from real parameter a to -(1 - e), log-domain e,
+    rounded up.
 
     1 - m = e (1 - a) / (1 + a (1 - e)).  The denominator is evaluated at
     whichever end of the tiny e-uncertainty makes it largest (e = 0 for
-    a >= 0, an upper bound for e when a < 0), so the computed 1 - m is a
-    certified lower bound and the returned atanh a certified upper bound.
+    a >= 0, an upper bound for e when a < 0), and log(1 - m) is lowered
+    past its roundings, so the computed 1 - m is a certified lower bound
+    and the returned atanh a certified upper bound.
     """
     if not -1.0 < a < 1.0:
         raise CertificateError("leg parameter must be interior")
@@ -415,8 +416,16 @@ def _ub_real_leg_log(a: float, log_e: float) -> float:
     if e_hi >= 1.0:
         raise CertificateError("leg endpoint gap must be below 1")
     denom_arg = a if a >= 0.0 else a * (1.0 - e_hi)
-    log_one_minus_m = log_e + math.log1p(-a) - math.log1p(denom_arg)
-    return atanh_one_minus(log_one_minus_m)
+    log_num = math.log1p(-a)
+    log_den = math.log1p(denom_arg)
+    # with libm's logs within an ulp, log(1 - m) errs by under 2^-50 (S + 1),
+    # S the three logs' sizes summed: log_e by 2^-51 (|log_e| + 1) (callers
+    # subtract the libm log of the disc radius 1.45 from a log height made
+    # by one reciprocal or libm log), each log1p by 2^-52 of itself, a's
+    # rounding (|a| < 1/2) each by 2^-53 and a (1 - e_hi)'s log_den by 2^-52,
+    # the two sums by 2^-53 S each; one step down covers lowering by it
+    slack = 2.0**-50 * (abs(log_e) + abs(log_num) + abs(log_den) + 1.0)
+    return atanh_one_minus(math.nextafter(log_e + log_num - log_den - slack, -math.inf))
 
 
 def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
@@ -426,15 +435,16 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     z2 = -+(1-alpha) x, x_role the base point, w = (psi(x), 0).  Tangent
     functionals at radius x, normalized by x psi'(x), give the crossing
     split for (p, q) and the half-plane ratio for the short legs; the
-    interior tangent ball caps the (p, base) legs; slice discs of
-    radius exactly x cap the short legs from above.
+    interior tangent ball caps the (p, base) legs; the slice disc of
+    radius exactly x caps the short legs and the z1 disc at z2 = 0 the
+    (base, w) leg from above.
 
         s_lb = lb_ratio + lb_half - ub_ball + lb_cross - 2 ub_slice
 
     grows like (1/2) log(1/x) when the profile is flatter than every
     polynomial (the t^4 control stays bounded: its terms cancel to a
-    constant).  Below LOG_PATH_THRESHOLD all certificates run in the
-    log domain and the stored float coordinates are shadows.
+    constant).  The certificates read log psi(x) and log alpha at every
+    x, so the stored float coordinates are shadows once psi(x) underflows.
     """
     if not 0.0 < x <= 0.1:
         raise CertificateError("flat witness is calibrated for x in (0, 0.1]")
@@ -445,7 +455,6 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
         # the coupling level tau = 1 - 1/steepness must clear the functional
         # values ~alpha; steepness > 2 keeps it clear with a full margin
         raise CertificateError("profile is not steep enough at this radius")
-    deep = x < LOG_PATH_THRESHOLD
 
     alpha = alpha_schedule(profile, x)
     t1 = (1.0 - alpha) * x
@@ -487,43 +496,20 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     log_g = log_psi + math.log1p(-rr)
     ub_ball = ub_interior_ball(domain, p, log_g)
 
-    # slice-disc caps at radius exactly x (analytic tangency psi(x) <= psi(x))
-    # and the z1 disc at z2 = 0 for (base, w), in logs; the float disc legs
-    # take over above LOG_PATH_THRESHOLD and must agree with the logs
-    slice_log = atanh_one_minus(log_alpha)
+    # caps in logs: the slice disc of radius x at height psi(x) (analytic
+    # tangency) from w to q at parameter 1 - alpha (p, at -(1 - alpha), is
+    # twice as far from q), and the z1 disc at z2 = 0 from the base point
+    # to w; the float disc distance re-checks the slice leg s_lb reads twice
+    ub_slice = atanh_one_minus(log_alpha)
+    slice_float = disc_distance(0.0, 1.0 - alpha, gap_v=alpha)
     disc_c = domain.z1_disc(0.0 + 0.0j)
-    rad_c = disc_c.direction[0].real
-    xw_log = _ub_real_leg_log(disc_c.parameter(xb).real, log_psi - math.log(rad_c))
-    shadow_checks: list[tuple[str, bool]] = []
-    if deep:
-        ub_slice = slice_log
-        pq_hi = 2.0 * ub_slice
-        xw_hi = xw_log
-    else:
-        sdisc = domain.slice_disc(complex(px1), radius=x)
-        ub_slice = ub_disc_leg(domain, sdisc, w, q, gap_w=alpha, rim_shrink=1e-13)
-        pq_hi = ub_disc_leg(domain, sdisc, p, q, gap_z=alpha, gap_w=alpha, rim_shrink=1e-13)
-        xw_hi = ub_disc_leg(domain, disc_c, xb, w, gap_w=px1 / rad_c)
-        shadow_checks.append(
-            ("float/log agreement (slice leg)", abs(ub_slice - slice_log) <= 1e-8 * (1.0 + slice_log))
-        )
-        shadow_checks.append(
-            ("float/log agreement (base leg)", abs(xw_hi - xw_log) <= 1e-8 * (1.0 + xw_log))
-        )
-        re_w_float = cert_m.re_f_float(w)
-        re_p_float = cert_m.re_f_float(p)
-        shadow_checks.append(
-            ("float shadow of f_-(w) = 1", abs(re_w_float - 1.0) <= 1e-8)
-        )
-        shadow_checks.append(
-            ("float shadow of f_-(p) = alpha", abs(re_p_float - alpha) <= 1e-8 * alpha)
-        )
+    xw_hi = _ub_real_leg_log(disc_c.parameter(xb).real, log_psi - math.log(disc_c.direction[0].real))
 
     s_lb = lb_ratio + lb_half - ub_ball + lb_cross - 2.0 * ub_slice
 
     lb_base = lb_boundary_ratio_log(log_g + math.log1p(1e-9), math.log(b_base.lo))
     bounds = {
-        "pq": DistBound(lb_cross, pq_hi),
+        "pq": DistBound(lb_cross, 2.0 * ub_slice),
         "px": DistBound(lb_base, ub_ball),
         "qx": DistBound(lb_base, ub_ball),
         "pw": DistBound(lb_half, ub_slice),
@@ -532,14 +518,12 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     }
     interval = defect_interval(bounds)
 
-    checks = tuple(
-        [
-            ("crossing start values are real", im_p == 0.0 and im_q == 0.0),
-            ("crossing starts below tau", log_alpha <= log_tau),
-            ("base-point bracket converged", not base_cut_short[0]),
-            ("formula below branch interval", s_lb <= interval.lo + 1e-9),
-        ]
-        + shadow_checks
+    checks = (
+        ("crossing start values are real", im_p == 0.0 and im_q == 0.0),
+        ("crossing starts below tau", log_alpha <= log_tau),
+        ("base-point bracket converged", not base_cut_short[0]),
+        ("formula below branch interval", s_lb <= interval.lo + 1e-9),
+        ("float/log agreement (slice leg)", abs(ub_slice - slice_float) <= 1e-8 * (1.0 + ub_slice)),
     )
     return WitnessReport(
         family=domain.name,
@@ -571,7 +555,7 @@ class ClaimCheck:
 
 def claims_check(domain: ModelDomain, x: float) -> tuple[ClaimCheck, ...]:
     """Verify the four structural claims of the flat-witness construction
-    in plain float geometry (needs x at or above LOG_PATH_THRESHOLD).
+    in plain float geometry (needs x at or above _CLAIMS_MIN_X).
 
     1. d(w) = psi(x) for w = (psi(x), 0): the flat point is nearest.
     2. d(s) for the offset point lands in [alpha x psi'(x)/4, alpha x psi'(x)].
@@ -584,7 +568,7 @@ def claims_check(domain: ModelDomain, x: float) -> tuple[ClaimCheck, ...]:
     (1/2) log alpha is exactly 0, and the crossing split plus log alpha
     is log tau.
     """
-    if x < LOG_PATH_THRESHOLD:
+    if x < _CLAIMS_MIN_X:
         raise CertificateError("claims are checked in the float-geometry regime")
     rep = flat_witness(domain, x)
     profile = domain.profile

@@ -106,6 +106,36 @@ def atanh_one_minus(log_eps):
     return mp.atanh(1 - eps)
 
 
+def slice_leg(alpha):
+    """atanh(1 - alpha), written as (1/2) log((2 - alpha)/alpha) so that a
+    tiny alpha survives: the flat witness's slice leg from the center of
+    its slice disc to the point at parameter 1 - alpha."""
+    a = mp.mpf(alpha)
+    return mp.log((2 - a) / a) / 2
+
+
+def base_leg(h, radius, base):
+    """Distance in the disc |z - radius| < radius, tangent to the
+    imaginary axis at 0, from the real point ``base`` to the real point h:
+    the parameters are a = (base - radius)/radius and -(1 - e) with
+    e = h/radius, and the distance is atanh(1 - s) with
+
+        s = e (1 - a) / (1 + a (1 - e)),
+
+    in the log form of :func:`slice_leg`, so that any h > 0 survives."""
+    R = mp.mpf(radius)
+    e = mp.mpf(h) / R
+    a = (mp.mpf(base) - R) / R
+    return slice_leg(e * (1 - a) / (1 + a * (1 - e)))
+
+
+# the flat models' profiles psi, exact at a float x
+FLAT_HEIGHTS = {
+    "flat_exp": lambda x: mp.exp(-1 / mp.mpf(x)),
+    "flat_quartic": lambda x: mp.mpf(x) ** 4,
+}
+
+
 def exp_profile_cheap_lower(x):
     # graph-tangent lower bound psi(x) / hypot(1, psi'(x)) at the center point
     x = mp.mpf(x)

@@ -11,7 +11,8 @@ import math
 import pytest
 
 from gromovlab import exact, witnesses
-from gromovlab.models import FLAT_EXP_MODEL, HINGE_MODEL
+from gromovlab.convex import BASE_POINT
+from gromovlab.models import FLAT_EXP_MODEL, HINGE_MODEL, MODELS
 
 mp_oracle = pytest.importorskip("mpmath", reason="oracle re-derivation needs mpmath")
 import oracle_gen  # noqa: E402  (sibling module, needs mpmath)
@@ -95,7 +96,7 @@ PINS = {
     ("hinge", 1e-6): -9.6186361372316611,
     ("hinge", 1e-14): -4.9969686909644011,
     ("hinge", 1e-22): -0.39179689569942866,
-    ("flat_exp", 0.02): 0.024706972309089359,
+    ("flat_exp", 0.02): 0.02470697232346364,
     ("flat_exp", 3.0459959489425278e-10): 9.0510785599255783,
 }
 
@@ -108,6 +109,48 @@ def test_witness_regression_pins(key):
     else:
         got = witnesses.flat_witness(FLAT_EXP_MODEL, param).s_lb
     assert got == pytest.approx(PINS[key], abs=1e-12, rel=1e-12)
+
+
+# the disc legs that cap the flat and hinge witnesses' pairs from above
+# must hold as upper bounds once floats round: each at least the exact leg.
+# Flat radii: three moderate ones, the 128-point sweep lattice
+# 0.02 e^-u with u evenly spaced in [0, 18], and deep ones
+FLAT_LATTICE = [0.02 * math.exp(-18.0 * i / 127) for i in range(128)]
+FLAT_LEG_RADII = {
+    "flat_exp": [0.1, 0.05, 0.03, *FLAT_LATTICE, 1e-12, 1e-14],
+    "flat_quartic": [0.1, 0.05, 0.03, *FLAT_LATTICE, 1e-12],
+}
+
+
+def _base_leg_exact(domain, h):
+    disc = domain.z1_disc(0.0j)
+    radius = disc.direction[0].real
+    assert disc.origin[0] == radius  # tangent at z1 = 0, as base_leg takes it
+    return oracle_gen.base_leg(h, radius, BASE_POINT[0].real)
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_LEG_RADII))
+def test_flat_disc_legs_bound_the_exact_legs(name):
+    domain = MODELS[name]
+    below = []
+    for x in FLAT_LEG_RADII[name]:
+        rep = witnesses.flat_witness(domain, x)
+        slice_exact = oracle_gen.slice_leg(witnesses.alpha_schedule(domain.profile, x))
+        base_exact = _base_leg_exact(domain, oracle_gen.FLAT_HEIGHTS[name](x))
+        for label, got, want in (
+            ("ub_slice", dict(rep.terms)["ub_slice"], slice_exact),
+            ("pq.hi", rep.bounds["pq"].hi, 2 * slice_exact),
+            ("xw.hi", rep.bounds["xw"].hi, base_exact),
+        ):
+            if got < want:
+                below.append(f"x={x!r} {label}: {got!r} < {mp_oracle.nstr(want, 20)}")
+    assert not below, below
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-14, 1e-22, 1e-24])
+def test_hinge_base_leg_bounds_the_exact_leg(delta):
+    got = witnesses.hinge_witness(delta).bounds["xw"].hi
+    assert got >= _base_leg_exact(HINGE_MODEL, delta)
 
 
 # gn parameters near the boundary: ten points of the perfbench gn lattice

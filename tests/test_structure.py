@@ -221,8 +221,15 @@ def _check_tuples(tree):
 
 
 def test_witness_checks_are_computed():
-    checks = _check_tuples(_parse(PACKAGE / "witnesses.py"))
+    tree = _parse(PACKAGE / "witnesses.py")
+    checks = _check_tuples(tree)
     # every family records some: an empty scan would prove nothing
     assert len(checks) >= 20
     constant = [t.elts[0].value for t in checks if isinstance(t.elts[1], ast.Constant)]
     assert not constant, f"checks recorded as a literal constant: {constant}"
+    constructors = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.endswith("_witness")]
+    assert len(constructors) == 5
+    silent = [func.name for func in constructors
+              if all(isinstance(t.elts[1], ast.Constant) for t in _check_tuples(func))]
+    assert not silent, f"witness constructors that record no computed check: {silent}"

@@ -171,7 +171,7 @@ HINGE_PINS = {
         "qx": (0.0, 15.122804299044596),
         "pw": (6.907755278982137, 8.310342895818337),
         "qw": (6.907755278982137, 8.310342895818337),
-        "xw": (6.907755278982137, 7.119183531978331),
+        "xw": (6.907755278982137, 7.119183531978342),
     },
     1e-14: {
         "pq": (16.118095550454385, 16.811243781518716),
@@ -179,7 +179,7 @@ HINGE_PINS = {
         "qx": (0.0, 19.71247578550233),
         "pw": (16.11809565095832, 17.520684106874775),
         "qw": (16.11809565095832, 17.520684106874775),
-        "xw": (16.11809565095832, 16.329524076368337),
+        "xw": (16.11809565095832, 16.329524076368358),
     },
     1e-22: {
         "pq": (25.32843594019413, 26.0316335393429),
@@ -187,7 +187,7 @@ HINGE_PINS = {
         "qx": (0.0, 24.317644379977096),
         "pw": (25.328436022934504, 26.731024478850966),
         "qw": (25.328436022934504, 26.731024478850966),
-        "xw": (25.328436022934504, 25.539864448344517),
+        "xw": (25.328436022934504, 25.53986444834456),
     },
 }
 
@@ -237,28 +237,28 @@ def test_alpha_schedule_keeps_increment_in_slab():
         assert hi / 4.0 <= inc <= hi * (1.0 + 1e-12)
 
 
-# (model, x) -> (ub_ball, ub_slice, pq bound, xw bound); x = 0.02 runs the
-# float disc legs, x = 1e-5 the log path
+# (model, x) -> (ub_ball, ub_slice, pq bound, xw bound), at the top of the
+# sweep range and deep inside it
 FLAT_PINS = {
     ("flat_exp", 0.02): (
-        26.75125644856162, 2.8306792658332043,
-        (4.951480399252239, 5.661358531666409),
-        (25.0, 25.211428425410016),
+        26.75125644856162, 2.830679265826017,
+        (4.951480399252239, 5.661358531652034),
+        (25.0, 25.211428425410055),
     ),
     ("flat_exp", 1e-05): (
-        50001.74162036811, 6.632865506901165,
-        (12.572575566064797, 13.26573101380233),
-        (49999.99999999999, 50000.2114284254),
+        50001.74162036811, 6.632865506901168,
+        (12.572575566064797, 13.265731013802336),
+        (49999.99999999999, 50000.21142842547),
     ),
     ("flat_quartic", 0.02): (
-        10.804164292484467, 2.8306792658332043,
-        (4.684001034117974, 5.661358531666409),
-        (7.804978459310703, 8.035474408680102),
+        10.804164292484467, 2.830679265826017,
+        (4.684001034117974, 5.661358531652034),
+        (7.804978459310703, 8.035474408680114),
     ),
     ("flat_quartic", 1e-05): (
-        29.78313466599373, 6.632865506901165,
-        (12.284903493660059, 13.26573101380233),
-        (23.006783378394868, 23.237279355350474),
+        29.78313466599373, 6.632865506901168,
+        (12.284903493660059, 13.265731013802336),
+        (23.006783378394868, 23.23727935535051),
     ),
 }
 
