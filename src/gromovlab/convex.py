@@ -13,7 +13,7 @@ Lower bounds
 Upper bounds
     * explicit affine analytic discs (z1-plane tangent discs, z2 slice
       discs) and chains of them,
-    * a generic Euclidean-ball hop chain along the straight segment.
+    * the integrated ball metric, ds/delta, along a polygon.
 
 CertificateError always means "could not verify a precondition", never
 "the bound is loose".
@@ -203,16 +203,26 @@ class ModelDomain:
     # -- boundary distance ---------------------------------------------------
 
     @staticmethod
-    def _hinge_profile_distance(x1: float, s: float) -> float:
-        # exact closed form for psi = (t-1)_+^2: flat facet + parabola arc
-        flat = math.hypot(x1, max(0.0, s - 1.0)) if s > 1.0 else x1
-        # stationary points of (x1 - u^2)^2 + (1 + u - s)^2 over u >= 0
-        roots = np.roots([2.0, 0.0, 1.0 - 2.0 * x1, 1.0 - s])
-        cands = [0.0] + [float(r.real) for r in roots if abs(r.imag) < 1e-12 and r.real > 0.0]
-        para = min(
-            math.hypot(x1 - u * u, 1.0 + u - s) for u in cands
-        )
-        return min(flat, para)
+    def _hinge_profile_distance(x1: np.ndarray, s: np.ndarray) -> np.ndarray:
+        # exact closed form for psi = (t-1)_+^2: flat facet + parabola arc.
+        # The stationary points of (x1 - u^2)^2 + (1 + u - s)^2 over u >= 0
+        # are the real roots of 2u^3 + (1 - 2 x1) u + (1 - s), taken as
+        # np.roots takes them, from np.roots' own companion matrices, all in
+        # one eigenvalue call per matrix size: at s = 1 np.roots strips the
+        # zero constant term, and its matrix shrinks to 2x2
+        companion = np.zeros((len(x1), 3, 3))
+        companion[:, 0] = -np.stack([np.zeros_like(x1), 1.0 - 2.0 * x1, 1.0 - s], axis=1) / 2.0
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        roots: list[list[complex]] = [[] for _ in range(len(x1))]
+        for rows, size in ((np.flatnonzero(s != 1.0), 3), (np.flatnonzero(s == 1.0), 2)):
+            for k, found in zip(rows, np.linalg.eigvals(companion[rows, :size, :size]).tolist()):
+                roots[k] = found
+        out = []
+        for a, b, rts in zip(x1.tolist(), s.tolist(), roots):
+            flat = math.hypot(a, b - 1.0) if b > 1.0 else a
+            cands = [0.0] + [float(r.real) for r in rts if abs(r.imag) < 1e-12 and r.real > 0.0]
+            out.append(min(flat, min(math.hypot(a - u * u, 1.0 + u - b) for u in cands)))
+        return np.array(out)
 
     def _profile_distance_block(
         self, x1: np.ndarray, s: np.ndarray
@@ -265,8 +275,7 @@ class ModelDomain:
         lo, hi = np.empty(len(zs)), np.empty(len(zs))
         cut_short = np.zeros(len(zs), dtype=bool)
         if self.profile.name == "hinge":
-            exact = [self._hinge_profile_distance(a, b) for a, b in zip(x1.tolist(), s.tolist())]
-            lo[:] = hi[:] = exact
+            lo[:] = hi[:] = self._hinge_profile_distance(x1, s)
         else:
             for k in range(0, len(zs), _BB_BLOCK):
                 blk = slice(k, k + _BB_BLOCK)
@@ -374,108 +383,88 @@ class ModelDomain:
     # -- generic upper bound --------------------------------------------------
 
     def ub_euclidean_chain(self, zs: Sequence[PointC2], ws: Sequence[PointC2]) -> np.ndarray:
-        """:func:`hop_chain` along the straight segment from each zs[k] to
-        ws[k], with the closed-form boundary lower bound as the ball
-        radius; the pairs hop in lockstep, in blocks of _CHAIN_BLOCK."""
+        """:func:`ub_radius_integral` along :func:`chain_polygon` from each
+        zs[k] to ws[k], with the closed-form boundary lower bound as the
+        radius at each node; one call per block of _CHAIN_BLOCK pairs."""
         z = np.array(zs, dtype=complex).reshape(-1, 2)
-        step = np.array(ws, dtype=complex).reshape(-1, 2) - z
-        length = np.hypot(np.abs(step[:, 0]), np.abs(step[:, 1]))
-        # a pair with z = w stays put and is charged atanh(0) = 0
-        unit = step / np.where(length > 0.0, length, 1.0)[:, None]
-        out = np.empty(len(length))
-        for k in range(0, len(length), _CHAIN_BLOCK):
+        w = np.array(ws, dtype=complex).reshape(-1, 2)
+        out = np.empty(len(z))
+        for k in range(0, len(z), _CHAIN_BLOCK):
             blk = slice(k, k + _CHAIN_BLOCK)
-            start, direction = z[blk], unit[blk]
-
-            def radius(live: np.ndarray, t: np.ndarray) -> np.ndarray:
-                at = start[live] + t[:, None] * direction[live]
-                return self.cheap_boundary_lower((at[:, 0], at[:, 1]))
-
-            out[blk] = hop_chain(radius, length[blk])
+            nodes, h = chain_polygon(z[blk], w[blk])
+            out[blk] = ub_radius_integral(
+                self.cheap_boundary_lower((nodes[..., 0], nodes[..., 1])), h
+            )
         return out
 
 
 # ---------------------------------------------------------------------------
-# Euclidean ball-hop chain
+# the integrated ball metric
 
-# hops a chain may take before it is refused, and the chains that hop in
-# lockstep
-_HOP_BUDGET = 50000
-_CHAIN_BLOCK = 1024
+# pieces of each chain polygon, and the pairs priced together
+_CHAIN_PIECES = 16
+_CHAIN_BLOCK = 256
 
-# the charge of a full hop: the float next above atanh(1/2), since
-# math.atanh(0.5) lies 6.6e-17 under it
-_FULL_HOP = math.nextafter(math.atanh(0.5), math.inf)
+# relative slack on each piece h g(q)/a of ub_radius_integral, in units of
+# u = 2**-53, to first order.  h: each real part of a node difference
+# rounds once, np.abs of a complex and np.hypot are each within an ulp:
+# 5u.  q = b/a rounds once and g's relative condition number in q is at
+# most 1: u.  g: np.log or np.log1p may be a SIMD routine a few ulps off;
+# allow 8 ulps, 16u; q - 1 is exact for 1/2 <= q <= 2 (Sterbenz) and
+# rounds once elsewhere, and the quotient rounds once: 18u.  h g / a: 2u.
+# That is 26u; 2**-46 is 128u, and the piece then steps one float up past
+# the rounding of its product with 1 + slack
+_RADIUS_SLACK = 2.0**-46
 
-# np.arctanh may be a SIMD implementation a few ulps off the true value (2
-# ulps from math.atanh on x86-64 with AVX-512); a relative 2**-49 is at
-# least 8 ulps, and the charge then steps one float up past the
-# product's own rounding
-_ATANH_SLACK = 2.0**-49
+
+def chain_polygon(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The polygon through _CHAIN_PIECES + 1 evenly spaced float points of
+    the segment from each row z[k] of C^2 to w[k], with ends z[k] and w[k]
+    exactly: its nodes, shaped (pair, node, 2), and its piece lengths.
+    Nodes off the segment by a rounding only move the polygon, which is
+    the path that :func:`ub_radius_integral` prices."""
+    frac = np.arange(_CHAIN_PIECES + 1)[:, None] / _CHAIN_PIECES
+    nodes = z[:, None, :] + frac * (w - z)[:, None, :]
+    nodes[:, 0], nodes[:, -1] = z, w
+    step = np.abs(np.diff(nodes, axis=1))
+    return nodes, np.hypot(step[..., 0], step[..., 1])
 
 
-def hop_chain(
-    radius: Callable[[np.ndarray, np.ndarray], np.ndarray], length: np.ndarray
-) -> np.ndarray:
+def ub_radius_integral(r: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Upper bounds for the invariant distance between the ends of
-    segments of the given lengths, by Euclidean ball hops along each
-    (valid on a convex domain); all chains hop in lockstep.
+    polygons in a convex domain, from certified lower bounds r[k, j] for
+    the Euclidean boundary distance delta at the K + 1 nodes of polygon k
+    and the lengths h[k, j] of its K pieces.
 
-    radius(live, s) is a certified lower bound for the boundary distance
-    of chain live[i]'s point at arc length s[i].  Each hop goes half that
-    radius inside the ball, costing atanh(1/2), until the rest of the
-    segment fits in one hop, which costs atanh(rest/r).  Each new
-    position is rounded down and the last rest up, so no hop covers more
-    than it is charged for, and every charge and the running sum are
-    rounded up.  Each chain's steps are elementwise, so its total has the
-    same bits alone as in any block.
+    The ball B(x, delta(x)) lies in the domain, so the Kobayashi-Royden
+    metric is at most |v|/delta(x), and the distance is at most the
+    integral of ds/delta.  delta is concave on a convex domain, so on a
+    piece it lies above the chord of the end radii a and b, and the piece
+    costs at most h log(b/a)/(b - a) = (h/a) g(q), with q = b/a,
+    g(q) = log(q)/(q - 1) and g(1) = 1.  Each piece is widened by
+    _RADIUS_SLACK and steps one float up; the pieces are summed in column
+    order, each partial sum rounded up, so a polygon gets the same bits
+    alone as in any block.  A polygon of length 0 costs exactly 0.
     """
-    length = np.asarray(length, dtype=float)
-    out = np.zeros_like(length)
-    # the chains still hopping and how far each has come; all of them
-    # have taken the same number of full hops, charged `full` in all
-    live = np.arange(len(length))
-    done = np.zeros_like(length)
-    full = 0.0
-    for _ in range(_HOP_BUDGET):
-        if not live.size:
-            return out
-        r = radius(live, done)
-        starved = r <= 1e-12
-        if starved.any():
-            raise CertificateError(f"chain {live[starved][0]} ran out of certified radius")
-        rest, err = _two_sum(length, -done)
-        rest = np.where(err > 0.0, np.nextafter(rest, math.inf), rest)
-        last = rest <= 0.5 * r
-        if last.any():
-            ratio = rest[last] / r[last]
-            ratio = np.where(ratio > 0.0, np.nextafter(ratio, math.inf), 0.0)
-            charge = np.arctanh(ratio)
-            charge = np.where(
-                charge > 0.0, np.nextafter(charge * (1.0 + _ATANH_SLACK), math.inf), 0.0
-            )
-            out[live[last]] = _sum_up(full, charge)
-            going = ~last
-            live, length, done, r = live[going], length[going], done[going], r[going]
-        full = _sum_up(full, _FULL_HOP)
-        nxt, err = _two_sum(done, 0.5 * r)
-        done = np.where(err < 0.0, np.nextafter(nxt, -math.inf), nxt)
-    raise CertificateError("euclidean chain exceeded the step budget")
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # a + b rounded, and its rounding error: the two sum to a + b exactly
-    # (Knuth's TwoSum)
-    s = a + b
-    a_part = s - b
-    b_part = s - a_part
-    return s, (a - a_part) + (b - b_part)
-
-
-def _sum_up(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
-    # a + b rounded up
-    s, err = _two_sum(a, b)
-    return np.where(err > 0.0, np.nextafter(s, math.inf), s)
+    bad = np.argwhere(~(r > 0.0))
+    if bad.size:
+        raise CertificateError(
+            f"node {bad[0][1]} of chain {bad[0][0]} has no positive certified radius"
+        )
+    a = r[:, :-1]
+    q = r[:, 1:] / a
+    d = q - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # never 1 + (b - a)/a, which loses every digit when b << a
+        g = np.where((0.5 <= q) & (q <= 2.0), np.log1p(d), np.log(q)) / d
+    g[d == 0.0] = 1.0
+    piece = h * g / a
+    piece = np.where(piece > 0.0, np.nextafter(piece * (1.0 + _RADIUS_SLACK), math.inf), 0.0)
+    total = np.zeros(len(r))
+    for col in piece.T:
+        raw = total + col
+        total = np.where(col > 0.0, np.nextafter(raw, math.inf), raw)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +490,9 @@ class TangentHalfspaceCert:
         if self.t0 < 0.0:
             raise CertificateError("tangency radius must be >= 0")
 
-    def re_f_float(self, z: PointC2) -> float:
-        """Direct float evaluation, for the moderate-parameter regime."""
+    def re_f_float(self, z: PointC2) -> float | np.ndarray:
+        """Direct float evaluation, for the moderate-parameter regime;
+        elementwise over z's coordinates, which may be complex arrays."""
         t0 = self.t0
         profile = self.domain.profile
         val = (

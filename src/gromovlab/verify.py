@@ -24,9 +24,10 @@ from .convex import (
     BASE_POINT,
     ModelDomain,
     TangentHalfspaceCert,
-    hop_chain,
+    chain_polygon,
     lb_boundary_ratio,
     ub_interior_ball,
+    ub_radius_integral,
 )
 
 
@@ -206,7 +207,7 @@ def suite_product(ctx: VerifyContext) -> SuiteResult:
 def _sample_pairs(domain: ModelDomain, rng, n_points: int, n_pairs: int):
     pts = models.sample_interior(domain, n_points, rng, margin=0.02)
     idx = rng.integers(0, n_points, size=(n_pairs, 2))
-    pairs = [(int(i), int(j) if j != i else (int(j) + 1) % n_points) for i, j in idx]
+    pairs = [(i, j if j != i else (j + 1) % n_points) for i, j in idx.tolist()]
     return pts, pairs
 
 
@@ -214,8 +215,8 @@ def suite_bound_sandwich(ctx: VerifyContext) -> SuiteResult:
     """Certified lowers never cross certified uppers on random pairs.
 
     Boundary brackets are computed once per point, in one block call, and
-    shared by every pair's ratio lower bound; the pairs' chains hop in
-    one lockstep call.
+    shared by every pair's ratio lower bound; the pairs' chains are
+    priced in one call.
     """
     rng = np.random.default_rng(ctx.seed + 3)
     tol = 1e-9
@@ -245,11 +246,11 @@ def suite_tangent_certs(ctx: VerifyContext) -> SuiteResult:
     rng = np.random.default_rng(ctx.seed + 4)
     failures = []
     for domain in models.MODELS.values():
-        pts = models.sample_interior(domain, 60, rng, margin=1e-3)
+        pts = np.array(models.sample_interior(domain, 60, rng, margin=1e-3))
         for t0 in (0.3, 0.9, 1.4):
             for theta in (0.0, math.pi / 3.0, math.pi):
                 cert = TangentHalfspaceCert(domain, t0, theta)
-                worst = min(cert.re_f_float(z) for z in pts)
+                worst = float(cert.re_f_float((pts[:, 0], pts[:, 1])).min())
                 if worst <= 0.0:
                     failures.append(
                         f"{domain.name}: functional t0={t0} theta={theta:.2f} "
@@ -259,7 +260,7 @@ def suite_tangent_certs(ctx: VerifyContext) -> SuiteResult:
 
 
 def suite_disc_pointwise(ctx: VerifyContext) -> SuiteResult:
-    """On the unit disc: ratio lower <= exact <= hop-chain upper, pointwise."""
+    """On the unit disc: ratio lower <= exact <= chain upper, pointwise."""
     rng = np.random.default_rng(ctx.seed + 5)
     tol = 1e-12
     failures = []
@@ -270,13 +271,11 @@ def suite_disc_pointwise(ctx: VerifyContext) -> SuiteResult:
         z = complex(rad[0] * math.cos(th[0]), rad[0] * math.sin(th[0]))
         w = complex(rad[1] * math.cos(th[1]), rad[1] * math.sin(th[1]))
         draws.append((z, w))
-    # the C^2 domains' ball-hop chain, in one complex dimension, all draws
-    # in one lockstep call
-    zs = np.array([z for z, _ in draws])
-    step = np.array([w for _, w in draws]) - zs
-    length = np.abs(step)
-    units = step / length  # independent draws never coincide
-    uppers = hop_chain(lambda live, s: 1.0 - np.abs(zs[live] + s * units[live]), length)
+    # the C^2 domains' chain on the disc z2 = 0, with the boundary distance
+    # 1 - |z1| as the radius, all draws in one call
+    ends = np.array([[(z, 0.0), (w, 0.0)] for z, w in draws])
+    nodes, h = chain_polygon(ends[:, 0], ends[:, 1])
+    uppers = ub_radius_integral(1.0 - np.abs(nodes[..., 0]), h)
     for k, ((z, w), upper) in enumerate(zip(draws, uppers.tolist())):
         dz, dw = 1.0 - abs(z), 1.0 - abs(w)
         # sharp on the disc: |atanh|z| - atanh|w|| >= (1/2)|log(dw/dz)|

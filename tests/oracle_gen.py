@@ -129,6 +129,18 @@ def base_leg(h, radius, base):
     return slice_leg(e * (1 - a) / (1 + a * (1 - e)))
 
 
+def radius_integral(r, h):
+    """Sum over the pieces of a polygon of h log(b/a)/(b - a), or h/a when
+    a = b: the integral of ds/delta along a piece of length h over which
+    delta runs linearly from a to b, at the float radii r and piece
+    lengths h as given."""
+    total = mp.mpf(0)
+    for a, b, length in zip(r, r[1:], h):
+        a, b, length = mp.mpf(a), mp.mpf(b), mp.mpf(length)
+        total += length / a if a == b else length * mp.log(b / a) / (b - a)
+    return total
+
+
 # the flat models' profiles psi, exact at a float x
 FLAT_HEIGHTS = {
     "flat_exp": lambda x: mp.exp(-1 / mp.mpf(x)),

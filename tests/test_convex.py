@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,16 +11,17 @@ from hypothesis import strategies as st
 from gromovlab import convex, verify
 from gromovlab.convex import (
     BASE_POINT,
+    BOX,
     Z2_CAP,
     CertificateError,
     TangentHalfspaceCert,
-    hop_chain,
     lb_boundary_ratio,
     lb_boundary_ratio_log,
     lb_crossing_split,
     ub_base_chain,
     ub_disc_leg,
     ub_interior_ball,
+    ub_radius_integral,
     ub_slice_discs,
 )
 from gromovlab.models import (
@@ -90,6 +90,49 @@ def test_sample_interior_respects_margin(rng):
         assert FLAT_EXP_MODEL.contains(z, slack=-0.05)
 
 
+def _sample_one_try_at_a_time(domain, n, rng, margin):
+    # the sampler as it drew before its tries came in blocks
+    out = []
+    for _ in range(200 * n):
+        if len(out) >= n:
+            break
+        z = (
+            complex(rng.uniform(0.0, BOX), rng.uniform(-BOX, BOX)),
+            complex(rng.uniform(-Z2_CAP, Z2_CAP), rng.uniform(-Z2_CAP, Z2_CAP)),
+        )
+        if domain.contains(z, slack=-margin):
+            out.append(z)
+    return out
+
+
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+def test_sample_interior_draws_as_one_try_at_a_time(m):
+    for seed in range(12):
+        for n, margin in ((1, 1e-6), (7, 0.3), (60, 1e-3), (120, 0.02)):
+            ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample_interior(m, n, rng, margin) == _sample_one_try_at_a_time(
+                m, n, ref, margin
+            )
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_hinge_profile_block_matches_per_point_roots():
+    def per_point(x1, s):
+        flat = math.hypot(x1, max(0.0, s - 1.0)) if s > 1.0 else x1
+        roots = np.roots([2.0, 0.0, 1.0 - 2.0 * x1, 1.0 - s])
+        cands = [0.0] + [float(r.real) for r in roots if abs(r.imag) < 1e-12 and r.real > 0.0]
+        return min(flat, min(math.hypot(x1 - u * u, 1.0 + u - s) for u in cands))
+
+    rng = np.random.default_rng(5)
+    x1 = np.concatenate([rng.uniform(0.0, 3.0, 400), rng.uniform(0.0, 0.01, 100), [0.5, 0.5]])
+    s = np.concatenate([rng.uniform(0.0, 2.0, 400), rng.uniform(0.9, 1.1, 100), [1.0, 1.5]])
+    # s = 1 exactly, where np.roots drops the zero constant term
+    s[::5] = 1.0
+    got = HINGE_MODEL._hinge_profile_distance(x1, s)
+    want = [per_point(a, b) for a, b in zip(x1.tolist(), s.tolist())]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
 def test_hinge_profile_vanishes_below_one():
     assert HINGE_MODEL.profile.value(0.7) == 0.0
     assert HINGE_MODEL.profile.value(1.3) == pytest.approx(0.09)
@@ -105,7 +148,7 @@ def test_hinge_bracket_is_exact():
 def test_hinge_bracket_past_the_kink():
     # above t = 1 the parabola arc comes closer than the flat facet
     b = HINGE_MODEL.boundary_distance_bracket((0.5 + 0.0j, 0.0 + 1.5j))
-    expect = HINGE_MODEL._hinge_profile_distance(0.5, 1.5)
+    expect = float(HINGE_MODEL._hinge_profile_distance(np.array([0.5]), np.array([1.5]))[0])
     assert b.lo == b.hi == pytest.approx(expect)
     assert expect < 0.5
 
@@ -271,6 +314,13 @@ def test_ratio_log_formula():
     )
     # no positive part: bound degrades to zero
     assert lb_boundary_ratio_log(math.log(0.4), math.log(0.1)) == 0.0
+
+
+def test_radius_integral_refuses_a_node_without_radius():
+    h = np.array([[0.1, 0.1]])
+    for bad in (0.0, -1e-3, math.nan):
+        with pytest.raises(CertificateError, match="node 1 of chain 0"):
+            ub_radius_integral(np.array([[0.5, bad, 0.5]]), h)
 
 
 def test_chain_upper_bound_basics(rng):
@@ -487,52 +537,3 @@ def test_base_chain_legs_sum_to_the_hinge_chain():
         assert dict(hinge_witness(delta).terms)["ub_chain"] == leg_a + leg_b + leg_c
 
 
-# -- the Euclidean hop chain -------------------------------------------------------
-
-def _constant_radius(r):
-    return lambda live, s: np.full(len(live), r)
-
-
-def test_hop_chain_charges_its_last_sliver():
-    # three full hops of radius 2 and a sliver of about 2e-15
-    got = hop_chain(_constant_radius(2.0), np.array([3.0 + 2e-15]))[0]
-    assert got >= 3.0 * math.atanh(0.5) + math.atanh(1e-15)
-    assert got == 1.6479184330021661
-
-
-def test_hop_chain_total_covers_the_exact_charges():
-    # n full hops of radius 2 and a last hop over 0.3: the float total is
-    # at least n atanh(1/2) + atanh(rest/2) summed exactly, for every n
-    mpmath = pytest.importorskip("mpmath")
-    n = np.arange(1, 201)
-    lengths = n + 0.3
-    totals = hop_chain(_constant_radius(2.0), lengths)
-    with mpmath.workdps(50):
-        half = mpmath.atanh(mpmath.mpf(1) / 2)
-        for k, length, total in zip(n.tolist(), lengths.tolist(), totals.tolist()):
-            exact = k * half + mpmath.atanh((mpmath.mpf(length) - k) / 2)
-            assert mpmath.mpf(total) >= exact, k
-
-
-def test_hop_chain_rounds_toward_overcharging(monkeypatch):
-    # 75 hops of radius 0.0027 (steps of 0.00135, whose float sums drift),
-    # then one last hop of radius 1 over a rest that length - done would
-    # round down; every hop's exact length is at most half its radius, and
-    # the charged rest is at least the exact one
-    seen, charged = [], []
-
-    def r_at(s):
-        return 0.0027 if s < 0.1 else 1.0
-
-    def radius(live, s):
-        seen.extend(s.tolist())
-        return np.array([r_at(v) for v in s.tolist()])
-
-    arctanh = np.arctanh
-    monkeypatch.setattr(np, "arctanh", lambda t: charged.extend(t.tolist()) or arctanh(t))
-    length = 0.45
-    hop_chain(radius, np.array([length]))
-    assert len(seen) == 76
-    for a, b in zip(seen, seen[1:]):
-        assert Fraction(b) - Fraction(a) <= Fraction(r_at(a)) / 2
-    assert Fraction(charged[-1]) >= Fraction(length) - Fraction(seen[-1])

@@ -8,10 +8,11 @@ pins cannot drift silently.
 
 import math
 
+import numpy as np
 import pytest
 
 from gromovlab import exact, witnesses
-from gromovlab.convex import BASE_POINT
+from gromovlab.convex import BASE_POINT, ub_radius_integral
 from gromovlab.models import FLAT_EXP_MODEL, HINGE_MODEL, MODELS
 
 mp_oracle = pytest.importorskip("mpmath", reason="oracle re-derivation needs mpmath")
@@ -57,7 +58,7 @@ CASES = {
     ),
     "hinge boundary (0.5, 1.5)": (
         0.16592048182615238,
-        lambda: HINGE_MODEL._hinge_profile_distance(0.5, 1.5),
+        lambda: float(HINGE_MODEL._hinge_profile_distance(np.array([0.5]), np.array([1.5]))[0]),
     ),
     "atanh(1 - e^-100)": (
         50.346573590279973,
@@ -151,6 +152,41 @@ def test_flat_disc_legs_bound_the_exact_legs(name):
 def test_hinge_base_leg_bounds_the_exact_leg(delta):
     got = witnesses.hinge_witness(delta).bounds["xw"].hi
     assert got >= _base_leg_exact(HINGE_MODEL, delta)
+
+
+def _radius_polygons():
+    """(radii, piece lengths) blocks for ub_radius_integral: one piece
+    with end ratios b/a from 1e-12 to 1e6, including a = b, at several
+    scales, and random ones; sixteen pieces of random radii, from 1e-6
+    to 2, and lengths."""
+    rng = np.random.default_rng(14)
+    r1, h1 = [], []
+    for ratio in (1.0, 1e-12, 0.5, 1.0 - 1e-6, 2.0, 1e6):
+        for a in (1e-9, 0.013, 0.37, 1.0, 1.9):
+            for h in (1e-7, 0.1, 0.7, 3.0):
+                r1.append([a, a * ratio])
+                h1.append([h])
+    # enough random pieces that some round below the exact value by more
+    # than the one-float step alone covers
+    r1 += np.exp(rng.uniform(math.log(1e-6), math.log(2.0), (4000, 2))).tolist()
+    h1 += rng.uniform(0.0, 1.0, (4000, 1)).tolist()
+    r16 = np.exp(rng.uniform(math.log(1e-6), math.log(2.0), (200, 17)))
+    # neighbouring radii within 1/2 and 2 of each other, the log1p branch
+    r16[100:] = 0.5 * np.cumprod(rng.uniform(0.6, 1.6, (100, 17)), axis=1)
+    h16 = rng.uniform(0.0, 0.5, (200, 16))
+    return [(np.array(r1), np.array(h1)), (r16, h16)]
+
+
+@pytest.mark.parametrize("block", _radius_polygons(), ids=["K=1", "K=16"])
+def test_radius_integral_bounds_the_exact_integral(block):
+    r, h = block
+    got = ub_radius_integral(r, h)
+    wrong = []
+    for k, (rk, hk, total) in enumerate(zip(r.tolist(), h.tolist(), got.tolist())):
+        exact = oracle_gen.radius_integral(rk, hk)
+        if not exact <= total <= exact * (1 + mp_oracle.mpf(1e-12)):
+            wrong.append(f"polygon {k}: {total!r} against {mp_oracle.nstr(exact, 20)}")
+    assert not wrong, wrong[:5]
 
 
 # gn parameters near the boundary: ten points of the perfbench gn lattice

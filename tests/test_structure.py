@@ -1,4 +1,4 @@
-"""Static checks on the source: no unreached public names, no parameter
+"""Static checks on the source: no unreached module-level names, no parameter
 that its function never reads, no defaulted parameter or dataclass field
 that no caller sets, no dataclass field that nothing reads, no checks
 that are constants."""
@@ -58,15 +58,14 @@ def test_every_public_name_is_reached():
         if path.name == "__init__.py":
             continue
         for name, node in _definitions(trees[path]):
-            if name.startswith("_"):
-                continue
+            # private names too: a leftover constant or helper is dead code;
             # the re-exports in __init__ are imports, not loads
             if not any(
                 name in _loaded_names(tree, skip=node if other == path else None)
                 for other, tree in trees.items()
             ):
                 unreached.append(f"{path.stem}.{name}")
-    assert not unreached, f"public names nothing in src/ or scripts/ reads: {unreached}"
+    assert not unreached, f"module-level names nothing in src/ or scripts/ reads: {unreached}"
 
 
 def _functions(tree):
