@@ -75,6 +75,27 @@ def _box_margin(z1: complex) -> float:
     return min(BOX - z1.real, BOX - abs(z1.imag))
 
 
+def _face_margin_lower(x1: np.ndarray, y1: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Lower bound for the distance min(BOX - x1, BOX - |y1|, Z2_CAP - s)
+    to the box and cap faces from the points with z1 = x1 + i y1 and
+    |z2| given as s.
+
+    x1 and y1 are the coordinates themselves, exact.  s comes from a
+    hypot, faithfully rounded, so |z2| is at most the next float up,
+    which s (1 + 2^-52) reaches.  The minimum m of the three differences
+    is the binding face's a - b rounded to nearest; there (a - m) - b is
+    its rounding error exactly (Fast2Sum, with |b| <= |a| wherever the
+    margin is positive), and on every other face, whose exact margin
+    exceeds m, it is >= 0.  So m steps down, by m (1 - 2^-52), which
+    passes an ulp, only where the exact margin lies below it.
+    """
+    ay1 = np.abs(y1)
+    s_up = s * (1.0 + 2.0**-52)
+    m = np.minimum(np.minimum(BOX - x1, BOX - ay1), Z2_CAP - s_up)
+    err = np.minimum(np.minimum((BOX - m) - x1, (BOX - m) - ay1), (Z2_CAP - m) - s_up)
+    return np.where(err < 0.0, m * (1.0 - 2.0**-52), m)
+
+
 @dataclass(frozen=True)
 class AffineDisc:
     """Analytic disc lam -> origin + lam * direction, |lam| < 1, that
@@ -261,9 +282,10 @@ class ModelDomain:
 
         The domain is an intersection of regions, so the distance is the
         minimum of the distances to each region's boundary; the box and
-        the cap are exact, the profile graph is bracketed, in blocks of
-        _BB_BLOCK points.  A point that is not interior refuses the
-        whole block, naming its index.
+        the cap are closed forms, rounded down for the lower end, the
+        profile graph is bracketed, in blocks of _BB_BLOCK points.  A
+        point that is not interior refuses the whole block, naming its
+        index.
         """
         for k, z in enumerate(zs):
             if not self.contains(z):
@@ -271,6 +293,7 @@ class ModelDomain:
                     f"point {k} of the block, {z}, is not an interior point of {self.name}"
                 )
         x1 = np.array([z[0].real for z in zs], dtype=float)
+        y1 = np.array([z[0].imag for z in zs], dtype=float)
         s = np.array([abs(z[1]) for z in zs], dtype=float)
         lo, hi = np.empty(len(zs)), np.empty(len(zs))
         cut_short = np.zeros(len(zs), dtype=bool)
@@ -280,11 +303,9 @@ class ModelDomain:
             for k in range(0, len(zs), _BB_BLOCK):
                 blk = slice(k, k + _BB_BLOCK)
                 lo[blk], hi[blk], cut_short[blk] = self._profile_distance_block(x1[blk], s[blk])
-        brackets = []
-        for z, lo_k, hi_k in zip(zs, lo.tolist(), hi.tolist()):
-            cap = min(_box_margin(z[0]), Z2_CAP - abs(z[1]))
-            brackets.append(DistBound(lo=min(cap, lo_k), hi=min(cap, hi_k)))
-        return brackets, cut_short
+        lo = np.minimum(_face_margin_lower(x1, y1, s), lo)
+        hi = np.minimum(np.minimum(np.minimum(BOX - x1, BOX - np.abs(y1)), Z2_CAP - s), hi)
+        return [DistBound(lo=a, hi=b) for a, b in zip(lo.tolist(), hi.tolist())], cut_short
 
     def boundary_distance_bracket(self, z: PointC2) -> DistBound:
         """The bracket of :meth:`boundary_distance_brackets` at one point;
@@ -295,22 +316,24 @@ class ModelDomain:
         """Closed-form certified lower bound for the boundary distance,
         elementwise over z's coordinates, which may be complex arrays.
 
-        Profile face: the graph of psi is Lipschitz with constant
-        psi'(t_rel) on the relevant radius range, so the vertical margin
-        divided by sqrt(1 + psi'(t_rel)^2) is a valid lower bound.
+        Box and cap: :func:`_face_margin_lower`.  Profile face: the graph
+        of psi is Lipschitz with constant psi'(t_rel) on the relevant
+        radius range, so the vertical margin divided by
+        sqrt(1 + psi'(t_rel)^2) is a valid lower bound.
         """
         z1, z2 = np.asarray(z[0]), np.asarray(z[1])
         x1 = z1.real
-        s = np.abs(z2)
+        # np.hypot, not np.abs: numpy's complex abs may run a SIMD loop
+        # that errs by more than an ulp
+        s = np.hypot(z2.real, z2.imag)
         profile = self.profile
         steep = (profile.value(Z2_CAP) > x1) & (x1 > 0.0)
         # the inverse is read only where the profile reaches the height x1
         inverse = profile.inverse_array(np.where(steep, x1, 1.0))
         t_rel = np.where(steep, np.minimum(Z2_CAP, inverse), Z2_CAP)
         slope = profile.deriv_array(t_rel)
-        box = np.minimum(BOX - x1, BOX - np.abs(z1.imag))
         return np.minimum(
-            np.minimum(box, Z2_CAP - s),
+            _face_margin_lower(x1, z1.imag, s),
             (x1 - profile.value_array(s)) / np.hypot(1.0, slope),
         )
 
@@ -407,12 +430,13 @@ _CHAIN_BLOCK = 256
 
 # relative slack on each piece h g(q)/a of ub_radius_integral, in units of
 # u = 2**-53, to first order.  h: each real part of a node difference
-# rounds once, np.abs of a complex and np.hypot are each within an ulp:
-# 5u.  q = b/a rounds once and g's relative condition number in q is at
-# most 1: u.  g: np.log or np.log1p may be a SIMD routine a few ulps off;
-# allow 8 ulps, 16u; q - 1 is exact for 1/2 <= q <= 2 (Sterbenz) and
+# rounds once, np.abs of a complex may be numpy's SIMD loop, allow 2 ulps
+# (it errs by up to 1.97 on random points), and np.hypot is within an
+# ulp: 7u.  q = b/a rounds once and g's relative condition number in q is
+# at most 1: u.  g: np.log or np.log1p may be a SIMD routine a few ulps
+# off; allow 8 ulps, 16u; q - 1 is exact for 1/2 <= q <= 2 (Sterbenz) and
 # rounds once elsewhere, and the quotient rounds once: 18u.  h g / a: 2u.
-# That is 26u; 2**-46 is 128u, and the piece then steps one float up past
+# That is 28u; 2**-46 is 128u, and the piece then steps one float up past
 # the rounding of its product with 1 + slack
 _RADIUS_SLACK = 2.0**-46
 
@@ -592,16 +616,15 @@ def ub_disc_leg(
     disc: AffineDisc,
     z: PointC2,
     w: PointC2,
-    gap_z: float | None = None,
-    gap_w: float | None = None,
     rim_shrink: float = 0.0,
 ) -> float:
     """Cost of the chain leg from z to w along an analytic disc: the disc
     is distance-decreasing from the parameter disc into the domain.
 
-    Both ends must lie on the disc (CertificateError otherwise); gap_z and
-    gap_w are optional analytic values of 1 - |lam| at z and w, for ends
-    so near the rim that their float parameters have rounded.
+    Both ends must lie on the disc (CertificateError otherwise), and
+    their float parameters are read as they are: a leg whose end is so
+    near the rim that its parameter rounds is priced in log form by its
+    caller instead.
 
     rim_shrink > 0 computes the leg inside the concentric subdisc of
     radius (1 - rim_shrink).  Use it whenever the disc's tangency level
@@ -618,38 +641,28 @@ def ub_disc_leg(
     if rim_shrink > 0.0:
         scale = 1.0 - rim_shrink
         lam_z, lam_w = lam_z / scale, lam_w / scale
-        if gap_z is not None:
-            gap_z = (gap_z - rim_shrink) / scale
-        if gap_w is not None:
-            gap_w = (gap_w - rim_shrink) / scale
-        if (gap_z is not None and gap_z <= 0.0) or (gap_w is not None and gap_w <= 0.0):
-            raise CertificateError("rim shrink swallowed a parameter gap")
-    return disc_distance(lam_z, lam_w, gap_u=gap_z, gap_v=gap_w)
+    return disc_distance(lam_z, lam_w)
 
 
 def ub_base_chain(
     domain: ModelDomain,
-    z: PointC2,
-    gap: float | None = None,
+    c: PointC2,
     rim_shrink: float = 0.0,
-) -> tuple[float, float, float]:
-    """The three legs of a disc chain from z to BASE_POINT: along the z1
-    tangent disc at z2 = z[1] to its center, down the z2 slice at that
-    height to z2 = 0, then along the z1 disc at z2 = 0.
+) -> tuple[float, float]:
+    """The last two legs of a disc chain to BASE_POINT from the center c
+    of a z1 tangent disc: down the z2 slice at the height of c to z2 = 0,
+    then along the z1 disc at z2 = 0.
 
-    gap, when given, is the height Re z1 - psi(|z2|) of z over the
-    tangency of its disc, for a z so near the face that its float
-    parameter has rounded.  The legs come back separately so that each
-    caller sums them in its own order.
+    The chain's first leg, from a point to the center c of its z1
+    tangent disc, is priced by each caller, in floats or in log form.
+    The legs come back separately so that each caller sums them in its
+    own order.
     """
-    disc_a = domain.z1_disc(z[1])
-    gap_a = None if gap is None else gap / disc_a.direction[0].real
-    leg_a = ub_disc_leg(domain, disc_a, z, disc_a.origin, gap_z=gap_a, rim_shrink=rim_shrink)
-    disc_b = domain.slice_disc(disc_a.origin[0])
-    leg_b = ub_disc_leg(domain, disc_b, disc_a.origin, disc_b.origin, rim_shrink=rim_shrink)
+    disc_b = domain.slice_disc(c[0])
+    leg_b = ub_disc_leg(domain, disc_b, c, disc_b.origin, rim_shrink=rim_shrink)
     disc_c = domain.z1_disc(0.0 + 0.0j)
     leg_c = ub_disc_leg(domain, disc_c, disc_b.origin, BASE_POINT, rim_shrink=rim_shrink)
-    return leg_a, leg_b, leg_c
+    return leg_b, leg_c
 
 
 # ---------------------------------------------------------------------------
@@ -709,15 +722,6 @@ def ub_slice_discs(
     )
 
 
-def lb_boundary_ratio(bz: DistBound, bw: DistBound) -> float:
-    """k(z, w) >= (1/2) log(d(w)/d(z)) on a convex domain, from certified
-    brackets bz, bw of the two boundary distances (in either order)."""
-    ratio = max(bw.lo / bz.hi, bz.lo / bw.hi)
-    if ratio <= 1.0:
-        return 0.0
-    return 0.5 * math.log(ratio)
-
-
 # ---------------------------------------------------------------------------
 # interior tangent-ball upper bound
 
@@ -747,8 +751,9 @@ def ub_interior_ball(domain: ModelDomain, z: PointC2, log_g: float) -> float:
         1 - m^2 = (g/R) (2 cos(phi) - g/R),
 
     evaluated in the log domain from log_g = log g, widened by a relative
-    1e-9 either way to cover its rounding.  From the center
-    :func:`ub_base_chain` reaches the base point.  The return value
+    1e-9 either way to cover its rounding.  From the center a disc chain
+    reaches the base point: the z1 tangent disc at the center's z2 to its
+    own center, then :func:`ub_base_chain`.  The return value
     includes _LOG_PATH_SLACK.
     """
     R = domain.ball_radius
@@ -790,5 +795,7 @@ def ub_interior_ball(domain: ModelDomain, z: PointC2, log_g: float) -> float:
     log_one_minus_m2 = log_g_lo - math.log(R) + math.log(second)
     hop = math.log(2.0) - 0.5 * log_one_minus_m2
 
-    leg_a, leg_b, leg_c = ub_base_chain(domain, (c1, c2), rim_shrink=1e-14)
+    disc_a = domain.z1_disc(c2)
+    leg_a = ub_disc_leg(domain, disc_a, (c1, c2), disc_a.origin, rim_shrink=1e-14)
+    leg_b, leg_c = ub_base_chain(domain, disc_a.origin, rim_shrink=1e-14)
     return hop + leg_a + leg_b + leg_c + _LOG_PATH_SLACK

@@ -126,20 +126,15 @@ def atanh_one_minus(log_eps: float) -> float:
     return math.nextafter(0.5 * (math.log(2.0 - eps) - log_eps) + slack, math.inf)
 
 
-def disc_distance(
-    u: complex,
-    v: complex,
-    gap_u: float | None = None,
-    gap_v: float | None = None,
-) -> float:
+def disc_distance(u: complex, v: complex, gap_v: float | None = None) -> float:
     """Poincare distance atanh|(u-v)/(1-conj(u)v)| on the unit disc.
 
-    gap_u / gap_v are optional analytic values of 1-|u|, 1-|v| for points
-    so close to the boundary that the float coordinates have rounded.
+    gap_v is an optional analytic value of 1-|v| for a point so close to
+    the boundary that its float coordinate has rounded.
     """
     u = complex(u)
     v = complex(v)
-    a = _one_minus_abs_sq(u, gap_u)
+    a = _one_minus_abs_sq(u, None)
     b = _one_minus_abs_sq(v, gap_v)
     if a <= 0.0 or b <= 0.0:
         raise OracleError(f"disc_distance: point outside the open disc ({u}, {v})")

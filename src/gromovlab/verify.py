@@ -25,7 +25,7 @@ from .convex import (
     ModelDomain,
     TangentHalfspaceCert,
     chain_polygon,
-    lb_boundary_ratio,
+    lb_boundary_ratio_log,
     ub_interior_ball,
     ub_radius_integral,
 )
@@ -215,8 +215,8 @@ def suite_bound_sandwich(ctx: VerifyContext) -> SuiteResult:
     """Certified lowers never cross certified uppers on random pairs.
 
     Boundary brackets are computed once per point, in one block call, and
-    shared by every pair's ratio lower bound; the pairs' chains are
-    priced in one call.
+    shared by every pair's ratio lower bound, taken in both orders; the
+    pairs' chains are priced in one call.
     """
     rng = np.random.default_rng(ctx.seed + 3)
     tol = 1e-9
@@ -229,9 +229,12 @@ def suite_bound_sandwich(ctx: VerifyContext) -> SuiteResult:
                 failures.append(f"{domain.name}: bad boundary bracket at point {k}")
             if cut_short[k]:
                 failures.append(f"{domain.name}: boundary bracket cut short at point {k}")
+        log_lo = [math.log(b.lo) for b in brackets]
+        log_hi = [math.log(b.hi) for b in brackets]
         uppers = domain.ub_euclidean_chain([pts[i] for i, _ in pairs], [pts[j] for _, j in pairs])
         for (i, j), upper in zip(pairs, uppers.tolist()):
-            lower = lb_boundary_ratio(brackets[i], brackets[j])
+            lower = max(lb_boundary_ratio_log(log_hi[i], log_lo[j]),
+                        lb_boundary_ratio_log(log_hi[j], log_lo[i]))
             if lower > upper + tol:
                 failures.append(
                     f"{domain.name}: lower {lower} exceeds upper {upper} "
@@ -277,9 +280,9 @@ def suite_disc_pointwise(ctx: VerifyContext) -> SuiteResult:
     nodes, h = chain_polygon(ends[:, 0], ends[:, 1])
     uppers = ub_radius_integral(1.0 - np.abs(nodes[..., 0]), h)
     for k, ((z, w), upper) in enumerate(zip(draws, uppers.tolist())):
-        dz, dw = 1.0 - abs(z), 1.0 - abs(w)
+        log_dz, log_dw = math.log(1.0 - abs(z)), math.log(1.0 - abs(w))
         # sharp on the disc: |atanh|z| - atanh|w|| >= (1/2)|log(dw/dz)|
-        lower = 0.5 * abs(math.log(dw / dz))
+        lower = max(lb_boundary_ratio_log(log_dz, log_dw), lb_boundary_ratio_log(log_dw, log_dz))
         ex = exact.disc_distance(z, w)
         if lower > ex + tol:
             failures.append(f"draw {k}: ratio lower {lower} exceeds exact {ex}")
@@ -311,7 +314,8 @@ def suite_interior_ball(ctx: VerifyContext) -> SuiteResult:
         for (t1, h, psi, z), b_z in zip(cases, b_cases):
             # the height as it rounds, (psi + h) - psi
             ub = ub_interior_ball(domain, z, math.log(z[0].real - psi))
-            lb = lb_boundary_ratio(b_z, b_base)
+            lb = max(lb_boundary_ratio_log(math.log(b_z.hi), math.log(b_base.lo)),
+                     lb_boundary_ratio_log(math.log(b_base.hi), math.log(b_z.lo)))
             if lb > ub + 1e-9:
                 failures.append(
                     f"{domain.name}: ball bound {ub} below ratio bound {lb} "

@@ -16,9 +16,10 @@ expression whose interval evaluation must dominate s_lb.  Every witness
 records that comparison in its checks.
 
 Near-boundary gaps are carried as logs: the flat witness's disc legs
-and the hinge's (x, w) leg are closed forms in log heights, rounded
-outward, so one path serves every parameter, and the float coordinates
-stored in a report are shadows once the heights underflow.
+and the hinge's (p, q) and (x, w) legs and the first leg of its chain
+are closed forms in log heights, rounded outward, so one path serves
+every parameter, and the float coordinates stored in a report are
+shadows once the heights underflow.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .convex import (
     lb_crossing_split,
     lb_halfplane_ratio_log,
     ub_base_chain,
-    ub_disc_leg,
     ub_interior_ball,
     ub_slice_discs,
 )
@@ -282,10 +282,11 @@ def hinge_witness(delta: float) -> WitnessReport:
     The quadruple hangs at height delta over the flat face: p and q at
     |z2| = 1 - delta on opposite sides, x directly over the center, and
     the base point w = (1, 0).  The long pair (p, q) is split by a
-    coupled pair of tangent functionals at radius 1 + sqrt(delta); the
-    near pairs (p, x), (q, x) are capped by the two-disc slice bound;
-    (x, w) grows like (1/2) log(1/delta) while the chains p -> w, q -> w
-    cost only (1/2) log(1/delta) + O(1).
+    coupled pair of tangent functionals at radius 1 + sqrt(delta) and
+    capped along the slice disc z1 = delta; the near pairs (p, x), (q, x)
+    are capped by the two-disc slice bound; (x, w) grows like
+    (1/2) log(1/delta) while the chains p -> w, q -> w cost only
+    (1/2) log(1/delta) + O(1).  The legs at the rim read log delta.
     """
     if not 0.0 < delta < 0.04:
         raise CertificateError("height must be in (0, 0.04)")
@@ -328,13 +329,17 @@ def hinge_witness(delta: float) -> WitnessReport:
     lb_ratio = lb_boundary_ratio_log(math.log(bx.hi), math.log(bw.lo))
 
     # -- three-leg chain q -> w (p -> w is its mirror) ------------------------
-    leg_a, leg_b, leg_c = ub_base_chain(domain, q, gap=delta)
+    # q's z1 disc is tangent to the flat face at level 0, so q's height over
+    # the tangency is delta exactly: the leg to the disc's center reads log delta
+    disc_a = domain.z1_disc(q[1])
+    leg_a = _ub_real_leg_log(0.0, math.log(delta) - math.log(disc_a.direction[0].real))
+    leg_b, leg_c = ub_base_chain(domain, disc_a.origin)
     ub_chain = leg_a + leg_b + leg_c
 
     # -- remaining pair enclosures -------------------------------------------
-    disc_pq = domain.slice_disc(p[0])
-    gap_rim = (u + delta) / disc_pq.direction[1].real
-    hi_pq = ub_disc_leg(domain, disc_pq, p, q, gap_z=gap_rim, gap_w=gap_rim, rim_shrink=1e-13)
+    # the slice z1 = delta is the disc |z2| < 1 + u, on which p and q sit at
+    # the parameters -+(1 - delta)/(1 + u) = -+(1 - u), u = sqrt(delta)
+    hi_pq = 2.0 * atanh_one_minus(0.5 * math.log(delta))
     disc_c = domain.z1_disc(0.0 + 0.0j)
     hi_xw = _ub_real_leg_log(disc_c.parameter(w).real, math.log(delta) - math.log(disc_c.direction[0].real))
     lb_pw = lb_boundary_ratio_log(math.log(bp.hi), math.log(bw.lo))
@@ -554,19 +559,15 @@ class ClaimCheck:
 
 
 def claims_check(domain: ModelDomain, x: float) -> tuple[ClaimCheck, ...]:
-    """Verify the four structural claims of the flat-witness construction
+    """Verify the two structural claims of the flat-witness construction
     in plain float geometry (needs x at or above _CLAIMS_MIN_X).
 
     1. d(w) = psi(x) for w = (psi(x), 0): the flat point is nearest.
     2. d(s) for the offset point lands in [alpha x psi'(x)/4, alpha x psi'(x)].
-    3. k(s, w) + (1/2) log alpha is at most (1/2) log(2 - alpha).
-    4. k(p, s) + log alpha is at most log(2 - alpha).
 
-    Claims 3 and 4 read the slice-disc caps of the witness itself (p and
-    s = q are mirror images, so pw and qw share one cap).  Their
-    lower ends hold by construction: the half-plane ratio plus
-    (1/2) log alpha is exactly 0, and the crossing split plus log alpha
-    is log tau.
+    The witness's slice-disc caps are closed forms in log alpha; the
+    witness's own check "float/log agreement (slice leg)" compares them
+    with the float disc distance.
     """
     if x < _CLAIMS_MIN_X:
         raise CertificateError("claims are checked in the float-geometry regime")
@@ -612,26 +613,6 @@ def claims_check(domain: ModelDomain, x: float) -> tuple[ClaimCheck, ...]:
         )
     )
 
-    log_alpha = math.log(alpha)
-    hi3 = rep.bounds["pw"].hi + 0.5 * log_alpha
-    cap3 = 0.5 * math.log(2.0 - alpha)
-    out.append(
-        ClaimCheck(
-            "short-leg cap after the alpha shift",
-            hi3 <= cap3 + 1e-9,
-            f"{hi3:.3e} against the cap {cap3:.3e}",
-        )
-    )
-
-    hi4 = rep.bounds["pq"].hi + log_alpha
-    cap4 = math.log(2.0 - alpha)
-    out.append(
-        ClaimCheck(
-            "long-leg cap after the alpha shift",
-            hi4 <= cap4 + 1e-9,
-            f"{hi4:.3e} against the cap {cap4:.3e}",
-        )
-    )
     return tuple(out)
 
 

@@ -129,6 +129,30 @@ def base_leg(h, radius, base):
     return slice_leg(e * (1 - a) / (1 + a * (1 - e)))
 
 
+def face_distance(z):
+    """Distance from the point z of C^2 to the faces shared by every model
+    domain: the box Re z1 < 3, |Im z1| < 3 and the radial cap |z2| < 2."""
+    x1, y1 = mp.mpf(z[0].real), mp.mpf(z[0].imag)
+    s = mp.sqrt(mp.mpf(z[1].real) ** 2 + mp.mpf(z[1].imag) ** 2)
+    return min(3 - x1, 3 - abs(y1), 2 - s)
+
+
+def hinge_chain(delta, radius):
+    """The hinge witness's three-leg disc chain from q = (delta, -(1 - delta))
+    to the base point (1, 0): along the z1 disc |z1 - radius| < radius at
+    z2 = q2 to its center, across the slice |z2| < 2 at that height to
+    z2 = 0, then along the z1 disc at z2 = 0 to the base point."""
+    d, R = mp.mpf(delta), mp.mpf(radius)
+    return mp.atanh(1 - d / R) + mp.atanh((1 - d) / 2) + mp.atanh((R - 1) / R)
+
+
+def hinge_pq(delta):
+    """The hinge witness's (p, q) leg across the slice disc
+    |z2| < 1 + sqrt(delta) at z1 = delta, where p and q sit at the
+    parameters -+(1 - delta)/(1 + sqrt(delta)) = -+(1 - sqrt(delta))."""
+    return 2 * mp.atanh(1 - mp.sqrt(mp.mpf(delta)))
+
+
 def radius_integral(r, h):
     """Sum over the pieces of a polygon of h log(b/a)/(b - a), or h/a when
     a = b: the integral of ds/delta along a piece of length h over which

@@ -110,7 +110,7 @@ def test_criterion_5_flat_harness_slope_and_claims():
         5,
         True,
         f"exp slope {slope:.4f} in [0.40, 0.60], quartic control {qslope:.4f}, "
-        "claims 1-4 pass at x in {0.02, 0.05, 0.1}",
+        "claims 1-2 pass at x in {0.02, 0.05, 0.1}",
     )
 
 

@@ -15,7 +15,6 @@ from gromovlab.convex import (
     Z2_CAP,
     CertificateError,
     TangentHalfspaceCert,
-    lb_boundary_ratio,
     lb_boundary_ratio_log,
     lb_crossing_split,
     ub_base_chain,
@@ -35,6 +34,12 @@ from gromovlab.models import (
 from gromovlab.witnesses import flat_witness
 
 ALL = (HINGE_MODEL, FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL)
+
+
+def _ratio_lower(bz, bw):
+    """The boundary-ratio lower bound from two brackets, in both orders."""
+    return max(lb_boundary_ratio_log(math.log(bz.hi), math.log(bw.lo)),
+               lb_boundary_ratio_log(math.log(bw.hi), math.log(bz.lo)))
 
 
 # -- membership and sampling -------------------------------------------------
@@ -304,7 +309,7 @@ def test_sandwich_on_random_pairs(m, rng):
     ubs = m.ub_euclidean_chain(pts[0::2], pts[1::2])
     for i, ub in zip(range(0, 12, 2), ubs):
         z, w = pts[i], pts[i + 1]
-        lb = lb_boundary_ratio(m.boundary_distance_bracket(z), m.boundary_distance_bracket(w))
+        lb = _ratio_lower(m.boundary_distance_bracket(z), m.boundary_distance_bracket(w))
         assert lb <= ub + 1e-9
 
 
@@ -331,7 +336,7 @@ def test_chain_upper_bound_basics(rng):
     assert m.ub_euclidean_chain([z], [z])[0] == 0.0
     fwd, bwd = m.ub_euclidean_chain([z, w], [w, z])
     assert fwd > 0.0 and bwd > 0.0
-    lb = lb_boundary_ratio(m.boundary_distance_bracket(z), m.boundary_distance_bracket(w))
+    lb = _ratio_lower(m.boundary_distance_bracket(z), m.boundary_distance_bracket(w))
     assert min(fwd, bwd) >= lb - 1e-9
 
 
@@ -423,8 +428,8 @@ def test_interior_ball_dominates_ratio_lower():
     for t1 in (0.0, 0.12, 0.25):
         z = (complex(m.profile.value(t1) + 1e-4), complex(t1))
         assert m.contains(z)
-        lb = lb_boundary_ratio(m.boundary_distance_bracket(z),
-                               m.boundary_distance_bracket(BASE_POINT))
+        lb = _ratio_lower(m.boundary_distance_bracket(z),
+                          m.boundary_distance_bracket(BASE_POINT))
         assert lb <= ub_interior_ball(m, z, _log_height(m, z)) + 1e-9
 
 
@@ -517,23 +522,16 @@ def test_disc_leg_refuses_an_end_off_its_slice_disc():
         ub_disc_leg(m, disc, w, off)
 
 
-def test_disc_leg_refuses_a_rim_shrink_that_swallows_a_gap():
-    m = HINGE_MODEL
-    disc = m.z1_disc(0.0j)
-    x = (0.5 + 0.0j, 0.0j)
-    gap = 1.0 - abs(disc.parameter(x))
-    assert ub_disc_leg(m, disc, x, BASE_POINT, gap_z=gap, rim_shrink=0.5 * gap) > 0.0
-    for shrink in (gap, 2.0 * gap):
-        with pytest.raises(CertificateError, match="rim shrink swallowed a parameter gap"):
-            ub_disc_leg(m, disc, x, BASE_POINT, gap_z=gap, rim_shrink=shrink)
-
-
 def test_base_chain_legs_sum_to_the_hinge_chain():
-    from gromovlab.witnesses import hinge_witness
+    from gromovlab.witnesses import _ub_real_leg_log, hinge_witness
 
-    for delta in (1e-6, 1e-14, 1e-22):
-        q = (complex(delta), complex(-(1.0 - delta)))
-        leg_a, leg_b, leg_c = ub_base_chain(HINGE_MODEL, q, gap=delta)
+    for delta in (1e-6, 1e-14, 1e-22, 1e-31):
+        disc = HINGE_MODEL.z1_disc(complex(-(1.0 - delta)))
+        radius = disc.direction[0].real
+        leg_a = _ub_real_leg_log(0.0, math.log(delta) - math.log(radius))
+        leg_b, leg_c = ub_base_chain(HINGE_MODEL, disc.origin)
+        # from the center (radius, q2): across the slice |z2| < 2, then to
+        # the base point at parameter (1 - radius)/radius
+        assert leg_b == pytest.approx(math.atanh((1.0 - delta) / 2.0), rel=1e-15)
+        assert leg_c == pytest.approx(math.atanh((radius - 1.0) / radius), rel=1e-15)
         assert dict(hinge_witness(delta).terms)["ub_chain"] == leg_a + leg_b + leg_c
-
-

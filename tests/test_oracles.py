@@ -13,7 +13,7 @@ import pytest
 
 from gromovlab import exact, witnesses
 from gromovlab.convex import BASE_POINT, ub_radius_integral
-from gromovlab.models import FLAT_EXP_MODEL, HINGE_MODEL, MODELS
+from gromovlab.models import FLAT_EXP_MODEL, HINGE_MODEL, MODELS, sample_interior
 
 mp_oracle = pytest.importorskip("mpmath", reason="oracle re-derivation needs mpmath")
 import oracle_gen  # noqa: E402  (sibling module, needs mpmath)
@@ -133,7 +133,7 @@ def _base_leg_exact(domain, h):
 @pytest.mark.parametrize("name", sorted(FLAT_LEG_RADII))
 def test_flat_disc_legs_bound_the_exact_legs(name):
     domain = MODELS[name]
-    below = []
+    wrong = []
     for x in FLAT_LEG_RADII[name]:
         rep = witnesses.flat_witness(domain, x)
         slice_exact = oracle_gen.slice_leg(witnesses.alpha_schedule(domain.profile, x))
@@ -143,15 +143,57 @@ def test_flat_disc_legs_bound_the_exact_legs(name):
             ("pq.hi", rep.bounds["pq"].hi, 2 * slice_exact),
             ("xw.hi", rep.bounds["xw"].hi, base_exact),
         ):
-            if got < want:
-                below.append(f"x={x!r} {label}: {got!r} < {mp_oracle.nstr(want, 20)}")
-    assert not below, below
+            # at least the exact leg, and within a relative 1e-12 of it
+            if not want <= got <= want * (1 + mp_oracle.mpf(1e-12)):
+                wrong.append(f"x={x!r} {label}: {got!r} against {mp_oracle.nstr(want, 20)}")
+    assert not wrong, wrong
 
 
 @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-14, 1e-22, 1e-24])
 def test_hinge_base_leg_bounds_the_exact_leg(delta):
     got = witnesses.hinge_witness(delta).bounds["xw"].hi
     assert got >= _base_leg_exact(HINGE_MODEL, delta)
+
+
+# the two lower bounds that read the box and cap faces, against those
+# faces at 60 digits, on points sampled up to 1e-9 from the boundary,
+# where a face margin formed in round-to-nearest floats can land above the
+# exact one
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_face_margins_bound_the_exact_face_distance(name):
+    domain = MODELS[name]
+    pts = sample_interior(domain, 1500, np.random.default_rng(1), margin=1e-9)
+    z1, z2 = np.array([z[0] for z in pts]), np.array([z[1] for z in pts])
+    cheap = domain.cheap_boundary_lower((z1, z2)).tolist()
+    brackets, _ = domain.boundary_distance_brackets(pts)
+    above = []
+    for z, lo_cheap, bracket in zip(pts, cheap, brackets):
+        face = oracle_gen.face_distance(z)
+        for label, lo in (("cheap", lo_cheap), ("bracket", bracket.lo)):
+            if lo > face:
+                above.append(f"{z}: {label} {lo!r} > {mp_oracle.nstr(face, 20)}")
+    assert not above, (len(above), above[:5])
+
+
+HINGE_DEEP = [10.0**-k for k in range(4, 32)]
+
+
+@pytest.mark.parametrize("delta", HINGE_DEEP)
+def test_hinge_rim_legs_bound_the_exact_legs(delta):
+    rep = witnesses.hinge_witness(delta)
+    radius = HINGE_MODEL.z1_disc(0.0j).direction[0].real
+    chain = oracle_gen.hinge_chain(delta, radius)
+    pq = oracle_gen.hinge_pq(delta)
+    below = [
+        f"{label}: {got!r} < {mp_oracle.nstr(want, 20)}"
+        for label, got, want in (
+            ("pw.hi", rep.bounds["pw"].hi, chain),
+            ("qw.hi", rep.bounds["qw"].hi, chain),
+            ("pq.hi", rep.bounds["pq"].hi, pq),
+        )
+        if got < want
+    ]
+    assert not below, below
 
 
 def _radius_polygons():

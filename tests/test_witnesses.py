@@ -150,7 +150,7 @@ def test_gn_witness_pinned(a):
 
 # -- hinge -----------------------------------------------------------------------
 
-@pytest.mark.parametrize("delta", [1e-4, 1e-10, 1e-22])
+@pytest.mark.parametrize("delta", [1e-4, 1e-10, 1e-22, 1e-26, 1e-31])
 def test_hinge_witness_checks_pass(delta):
     rep = hinge_witness(delta)
     _all_checks_pass(rep)
@@ -166,27 +166,27 @@ def test_hinge_witness_values_increase_as_delta_shrinks():
 # change that moves S_lb on purpose records them again
 HINGE_PINS = {
     1e-06: {
-        "pq": (6.906755778649135, 7.60040233460035),
+        "pq": (6.906755778649135, 7.600402334500403),
         "px": (0.0, 15.122804299044596),
         "qx": (0.0, 15.122804299044596),
-        "pw": (6.907755278982137, 8.310342895818337),
-        "qw": (6.907755278982137, 8.310342895818337),
+        "pw": (6.907755278982137, 8.310342895818346),
+        "qw": (6.907755278982137, 8.310342895818346),
         "xw": (6.907755278982137, 7.119183531978342),
     },
     1e-14: {
-        "pq": (16.118095550454385, 16.811243781518716),
+        "pq": (16.118095550454385, 16.81124278151827),
         "px": (0.0, 19.71247578550233),
         "qx": (0.0, 19.71247578550233),
-        "pw": (16.11809565095832, 17.520684106874775),
-        "qw": (16.11809565095832, 17.520684106874775),
+        "pw": (16.11809565095832, 17.5206841068748),
+        "qw": (16.11809565095832, 17.5206841068748),
         "xw": (16.11809565095832, 16.329524076368358),
     },
     1e-22: {
-        "pq": (25.32843594019413, 26.0316335393429),
+        "pq": (25.32843594019413, 26.02158320348946),
         "px": (0.0, 24.317644379977096),
         "qx": (0.0, 24.317644379977096),
-        "pw": (25.328436022934504, 26.731024478850966),
-        "qw": (25.328436022934504, 26.731024478850966),
+        "pw": (25.328436022934504, 26.73102447885101),
+        "qw": (25.328436022934504, 26.73102447885101),
         "xw": (25.328436022934504, 25.53986444834456),
     },
 }
