@@ -11,8 +11,10 @@ Lower bounds
     * tangent-halfspace functionals pushed into the right half-plane,
     * crossing splits for coupled pairs of opposed functionals.
 Upper bounds
-    * explicit affine analytic discs (z1-plane tangent discs, z2 slice
-      discs) and chains of them,
+    * chains of affine analytic discs (z1-plane tangent discs, z2 slice
+      discs), each certified inside the domain where it is built: the
+      tangent disc's centre and the slice radius are rounded away from
+      the faces, and its legs are closed forms rounded up,
     * the integrated ball metric, ds/delta, along a polygon.
 
 CertificateError always means "could not verify a precondition", never
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import DistBound, disc_distance
+from .exact import DistBound
 from .profiles import ProfileFn
 
 PointC2 = tuple[complex, complex]
@@ -44,29 +46,21 @@ class CertificateError(RuntimeError):
 BOX = 3.0
 Z2_CAP = 2.0
 BASE_POINT: PointC2 = (1.0 + 0.0j, 0.0 + 0.0j)
-_DISC_RADIUS = 1.45
-
-# underflow guard: when psi underflows to 0.0 but is analytically positive,
-# this is still a valid float upper bound for it (exp() underflows below
-# exp(-745) ~ 5e-324)
-_PSI_UNDERFLOW_UB = 1e-300
+DISC_RADIUS = 1.45
 
 # branch and bound of the boundary bracket: cells of the first uniform
 # pass, relative gap at which a surviving cell no longer pays to split,
-# the cap on one point's splits, and the points bracketed together
+# and the cap on one point's splits
 _BB_COARSE = 256
 _BB_GAP = 1e-4
 _BB_MAX_ITER = 6000
-_BB_BLOCK = 32
 
-# how far inside the box, the radial cap or the profile an analytic disc
-# must stay
+# how far inside the box an analytic disc must stay
 _DISC_CHECK_MARGIN = 1e-12
 
-# containment_check: sample points on each of its two circles, and the
-# slack allowed at each
-_NET_POINTS = 48
-_NET_SLACK = 1e-9
+# relative step down of a slice radius below the float inverse of the
+# profile, which may sit a few ulps high; psi(r) <= height is then checked
+_SLICE_SHRINK = 2.0**-46
 
 
 def _box_margin(z1: complex) -> float:
@@ -96,28 +90,10 @@ def _face_margin_lower(x1: np.ndarray, y1: np.ndarray, s: np.ndarray) -> np.ndar
     return np.where(err < 0.0, m * (1.0 - 2.0**-52), m)
 
 
-@dataclass(frozen=True)
-class AffineDisc:
-    """Analytic disc lam -> origin + lam * direction, |lam| < 1, that
-    moves one coordinate and holds the other fixed."""
-
-    origin: PointC2
-    direction: PointC2
-    note: str = ""
-
-    def point_at(self, lam: complex) -> PointC2:
-        return (
-            self.origin[0] + lam * self.direction[0],
-            self.origin[1] + lam * self.direction[1],
-        )
-
-    def parameter(self, pt: PointC2) -> complex:
-        """The lam at which the disc passes through pt; pt's fixed
-        coordinate must equal the disc's."""
-        k = 0 if self.direction[0] != 0.0 else 1
-        if pt[1 - k] != self.origin[1 - k]:
-            raise CertificateError(f"{pt} is off the disc {self.note!r}")
-        return (pt[k] - self.origin[k]) / self.direction[k]
+def _modulus_up(w: complex) -> float:
+    """|w| rounded up: abs is faithful, and exact on the axes."""
+    s = abs(w)
+    return math.nextafter(s, math.inf) if w.real and w.imag else s
 
 
 def _certified_block_min(
@@ -204,12 +180,22 @@ class ModelDomain:
 
     # -- membership ---------------------------------------------------------
 
-    def psi_float_ub(self, t: float) -> float:
-        """Float upper bound for psi(t), patched across exp underflow."""
+    def psi_up(self, t: float) -> float:
+        """psi(t) rounded up.
+
+        Where log_value is -inf the profile is genuinely 0 and value
+        returns an exact 0.0.  Elsewhere value errs by under a relative
+        2^-52 (|log psi(t)| + 3): exp(-1/t) by 2^-53/t = 2^-53 |log psi|
+        from the rounding of -1/t and an ulp from exp, the polynomial
+        pieces by a few roundings, pow by an ulp.  2^-50 (4 + |log psi|)
+        covers that; one step up covers the product's rounding, and an
+        underflowed or subnormal value's ulp.
+        """
+        log_v = self.profile.log_value(t)
+        if log_v == -math.inf:
+            return 0.0
         v = self.profile.value(t)
-        if v == 0.0 and self.profile.log_value(t) > -math.inf:
-            return _PSI_UNDERFLOW_UB
-        return v
+        return math.nextafter(v * (1.0 + 2.0**-50 * (4.0 + abs(log_v))), math.inf)
 
     def profile_margin(self, z: PointC2) -> float:
         return z[0].real - self.profile.value(abs(z[1]))
@@ -283,9 +269,9 @@ class ModelDomain:
         The domain is an intersection of regions, so the distance is the
         minimum of the distances to each region's boundary; the box and
         the cap are closed forms, rounded down for the lower end, the
-        profile graph is bracketed, in blocks of _BB_BLOCK points.  A
-        point that is not interior refuses the whole block, naming its
-        index.
+        profile graph is bracketed by one branch and bound over the whole
+        block.  A point that is not interior refuses the whole block,
+        naming its index.
         """
         for k, z in enumerate(zs):
             if not self.contains(z):
@@ -295,14 +281,11 @@ class ModelDomain:
         x1 = np.array([z[0].real for z in zs], dtype=float)
         y1 = np.array([z[0].imag for z in zs], dtype=float)
         s = np.array([abs(z[1]) for z in zs], dtype=float)
-        lo, hi = np.empty(len(zs)), np.empty(len(zs))
-        cut_short = np.zeros(len(zs), dtype=bool)
         if self.profile.name == "hinge":
-            lo[:] = hi[:] = self._hinge_profile_distance(x1, s)
+            lo = hi = self._hinge_profile_distance(x1, s)
+            cut_short = np.zeros(len(zs), dtype=bool)
         else:
-            for k in range(0, len(zs), _BB_BLOCK):
-                blk = slice(k, k + _BB_BLOCK)
-                lo[blk], hi[blk], cut_short[blk] = self._profile_distance_block(x1[blk], s[blk])
+            lo, hi, cut_short = self._profile_distance_block(x1, s)
         lo = np.minimum(_face_margin_lower(x1, y1, s), lo)
         hi = np.minimum(np.minimum(np.minimum(BOX - x1, BOX - np.abs(y1)), Z2_CAP - s), hi)
         return [DistBound(lo=a, hi=b) for a, b in zip(lo.tolist(), hi.tolist())], cut_short
@@ -348,60 +331,58 @@ class ModelDomain:
 
     # -- analytic discs ------------------------------------------------------
 
-    def z1_disc(self, w2: complex) -> AffineDisc:
-        """Tangent disc in the z1 plane at fixed z2 = w2.
+    def z1_disc(self, w2: complex) -> float:
+        """Centre, on the real axis, of the tangent disc of radius
+        DISC_RADIUS in the z1 plane at fixed z2 = w2.
 
-        Center psi(|w2|) + R on the real axis, radius R; tangent to the
-        profile face from inside by construction, so only the box face
-        Re z1 = BOX (R < BOX keeps it off |Im z1| = BOX) and the radial cap
-        need checking.
+        The centre is psi(|w2|) + R rounded up, with |w2| and psi rounded
+        up too, so the disc clears the profile face; at w2 = 0 it is R
+        exactly, since psi(0) = 0.  :meth:`refuse_leaky_z1_disc`
+        certifies it.
         """
-        R = _DISC_RADIUS
-        s = abs(w2)
+        s = _modulus_up(w2)
+        psi = self.psi_up(s)
+        center = psi + DISC_RADIUS
+        # center - R is exact (Sterbenz) wherever the box lets the disc be
+        if center - DISC_RADIUS < psi:
+            center = math.nextafter(center, math.inf)
+        self.refuse_leaky_z1_disc(s, center)
+        return center
+
+    def refuse_leaky_z1_disc(self, s: float, center: float) -> None:
+        """CertificateError unless the disc |z1 - center| < R at |z2| = s
+        lies in the domain: s inside the radial cap, center + R inside the
+        box face Re z1 = BOX (R < BOX keeps it off |Im z1| = BOX), and
+        center - R at least psi(s) rounded up, the profile face."""
         if s >= Z2_CAP:
             raise CertificateError("z1 disc outside the radial cap")
-        center = self.psi_float_ub(s) + R
-        if _box_margin(center + R) <= _DISC_CHECK_MARGIN:
+        if _box_margin(center + DISC_RADIUS) <= _DISC_CHECK_MARGIN:
             raise CertificateError(f"z1 disc at |z2|={s:g} leaves the box")
-        return AffineDisc(
-            origin=(complex(center), complex(w2)),
-            direction=(complex(R), 0.0 + 0.0j),
-            note=f"z1 tangent disc at |z2|={s:g}",
-        )
+        if center - DISC_RADIUS < self.psi_up(s):
+            raise CertificateError(f"z1 disc at |z2|={s:g} crosses the profile face")
 
-    def slice_disc(self, c: complex) -> AffineDisc:
-        """The whole slice in the z2 plane at fixed z1 = c, as a disc
-        centered at z2 = 0.
-
-        Containment needs psi(r) <= Re c (profile face, with tangency
-        allowed because the disc is open), c inside the box, and the
-        radial cap.
-        """
-        if c.real <= 0.0:
-            raise CertificateError("slice disc needs Re z1 > 0")
+    def slice_disc(self, c: complex) -> float:
+        """Radius of the disc |z2| < r at fixed z1 = c: the whole slice,
+        its radius stepped down by the relative _SLICE_SHRINK below the
+        float inverse of the profile, and certified by
+        :meth:`refuse_leaky_slice_disc`."""
         r = self.slice_radius(c.real)
-        if r <= 0.0:
-            raise CertificateError("no positive slice radius at this height")
+        if r < Z2_CAP:
+            r *= 1.0 - _SLICE_SHRINK
+        self.refuse_leaky_slice_disc(c, r)
+        return r
+
+    def refuse_leaky_slice_disc(self, c: complex, r: float) -> None:
+        """CertificateError unless the disc |z2| < r at z1 = c lies in the
+        domain: c inside the box, 0 < r <= Z2_CAP, and psi(r) rounded up
+        at most Re c, the profile face (tangency is allowed, since the
+        disc is open)."""
         if _box_margin(c) <= _DISC_CHECK_MARGIN:
             raise CertificateError(f"slice disc at z1={c} leaves the box")
-        return AffineDisc(
-            origin=(complex(c), 0.0 + 0.0j),
-            direction=(0.0 + 0.0j, complex(r)),
-            note=f"z2 slice disc at Re z1={c.real:g}",
-        )
-
-    def containment_check(self, disc: AffineDisc) -> None:
-        """Sampled sanity net under the analytic containment arguments."""
-        n = _NET_POINTS
-        for rad in (0.5, 1.0 - 1e-9):
-            for k in range(n):
-                lam = rad * complex(
-                    math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n)
-                )
-                if not self.contains(disc.point_at(lam), slack=_NET_SLACK):
-                    raise CertificateError(
-                        f"disc {disc.note!r} leaves {self.name} at lam={lam}"
-                    )
+        if not 0.0 < r <= Z2_CAP:
+            raise CertificateError(f"slice radius {r!r} is not in (0, {Z2_CAP}]")
+        if self.psi_up(r) > c.real:
+            raise CertificateError(f"slice disc at Re z1={c.real:g} crosses the profile face")
 
     # -- generic upper bound --------------------------------------------------
 
@@ -611,57 +592,51 @@ def lb_crossing_split(
 # disc-leg upper bounds
 
 
-def ub_disc_leg(
-    domain: ModelDomain,
-    disc: AffineDisc,
-    z: PointC2,
-    w: PointC2,
-    rim_shrink: float = 0.0,
-) -> float:
-    """Cost of the chain leg from z to w along an analytic disc: the disc
-    is distance-decreasing from the parameter disc into the domain.
+def _atanh_up(m: float) -> float:
+    """atanh(m) for a float m in [0, 1), rounded up.
 
-    Both ends must lie on the disc (CertificateError otherwise), and
-    their float parameters are read as they are: a leg whose end is so
-    near the rim that its parameter rounds is priced in log form by its
-    caller instead.
-
-    rim_shrink > 0 computes the leg inside the concentric subdisc of
-    radius (1 - rim_shrink).  Use it whenever the disc's tangency level
-    was produced by rounded profile arithmetic: the float value can sit
-    up to half an ulp below the true psi, so the full open disc may leak
-    through the face by that much at the very rim, while the shrunken
-    disc is strictly inside (the profile's radial steepness buys back
-    far more than an ulp over a 1e-14 shrink).  Discs whose tangency is
-    exact in floats (the hinge's flat face at level 0, discs with slack)
-    can keep rim_shrink = 0.
+    atanh(m) = (1/2) log1p(q), q = 2m/(1 - m).  1 - m and the quotient
+    round once each, so q errs by under 2^-52 relative; log1p's condition
+    number q/((1 + q) log1p(q)) is at most 1, and with log1p within an ulp
+    the half-log errs by under 2^-51 relative.  Widening by 2^-50 and one
+    step up cover that and the product's rounding.
     """
-    domain.containment_check(disc)
-    lam_z, lam_w = disc.parameter(z), disc.parameter(w)
-    if rim_shrink > 0.0:
-        scale = 1.0 - rim_shrink
-        lam_z, lam_w = lam_z / scale, lam_w / scale
-    return disc_distance(lam_z, lam_w)
+    return math.nextafter(0.5 * math.log1p(2.0 * m / (1.0 - m)) * (1.0 + 2.0**-50), math.inf)
 
 
-def ub_base_chain(
-    domain: ModelDomain,
-    c: PointC2,
-    rim_shrink: float = 0.0,
-) -> tuple[float, float]:
-    """The last two legs of a disc chain to BASE_POINT from the center c
-    of a z1 tangent disc: down the z2 slice at the height of c to z2 = 0,
-    then along the z1 disc at z2 = 0.
+def _ub_real_leg(x: float, y: float, c: float, r: float) -> float:
+    """Poincare distance between the real points x and y of the disc
+    |z - c| < r, on either side of its centre, rounded up.
 
-    The chain's first leg, from a point to the center c of its z1
-    tangent disc, is priced by each caller, in floats or in log form.
+    In the disc's parameter the ends sit at (x - c)/r and (y - c)/r, and
+    m = r |x - y| / (r^2 + |x - c| |y - c|).  Every term is positive, so
+    m errs by under 7 u = 7 2^-53 relative: 2 u in the numerator, 4 u in
+    the denominator (its worse summand, then the sum) and u in the
+    quotient.  m is widened by 2^-50 and stepped up past the product's
+    rounding before :func:`_atanh_up`.
+    """
+    if (x - c) * (y - c) > 0.0:
+        raise CertificateError("leg ends on one side of the disc centre")
+    m = r * abs(x - y) / (r * r + abs(x - c) * abs(y - c))
+    m = math.nextafter(m * (1.0 + 2.0**-50), math.inf)
+    if m >= 1.0:
+        raise CertificateError("leg end outside its disc")
+    return _atanh_up(m)
+
+
+def ub_base_chain(domain: ModelDomain, c: tuple[float, complex]) -> tuple[float, float]:
+    """The last two legs of a disc chain to BASE_POINT from the center
+    c = (c1, c2) of a z1 tangent disc, c1 as :meth:`ModelDomain.z1_disc`
+    returns it: down the z2 slice at the height c1 to z2 = 0, then along
+    the z1 disc at z2 = 0.
+
+    The chain's first leg, from a point to c, is priced by each caller.
     The legs come back separately so that each caller sums them in its
     own order.
     """
-    disc_b = domain.slice_disc(c[0])
-    leg_b = ub_disc_leg(domain, disc_b, c, disc_b.origin, rim_shrink=rim_shrink)
-    disc_c = domain.z1_disc(0.0 + 0.0j)
-    leg_c = ub_disc_leg(domain, disc_c, disc_b.origin, BASE_POINT, rim_shrink=rim_shrink)
+    c1, c2 = c
+    leg_b = _ub_real_leg(_modulus_up(c2), 0.0, 0.0, domain.slice_disc(c1))
+    leg_c = _ub_real_leg(c1, BASE_POINT[0].real, domain.z1_disc(0.0j), DISC_RADIUS)
     return leg_b, leg_c
 
 
@@ -697,8 +672,6 @@ def ub_slice_discs(
             raise CertificateError("slice disc leaves the profile slice")
     if _box_margin(p[0]) <= _DISC_CHECK_MARGIN:
         raise CertificateError("slice discs leave the box")
-    if not domain.contains(p):
-        raise CertificateError("base point of the two-disc bound is not interior")
     e = abs(p[1] - p_tilde2)
     if e >= r:
         raise CertificateError("point is not inside its slice disc")
@@ -753,8 +726,8 @@ def ub_interior_ball(domain: ModelDomain, z: PointC2, log_g: float) -> float:
     evaluated in the log domain from log_g = log g, widened by a relative
     1e-9 either way to cover its rounding.  From the center a disc chain
     reaches the base point: the z1 tangent disc at the center's z2 to its
-    own center, then :func:`ub_base_chain`.  The return value
-    includes _LOG_PATH_SLACK.
+    own center, then :func:`ub_base_chain`, each leg a closed form rounded
+    up.  The return value includes _LOG_PATH_SLACK.
     """
     R = domain.ball_radius
     if R * domain.ball_curvature_sup > 1.0:
@@ -772,7 +745,7 @@ def ub_interior_ball(domain: ModelDomain, z: PointC2, log_g: float) -> float:
     log_g_hi = log_g + math.log1p(1e-9)
 
     # ball containment: cap and box at the float-shadow center
-    c1 = domain.psi_float_ub(t1) + R * cos_phi
+    c1 = domain.psi_up(t1) + R * cos_phi
     c2_mag = t1 - R * sin_phi
     if c2_mag < 0.0:
         # the phase reduction recenters at |c2|, which only matches the
@@ -795,7 +768,7 @@ def ub_interior_ball(domain: ModelDomain, z: PointC2, log_g: float) -> float:
     log_one_minus_m2 = log_g_lo - math.log(R) + math.log(second)
     hop = math.log(2.0) - 0.5 * log_one_minus_m2
 
-    disc_a = domain.z1_disc(c2)
-    leg_a = ub_disc_leg(domain, disc_a, (c1, c2), disc_a.origin, rim_shrink=1e-14)
-    leg_b, leg_c = ub_base_chain(domain, disc_a.origin, rim_shrink=1e-14)
+    center = domain.z1_disc(c2)
+    leg_a = _ub_real_leg(c1, center, center, DISC_RADIUS)
+    leg_b, leg_c = ub_base_chain(domain, (center, c2))
     return hop + leg_a + leg_b + leg_c + _LOG_PATH_SLACK

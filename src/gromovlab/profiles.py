@@ -28,9 +28,9 @@ class ProfileFn:
     genuinely zero).  inverse expects a representable positive height.
     value_array, deriv_array and inverse_array are the elementwise twins
     of value, deriv and inverse on float arrays, within an ulp of the
-    scalars wherever np.log agrees with math.log; where it is an ulp off,
-    exp_flat's inverse can sit 2 ulps off and its derivative, an exp of
-    a sum with that log, a relative ulp of the exponent.
+    scalars wherever np.log and np.exp agree with math.log and math.exp;
+    where one is an ulp off, exp_flat's inverse can sit 2 ulps off and
+    its derivative, an exp followed by two divisions, 3.
     """
 
     name: str
@@ -134,8 +134,9 @@ def _exp_deriv(t: float) -> float:
     if t == 0.0:
         return 0.0
     if t <= _T_KNEE:
-        # exp(-1/t - 2 log t) avoids the 0/0 shape for tiny t
-        return math.exp(-1.0 / t - 2.0 * math.log(t))
+        # psi(t) / t^2, the divisions after the exp: then only -1/t's rounding
+        # is amplified, by 1/t, and psi' errs by under 2^-53 (1/t + 4)
+        return math.exp(-1.0 / t) / t / t
     return 64.0 * _E4 * t
 
 
@@ -187,7 +188,7 @@ def _exp_value_array(t: np.ndarray) -> np.ndarray:
 
 def _exp_deriv_array(t: np.ndarray) -> np.ndarray:
     t = np.maximum(_check_nonneg_array(t), _T_UNDERFLOW)
-    flat = np.exp(-1.0 / t - 2.0 * np.log(t))
+    flat = np.exp(-1.0 / t) / t / t
     return np.where(t <= _T_KNEE, flat, 64.0 * _E4 * t)
 
 

@@ -30,6 +30,7 @@ from typing import Callable
 
 from .convex import (
     BASE_POINT,
+    DISC_RADIUS,
     CertificateError,
     ModelDomain,
     PointC2,
@@ -60,6 +61,13 @@ _CLAIMS_MIN_X = 0.02
 _MAX_HALVINGS = 10
 
 _PAIR_KEYS = ("pq", "px", "qx", "pw", "qw", "xw")
+
+# relative widening of the tetra legs, 2^-48 = 32 2^-53: libm's atanh errs
+# by an ulp or two, and the long leg, whose m or gap 1 - m^2 rounds a few
+# times before an atanh or a log, by a few ulps more (under 5 2^-53 against
+# mpmath on 3,300 a in (0, 1 - 5e-6]); the widening also covers the three
+# roundings of the sum that forms s_lb
+_TETRA_SLACK = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -221,7 +229,9 @@ def tetra_witness(a: float) -> WitnessReport:
     the midpoint R = (a, 0, 0); the automorphism aligned at P carries
     the quadruple to slot-coordinate form, where five legs are atanh(a)
     and the long leg is atanh(2a/(1+a^2)) = 2 atanh(a).  The defect is
-    exactly atanh(a).
+    exactly atanh(a).  Each leg's enclosure is its float value widened
+    outward by _TETRA_SLACK relative and one step, so s_lb, their sum
+    rounded to nearest, stays at or below atanh(a).
     """
     if not 0.0 < a < 1.0:
         raise CertificateError("parameter must be in (0, 1)")
@@ -231,20 +241,18 @@ def tetra_witness(a: float) -> WitnessReport:
     O = (0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j)
 
     royal = math.atanh(a)
-    # long leg with an exact 1 - m^2, so the doubling identity survives
-    # to full precision even for a -> 1
+    # long leg with 1 - m^2 formed from (1 - a)(1 + a), which does not
+    # cancel, so the doubling identity survives to full precision as a -> 1
     m = 2.0 * a / (1.0 + a * a)
-    one_minus_m2 = ((1.0 - a * a) / (1.0 + a * a)) ** 2
+    one_minus_m2 = ((1.0 - a) * (1.0 + a) / (1.0 + a * a)) ** 2
     pq = _atanh_stable(m, one_minus_m2)
 
-    bounds = {
-        "pq": DistBound.exact(pq),
-        "px": DistBound.exact(royal),
-        "qx": DistBound.exact(royal),
-        "pw": DistBound.exact(royal),
-        "qw": DistBound.exact(royal),
-        "xw": DistBound.exact(royal),
-    }
+    def outward(v: float) -> DistBound:
+        return DistBound(math.nextafter(v * (1.0 - _TETRA_SLACK), -math.inf),
+                         math.nextafter(v * (1.0 + _TETRA_SLACK), math.inf))
+
+    royal_bound = outward(royal)
+    bounds = {"pq": outward(pq), **{k: royal_bound for k in _PAIR_KEYS[1:]}}
     interval = defect_interval(bounds)
 
     shifted = tetra_automorphism(a, P)
@@ -329,19 +337,20 @@ def hinge_witness(delta: float) -> WitnessReport:
     lb_ratio = lb_boundary_ratio_log(math.log(bx.hi), math.log(bw.lo))
 
     # -- three-leg chain q -> w (p -> w is its mirror) ------------------------
-    # q's z1 disc is tangent to the flat face at level 0, so q's height over
-    # the tangency is delta exactly: the leg to the disc's center reads log delta
-    disc_a = domain.z1_disc(q[1])
-    leg_a = _ub_real_leg_log(0.0, math.log(delta) - math.log(disc_a.direction[0].real))
-    leg_b, leg_c = ub_base_chain(domain, disc_a.origin)
+    # q's z1 disc reaches down to center - R, which is 0 on the flat face, so
+    # q's height over it is delta exactly: the leg to the center reads log delta
+    R = DISC_RADIUS
+    center = domain.z1_disc(q[1])
+    leg_a = _ub_real_leg_log(0.0, math.log(delta - (center - R)) - math.log(R))
+    leg_b, leg_c = ub_base_chain(domain, (center, q[1]))
     ub_chain = leg_a + leg_b + leg_c
 
     # -- remaining pair enclosures -------------------------------------------
     # the slice z1 = delta is the disc |z2| < 1 + u, on which p and q sit at
     # the parameters -+(1 - delta)/(1 + u) = -+(1 - u), u = sqrt(delta)
     hi_pq = 2.0 * atanh_one_minus(0.5 * math.log(delta))
-    disc_c = domain.z1_disc(0.0 + 0.0j)
-    hi_xw = _ub_real_leg_log(disc_c.parameter(w).real, math.log(delta) - math.log(disc_c.direction[0].real))
+    center_0 = domain.z1_disc(0.0j)
+    hi_xw = _ub_real_leg_log((w[0].real - center_0) / R, math.log(delta - (center_0 - R)) - math.log(R))
     lb_pw = lb_boundary_ratio_log(math.log(bp.hi), math.log(bw.lo))
     lb_qw = lb_boundary_ratio_log(math.log(bq.hi), math.log(bw.lo))
 
@@ -503,12 +512,13 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
 
     # caps in logs: the slice disc of radius x at height psi(x) (analytic
     # tangency) from w to q at parameter 1 - alpha (p, at -(1 - alpha), is
-    # twice as far from q), and the z1 disc at z2 = 0 from the base point
-    # to w; the float disc distance re-checks the slice leg s_lb reads twice
+    # twice as far from q), and the z1 disc at z2 = 0, centred at R and so
+    # tangent at Re z1 = 0 since psi(0) = 0, from the base point to w; the
+    # float disc distance re-checks the slice leg s_lb reads twice
     ub_slice = atanh_one_minus(log_alpha)
     slice_float = disc_distance(0.0, 1.0 - alpha, gap_v=alpha)
-    disc_c = domain.z1_disc(0.0 + 0.0j)
-    xw_hi = _ub_real_leg_log(disc_c.parameter(xb).real, log_psi - math.log(disc_c.direction[0].real))
+    R = DISC_RADIUS
+    xw_hi = _ub_real_leg_log((xb[0].real - domain.z1_disc(0.0j)) / R, log_psi - math.log(R))
 
     s_lb = lb_ratio + lb_half - ub_ball + lb_cross - 2.0 * ub_slice
 

@@ -165,11 +165,50 @@ def radius_integral(r, h):
     return total
 
 
-# the flat models' profiles psi, exact at a float x
+def exp_flat(t):
+    """e^{-1/t} up to its knee at t = 1/4, then the convex quadratic
+    e^{-4} (1 + 16u + 32u^2), u = t - 1/4."""
+    t = mp.mpf(t)
+    if t <= 0:
+        return mp.mpf(0)
+    if t <= mp.mpf(1) / 4:
+        return mp.exp(-1 / t)
+    u = t - mp.mpf(1) / 4
+    return mp.exp(-4) * (1 + 16 * u + 32 * u * u)
+
+
+def exp_flat_deriv(t):
+    """psi' = e^{-1/t} / t^2 below the knee."""
+    t = mp.mpf(t)
+    return mp.exp(-1 / t) / t**2
+
+
+# the flat models' profiles psi, exact at a float t
 FLAT_HEIGHTS = {
-    "flat_exp": lambda x: mp.exp(-1 / mp.mpf(x)),
-    "flat_quartic": lambda x: mp.mpf(x) ** 4,
+    "flat_exp": exp_flat,
+    "flat_quartic": lambda t: mp.mpf(t) ** 4,
 }
+
+
+def real_leg(x, y, c, r):
+    """Distance between the real points x and y of the disc |z - c| < r:
+    the disc distance of their parameters (x - c)/r and (y - c)/r."""
+    c, r = mp.mpf(c), mp.mpf(r)
+    return disc_distance((mp.mpf(x) - c) / r, (mp.mpf(y) - c) / r)
+
+
+def flat_ball_chain(c1, s, center, slice_radius, radius):
+    """The three disc legs of the interior ball's chain on a flat model,
+    from the ball's centre (c1, c2) with |c2| = s to the base point
+    (1, 0), along the discs at their float centres and radii: the z1 disc
+    |z1 - center| < radius at z2 = c2, from c1 to its centre; the slice
+    |z2| < slice_radius at z1 = center, from c2 to 0; the z1 disc
+    |z1 - radius| < radius at z2 = 0, from center to 1."""
+    return (
+        real_leg(c1, center, center, radius),
+        real_leg(s, 0, 0, slice_radius),
+        real_leg(center, 1, radius, radius),
+    )
 
 
 def exp_profile_cheap_lower(x):

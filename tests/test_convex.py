@@ -12,13 +12,13 @@ from gromovlab import convex, verify
 from gromovlab.convex import (
     BASE_POINT,
     BOX,
+    DISC_RADIUS,
     Z2_CAP,
     CertificateError,
     TangentHalfspaceCert,
     lb_boundary_ratio_log,
     lb_crossing_split,
     ub_base_chain,
-    ub_disc_leg,
     ub_interior_ball,
     ub_radius_integral,
     ub_slice_discs,
@@ -243,6 +243,17 @@ def test_bracket_bits_do_not_depend_on_the_block(m, raw, seed):
     assert [(_bits(b), bool(c)) for b, c in zip(shuffled, cut)] == [alone[k] for k in order]
 
 
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+def test_bracket_bits_alone_and_in_one_block_of_sampled_points(m):
+    # the bracket runs one branch and bound over the whole block
+    pts = sample_interior(m, 120, np.random.default_rng(16), margin=0.02)
+    block, cut = m.boundary_distance_brackets(pts)
+    alone = [m.boundary_distance_brackets([z]) for z in pts]
+    assert [(_bits(b), bool(c)) for b, c in zip(block, cut)] == [
+        (_bits(b[0]), bool(c[0])) for b, c in alone
+    ]
+
+
 @settings(max_examples=15)
 @given(
     m=st.sampled_from(ALL),
@@ -462,10 +473,15 @@ def test_interior_ball_refuses_complex_z1():
 # -- slice discs ---------------------------------------------------------------
 
 def test_z1_disc_containment():
+    # the centre is psi(|z2|) + R rounded up, the smallest float that
+    # clears the profile face: one float lower is refused
     m = FLAT_EXP_MODEL
-    disc = m.z1_disc(0.4 + 0.0j)
-    m.containment_check(disc)
-    assert m.contains(disc.point_at(0.0))
+    center = m.z1_disc(0.4 + 0.0j)
+    assert center - DISC_RADIUS >= m.profile.value(0.4)
+    assert m.contains((complex(center), 0.4 + 0.0j))
+    m.refuse_leaky_z1_disc(0.4, center)
+    with pytest.raises(CertificateError, match="crosses the profile face"):
+        m.refuse_leaky_z1_disc(0.4, math.nextafter(center, 0.0))
 
 
 def test_slice_disc_rejects_exterior_center():
@@ -492,46 +508,60 @@ def test_disc_constructors_refuse_at_the_box():
         q.z1_disc(complex(0.1 ** 0.25 + 1e-6))
 
 
-# -- disc legs and the base chain ----------------------------------------------
+# -- containment refusals and the base chain -------------------------------------
 
-def _next_up(v):
-    return complex(math.nextafter(v.real, math.inf), v.imag)
-
-
-def test_disc_leg_refuses_an_end_off_its_z1_disc():
-    m = HINGE_MODEL
-    disc = m.z1_disc(0.0j)
-    x = (0.5 + 0.0j, 0.0j)
-    assert ub_disc_leg(m, disc, x, BASE_POINT) > 0.0
-    off = (x[0], _next_up(x[1]))
-    with pytest.raises(CertificateError, match="off the disc"):
-        ub_disc_leg(m, disc, off, BASE_POINT)
-    with pytest.raises(CertificateError, match="off the disc"):
-        ub_disc_leg(m, disc, BASE_POINT, off)
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+def test_z1_disc_refused_past_the_box_and_the_cap(m):
+    # a centre whose disc reaches the face Re z1 = 3, and a disc at the cap
+    with pytest.raises(CertificateError, match="leaves the box"):
+        m.refuse_leaky_z1_disc(0.0, 3.0 - DISC_RADIUS)
+    with pytest.raises(CertificateError, match="radial cap"):
+        m.z1_disc(complex(Z2_CAP))
 
 
-def test_disc_leg_refuses_an_end_off_its_slice_disc():
-    m = HINGE_MODEL
-    disc = m.slice_disc(0.5 + 0.0j)
-    z, w = (0.5 + 0.0j, 0.3 + 0.0j), (0.5 + 0.0j, -0.4j)
-    assert ub_disc_leg(m, disc, z, w) > 0.0
-    off = (_next_up(z[0]), z[1])
-    with pytest.raises(CertificateError, match="off the disc"):
-        ub_disc_leg(m, disc, off, w)
-    with pytest.raises(CertificateError, match="off the disc"):
-        ub_disc_leg(m, disc, w, off)
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+def test_slice_radius_at_most_zero_is_refused(m):
+    for height in (0.0, -0.5):
+        with pytest.raises(CertificateError, match="slice height must be positive"):
+            m.slice_disc(complex(height))
+    for r in (0.0, -0.25, -math.inf):
+        with pytest.raises(CertificateError, match="slice radius"):
+            m.refuse_leaky_slice_disc(1.45 + 0.0j, r)
+
+
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+def test_a_disc_pushed_one_float_through_a_face_is_refused(m):
+    # the z1 disc at z2 = 0 is tangent to the profile face at Re z1 = 0:
+    # a centre rounded down one float crosses it
+    assert m.z1_disc(0.0j) == DISC_RADIUS
+    with pytest.raises(CertificateError, match="crosses the profile face"):
+        m.refuse_leaky_z1_disc(0.0, math.nextafter(DISC_RADIUS, 0.0))
+    # the slice at the height of the z1 discs' centres: the radius rounded
+    # up one float past the largest one that clears psi, or past the cap
+    height = 1.45 + 0.0j
+    r = m.slice_disc(height)
+    while r < Z2_CAP and m.psi_up(math.nextafter(r, math.inf)) <= height.real:
+        r = math.nextafter(r, math.inf)
+    m.refuse_leaky_slice_disc(height, r)
+    with pytest.raises(CertificateError, match="crosses the profile face|slice radius"):
+        m.refuse_leaky_slice_disc(height, math.nextafter(r, math.inf))
 
 
 def test_base_chain_legs_sum_to_the_hinge_chain():
     from gromovlab.witnesses import _ub_real_leg_log, hinge_witness
 
+    radius = DISC_RADIUS
     for delta in (1e-6, 1e-14, 1e-22, 1e-31):
-        disc = HINGE_MODEL.z1_disc(complex(-(1.0 - delta)))
-        radius = disc.direction[0].real
+        q2 = complex(-(1.0 - delta))
+        # q's z1 disc is tangent to the flat face: its centre is R exactly
+        center = HINGE_MODEL.z1_disc(q2)
+        assert center == radius
         leg_a = _ub_real_leg_log(0.0, math.log(delta) - math.log(radius))
-        leg_b, leg_c = ub_base_chain(HINGE_MODEL, disc.origin)
+        leg_b, leg_c = ub_base_chain(HINGE_MODEL, (center, q2))
         # from the center (radius, q2): across the slice |z2| < 2, then to
-        # the base point at parameter (1 - radius)/radius
-        assert leg_b == pytest.approx(math.atanh((1.0 - delta) / 2.0), rel=1e-15)
-        assert leg_c == pytest.approx(math.atanh((radius - 1.0) / radius), rel=1e-15)
+        # the base point at parameter (1 - radius)/radius; each leg is
+        # rounded up, by a few ulps (test_oracles checks the chain against mpmath)
+        for got, want in ((leg_b, math.atanh((1.0 - delta) / 2.0)),
+                          (leg_c, math.atanh((radius - 1.0) / radius))):
+            assert want <= got == pytest.approx(want, rel=4e-15)
         assert dict(hinge_witness(delta).terms)["ub_chain"] == leg_a + leg_b + leg_c

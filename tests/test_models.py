@@ -59,12 +59,11 @@ def _ulps(a, b):
 
 
 # every twin sits within an ulp of its scalar, except where np.log and
-# math.log differ by an ulp (at a few arguments in a thousand): the exp
-# profile's inverse takes a log and then a reciprocal, and can sit 2 ulps
-# off; its derivative exp(-1/t - 2 log t) can move its exponent x by an
-# ulp, which exp turns into a relative ulp(x), 32 ulps of the result at
-# t ~ 0.04
+# math.log, or np.exp and math.exp, differ by an ulp: the exp profile's
+# inverse takes a log and then a reciprocal, and can sit 2 ulps off; its
+# derivative divides exp(-1/t) by t twice, and can sit 3 ulps off
 INVERSE_ULPS = {"hinge": 1, "exp_flat": 2, "quartic": 1}
+DERIV_ULPS = {"hinge": 1, "exp_flat": 3, "quartic": 1}
 
 
 @pytest.mark.parametrize("p", [HINGE, EXP_FLAT, QUARTIC], ids=lambda p: p.name)
@@ -76,14 +75,7 @@ def test_array_twins_match_the_scalars(p):
     inverse = [p.inverse(v) for v in y.tolist()]
     assert _ulps(p.inverse_array(y), inverse).max() <= INVERSE_ULPS[p.name]
     twin, scalar = p.deriv_array(t), np.array([p.deriv(v) for v in t.tolist()])
-    if p is EXP_FLAT:
-        x = -1.0 / np.maximum(t, 1e-300) - 2.0 * np.log(np.maximum(t, 1e-300))
-        off = _ulps(twin, scalar) > 1
-        assert off.sum() <= 5
-        rel = np.abs(twin - scalar)[off] / scalar[off]
-        assert np.all(rel <= 2.0 * np.spacing(np.abs(x[off])) + 2.0**-52)
-    else:
-        assert _ulps(twin, scalar).max() <= 1
+    assert _ulps(twin, scalar).max() <= DERIV_ULPS[p.name]
     with pytest.raises(ValueError):
         p.value_array(np.array([0.5, -0.5]))
     with pytest.raises(ValueError):

@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from gromovlab import exact, witnesses
-from gromovlab.convex import BASE_POINT, ub_radius_integral
+from gromovlab import convex, exact, witnesses
+from gromovlab.convex import BASE_POINT, DISC_RADIUS, ub_radius_integral
 from gromovlab.models import FLAT_EXP_MODEL, HINGE_MODEL, MODELS, sample_interior
+from gromovlab.profiles import EXP_FLAT
 
 mp_oracle = pytest.importorskip("mpmath", reason="oracle re-derivation needs mpmath")
 import oracle_gen  # noqa: E402  (sibling module, needs mpmath)
@@ -94,11 +95,11 @@ def test_library_reproduces_anchor(name):
 # these certify determinism, not correctness (the checks inside each witness
 # certify correctness)
 PINS = {
-    ("hinge", 1e-6): -9.6186361372316611,
-    ("hinge", 1e-14): -4.9969686909644011,
-    ("hinge", 1e-22): -0.39179689569942866,
-    ("flat_exp", 0.02): 0.02470697232346364,
-    ("flat_exp", 3.0459959489425278e-10): 9.0510785599255783,
+    ("hinge", 1e-6): -9.618636137231672,
+    ("hinge", 1e-14): -4.996968690964433,
+    ("hinge", 1e-22): -0.3917968956994784,
+    ("flat_exp", 0.02): 0.024706972323474297,
+    ("flat_exp", 3.0459959489425278e-10): 9.051078559925568,
 }
 
 
@@ -124,10 +125,9 @@ FLAT_LEG_RADII = {
 
 
 def _base_leg_exact(domain, h):
-    disc = domain.z1_disc(0.0j)
-    radius = disc.direction[0].real
-    assert disc.origin[0] == radius  # tangent at z1 = 0, as base_leg takes it
-    return oracle_gen.base_leg(h, radius, BASE_POINT[0].real)
+    # the z1 disc at z2 = 0 is tangent at z1 = 0, as base_leg takes it
+    assert domain.z1_disc(0.0j) == DISC_RADIUS
+    return oracle_gen.base_leg(h, DISC_RADIUS, BASE_POINT[0].real)
 
 
 @pytest.mark.parametrize("name", sorted(FLAT_LEG_RADII))
@@ -145,6 +145,35 @@ def test_flat_disc_legs_bound_the_exact_legs(name):
         ):
             # at least the exact leg, and within a relative 1e-12 of it
             if not want <= got <= want * (1 + mp_oracle.mpf(1e-12)):
+                wrong.append(f"x={x!r} {label}: {got!r} against {mp_oracle.nstr(want, 20)}")
+    assert not wrong, wrong
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_LEG_RADII))
+def test_flat_ball_chain_legs_bound_the_exact_legs(name, monkeypatch):
+    # the three disc legs of ub_interior_ball, recorded as the flat witness
+    # prices them: each disc lies in the domain at 60 digits, and each leg
+    # is at least the exact leg along it and within a relative 1e-12 of it
+    domain = MODELS[name]
+    psi = oracle_gen.FLAT_HEIGHTS[name]
+    legs = []
+    real_leg = convex._ub_real_leg
+
+    def recording(x, y, c, r):
+        legs.append(((x, y, c, r), real_leg(x, y, c, r)))
+        return legs[-1][1]
+
+    monkeypatch.setattr(convex, "_ub_real_leg", recording)
+    wrong = []
+    for x in FLAT_LEG_RADII[name]:
+        legs.clear()
+        witnesses.flat_witness(domain, x)
+        ((c1, center, _, radius), leg_a), ((s, _, _, r), leg_b), (_, leg_c) = legs
+        if not (center - radius >= psi(s) and psi(r) <= center and r <= 2):
+            wrong.append(f"x={x!r}: a disc leaves the domain")
+        exact = oracle_gen.flat_ball_chain(c1, s, center, r, radius)
+        for label, got, want in zip(("leg_a", "leg_b", "leg_c"), (leg_a, leg_b, leg_c), exact):
+            if not want <= got <= want * (1 + mp_oracle.mpf(1e-12)) + mp_oracle.mpf(1e-300):
                 wrong.append(f"x={x!r} {label}: {got!r} against {mp_oracle.nstr(want, 20)}")
     assert not wrong, wrong
 
@@ -181,8 +210,7 @@ HINGE_DEEP = [10.0**-k for k in range(4, 32)]
 @pytest.mark.parametrize("delta", HINGE_DEEP)
 def test_hinge_rim_legs_bound_the_exact_legs(delta):
     rep = witnesses.hinge_witness(delta)
-    radius = HINGE_MODEL.z1_disc(0.0j).direction[0].real
-    chain = oracle_gen.hinge_chain(delta, radius)
+    chain = oracle_gen.hinge_chain(delta, DISC_RADIUS)
     pq = oracle_gen.hinge_pq(delta)
     below = [
         f"{label}: {got!r} < {mp_oracle.nstr(want, 20)}"
@@ -258,3 +286,41 @@ def test_gn_witness_certifies_near_the_boundary(a):
     rep = witnesses.gn_witness(a)
     assert rep.checks_passed, rep.checks
     assert rep.s_lb <= float(oracle_gen.gn_s_lb(a)) + 4 * math.ulp(rep.s_lb)
+
+
+# tetra: five royal legs atanh(a) and the long leg 2 atanh(a), each rounded
+# outward, so s_lb stays at or below the exact defect atanh(a)
+TETRA_A = [0.5 + (0.9999 - 0.5) * k / 999 for k in range(1000)]
+
+
+def test_tetra_s_lb_is_at_most_the_exact_defect():
+    above = []
+    with mp_oracle.workdps(50):
+        for a in TETRA_A:
+            rep = witnesses.tetra_witness(a)
+            exact = mp_oracle.atanh(mp_oracle.mpf(a))
+            if rep.s_lb > exact:
+                above.append(a)
+            for key, want in (("pq", 2 * exact), ("xw", exact)):
+                if not rep.bounds[key].lo <= want <= rep.bounds[key].hi:
+                    above.append((a, key))
+    assert not above, (len(above), above[:5])
+
+
+# exp_flat's psi' = e^{-1/t}/t^2: only -1/t's rounding is amplified, by 1/t,
+# so it errs by under 2^-53 (1/t + 4), plus an ulp of a subnormal e^{-1/t}
+# divided by t^2 where that underflows
+EXP_DERIV_T = [1e-3 + (0.25 - 1e-3) * k / 2999 for k in range(3000)] + [0.04096]
+
+
+def test_exp_deriv_rounding_is_bounded():
+    t = np.array(EXP_DERIV_T)
+    wrong = []
+    for v, scalar, twin in zip(EXP_DERIV_T, [EXP_FLAT.deriv(v) for v in EXP_DERIV_T],
+                               EXP_FLAT.deriv_array(t).tolist()):
+        exact = oracle_gen.exp_flat_deriv(v)
+        bound = 2.0**-53 * (1.0 / v + 4.0) * exact + 2.0**-1074 / (v * v)
+        for label, got in (("scalar", scalar), ("array", twin)):
+            if abs(got - exact) > bound:
+                wrong.append(f"{label} t={v!r}: {got!r} against {mp_oracle.nstr(exact, 20)}")
+    assert not wrong, (len(wrong), wrong[:5])

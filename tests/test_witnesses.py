@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gromovlab import witnesses
+from gromovlab.convex import ModelDomain, ub_interior_ball
 from gromovlab.core import four_point_defects
 from gromovlab.exact import SAMPLE_DOMAINS
 from gromovlab.models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL
@@ -169,24 +170,24 @@ HINGE_PINS = {
         "pq": (6.906755778649135, 7.600402334500403),
         "px": (0.0, 15.122804299044596),
         "qx": (0.0, 15.122804299044596),
-        "pw": (6.907755278982137, 8.310342895818346),
-        "qw": (6.907755278982137, 8.310342895818346),
+        "pw": (6.907755278982137, 8.310342895818348),
+        "qw": (6.907755278982137, 8.310342895818348),
         "xw": (6.907755278982137, 7.119183531978342),
     },
     1e-14: {
         "pq": (16.118095550454385, 16.81124278151827),
         "px": (0.0, 19.71247578550233),
         "qx": (0.0, 19.71247578550233),
-        "pw": (16.11809565095832, 17.5206841068748),
-        "qw": (16.11809565095832, 17.5206841068748),
+        "pw": (16.11809565095832, 17.520684106874807),
+        "qw": (16.11809565095832, 17.520684106874807),
         "xw": (16.11809565095832, 16.329524076368358),
     },
     1e-22: {
         "pq": (25.32843594019413, 26.02158320348946),
         "px": (0.0, 24.317644379977096),
         "qx": (0.0, 24.317644379977096),
-        "pw": (25.328436022934504, 26.73102447885101),
-        "qw": (25.328436022934504, 26.73102447885101),
+        "pw": (25.328436022934504, 26.731024478851015),
+        "qw": (25.328436022934504, 26.731024478851015),
         "xw": (25.328436022934504, 25.53986444834456),
     },
 }
@@ -241,7 +242,7 @@ def test_alpha_schedule_keeps_increment_in_slab():
 # sweep range and deep inside it
 FLAT_PINS = {
     ("flat_exp", 0.02): (
-        26.75125644856162, 2.830679265826017,
+        26.75125644856161, 2.830679265826017,
         (4.951480399252239, 5.661358531652034),
         (25.0, 25.211428425410055),
     ),
@@ -251,12 +252,12 @@ FLAT_PINS = {
         (49999.99999999999, 50000.21142842547),
     ),
     ("flat_quartic", 0.02): (
-        10.804164292484467, 2.830679265826017,
+        10.804164292484435, 2.830679265826017,
         (4.684001034117974, 5.661358531652034),
         (7.804978459310703, 8.035474408680114),
     ),
     ("flat_quartic", 1e-05): (
-        29.78313466599373, 6.632865506901168,
+        29.783134665993703, 6.632865506901168,
         (12.284903493660059, 13.265731013802336),
         (23.006783378394868, 23.23727935535051),
     ),
@@ -271,6 +272,39 @@ def test_flat_bounds_pinned(key):
     pq, xw = rep.bounds["pq"], rep.bounds["xw"]
     got = (terms["ub_ball"], terms["ub_slice"], (pq.lo, pq.hi), (xw.lo, xw.hi))
     assert got == FLAT_PINS[key]
+
+
+# -- containment is analytic ------------------------------------------------------
+
+def test_witnesses_test_membership_only_in_the_bracket(monkeypatch):
+    # every disc is certified where it is built, with no sampled net: the
+    # witnesses and the interior ball call contains only through the
+    # boundary bracket's membership check, once per bracketed point
+    counts = {"contains": 0, "bracketed": 0}
+    contains, brackets = ModelDomain.contains, ModelDomain.boundary_distance_brackets
+
+    def counting_contains(self, z, slack=0.0):
+        counts["contains"] += 1
+        return contains(self, z, slack)
+
+    def counting_brackets(self, zs):
+        counts["bracketed"] += len(zs)
+        return brackets(self, zs)
+
+    monkeypatch.setattr(ModelDomain, "contains", counting_contains)
+    monkeypatch.setattr(ModelDomain, "boundary_distance_brackets", counting_brackets)
+    m = FLAT_EXP_MODEL
+    z = (complex(m.profile.value(0.12) + 1e-4), complex(0.12))
+    for build in (
+        lambda: hinge_witness(1e-6),
+        lambda: hinge_witness(1e-22),
+        lambda: flat_witness(FLAT_EXP_MODEL, 0.02),
+        lambda: flat_witness(FLAT_QUARTIC_MODEL, 1e-5),
+        lambda: ub_interior_ball(m, z, math.log(1e-4)),
+    ):
+        counts.update(contains=0, bracketed=0)
+        build()
+        assert counts["contains"] == counts["bracketed"], counts
 
 
 # -- family registry -----------------------------------------------------------
