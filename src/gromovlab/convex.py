@@ -17,8 +17,9 @@ Upper bounds
       the faces, and its legs are closed forms rounded up,
     * the integrated ball metric, ds/delta, along a polygon.
 
-CertificateError always means "could not verify a precondition", never
-"the bound is loose".
+Certified terms round outward through :mod:`.rounding`, not with slacks
+of their own.  CertificateError always means "could not verify a
+precondition", never "the bound is loose".
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import numpy as np
 
 from .exact import DistBound
 from .profiles import ProfileFn
+from .rounding import (LIBM_FLOATS, SIMD_FLOATS, atanh_up, down, exp_up, log_down, log_up, sqrt_up,
+                       sum_down, sum_up, up)
 
 PointC2 = tuple[complex, complex]
 
@@ -55,13 +58,6 @@ _BB_COARSE = 256
 _BB_GAP = 1e-4
 _BB_MAX_ITER = 6000
 
-# how far inside the box an analytic disc must stay
-_DISC_CHECK_MARGIN = 1e-12
-
-# relative step down of a slice radius below the float inverse of the
-# profile, which may sit a few ulps high; psi(r) <= height is then checked
-_SLICE_SHRINK = 2.0**-46
-
 
 def _box_margin(z1: complex) -> float:
     """Signed Euclidean distance from a point (z1, z2) to the box faces
@@ -69,31 +65,19 @@ def _box_margin(z1: complex) -> float:
     return min(BOX - z1.real, BOX - abs(z1.imag))
 
 
-def _face_margin_lower(x1: np.ndarray, y1: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Lower bound for the distance min(BOX - x1, BOX - |y1|, Z2_CAP - s)
-    to the box and cap faces from the points with z1 = x1 + i y1 and
-    |z2| given as s.
+def _modulus_up(w: complex) -> float:  # |w| rounded up: a hypot, exact on the axes
+    return up(abs(w), LIBM_FLOATS) if w.real and w.imag else abs(w)
 
-    x1 and y1 are the coordinates themselves, exact.  s comes from a
-    hypot, faithfully rounded, so |z2| is at most the next float up,
-    which s (1 + 2^-52) reaches.  The minimum m of the three differences
-    is the binding face's a - b rounded to nearest; there (a - m) - b is
-    its rounding error exactly (Fast2Sum, with |b| <= |a| wherever the
-    margin is positive), and on every other face, whose exact margin
-    exceeds m, it is >= 0.  So m steps down, by m (1 - 2^-52), which
-    passes an ulp, only where the exact margin lies below it.
-    """
-    ay1 = np.abs(y1)
-    s_up = s * (1.0 + 2.0**-52)
+
+def _face_margin_lower(x1: np.ndarray, y1: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """min(BOX - x1, BOX - |y1|, Z2_CAP - s), the distance to the box and
+    cap faces from z1 = x1 + i y1 and |z2| = s (a hypot), rounded down.
+    The smallest difference m steps down only where Fast2Sum shows its face
+    inexact; every other face's exact margin exceeds m."""
+    ay1, s_up = np.abs(y1), up(s, LIBM_FLOATS)
     m = np.minimum(np.minimum(BOX - x1, BOX - ay1), Z2_CAP - s_up)
     err = np.minimum(np.minimum((BOX - m) - x1, (BOX - m) - ay1), (Z2_CAP - m) - s_up)
-    return np.where(err < 0.0, m * (1.0 - 2.0**-52), m)
-
-
-def _modulus_up(w: complex) -> float:
-    """|w| rounded up: abs is faithful, and exact on the axes."""
-    s = abs(w)
-    return math.nextafter(s, math.inf) if w.real and w.imag else s
+    return np.where(err < 0.0, down(m), m)
 
 
 def _certified_block_min(
@@ -181,21 +165,14 @@ class ModelDomain:
     # -- membership ---------------------------------------------------------
 
     def psi_up(self, t: float) -> float:
-        """psi(t) rounded up.
-
-        Where log_value is -inf the profile is genuinely 0 and value
-        returns an exact 0.0.  Elsewhere value errs by under a relative
-        2^-52 (|log psi(t)| + 3): exp(-1/t) by 2^-53/t = 2^-53 |log psi|
-        from the rounding of -1/t and an ulp from exp, the polynomial
-        pieces by a few roundings, pow by an ulp.  2^-50 (4 + |log psi|)
-        covers that; one step up covers the product's rounding, and an
-        underflowed or subnormal value's ulp.
-        """
+        """psi(t) rounded up, 0 where log_value is -inf.  Below e^-4 every
+        profile is a flat or power piece, whose log_value (a division or libm
+        log, times 2 or 4) is within LIBM_FLOATS floats of log psi; above, value
+        (a pow or a few roundings of positive terms) is within 4 LIBM_FLOATS."""
         log_v = self.profile.log_value(t)
-        if log_v == -math.inf:
-            return 0.0
-        v = self.profile.value(t)
-        return math.nextafter(v * (1.0 + 2.0**-50 * (4.0 + abs(log_v))), math.inf)
+        if log_v < -4.0:
+            return exp_up(up(log_v, LIBM_FLOATS)) if log_v > -math.inf else 0.0
+        return up(self.profile.value(t), 4 * LIBM_FLOATS)
 
     def profile_margin(self, z: PointC2) -> float:
         return z[0].real - self.profile.value(abs(z[1]))
@@ -333,55 +310,49 @@ class ModelDomain:
 
     def z1_disc(self, w2: complex) -> float:
         """Centre, on the real axis, of the tangent disc of radius
-        DISC_RADIUS in the z1 plane at fixed z2 = w2.
-
-        The centre is psi(|w2|) + R rounded up, with |w2| and psi rounded
-        up too, so the disc clears the profile face; at w2 = 0 it is R
-        exactly, since psi(0) = 0.  :meth:`refuse_leaky_z1_disc`
-        certifies it.
-        """
+        DISC_RADIUS in the z1 plane at fixed z2 = w2: psi(|w2|) + R rounded
+        up, with |w2| and psi rounded up too, so the disc clears the profile
+        face; at w2 = 0 it is R exactly, since psi(0) = 0.
+        :meth:`refuse_leaky_z1_disc` certifies it."""
         s = _modulus_up(w2)
-        psi = self.psi_up(s)
-        center = psi + DISC_RADIUS
-        # center - R is exact (Sterbenz) wherever the box lets the disc be
-        if center - DISC_RADIUS < psi:
-            center = math.nextafter(center, math.inf)
-        self.refuse_leaky_z1_disc(s, center)
+        center = sum_up(psi := self.psi_up(s), DISC_RADIUS)
+        self.refuse_leaky_z1_disc(s, center, psi)
         return center
 
-    def refuse_leaky_z1_disc(self, s: float, center: float) -> None:
+    @staticmethod
+    def refuse_leaky_z1_disc(s: float, center: float, psi: float) -> None:
         """CertificateError unless the disc |z1 - center| < R at |z2| = s
         lies in the domain: s inside the radial cap, center + R inside the
         box face Re z1 = BOX (R < BOX keeps it off |Im z1| = BOX), and
-        center - R at least psi(s) rounded up, the profile face."""
+        center - R at least psi = psi_up(s), the profile face."""
         if s >= Z2_CAP:
             raise CertificateError("z1 disc outside the radial cap")
-        if _box_margin(center + DISC_RADIUS) <= _DISC_CHECK_MARGIN:
+        if sum_up(center, DISC_RADIUS) >= BOX:
             raise CertificateError(f"z1 disc at |z2|={s:g} leaves the box")
-        if center - DISC_RADIUS < self.psi_up(s):
+        if center - DISC_RADIUS < psi:
             raise CertificateError(f"z1 disc at |z2|={s:g} crosses the profile face")
 
     def slice_disc(self, c: complex) -> float:
-        """Radius of the disc |z2| < r at fixed z1 = c: the whole slice,
-        its radius stepped down by the relative _SLICE_SHRINK below the
-        float inverse of the profile, and certified by
-        :meth:`refuse_leaky_slice_disc`."""
-        r = self.slice_radius(c.real)
-        if r < Z2_CAP:
-            r *= 1.0 - _SLICE_SHRINK
-        self.refuse_leaky_slice_disc(c, r)
+        """Radius of the disc |z2| < r at fixed z1 = c: the profile's inverse
+        (or the cap) stepped down 4 LIBM_FLOATS floats, psi_up's most, then by
+        doubling steps to psi_up(r) <= Re c; refuse_leaky_slice_disc checks it."""
+        r, k, psi = down(self.slice_radius(c.real), 4 * LIBM_FLOATS), 8 * LIBM_FLOATS, math.inf
+        while r > 0.0 and (psi := self.psi_up(r)) > c.real:
+            r, k = down(r, k), 2 * k
+        self.refuse_leaky_slice_disc(c, r, psi)
         return r
 
-    def refuse_leaky_slice_disc(self, c: complex, r: float) -> None:
+    @staticmethod
+    def refuse_leaky_slice_disc(c: complex, r: float, psi: float) -> None:
         """CertificateError unless the disc |z2| < r at z1 = c lies in the
-        domain: c inside the box, 0 < r <= Z2_CAP, and psi(r) rounded up
-        at most Re c, the profile face (tangency is allowed, since the
-        disc is open)."""
-        if _box_margin(c) <= _DISC_CHECK_MARGIN:
+        domain: c inside the box, 0 < r <= Z2_CAP, and psi = psi_up(r) at
+        most Re c, the profile face (tangency is allowed, since the disc
+        is open)."""
+        if _box_margin(c) <= 0.0:
             raise CertificateError(f"slice disc at z1={c} leaves the box")
         if not 0.0 < r <= Z2_CAP:
             raise CertificateError(f"slice radius {r!r} is not in (0, {Z2_CAP}]")
-        if self.psi_up(r) > c.real:
+        if psi > c.real:
             raise CertificateError(f"slice disc at Re z1={c.real:g} crosses the profile face")
 
     # -- generic upper bound --------------------------------------------------
@@ -409,30 +380,21 @@ class ModelDomain:
 _CHAIN_PIECES = 16
 _CHAIN_BLOCK = 256
 
-# relative slack on each piece h g(q)/a of ub_radius_integral, in units of
-# u = 2**-53, to first order.  h: each real part of a node difference
-# rounds once, np.abs of a complex may be numpy's SIMD loop, allow 2 ulps
-# (it errs by up to 1.97 on random points), and np.hypot is within an
-# ulp: 7u.  q = b/a rounds once and g's relative condition number in q is
-# at most 1: u.  g: np.log or np.log1p may be a SIMD routine a few ulps
-# off; allow 8 ulps, 16u; q - 1 is exact for 1/2 <= q <= 2 (Sterbenz) and
-# rounds once elsewhere, and the quotient rounds once: 18u.  h g / a: 2u.
-# That is 28u; 2**-46 is 128u, and the piece then steps one float up past
-# the rounding of its product with 1 + slack
-_RADIUS_SLACK = 2.0**-46
-
 
 def chain_polygon(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The polygon through _CHAIN_PIECES + 1 evenly spaced float points of
     the segment from each row z[k] of C^2 to w[k], with ends z[k] and w[k]
-    exactly: its nodes, shaped (pair, node, 2), and its piece lengths.
-    Nodes off the segment by a rounding only move the polygon, which is
+    exactly: its nodes, shaped (pair, node, 2), and its piece lengths,
+    rounded up.  Nodes off the segment by a rounding only move the polygon,
     the path that :func:`ub_radius_integral` prices."""
     frac = np.arange(_CHAIN_PIECES + 1)[:, None] / _CHAIN_PIECES
     nodes = z[:, None, :] + frac * (w - z)[:, None, :]
     nodes[:, 0], nodes[:, -1] = z, w
-    step = np.abs(np.diff(nodes, axis=1))
-    return nodes, np.hypot(step[..., 0], step[..., 1])
+    step = np.diff(nodes, axis=1)
+    # the parts of each coordinate difference and their squares round once
+    parts = up(np.abs(step.view(np.float64)))
+    h = sqrt_up(_sum_up_rows(up(parts * parts)))
+    return nodes, np.where(np.any(step != 0.0, axis=-1), h, 0.0)
 
 
 def ub_radius_integral(r: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -446,10 +408,11 @@ def ub_radius_integral(r: np.ndarray, h: np.ndarray) -> np.ndarray:
     integral of ds/delta.  delta is concave on a convex domain, so on a
     piece it lies above the chord of the end radii a and b, and the piece
     costs at most h log(b/a)/(b - a) = (h/a) g(q), with q = b/a,
-    g(q) = log(q)/(q - 1) and g(1) = 1.  Each piece is widened by
-    _RADIUS_SLACK and steps one float up; the pieces are summed in column
-    order, each partial sum rounded up, so a polygon gets the same bits
-    alone as in any block.  A polygon of length 0 costs exactly 0.
+    g(q) = log(q)/(q - 1) and g(1) = 1.  g falls as q rises, so q is
+    rounded down and g up, numpy's log within SIMD_FLOATS floats; each piece
+    is rounded up and the pieces are summed pairwise, rounded up, so a
+    polygon gets the same bits alone as in any block.  A polygon of
+    length 0 costs exactly 0.
     """
     bad = np.argwhere(~(r > 0.0))
     if bad.size:
@@ -457,19 +420,25 @@ def ub_radius_integral(r: np.ndarray, h: np.ndarray) -> np.ndarray:
             f"node {bad[0][1]} of chain {bad[0][0]} has no positive certified radius"
         )
     a = r[:, :-1]
-    q = r[:, 1:] / a
-    d = q - 1.0
+    q = down(r[:, 1:] / a)
+    # q - 1 is exact for 1/2 <= q <= 2 (Sterbenz), where log1p keeps the digits
+    # 1 + (b - a)/a loses; log q and q - 1 share a sign, so g = |log q|/|q - 1|
+    near, d = (0.5 <= q) & (q <= 2.0), q - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        # never 1 + (b - a)/a, which loses every digit when b << a
-        g = np.where((0.5 <= q) & (q <= 2.0), np.log1p(d), np.log(q)) / d
-    g[d == 0.0] = 1.0
-    piece = h * g / a
-    piece = np.where(piece > 0.0, np.nextafter(piece * (1.0 + _RADIUS_SLACK), math.inf), 0.0)
-    total = np.zeros(len(r))
-    for col in piece.T:
-        raw = total + col
-        total = np.where(col > 0.0, np.nextafter(raw, math.inf), raw)
-    return total
+        log_q = up(np.abs(np.where(near, np.log1p(d), np.log(q))), SIMD_FLOATS)
+        g = up(log_q / np.where(near, np.abs(d), down(np.abs(d))))
+    g[q == 1.0] = 1.0
+    return _sum_up_rows(np.where(h > 0.0, up(up(h * g) / a), 0.0))
+
+
+def _sum_up_rows(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of a nonnegative array, pairwise, rounded up."""
+    while x.shape[-1] > 1:
+        if x.shape[-1] % 2:
+            x = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
+        s = x[..., 0::2] + x[..., 1::2]
+        x = np.where(s > 0.0, up(s), s)
+    return x[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +509,6 @@ def lb_boundary_ratio_log(log_d_z_hi: float, log_d_w_lo: float) -> float:
     return 0.5 * max(0.0, log_d_w_lo - log_d_z_hi)
 
 
-def lb_halfplane_ratio_log(log_re_z: float, log_re_w: float) -> float:
-    """Push the pair through one positive functional into Re > 0, where
-    the distance between real parts is at least half the log ratio.  The
-    logs are of the values of a tangent functional whose certificate
-    checked the tangency."""
-    return 0.5 * abs(log_re_w - log_re_z)
-
-
 def lb_crossing_split(
     cert_a: TangentHalfspaceCert,
     cert_b: TangentHalfspaceCert,
@@ -581,47 +542,29 @@ def lb_crossing_split(
     cap = cert_a.log_tau_cert(cert_b)
     if log_tau is None:
         log_tau = cap
-    elif log_tau > cap + 1e-9:
+    elif log_tau > cap:
         raise CertificateError("requested tau exceeds the certified coupling level")
-    if log_re_a_z > log_tau + 1e-9 or log_re_b_w > log_tau + 1e-9:
+    if log_re_a_z > log_tau or log_re_b_w > log_tau:
         raise CertificateError("crossing bound needs both endpoints below the tau level")
-    return 0.5 * (log_tau - log_re_a_z) + 0.5 * (log_tau - log_re_b_w)
+    return 0.5 * sum_down(log_tau, -log_re_a_z, log_tau, -log_re_b_w)
 
 
 # ---------------------------------------------------------------------------
 # disc-leg upper bounds
 
 
-def _atanh_up(m: float) -> float:
-    """atanh(m) for a float m in [0, 1), rounded up.
-
-    atanh(m) = (1/2) log1p(q), q = 2m/(1 - m).  1 - m and the quotient
-    round once each, so q errs by under 2^-52 relative; log1p's condition
-    number q/((1 + q) log1p(q)) is at most 1, and with log1p within an ulp
-    the half-log errs by under 2^-51 relative.  Widening by 2^-50 and one
-    step up cover that and the product's rounding.
-    """
-    return math.nextafter(0.5 * math.log1p(2.0 * m / (1.0 - m)) * (1.0 + 2.0**-50), math.inf)
-
-
 def _ub_real_leg(x: float, y: float, c: float, r: float) -> float:
     """Poincare distance between the real points x and y of the disc
-    |z - c| < r, on either side of its centre, rounded up.
-
-    In the disc's parameter the ends sit at (x - c)/r and (y - c)/r, and
-    m = r |x - y| / (r^2 + |x - c| |y - c|).  Every term is positive, so
-    m errs by under 7 u = 7 2^-53 relative: 2 u in the numerator, 4 u in
-    the denominator (its worse summand, then the sum) and u in the
-    quotient.  m is widened by 2^-50 and stepped up past the product's
-    rounding before :func:`_atanh_up`.
+    |z - c| < r, on either side of its centre, rounded up: atanh(m),
+    m = r |x - y| / (r^2 + |x - c| |y - c|), numerator up, denominator down.
     """
     if (x - c) * (y - c) > 0.0:
         raise CertificateError("leg ends on one side of the disc centre")
-    m = r * abs(x - y) / (r * r + abs(x - c) * abs(y - c))
-    m = math.nextafter(m * (1.0 + 2.0**-50), math.inf)
+    num = up(r * up(abs(x - y)))
+    m = up(num / down(down(r * r) + down(down(abs(x - c)) * down(abs(y - c)))))
     if m >= 1.0:
         raise CertificateError("leg end outside its disc")
-    return _atanh_up(m)
+    return atanh_up(m)
 
 
 def ub_base_chain(domain: ModelDomain, c: tuple[float, complex]) -> tuple[float, float]:
@@ -636,7 +579,7 @@ def ub_base_chain(domain: ModelDomain, c: tuple[float, complex]) -> tuple[float,
     """
     c1, c2 = c
     leg_b = _ub_real_leg(_modulus_up(c2), 0.0, 0.0, domain.slice_disc(c1))
-    leg_c = _ub_real_leg(c1, BASE_POINT[0].real, domain.z1_disc(0.0j), DISC_RADIUS)
+    leg_c = _ub_real_leg(c1, BASE_POINT[0].real, DISC_RADIUS, DISC_RADIUS)
     return leg_b, leg_c
 
 
@@ -670,7 +613,7 @@ def ub_slice_discs(
     for center in (p_tilde2, s_tilde2):
         if abs(center) + r > rad + 1e-12:
             raise CertificateError("slice disc leaves the profile slice")
-    if _box_margin(p[0]) <= _DISC_CHECK_MARGIN:
+    if _box_margin(p[0]) <= 0.0:
         raise CertificateError("slice discs leave the box")
     e = abs(p[1] - p_tilde2)
     if e >= r:
@@ -724,7 +667,9 @@ def ub_interior_ball(domain: ModelDomain, z: PointC2, log_g: float) -> float:
         1 - m^2 = (g/R) (2 cos(phi) - g/R),
 
     evaluated in the log domain from log_g = log g, widened by a relative
-    1e-9 either way to cover its rounding.  From the center a disc chain
+    1e-9 either way, with 2 cos(phi) - g/R rounded down; its sums at the
+    scale of log g round to nearest, which the widening covers while
+    |log g| < 1e5.  From the center a disc chain
     reaches the base point: the z1 tangent disc at the center's z2 to its
     own center, then :func:`ub_base_chain`, each leg a closed form rounded
     up.  The return value includes _LOG_PATH_SLACK.
@@ -753,19 +698,18 @@ def ub_interior_ball(domain: ModelDomain, z: PointC2, log_g: float) -> float:
         raise CertificateError("ball center crossed the z2 axis")
     phase = z[1] / t1 if t1 > 0.0 else 1.0 + 0.0j
     c2 = c2_mag * phase
-    if c2_mag + R > Z2_CAP:
+    if sum_up(c2_mag, R) > Z2_CAP:
         raise CertificateError("interior ball pokes through the radial cap")
-    if _box_margin(c1 + R) <= 1e-9:
+    if sum_up(c1, R) >= BOX:
         raise CertificateError("interior ball leaves the box")
 
     # hop from z into the ball center
-    g_hi_float = math.exp(log_g_hi) if log_g_hi > -700.0 else 0.0
-    second = 2.0 * cos_phi - (g_hi_float + 1e-290) / R
+    second = sum_down(2.0 * cos_phi, -up(exp_up(log_g_hi) / R))
     if log_g_hi >= math.log(2.0 * R * cos_phi):
         raise CertificateError("point is outside the tangent ball")
     if second <= 0.0:
         raise CertificateError("tangent-ball hop lost its positivity margin")
-    log_one_minus_m2 = log_g_lo - math.log(R) + math.log(second)
+    log_one_minus_m2 = log_g_lo - log_up(R) + log_down(second)
     hop = math.log(2.0) - 0.5 * log_one_minus_m2
 
     center = domain.z1_disc(c2)

@@ -20,13 +20,10 @@ is sampled with the disc kernel on its parameter.  The scalar distances
 serve the witnesses' legs and the anchors.
 
 Numerical contract: every distance evaluator stays accurate all the way
-to boundary gaps of order 1e-300 when handed analytic gap parameters.
-The key identity is
-
-    atanh(m) = log1p(m) - 0.5*log(1 - m^2)
-
-combined with closed forms for 1 - m^2 that avoid the catastrophic
-cancellation in |1 - conj(u) v|^2 - |u - v|^2.
+to boundary gaps of order 1e-300 when handed analytic gap parameters,
+through atanh(m) = log1p(m) - 0.5*log(1 - m^2) and closed forms for
+1 - m^2 that avoid the cancellation in |1 - conj(u) v|^2 - |u - v|^2;
+the certified ends round outward through :mod:`.rounding`.
 """
 
 from __future__ import annotations
@@ -40,6 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ArrayDistance, DistanceOracle, PointGenerator
+from .rounding import (SIMD_FLOATS, down, exp_down, exp_up, log1p_down, log1p_up, log_up, sum_down,
+                       sum_up, up)
 
 
 class OracleError(ValueError):
@@ -57,9 +56,6 @@ _PHASE_GRID = 720
 _REFINE_ROUNDS = 5
 _REFINE_POINTS = 65
 
-# Relative width under which a DistBound counts as exact.
-_EXACT_REL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DistBound:
@@ -69,7 +65,7 @@ class DistBound:
     hi: float
 
     def __post_init__(self):
-        if not (self.hi >= self.lo - 1e-12 * (1.0 + abs(self.lo))):
+        if not self.hi >= self.lo:
             raise ValueError(f"inverted enclosure: lo={self.lo} hi={self.hi}")
 
     @classmethod
@@ -81,7 +77,7 @@ class DistBound:
         return self.hi - self.lo
 
     def is_exact(self) -> bool:
-        return self.width <= _EXACT_REL_TOL * (1.0 + abs(self.lo))
+        return self.width <= 1e-12 * (1.0 + abs(self.lo))
 
     def contains(self, value: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= value <= self.hi + tol
@@ -106,24 +102,19 @@ def _atanh_stable(m_direct: float, one_minus_m2: float) -> float:
     return math.log1p(m) - 0.5 * math.log(one_minus_m2)
 
 
-def atanh_one_minus(log_eps: float) -> float:
-    """atanh(1 - eps) given log(eps), in the log domain, rounded up.
-
-    atanh(1-eps) = 0.5*(log(2-eps) - log(eps)).  The eps inside (2-eps)
-    only matters to relative order eps, so evaluating it in floats (or
-    dropping it entirely on underflow) keeps the result correct.  log_eps
-    may be an ulp off log(eps), as one libm log leaves it.
-    """
-    eps = math.exp(log_eps) if log_eps > -745.0 else 0.0
-    if eps >= 1.0:
-        raise OracleError("atanh_one_minus needs eps < 1")
-    # with libm's exp and log within an ulp, log_eps an ulp high costs
-    # 2^-53 |log_eps|, and log(2 - eps) errs by under 2^-50 (exp by
-    # 2^-52 eps, the input's ulp by 2^-52 eps |log eps| <= 2^-52/e, 2 - eps
-    # and log by 2^-53 each), which costs half that: 5 for 4 covers the
-    # slack's own rounding, one step up the difference's and the sum's
-    slack = 2.0**-53 * (5.0 + abs(log_eps))
-    return math.nextafter(0.5 * (math.log(2.0 - eps) - log_eps) + slack, math.inf)
+def atanh_one_minus(log_eps: float, a: float = 0.0) -> float:
+    """Poincare distance from the real parameter a to -(1 - eps) in the
+    unit disc, from log(eps), rounded up: at a = 0, atanh(1 - eps) =
+    0.5*(log(2 - eps) - log(eps)), where eps's underflow costs nothing.
+    eps = exp(log_eps) exactly; the leg grows with a and shrinks with eps,
+    so a caller passes a rounded up and log_eps down.  The gap 1 - m =
+    eps (1 - a)/(1 + a (1 - eps)) takes its largest denominator."""
+    if not (-1.0 < a < 1.0 and log_eps < 0.0):
+        raise OracleError("a leg needs an interior parameter and eps < 1")
+    if a:
+        denom = a if a > 0.0 else up(a * sum_down(1.0, -exp_up(log_eps)))
+        log_eps = sum_down(log_eps, log1p_down(-a), -log1p_up(denom))
+    return 0.5 * sum_up(log_up(sum_up(2.0, -exp_down(log_eps))), -log_eps)
 
 
 def disc_distance(u: complex, v: complex, gap_v: float | None = None) -> float:
@@ -482,13 +473,22 @@ def gn_upper_bound(xs: Sequence[Sequence[complex]], ys: Sequence[Sequence[comple
     return best
 
 
+# floats gn_pair_bounds widens by: where 1 - conj(u) v and the images'
+# 1 - lam z_i do not cancel (the witness's maxima sit at lam = +-1, grid
+# phases where 1 - lam z_i is exact at real lifts), den, m and the gaps come
+# within 2 SIMD_FLOATS + 3 floats; arctanh (1 - m^2 >= 0.19) amplifies m's by
+# 1/0.19 at most, log (distances above 1) passes on half of the gaps' and den's
+_GN_FLOATS = 16 * SIMD_FLOATS
+
+
 def gn_pair_bounds(
     xs: Sequence[Sequence[complex]], ys: Sequence[Sequence[complex]]
 ) -> list[tuple[float, float]]:
-    """(lower, upper) enclosure of the distance between the
-    symmetrized-bidisc points with bidisc lifts xs[i] and ys[i], for each
-    pair of the stack; the caller's DistBound refuses an inverted one."""
-    return list(zip(gn_lower_bound(xs, ys).tolist(), gn_upper_bound(xs, ys).tolist()))
+    """(lower, upper) enclosure of the distance between the symmetrized-
+    bidisc points with lifts xs[i] and ys[i], for each pair of the stack:
+    the scan and the pairings, rounded outward by _GN_FLOATS."""
+    lower = np.maximum(down(gn_lower_bound(xs, ys), _GN_FLOATS), 0.0)
+    return list(zip(lower.tolist(), up(gn_upper_bound(xs, ys), _GN_FLOATS).tolist()))
 
 
 # ---------------------------------------------------------------------------

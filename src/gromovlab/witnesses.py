@@ -17,9 +17,10 @@ records that comparison in its checks.
 
 Near-boundary gaps are carried as logs: the flat witness's disc legs
 and the hinge's (p, q) and (x, w) legs and the first leg of its chain
-are closed forms in log heights, rounded outward, so one path serves
-every parameter, and the float coordinates stored in a report are
-shadows once the heights underflow.
+are closed forms in log heights, so one path serves every parameter, and
+the float coordinates stored in a report are shadows once the heights
+underflow.  Terms, defect intervals and s_lb round outward through
+:mod:`.rounding`, but for the flat 1/x-scale sums and ROADMAP item 3's list.
 """
 
 from __future__ import annotations
@@ -28,31 +29,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .convex import (
-    BASE_POINT,
-    DISC_RADIUS,
-    CertificateError,
-    ModelDomain,
-    PointC2,
-    TangentHalfspaceCert,
-    lb_boundary_ratio_log,
-    lb_crossing_split,
-    lb_halfplane_ratio_log,
-    ub_base_chain,
-    ub_interior_ball,
-    ub_slice_discs,
-)
-from .exact import (
-    DistBound,
-    _atanh_stable,
-    atanh_one_minus,
-    disc_distance,
-    gn_pair_bounds,
-    tetra_automorphism,
-    tetra_origin_distance,
-)
+from .convex import (BASE_POINT, DISC_RADIUS, CertificateError, ModelDomain, PointC2,
+                     TangentHalfspaceCert, lb_boundary_ratio_log, lb_crossing_split,
+                     ub_base_chain, ub_interior_ball, ub_slice_discs)
+from .exact import (DistBound, _atanh_stable, atanh_one_minus, disc_distance, gn_pair_bounds,
+                    tetra_automorphism, tetra_origin_distance)
 from .models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL
 from .profiles import ProfileFn
+from .rounding import (LIBM_FLOATS, atanh_down, atanh_up, down, log1p_down, log1p_up, log_down,
+                       log_up, sqrt_down, sum_down, sum_up, up)
 
 # claims_check's floor: its claims are checked in plain float geometry
 _CLAIMS_MIN_X = 0.02
@@ -61,13 +46,6 @@ _CLAIMS_MIN_X = 0.02
 _MAX_HALVINGS = 10
 
 _PAIR_KEYS = ("pq", "px", "qx", "pw", "qw", "xw")
-
-# relative widening of the tetra legs, 2^-48 = 32 2^-53: libm's atanh errs
-# by an ulp or two, and the long leg, whose m or gap 1 - m^2 rounds a few
-# times before an atanh or a log, by a few ulps more (under 5 2^-53 against
-# mpmath on 3,300 a in (0, 1 - 5e-6]); the widening also covers the three
-# roundings of the sum that forms s_lb
-_TETRA_SLACK = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -105,15 +83,17 @@ def defect_interval(bounds: dict[str, DistBound]) -> DistBound:
 
         branch_px = d(x,w) - d(p,x) - d(q,w) + d(p,q)
         branch_qx = d(x,w) - d(q,x) - d(p,w) + d(p,q)
+
+    Each branch is summed outward, so exact ends give exact sums.
     """
     b = bounds
     lo = min(
-        b["xw"].lo - b["px"].hi - b["qw"].hi + b["pq"].lo,
-        b["xw"].lo - b["qx"].hi - b["pw"].hi + b["pq"].lo,
+        sum_down(b["xw"].lo, -b["px"].hi, -b["qw"].hi, b["pq"].lo),
+        sum_down(b["xw"].lo, -b["qx"].hi, -b["pw"].hi, b["pq"].lo),
     )
     hi = min(
-        b["xw"].hi - b["px"].lo - b["qw"].lo + b["pq"].hi,
-        b["xw"].hi - b["qx"].lo - b["pw"].lo + b["pq"].hi,
+        sum_up(b["xw"].hi, -b["px"].lo, -b["qw"].lo, b["pq"].hi),
+        sum_up(b["xw"].hi, -b["qx"].lo, -b["pw"].lo, b["pq"].hi),
     )
     return DistBound(lo=lo, hi=hi)
 
@@ -203,9 +183,11 @@ def gn_witness(a: float) -> WitnessReport:
     interval = defect_interval(bounds)
 
     lb_mid = bounds["xw"].lo
-    # 2 atanh(t) = log1p(2t/(1 - t)), with 1 - a^2 kept as (1 - a)(1 + a)
-    shift = math.log1p(2.0 * a * a / ((1.0 - a) * (1.0 + a))) - math.log1p(2.0 * a / (1.0 - a))
-    s_lb = lb_mid + shift
+    # 2 atanh(t) = log1p(2t/(1 - t)), with 1 - a^2 kept as (1 - a)(1 + a);
+    # the first argument rounded down, the second up
+    double_sq = down(2.0 * down(a * a) / up(sum_up(1.0, -a) * sum_up(1.0, a)))
+    shift = sum_down(log1p_down(double_sq), -log1p_up(up(2.0 * a / sum_down(1.0, -a))))
+    s_lb = sum_down(lb_mid, shift)
     checks = (("formula below branch interval", s_lb <= interval.lo + 1e-9),)
     return WitnessReport(
         family="gn",
@@ -229,9 +211,8 @@ def tetra_witness(a: float) -> WitnessReport:
     the midpoint R = (a, 0, 0); the automorphism aligned at P carries
     the quadruple to slot-coordinate form, where five legs are atanh(a)
     and the long leg is atanh(2a/(1+a^2)) = 2 atanh(a).  The defect is
-    exactly atanh(a).  Each leg's enclosure is its float value widened
-    outward by _TETRA_SLACK relative and one step, so s_lb, their sum
-    rounded to nearest, stays at or below atanh(a).
+    exactly atanh(a).  Each leg's enclosure is atanh(a), or twice it, rounded
+    outward, so s_lb, their sum rounded down, stays at or below atanh(a).
     """
     if not 0.0 < a < 1.0:
         raise CertificateError("parameter must be in (0, 1)")
@@ -247,12 +228,9 @@ def tetra_witness(a: float) -> WitnessReport:
     one_minus_m2 = ((1.0 - a) * (1.0 + a) / (1.0 + a * a)) ** 2
     pq = _atanh_stable(m, one_minus_m2)
 
-    def outward(v: float) -> DistBound:
-        return DistBound(math.nextafter(v * (1.0 - _TETRA_SLACK), -math.inf),
-                         math.nextafter(v * (1.0 + _TETRA_SLACK), math.inf))
-
-    royal_bound = outward(royal)
-    bounds = {"pq": outward(pq), **{k: royal_bound for k in _PAIR_KEYS[1:]}}
+    royal_bound = DistBound(atanh_down(a), atanh_up(a))
+    bounds = {"pq": DistBound(2.0 * royal_bound.lo, 2.0 * royal_bound.hi),
+              **{k: royal_bound for k in _PAIR_KEYS[1:]}}
     interval = defect_interval(bounds)
 
     shifted = tetra_automorphism(a, P)
@@ -320,8 +298,8 @@ def hinge_witness(delta: float) -> WitnessReport:
     re_p = cert_p.re_f_float(p)
     re_q = cert_m.re_f_float(q)
     cap = cert_p.log_tau_cert(cert_m)
-    log_tau = min(math.log(2.0) + 0.5 * math.log(delta), cap)
-    lb_split = lb_crossing_split(cert_p, cert_m, math.log(re_p), math.log(re_q), log_tau=log_tau)
+    log_tau = min(sum_down(log_down(2.0), 0.5 * log_down(delta)), cap)
+    lb_split = lb_crossing_split(cert_p, cert_m, log_up(re_p), log_up(re_q), log_tau=log_tau)
 
     # -- near pairs: two-disc slice bound ------------------------------------
     r = 0.25
@@ -330,29 +308,28 @@ def hinge_witness(delta: float) -> WitnessReport:
     ub_pair_q = ub_slice_discs(domain, q, -p_tilde2, 0.0 + 0.0j, r)
 
     # -- boundary-distance ratios --------------------------------------------
-    bx = domain.boundary_distance_bracket(x)
-    bw = domain.boundary_distance_bracket(w)
-    bp = domain.boundary_distance_bracket(p)
-    bq = domain.boundary_distance_bracket(q)
-    lb_ratio = lb_boundary_ratio_log(math.log(bx.hi), math.log(bw.lo))
+    (bx, bw, bp, bq), _ = domain.boundary_distance_brackets([x, w, p, q])
+    log_w = log_down(bw.lo)
+    lb_ratio = lb_boundary_ratio_log(log_up(bx.hi), log_w)
 
     # -- three-leg chain q -> w (p -> w is its mirror) ------------------------
     # q's z1 disc reaches down to center - R, which is 0 on the flat face, so
     # q's height over it is delta exactly: the leg to the center reads log delta
     R = DISC_RADIUS
     center = domain.z1_disc(q[1])
-    leg_a = _ub_real_leg_log(0.0, math.log(delta - (center - R)) - math.log(R))
+    leg_a = atanh_one_minus(sum_down(log_down(delta - (center - R)), -log_up(R)))
     leg_b, leg_c = ub_base_chain(domain, (center, q[1]))
-    ub_chain = leg_a + leg_b + leg_c
+    ub_chain = sum_up(leg_a, leg_b, leg_c)
 
     # -- remaining pair enclosures -------------------------------------------
-    # the slice z1 = delta is the disc |z2| < 1 + u, on which p and q sit at
-    # the parameters -+(1 - delta)/(1 + u) = -+(1 - u), u = sqrt(delta)
-    hi_pq = 2.0 * atanh_one_minus(0.5 * math.log(delta))
-    center_0 = domain.z1_disc(0.0j)
-    hi_xw = _ub_real_leg_log((w[0].real - center_0) / R, math.log(delta - (center_0 - R)) - math.log(R))
-    lb_pw = lb_boundary_ratio_log(math.log(bp.hi), math.log(bw.lo))
-    lb_qw = lb_boundary_ratio_log(math.log(bq.hi), math.log(bw.lo))
+    # the slice z1 = delta is the disc |z2| < 1 + u, u = sqrt(delta), where the
+    # stored p, q sit at -+(1 - e), e = (u + 1 - fl(1 - delta))/(1 + u) rising with u
+    u_lo = sqrt_down(delta)
+    e_lo = down(sum_down(u_lo, 1.0 - abs(p[1])) / sum_up(1.0, u_lo))
+    hi_pq = 2.0 * atanh_one_minus(log_down(e_lo))
+    hi_xw = atanh_one_minus(sum_down(log_down(delta), -log_up(R)), up((w[0].real - R) / R))
+    lb_pw = lb_boundary_ratio_log(log_up(bp.hi), log_w)
+    lb_qw = lb_boundary_ratio_log(log_up(bq.hi), log_w)
 
     bounds = {
         "pq": DistBound(lb_split, hi_pq),
@@ -363,11 +340,11 @@ def hinge_witness(delta: float) -> WitnessReport:
         "xw": DistBound(lb_ratio, hi_xw),
     }
     interval = defect_interval(bounds)
-    s_lb = lb_split - ub_pair + lb_ratio - ub_chain
+    s_lb = sum_down(lb_split, -ub_pair, lb_ratio, -ub_chain)
 
     checks = (
         ("crossing start values are real", im_p == 0.0 and im_q == 0.0),
-        ("crossing starts below tau", math.log(max(re_p, re_q)) <= log_tau),
+        ("crossing starts below tau", log_up(max(re_p, re_q)) <= log_tau),
         ("boundary bracket at x is exact height", bx.is_exact() and abs(bx.lo - delta) <= 1e-14 * delta),
         ("boundary bracket at w is exact", bw.is_exact() and abs(bw.lo - 1.0) <= 1e-14),
         (
@@ -414,34 +391,6 @@ def alpha_schedule(profile: ProfileFn, x: float) -> float:
     raise CertificateError("derivative-halving schedule did not stabilize")
 
 
-def _ub_real_leg_log(a: float, log_e: float) -> float:
-    """Poincare distance from real parameter a to -(1 - e), log-domain e,
-    rounded up.
-
-    1 - m = e (1 - a) / (1 + a (1 - e)).  The denominator is evaluated at
-    whichever end of the tiny e-uncertainty makes it largest (e = 0 for
-    a >= 0, an upper bound for e when a < 0), and log(1 - m) is lowered
-    past its roundings, so the computed 1 - m is a certified lower bound
-    and the returned atanh a certified upper bound.
-    """
-    if not -1.0 < a < 1.0:
-        raise CertificateError("leg parameter must be interior")
-    e_hi = math.exp(log_e) * (1.0 + 1e-12) if log_e > -700.0 else math.exp(-700.0)
-    if e_hi >= 1.0:
-        raise CertificateError("leg endpoint gap must be below 1")
-    denom_arg = a if a >= 0.0 else a * (1.0 - e_hi)
-    log_num = math.log1p(-a)
-    log_den = math.log1p(denom_arg)
-    # with libm's logs within an ulp, log(1 - m) errs by under 2^-50 (S + 1),
-    # S the three logs' sizes summed: log_e by 2^-51 (|log_e| + 1) (callers
-    # subtract the libm log of the disc radius 1.45 from a log height made
-    # by one reciprocal or libm log), each log1p by 2^-52 of itself, a's
-    # rounding (|a| < 1/2) each by 2^-53 and a (1 - e_hi)'s log_den by 2^-52,
-    # the two sums by 2^-53 S each; one step down covers lowering by it
-    slack = 2.0**-50 * (abs(log_e) + abs(log_num) + abs(log_den) + 1.0)
-    return atanh_one_minus(math.nextafter(log_e + log_num - log_den - slack, -math.inf))
-
-
 def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     """Certified defect growth at an infinitely flat boundary point.
 
@@ -472,7 +421,7 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
 
     alpha = alpha_schedule(profile, x)
     t1 = (1.0 - alpha) * x
-    log_alpha = math.log(alpha)
+    log_alpha = log_up(alpha)
     log_psi = profile.log_value(x)
     px1 = profile.value(x)
 
@@ -493,7 +442,7 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     dpsi = profile.deriv(x)
     im_q = q[0].imag - dpsi * q[1].imag
     im_p = p[0].imag - dpsi * (-p[1]).imag
-    lb_half = lb_halfplane_ratio_log(log_alpha, 0.0)
+    lb_half = -0.5 * log_alpha  # the half-plane ratio of f_-(p) against f_-(w)
     lb_cross = lb_crossing_split(cert_p, cert_m, log_alpha, log_alpha)
     log_tau = cert_p.log_tau_cert(cert_m)
 
@@ -502,7 +451,8 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     # t^2 >= psi(t) (2 psi(x) - psi(t)) because psi(t) <= psi(x) << t
     # on these profiles), d(base) from the branch-and-bound bracket
     (b_base,), base_cut_short = domain.boundary_distance_brackets([xb])
-    lb_ratio = lb_boundary_ratio_log(log_psi, math.log(b_base.lo))
+    log_base = log_down(b_base.lo)
+    lb_ratio = lb_boundary_ratio_log(log_psi, log_base)
 
     # interior-ball cap for (p, base) and (q, base): height above the
     # contact in logs, g = psi(x) - psi(t1)
@@ -514,15 +464,18 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     # tangency) from w to q at parameter 1 - alpha (p, at -(1 - alpha), is
     # twice as far from q), and the z1 disc at z2 = 0, centred at R and so
     # tangent at Re z1 = 0 since psi(0) = 0, from the base point to w; the
-    # float disc distance re-checks the slice leg s_lb reads twice
-    ub_slice = atanh_one_minus(log_alpha)
+    # float disc distance re-checks the slice leg s_lb reads twice; log_value
+    # is one division or libm log away from log psi(x) here
+    ub_slice = atanh_one_minus(log_down(alpha))
     slice_float = disc_distance(0.0, 1.0 - alpha, gap_v=alpha)
-    R = DISC_RADIUS
-    xw_hi = _ub_real_leg_log((xb[0].real - domain.z1_disc(0.0j)) / R, log_psi - math.log(R))
+    xw_hi = atanh_one_minus(sum_down(down(log_psi, LIBM_FLOATS), -log_up(DISC_RADIUS)),
+                            up((xb[0].real - DISC_RADIUS) / DISC_RADIUS))
 
-    s_lb = lb_ratio + lb_half - ub_ball + lb_cross - 2.0 * ub_slice
+    # lb_ratio and ub_ball grow like 1/(2x) and cancel; their sum with lb_half
+    # keeps the nearest rounding perfbench's reference records (2.4e-7 a step)
+    s_lb = sum_down(lb_ratio + lb_half - ub_ball, lb_cross, -2.0 * ub_slice)
 
-    lb_base = lb_boundary_ratio_log(log_g + math.log1p(1e-9), math.log(b_base.lo))
+    lb_base = lb_boundary_ratio_log(log_g + math.log1p(1e-9), log_base)
     bounds = {
         "pq": DistBound(lb_cross, 2.0 * ub_slice),
         "px": DistBound(lb_base, ub_ball),

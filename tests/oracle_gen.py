@@ -5,11 +5,28 @@ no imports from the package, so agreement is evidence rather than
 tautology.  Run as a script to print the anchor table:
 
     python3 tests/oracle_gen.py
+
+The references that take ``ctx`` evaluate in ``mp`` (60 digits) by
+default, or in ``iv``, mpmath's interval arithmetic, to enclose a
+witness's S_lb formula at its exact inputs.
 """
+
+import math
 
 import mpmath as mp
 
 mp.mp.dps = 60
+iv = mp.iv
+iv.dps = 60
+
+
+def _atanh(ctx, x):
+    return (ctx.log1p(x) - ctx.log1p(-x)) / 2
+
+
+def _min(ctx, a, b):
+    # the interval of min(x, y) over x in a, y in b
+    return ctx.mpf([min(a.a, b.a), min(a.b, b.b)]) if ctx is iv else min(a, b)
 
 
 def disc_distance(u, v):
@@ -71,21 +88,28 @@ def royal_distance(u, v):
     return abs(mp.atanh(v) - mp.atanh(u))
 
 
-def tetra_defect(a):
+def tetra_defect(a, ctx=mp):
     # five legs atanh(a), long leg 2 atanh(a): defect comes out atanh(a)
-    return mp.atanh(mp.mpf(a))
+    return _atanh(ctx, ctx.mpf(a))
 
 
-def gn_midpoint_lower(a):
+def gn_midpoint_lower(a, ctx=mp):
     # rational family lam -> (2 lam s2 - s1) / (2 - lam s1) applied to
     # (a, 0) against the origin; the maximum over |lam| = 1 sits at lam = 1
-    a = mp.mpf(a)
-    return mp.atanh(a / (2 - a))
+    a = ctx.mpf(a)
+    return _atanh(ctx, a / (2 - a))
 
 
-def gn_s_lb(a):
-    a = mp.mpf(a)
-    return gn_midpoint_lower(a) + 2 * mp.atanh(a * a) - 2 * mp.atanh(a)
+def gn_terms(a, ctx=mp):
+    """The gn witness's S_lb terms: the midpoint leg and the exact shift
+    2 atanh(a^2) - 2 atanh(a)."""
+    a = ctx.mpf(a)
+    return {"lb_mid": gn_midpoint_lower(a, ctx),
+            "shift": 2 * _atanh(ctx, a * a) - 2 * _atanh(ctx, a)}
+
+
+def gn_s_lb(a, ctx=mp):
+    return sum(gn_terms(a, ctx).values())
 
 
 def hinge_boundary_distance(x1, s):
@@ -106,12 +130,12 @@ def atanh_one_minus(log_eps):
     return mp.atanh(1 - eps)
 
 
-def slice_leg(alpha):
+def slice_leg(alpha, ctx=mp):
     """atanh(1 - alpha), written as (1/2) log((2 - alpha)/alpha) so that a
     tiny alpha survives: the flat witness's slice leg from the center of
     its slice disc to the point at parameter 1 - alpha."""
-    a = mp.mpf(alpha)
-    return mp.log((2 - a) / a) / 2
+    a = ctx.mpf(alpha)
+    return ctx.log((2 - a) / a) / 2
 
 
 def base_leg(h, radius, base):
@@ -137,20 +161,59 @@ def face_distance(z):
     return min(3 - x1, 3 - abs(y1), 2 - s)
 
 
-def hinge_chain(delta, radius):
-    """The hinge witness's three-leg disc chain from q = (delta, -(1 - delta))
-    to the base point (1, 0): along the z1 disc |z1 - radius| < radius at
-    z2 = q2 to its center, across the slice |z2| < 2 at that height to
-    z2 = 0, then along the z1 disc at z2 = 0 to the base point."""
-    d, R = mp.mpf(delta), mp.mpf(radius)
-    return mp.atanh(1 - d / R) + mp.atanh((1 - d) / 2) + mp.atanh((R - 1) / R)
+def hinge_chain(delta, radius, rim=None, ctx=mp):
+    """The hinge witness's three-leg disc chain from q = (delta, -rim) to
+    the base point (1, 0), rim = 1 - delta unless given: along the z1 disc
+    |z1 - radius| < radius at z2 = q2 to its center, across the slice
+    |z2| < 2 at that height to z2 = 0, then along the z1 disc at z2 = 0 to
+    the base point."""
+    d, R = ctx.mpf(delta), ctx.mpf(radius)
+    r = 1 - d if rim is None else ctx.mpf(rim)
+    return _atanh(ctx, 1 - d / R) + _atanh(ctx, r / 2) + _atanh(ctx, (R - 1) / R)
 
 
-def hinge_pq(delta):
+def hinge_pq(delta, rim=None):
     """The hinge witness's (p, q) leg across the slice disc
-    |z2| < 1 + sqrt(delta) at z1 = delta, where p and q sit at the
-    parameters -+(1 - delta)/(1 + sqrt(delta)) = -+(1 - sqrt(delta))."""
-    return 2 * mp.atanh(1 - mp.sqrt(mp.mpf(delta)))
+    |z2| < 1 + sqrt(delta) at z1 = delta, where p and q sit at
+    |z2| = rim, 1 - delta unless given, so at the parameters
+    -+rim/(1 + sqrt(delta)), which are -+(1 - sqrt(delta)) at the
+    analytic rim."""
+    d = mp.mpf(delta)
+    r = 1 - d if rim is None else mp.mpf(rim)
+    return 2 * mp.atanh(r / (1 + mp.sqrt(d)))
+
+
+def hinge_terms(delta, radius, ctx=mp):
+    """The hinge witness's S_lb terms, which hinge_s_lb combines as
+    lb_split - ub_pair + lb_ratio - ub_chain, at its stored points p, q = (delta, -+rim), rim = fl(1 -
+    delta), and its float tangency radius t0 = fl(1 + fl(sqrt(delta))):
+
+    * lb_split = log tau - log F(p), tau = min(2 sqrt(delta), t0^2 - 1)
+      (the coupling level of psi = (t - 1)_+^2 at t0 is t0^2 - 1) and
+      F(p) = delta - psi(t0) - psi'(t0) (rim - t0);
+    * ub_pair, the two-disc slice bound with r = 1/4 around
+      fl(0.75 + fl(sqrt(delta))), in the slice |z2| < 1 + sqrt(delta);
+    * lb_ratio = (1/2) log(d(w)/d(x)), the boundary distances of
+      hinge_boundary_distance at x = (delta, 0) and w = (1, 0);
+    * ub_chain = hinge_chain at the stored rim.
+    """
+    u = math.sqrt(delta)
+    t0, rim, centre = 1.0 + u, 1.0 - delta, 0.75 + u
+    d, T0, RIM, C = (ctx.mpf(v) for v in (delta, t0, rim, centre))
+    tau = _min(ctx, 2 * ctx.sqrt(d), T0 * T0 - 1)
+    lb_split = ctx.log(tau) - ctx.log(d - (T0 - 1) ** 2 - 2 * (T0 - 1) * (RIM - T0))
+    r = ctx.mpf(0.25)
+    depth = _min(ctx, r - abs(RIM - C), 1 + ctx.sqrt(d) - RIM)
+    ub_pair = ctx.log(2 * r) / 2 - ctx.log(depth) / 2 + 4 * C / r
+    d_x, d_w = (ctx.mpf(hinge_boundary_distance(*z)) for z in ((delta, 0), (1, 0)))
+    lb_ratio = (ctx.log(d_w) - ctx.log(d_x)) / 2
+    return {"lb_split": lb_split, "ub_pair": ub_pair, "lb_ratio": lb_ratio,
+            "ub_chain": hinge_chain(delta, radius, rim, ctx)}
+
+
+def hinge_s_lb(delta, radius, ctx=mp):
+    t = hinge_terms(delta, radius, ctx)
+    return t["lb_split"] - t["ub_pair"] + t["lb_ratio"] - t["ub_chain"]
 
 
 def radius_integral(r, h):
@@ -165,39 +228,45 @@ def radius_integral(r, h):
     return total
 
 
-def exp_flat(t):
+def exp_flat(t, ctx=mp):
     """e^{-1/t} up to its knee at t = 1/4, then the convex quadratic
-    e^{-4} (1 + 16u + 32u^2), u = t - 1/4."""
-    t = mp.mpf(t)
+    e^{-4} (1 + 16u + 32u^2), u = t - 1/4; t a float."""
     if t <= 0:
-        return mp.mpf(0)
-    if t <= mp.mpf(1) / 4:
-        return mp.exp(-1 / t)
-    u = t - mp.mpf(1) / 4
-    return mp.exp(-4) * (1 + 16 * u + 32 * u * u)
+        return ctx.mpf(0)
+    t = ctx.mpf(t)
+    if t <= ctx.mpf(1) / 4:
+        return ctx.exp(-1 / t)
+    u = t - ctx.mpf(1) / 4
+    return ctx.exp(-4) * (1 + 16 * u + 32 * u * u)
 
 
-def exp_flat_deriv(t):
+def exp_flat_deriv(t, ctx=mp):
     """psi' = e^{-1/t} / t^2 below the knee."""
-    t = mp.mpf(t)
-    return mp.exp(-1 / t) / t**2
+    t = ctx.mpf(t)
+    return ctx.exp(-1 / t) / t**2
 
 
-# the flat models' profiles psi, exact at a float t
+# the flat models' profiles psi and, below the knee, psi', exact at a float t
 FLAT_HEIGHTS = {
     "flat_exp": exp_flat,
-    "flat_quartic": lambda t: mp.mpf(t) ** 4,
+    "flat_quartic": lambda t, ctx=mp: ctx.mpf(t) ** 4,
+}
+FLAT_SLOPES = {
+    "flat_exp": exp_flat_deriv,
+    "flat_quartic": lambda t, ctx=mp: 4 * ctx.mpf(t) ** 3,
 }
 
 
-def real_leg(x, y, c, r):
+def real_leg(x, y, c, r, ctx=mp):
     """Distance between the real points x and y of the disc |z - c| < r:
-    the disc distance of their parameters (x - c)/r and (y - c)/r."""
-    c, r = mp.mpf(c), mp.mpf(r)
-    return disc_distance((mp.mpf(x) - c) / r, (mp.mpf(y) - c) / r)
+    the disc distance of their parameters a = (x - c)/r and b = (y - c)/r,
+    atanh |a - b| / |1 - ab|."""
+    c, r = ctx.mpf(c), ctx.mpf(r)
+    a, b = (ctx.mpf(x) - c) / r, (ctx.mpf(y) - c) / r
+    return _atanh(ctx, abs(a - b) / abs(1 - a * b))
 
 
-def flat_ball_chain(c1, s, center, slice_radius, radius):
+def flat_ball_chain(c1, s, center, slice_radius, radius, ctx=mp):
     """The three disc legs of the interior ball's chain on a flat model,
     from the ball's centre (c1, c2) with |c2| = s to the base point
     (1, 0), along the discs at their float centres and radii: the z1 disc
@@ -205,10 +274,47 @@ def flat_ball_chain(c1, s, center, slice_radius, radius):
     |z2| < slice_radius at z1 = center, from c2 to 0; the z1 disc
     |z1 - radius| < radius at z2 = 0, from center to 1."""
     return (
-        real_leg(c1, center, center, radius),
-        real_leg(s, 0, 0, slice_radius),
-        real_leg(center, 1, radius, radius),
+        real_leg(c1, center, center, radius, ctx),
+        real_leg(s, 0, 0, slice_radius, ctx),
+        real_leg(center, 1, radius, radius, ctx),
     )
+
+
+def flat_terms(name, x, alpha, base_lo, chain, ball_radius, ctx=mp):
+    """The flat witness's S_lb terms, which flat_s_lb combines as
+
+        lb_ratio + lb_half - ub_ball + lb_cross - 2 ub_slice,
+
+    at the radius x and the certified floats it reads: the offset
+    fraction alpha (so t1 = fl((1 - alpha) x)), the lower end base_lo of
+    the base point's boundary distance, and the discs of its ball chain
+    (flat_ball_chain's first four arguments, with the disc radius):
+
+    * lb_ratio = (1/2) log(base_lo/psi(x)) and lb_half = -(1/2) log alpha;
+    * lb_cross = log tau - log alpha, tau = 1 - psi(x)/(x psi'(x));
+    * ub_slice = slice_leg(alpha);
+    * ub_ball = log 2 - (1/2) log((g/R)(2 cos phi - g/R)), the hop into the
+      tangent ball of radius R = ball_radius at the contact t1, with
+      g = psi(x) - psi(t1) and cos phi = 1/sqrt(1 + psi'(t1)^2), plus the
+      chain's three legs.
+    """
+    psi, dpsi = FLAT_HEIGHTS[name], FLAT_SLOPES[name]
+    t1 = (1.0 - alpha) * x
+    X, A, R = ctx.mpf(x), ctx.mpf(alpha), ctx.mpf(ball_radius)
+    lb_ratio = (ctx.log(base_lo) - ctx.log(psi(x, ctx))) / 2
+    lb_half = -ctx.log(A) / 2
+    lb_cross = ctx.log(1 - psi(x, ctx) / (X * dpsi(x, ctx))) - ctx.log(A)
+    g = psi(x, ctx) - psi(t1, ctx)
+    cos_phi = 1 / ctx.sqrt(1 + dpsi(t1, ctx) ** 2)
+    hop = ctx.log(2) - ctx.log((g / R) * (2 * cos_phi - g / R)) / 2
+    return {"lb_ratio": lb_ratio, "lb_half": lb_half,
+            "ub_ball": hop + sum(flat_ball_chain(*chain, ctx=ctx)),
+            "lb_cross": lb_cross, "ub_slice": slice_leg(A, ctx)}
+
+
+def flat_s_lb(*inputs, ctx=mp):
+    t = flat_terms(*inputs, ctx=ctx)
+    return t["lb_ratio"] + t["lb_half"] - t["ub_ball"] + t["lb_cross"] - 2 * t["ub_slice"]
 
 
 def exp_profile_cheap_lower(x):

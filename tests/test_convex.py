@@ -479,9 +479,9 @@ def test_z1_disc_containment():
     center = m.z1_disc(0.4 + 0.0j)
     assert center - DISC_RADIUS >= m.profile.value(0.4)
     assert m.contains((complex(center), 0.4 + 0.0j))
-    m.refuse_leaky_z1_disc(0.4, center)
+    m.refuse_leaky_z1_disc(0.4, center, m.psi_up(0.4))
     with pytest.raises(CertificateError, match="crosses the profile face"):
-        m.refuse_leaky_z1_disc(0.4, math.nextafter(center, 0.0))
+        m.refuse_leaky_z1_disc(0.4, math.nextafter(center, 0.0), m.psi_up(0.4))
 
 
 def test_slice_disc_rejects_exterior_center():
@@ -491,16 +491,18 @@ def test_slice_disc_rejects_exterior_center():
 
 
 def test_disc_constructors_refuse_at_the_box():
-    # each reads _box_margin against 1e-12: a disc or slice point 1e-13
-    # inside a box face is refused, one 1e-11 inside is not
+    # containment is exact: a slice point on a box face is refused, one
+    # float inside it is not
     m = HINGE_MODEL
-    for c in (complex(3.0 - 1e-13), complex(1.0, 3.0 - 1e-13), complex(1.0, -3.0 + 1e-13)):
+    inside = math.nextafter(3.0, 0.0)
+    for c in (complex(3.0), complex(1.0, 3.0), complex(1.0, -3.0)):
         with pytest.raises(CertificateError, match="leaves the box"):
             m.slice_disc(c)
         with pytest.raises(CertificateError, match="leave the box"):
             ub_slice_discs(m, (c, 0.0j), 0.0j, 0.0j, 1.0)
-    m.slice_disc(complex(3.0 - 1e-11))
-    ub_slice_discs(m, (complex(3.0 - 1e-11), 0.0j), 0.0j, 0.0j, 2.0 - 1e-12)
+    for c in (complex(inside), complex(1.0, inside), complex(1.0, -inside)):
+        m.slice_disc(c)
+        ub_slice_discs(m, (c, 0.0j), 0.0j, 0.0j, 2.0 - 1e-12)
     # flat_quartic: psi(s) + 2 * 1.45 reaches the face Re z1 = 3 at s = 0.1^(1/4)
     q = FLAT_QUARTIC_MODEL
     q.z1_disc(complex(0.1 ** 0.25 - 1e-6))
@@ -514,7 +516,7 @@ def test_disc_constructors_refuse_at_the_box():
 def test_z1_disc_refused_past_the_box_and_the_cap(m):
     # a centre whose disc reaches the face Re z1 = 3, and a disc at the cap
     with pytest.raises(CertificateError, match="leaves the box"):
-        m.refuse_leaky_z1_disc(0.0, 3.0 - DISC_RADIUS)
+        m.refuse_leaky_z1_disc(0.0, 3.0 - DISC_RADIUS, 0.0)
     with pytest.raises(CertificateError, match="radial cap"):
         m.z1_disc(complex(Z2_CAP))
 
@@ -526,7 +528,7 @@ def test_slice_radius_at_most_zero_is_refused(m):
             m.slice_disc(complex(height))
     for r in (0.0, -0.25, -math.inf):
         with pytest.raises(CertificateError, match="slice radius"):
-            m.refuse_leaky_slice_disc(1.45 + 0.0j, r)
+            m.refuse_leaky_slice_disc(1.45 + 0.0j, r, 0.0)
 
 
 @pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
@@ -535,20 +537,24 @@ def test_a_disc_pushed_one_float_through_a_face_is_refused(m):
     # a centre rounded down one float crosses it
     assert m.z1_disc(0.0j) == DISC_RADIUS
     with pytest.raises(CertificateError, match="crosses the profile face"):
-        m.refuse_leaky_z1_disc(0.0, math.nextafter(DISC_RADIUS, 0.0))
+        m.refuse_leaky_z1_disc(0.0, math.nextafter(DISC_RADIUS, 0.0), m.psi_up(0.0))
     # the slice at the height of the z1 discs' centres: the radius rounded
     # up one float past the largest one that clears psi, or past the cap
     height = 1.45 + 0.0j
     r = m.slice_disc(height)
     while r < Z2_CAP and m.psi_up(math.nextafter(r, math.inf)) <= height.real:
         r = math.nextafter(r, math.inf)
-    m.refuse_leaky_slice_disc(height, r)
+    m.refuse_leaky_slice_disc(height, r, m.psi_up(r))
+    r_up = math.nextafter(r, math.inf)
     with pytest.raises(CertificateError, match="crosses the profile face|slice radius"):
-        m.refuse_leaky_slice_disc(height, math.nextafter(r, math.inf))
+        m.refuse_leaky_slice_disc(height, r_up, m.psi_up(r_up))
 
 
 def test_base_chain_legs_sum_to_the_hinge_chain():
-    from gromovlab.witnesses import _ub_real_leg_log, hinge_witness
+    from gromovlab.rounding import log_down, sum_up
+    from gromovlab.exact import atanh_one_minus
+    from gromovlab.rounding import log_up, sum_down
+    from gromovlab.witnesses import hinge_witness
 
     radius = DISC_RADIUS
     for delta in (1e-6, 1e-14, 1e-22, 1e-31):
@@ -556,7 +562,7 @@ def test_base_chain_legs_sum_to_the_hinge_chain():
         # q's z1 disc is tangent to the flat face: its centre is R exactly
         center = HINGE_MODEL.z1_disc(q2)
         assert center == radius
-        leg_a = _ub_real_leg_log(0.0, math.log(delta) - math.log(radius))
+        leg_a = atanh_one_minus(sum_down(log_down(delta), -log_up(radius)))
         leg_b, leg_c = ub_base_chain(HINGE_MODEL, (center, q2))
         # from the center (radius, q2): across the slice |z2| < 2, then to
         # the base point at parameter (1 - radius)/radius; each leg is
@@ -564,4 +570,4 @@ def test_base_chain_legs_sum_to_the_hinge_chain():
         for got, want in ((leg_b, math.atanh((1.0 - delta) / 2.0)),
                           (leg_c, math.atanh((radius - 1.0) / radius))):
             assert want <= got == pytest.approx(want, rel=4e-15)
-        assert dict(hinge_witness(delta).terms)["ub_chain"] == leg_a + leg_b + leg_c
+        assert dict(hinge_witness(delta).terms)["ub_chain"] == sum_up(leg_a, leg_b, leg_c)

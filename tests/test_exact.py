@@ -101,9 +101,12 @@ def test_dist_bound_rejects_inversion():
         DistBound(lo=1.0, hi=0.5)
 
 
-def test_dist_bound_tolerates_roundoff_crossing():
-    b = DistBound(lo=1.0 + 5e-13, hi=1.0)
-    assert b.width <= 1e-12
+def test_dist_bound_refuses_a_one_ulp_inversion():
+    DistBound(lo=1.0, hi=1.0)
+    with pytest.raises(ValueError, match="inverted"):
+        DistBound(lo=math.nextafter(1.0, 2.0), hi=1.0)
+    with pytest.raises(ValueError, match="inverted"):
+        DistBound(lo=math.nan, hi=1.0)
 
 
 def test_atanh_one_minus_deep_argument():

@@ -209,9 +209,13 @@ HINGE_DEEP = [10.0**-k for k in range(4, 32)]
 
 @pytest.mark.parametrize("delta", HINGE_DEEP)
 def test_hinge_rim_legs_bound_the_exact_legs(delta):
+    # the chain from the analytic q and from the stored one, and the (p, q)
+    # leg of the stored points (delta, -+fl(1 - delta)), at 60 digits
     rep = witnesses.hinge_witness(delta)
-    chain = oracle_gen.hinge_chain(delta, DISC_RADIUS)
-    pq = oracle_gen.hinge_pq(delta)
+    rim = rep.quadruple[0][1].real
+    chain = max(oracle_gen.hinge_chain(delta, DISC_RADIUS),
+                oracle_gen.hinge_chain(delta, DISC_RADIUS, rim))
+    pq = oracle_gen.hinge_pq(delta, rim)
     below = [
         f"{label}: {got!r} < {mp_oracle.nstr(want, 20)}"
         for label, got, want in (
@@ -286,6 +290,97 @@ def test_gn_witness_certifies_near_the_boundary(a):
     rep = witnesses.gn_witness(a)
     assert rep.checks_passed, rep.checks
     assert rep.s_lb <= float(oracle_gen.gn_s_lb(a)) + 4 * math.ulp(rep.s_lb)
+
+
+# each family's float S_lb against the interval enclosure of its formula
+# at the witness's exact inputs (oracle_gen, mpmath.iv at 60 digits): S_lb
+# must sit at or below the enclosure's lower end, and so must each lower
+# term that rounds through gromovlab.rounding alone, while each such upper
+# term sits at or above its enclosure's upper end.  A point the witness
+# refuses reports no S_lb.  At two points S_lb is above its formula, so it
+# is not yet a certified lower bound there: it keeps a nearest-rounded
+# cancellation whose bits perfbench's reference table records (ROADMAP
+# items 3 and 5)
+_REFERENCE_BOUND = pytest.mark.xfail(
+    strict=True, reason="S_lb exceeds its formula here; the fix moves perfbench's reference S_lb")
+ENCLOSURE_POINTS = [
+    *(("hinge", d) for d in (1e-4, 1e-12)),
+    pytest.param("hinge", 1e-22, marks=_REFERENCE_BOUND),
+    ("hinge", 1e-31),
+    *((name, x) for name in ("flat_exp", "flat_quartic") for x in (0.02, 1e-4, 1e-10, 1e-14)
+      if (name, x) != ("flat_exp", 1e-10)),
+    pytest.param("flat_exp", 1e-10, marks=_REFERENCE_BOUND),
+    *(("gn", a) for a in (0.5, 0.7309, 0.9999, 1.0 - 1e-12)),
+    *(("tetra", a) for a in (0.5, 0.9999, 0.999995)),
+]
+# the one point the witness refuses: psi(t1)/psi(x) rounds to 1 there
+REFUSED = {("flat_quartic", 1e-14)}
+# the terms checked on their own: (report term or bound, its side)
+ROUTED_TERMS = {
+    "hinge": [("lb_ratio", "lower"), ("ub_chain", "upper")],
+    "flat": [("lb_half", "lower"), ("ub_slice", "upper")],
+    "gn": [("lb_mid", "lower"), ("shift", "lower")],
+    "tetra": [("xw.lo", "lower"), ("pq.lo", "lower"), ("pw.hi", "upper")],
+}
+
+
+def _flat_report_and_terms(name, x, monkeypatch):
+    # the flat formula reads the float discs of the ball chain, recorded
+    # as the witness prices them
+    domain = MODELS[name]
+    legs = []
+    real_leg = convex._ub_real_leg
+
+    def recording(*args):
+        legs.append(args)
+        return real_leg(*args)
+
+    monkeypatch.setattr(convex, "_ub_real_leg", recording)
+    rep = witnesses.flat_witness(domain, x)
+    (c1, center, _, radius), (s, _, _, r), _ = legs
+    (base,), _ = domain.boundary_distance_brackets([BASE_POINT])
+    inputs = (name, x, witnesses.alpha_schedule(domain.profile, x), base.lo,
+              (c1, s, center, r, radius), domain.ball_radius)
+    iv = oracle_gen.iv
+    return rep, oracle_gen.flat_s_lb(*inputs, ctx=iv), oracle_gen.flat_terms(*inputs, ctx=iv)
+
+
+def _report_and_enclosures(family, param, monkeypatch):
+    """The report, the enclosure of its S_lb formula, and the enclosures
+    of its terms."""
+    iv = oracle_gen.iv
+    if family == "hinge":
+        rep = witnesses.hinge_witness(param)
+        return (rep, oracle_gen.hinge_s_lb(param, DISC_RADIUS, iv),
+                oracle_gen.hinge_terms(param, DISC_RADIUS, iv))
+    if family == "gn":
+        return witnesses.gn_witness(param), oracle_gen.gn_s_lb(param, iv), oracle_gen.gn_terms(param, iv)
+    if family == "tetra":
+        defect = oracle_gen.tetra_defect(param, iv)
+        rep = witnesses.tetra_witness(param)
+        return rep, defect, {"xw.lo": defect, "pq.lo": 2 * defect, "pw.hi": defect}
+    return _flat_report_and_terms(family, param, monkeypatch)
+
+
+@pytest.mark.parametrize("family, param", ENCLOSURE_POINTS)
+def test_s_lb_is_at_most_its_interval_enclosure(family, param, monkeypatch):
+    iv = oracle_gen.iv
+    try:
+        rep, enclosure, exact_terms = _report_and_enclosures(family, param, monkeypatch)
+    except (convex.CertificateError, exact.OracleError, ValueError) as e:
+        assert (family, param) in REFUSED, f"refused: {e!r}"
+        return
+    assert (family, param) not in REFUSED
+    got = dict(rep.terms) | {f"{k}.{end}": getattr(b, end)
+                             for k, b in rep.bounds.items() for end in ("lo", "hi")}
+    wrong = [] if iv.mpf(rep.s_lb) <= enclosure.a else [
+        f"S_lb {rep.s_lb!r} above {mp_oracle.nstr(enclosure.a, 20)}"]
+    for name, side in ROUTED_TERMS[family.split("_")[0]]:
+        ok = iv.mpf(got[name]) <= exact_terms[name].a if side == "lower" else \
+            iv.mpf(got[name]) >= exact_terms[name].b
+        if not ok:
+            wrong.append(f"{side} term {name} {got[name]!r} against {exact_terms[name]}")
+    assert not wrong, wrong
 
 
 # tetra: five royal legs atanh(a) and the long leg 2 atanh(a), each rounded

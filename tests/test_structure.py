@@ -1,7 +1,7 @@
 """Static checks on the source: no unreached module-level names, no parameter
 that its function never reads, no defaulted parameter or dataclass field
 that no caller sets, no dataclass field that nothing reads, no checks
-that are constants."""
+that are constants, no directed rounding outside the rounding module."""
 
 import ast
 from pathlib import Path
@@ -232,3 +232,12 @@ def test_witness_checks_are_computed():
     silent = [func.name for func in constructors
               if all(isinstance(t.elts[1], ast.Constant) for t in _check_tuples(func))]
     assert not silent, f"witness constructors that record no computed check: {silent}"
+
+
+def test_directed_steps_stay_in_the_rounding_module():
+    # a site that steps a float itself carries its own error argument;
+    # every certified term rounds through gromovlab.rounding instead
+    stepping = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                if path.name != "rounding.py"
+                and any(f"{mod}.nextafter" in path.read_text() for mod in ("math", "np", "numpy"))]
+    assert not stepping, f"modules that call nextafter themselves: {stepping}"

@@ -85,58 +85,58 @@ def test_gn_witness_log2_shift():
 # not correctness
 GN_WITNESS_PINS = {
     0.5: (
-        '-0x1.ee011ed6f532ap-3',
+        '-0x1.ee011ed6f556ap-3',
         {
-            'pq': ('0x1.9c041f7ed8d33p-1', '0x1.193ea7aad030bp+0'),
-            'px': ('0x1.62e42fefa39efp-2', '0x1.193ea7aad030bp-1'),
-            'qx': ('0x1.d5240f0e0e077p-2', '0x1.193ea7aad030bp-1'),
-            'pw': ('0x1.193ea7aad030bp-1', '0x1.193ea7aad030bp-1'),
-            'qw': ('0x1.058aefa811453p-2', '0x1.058aefa811452p-2'),
-            'xw': ('0x1.62e42fefa39efp-2', '0x1.193ea7aad030bp-1'),
+            'pq': ('0x1.9c041f7ed8c33p-1', '0x1.193ea7aad040bp+0'),
+            'px': ('0x1.62e42fefa38efp-2', '0x1.193ea7aad040bp-1'),
+            'qx': ('0x1.d5240f0e0df77p-2', '0x1.193ea7aad040bp-1'),
+            'pw': ('0x1.193ea7aad020bp-1', '0x1.193ea7aad040bp-1'),
+            'qw': ('0x1.058aefa811353p-2', '0x1.058aefa811552p-2'),
+            'xw': ('0x1.62e42fefa38efp-2', '0x1.193ea7aad040bp-1'),
         },
     ),
     0.9: (
-        '0x1.d7f9372f31434p-2',
+        '0x1.d7f9372f30fecp-2',
         {
-            'pq': ('0x1.4cb42ce468f2bp+1', '0x1.78e360604b32dp+1'),
-            'px': ('0x1.26bb1bbb5551ep+0', '0x1.78e360604b32dp+0'),
-            'qx': ('0x1.72ad3e0d7c942p+0', '0x1.78e360604b32dp+0'),
-            'pw': ('0x1.78e360604b32ep+0', '0x1.78e360604b32dp+0'),
-            'qw': ('0x1.2084f96886b2cp+0', '0x1.2084f96886b2ap+0'),
-            'xw': ('0x1.26bb1bbb55515p+0', '0x1.78e360604b32dp+0'),
+            'pq': ('0x1.4cb42ce468e2bp+1', '0x1.78e360604b42dp+1'),
+            'px': ('0x1.26bb1bbb5541ep+0', '0x1.78e360604b42dp+0'),
+            'qx': ('0x1.72ad3e0d7c842p+0', '0x1.78e360604b42dp+0'),
+            'pw': ('0x1.78e360604b22ep+0', '0x1.78e360604b42dp+0'),
+            'qw': ('0x1.2084f96886a2cp+0', '0x1.2084f96886c2ap+0'),
+            'xw': ('0x1.26bb1bbb55415p+0', '0x1.78e360604b42dp+0'),
         },
     ),
     0.9999: (
-        '0x1.f4bd2b802049ap+1',
+        '0x1.f4bd2b8020276p+1',
         {
-            'pq': ('0x1.31d1d45f46c8bp+3', '0x1.3ce8f5de1814cp+3'),
-            'px': ('0x1.26bb1bbb55553p+2', '0x1.3ce8f5de1814dp+2'),
-            'qx': ('0x1.3ce88d03383c2p+2', '0x1.3ce8f5de1814dp+2'),
-            'pw': ('0x1.3ce8f5de1814dp+2', '0x1.3ce8f5de1814dp+2'),
-            'qw': ('0x1.26bab2e0757c9p+2', '0x1.26bab2e0757c9p+2'),
-            'xw': ('0x1.26bb1bbb55553p+2', '0x1.3ce8f5de1814dp+2'),
+            'pq': ('0x1.31d1d45f46b8bp+3', '0x1.3ce8f5de1824cp+3'),
+            'px': ('0x1.26bb1bbb55453p+2', '0x1.3ce8f5de1824dp+2'),
+            'qx': ('0x1.3ce88d03382c2p+2', '0x1.3ce8f5de1824dp+2'),
+            'pw': ('0x1.3ce8f5de1804dp+2', '0x1.3ce8f5de1824dp+2'),
+            'qw': ('0x1.26bab2e0756c9p+2', '0x1.26bab2e0758c9p+2'),
+            'xw': ('0x1.26bb1bbb55453p+2', '0x1.3ce8f5de1824dp+2'),
         },
     ),
     0.999999: (
-        '0x1.8dbc239b07a41p+2',
+        '0x1.8dbc239b07931p+2',
         {
-            'pq': ('0x1.c52fca0c09a94p+3', '0x1.d046eb8b86c1cp+3'),
-            'px': ('0x1.ba18a998fc065p+2', '0x1.d046eb8b86c1cp+2'),
-            'qx': ('0x1.d046ea7f174c2p+2', '0x1.d046eb8b86c1cp+2'),
-            'pw': ('0x1.d046eb8b86c1dp+2', '0x1.d046eb8b86c1cp+2'),
-            'qw': ('0x1.ba18a88c8c90ap+2', '0x1.ba18a88c8c90ap+2'),
-            'xw': ('0x1.ba18a998fc065p+2', '0x1.d046eb8b86c1cp+2'),
+            'pq': ('0x1.c52fca0c09994p+3', '0x1.d046eb8b86d1cp+3'),
+            'px': ('0x1.ba18a998fbf65p+2', '0x1.d046eb8b86d1cp+2'),
+            'qx': ('0x1.d046ea7f173c2p+2', '0x1.d046eb8b86d1cp+2'),
+            'pw': ('0x1.d046eb8b86b1dp+2', '0x1.d046eb8b86d1cp+2'),
+            'qw': ('0x1.ba18a88c8c80ap+2', '0x1.ba18a88c8ca0ap+2'),
+            'xw': ('0x1.ba18a998fbf65p+2', '0x1.d046eb8b86d1cp+2'),
         },
     ),
     0.9999999999999999: (
-        '0x1.1acdd632f662ap+4',
+        '0x1.1acdd632f651ap+4',
         {
-            'pq': ('0x1.28aac01252c6ep+5', '0x1.2b708872320e2p+5'),
-            'px': ('0x1.25e4f7b2737fap+4', '0x1.2b708872320e1p+4'),
-            'qx': ('0x1.2b708872320e1p+4', '0x1.2b708872320e1p+4'),
-            'pw': ('0x1.2b708872320e1p+4', '0x1.2b708872320e1p+4'),
-            'qw': ('0x1.25e4f7b2737fap+4', '0x1.25e4f7b2737fap+4'),
-            'xw': ('0x1.25e4f7b2737fap+4', '0x1.2b708872320e1p+4'),
+            'pq': ('0x1.28aac01252b6ep+5', '0x1.2b708872321e2p+5'),
+            'px': ('0x1.25e4f7b2736fap+4', '0x1.2b708872321e1p+4'),
+            'qx': ('0x1.2b70887231fe1p+4', '0x1.2b708872321e1p+4'),
+            'pw': ('0x1.2b70887231fe1p+4', '0x1.2b708872321e1p+4'),
+            'qw': ('0x1.25e4f7b2736fap+4', '0x1.25e4f7b2738fap+4'),
+            'xw': ('0x1.25e4f7b2736fap+4', '0x1.2b708872321e1p+4'),
         },
     ),
 }
@@ -167,28 +167,28 @@ def test_hinge_witness_values_increase_as_delta_shrinks():
 # change that moves S_lb on purpose records them again
 HINGE_PINS = {
     1e-06: {
-        "pq": (6.906755778649135, 7.600402334500403),
+        "pq": (6.906755778649123, 7.600402334500377),
         "px": (0.0, 15.122804299044596),
         "qx": (0.0, 15.122804299044596),
-        "pw": (6.907755278982137, 8.310342895818348),
-        "qw": (6.907755278982137, 8.310342895818348),
-        "xw": (6.907755278982137, 7.119183531978342),
+        "pw": (6.907755278982133, 8.310342895818344),
+        "qw": (6.907755278982133, 8.310342895818344),
+        "xw": (6.907755278982133, 7.119183531978337),
     },
     1e-14: {
-        "pq": (16.118095550454385, 16.81124278151827),
+        "pq": (16.118095550454356, 16.81124278159821),
         "px": (0.0, 19.71247578550233),
         "qx": (0.0, 19.71247578550233),
-        "pw": (16.11809565095832, 17.520684106874807),
-        "qw": (16.11809565095832, 17.520684106874807),
-        "xw": (16.11809565095832, 16.329524076368358),
+        "pw": (16.118095650958306, 17.5206841068748),
+        "qw": (16.118095650958306, 17.5206841068748),
+        "xw": (16.118095650958306, 16.329524076368354),
     },
     1e-22: {
-        "pq": (25.32843594019413, 26.02158320348946),
+        "pq": (25.328435940194087, 26.021583203499464),
         "px": (0.0, 24.317644379977096),
         "qx": (0.0, 24.317644379977096),
-        "pw": (25.328436022934504, 26.731024478851015),
-        "qw": (25.328436022934504, 26.731024478851015),
-        "xw": (25.328436022934504, 25.53986444834456),
+        "pw": (25.32843602293449, 26.73102447885099),
+        "qw": (25.32843602293449, 26.73102447885099),
+        "xw": (25.32843602293449, 25.53986444834454),
     },
 }
 
@@ -242,24 +242,24 @@ def test_alpha_schedule_keeps_increment_in_slab():
 # sweep range and deep inside it
 FLAT_PINS = {
     ("flat_exp", 0.02): (
-        26.75125644856161, 2.830679265826017,
-        (4.951480399252239, 5.661358531652034),
-        (25.0, 25.211428425410055),
+        26.751256448561605, 2.830679265826018,
+        (4.951480399252236, 5.661358531652036),
+        (25.0, 25.211428425410038),
     ),
     ("flat_exp", 1e-05): (
-        50001.74162036811, 6.632865506901168,
-        (12.572575566064797, 13.265731013802336),
-        (49999.99999999999, 50000.21142842547),
+        50001.74162036811, 6.63286550690117,
+        (12.57257556606479, 13.26573101380234),
+        (49999.99999999999, 50000.21142842545),
     ),
     ("flat_quartic", 0.02): (
-        10.804164292484435, 2.830679265826017,
-        (4.684001034117974, 5.661358531652034),
-        (7.804978459310703, 8.035474408680114),
+        10.804164292484431, 2.830679265826018,
+        (4.68400103411797, 5.661358531652036),
+        (7.804978459310703, 8.035474408680109),
     ),
     ("flat_quartic", 1e-05): (
-        29.783134665993703, 6.632865506901168,
-        (12.284903493660059, 13.265731013802336),
-        (23.006783378394868, 23.23727935535051),
+        29.783134665993703, 6.63286550690117,
+        (12.284903493660051, 13.26573101380234),
+        (23.006783378394868, 23.237279355350495),
     ),
 }
 
