@@ -33,8 +33,8 @@ import numpy as np
 
 from .exact import DistBound
 from .profiles import ProfileFn
-from .rounding import (LIBM_FLOATS, SIMD_FLOATS, atanh_up, down, exp_up, log_down, log_up, sqrt_up,
-                       sum_down, sum_up, up)
+from .rounding import (LIBM_FLOATS, SIMD_FLOATS, atanh_up, down, exp_up, log_down, log_up, sum_down,
+                       sum_up, up)
 
 PointC2 = tuple[complex, complex]
 
@@ -230,7 +230,7 @@ class ModelDomain:
             axis = np.where(inside, 0.0, np.minimum((so - a) ** 2, (so - b) ** 2))
             return graph + axis
 
-        psi = self.profile.value_array
+        psi = self.profile.value
         every = np.arange(len(x1))
         ends = np.minimum(h(every, np.zeros_like(s), psi(np.zeros_like(s))), h(every, s, psi(s)))
         best, lower, cut_short = _certified_block_min(psi, h, cell_lb, s + np.sqrt(ends) + 1e-9)
@@ -284,17 +284,18 @@ class ModelDomain:
         z1, z2 = np.asarray(z[0]), np.asarray(z[1])
         x1 = z1.real
         # np.hypot, not np.abs: numpy's complex abs may run a SIMD loop
-        # that errs by more than an ulp
-        s = np.hypot(z2.real, z2.imag)
+        # that errs by more than an ulp; an array even at one point, so the
+        # profile evaluates it with numpy
+        s = np.asarray(np.hypot(z2.real, z2.imag))
         profile = self.profile
         steep = (profile.value(Z2_CAP) > x1) & (x1 > 0.0)
         # the inverse is read only where the profile reaches the height x1
-        inverse = profile.inverse_array(np.where(steep, x1, 1.0))
+        inverse = profile.inverse(np.where(steep, x1, 1.0))
         t_rel = np.where(steep, np.minimum(Z2_CAP, inverse), Z2_CAP)
-        slope = profile.deriv_array(t_rel)
+        slope = profile.deriv(t_rel)
         return np.minimum(
             _face_margin_lower(x1, z1.imag, s),
-            (x1 - profile.value_array(s)) / np.hypot(1.0, slope),
+            (x1 - profile.value(s)) / np.hypot(1.0, slope),
         )
 
     def slice_radius(self, x1: float) -> float:
@@ -380,21 +381,28 @@ class ModelDomain:
 _CHAIN_PIECES = 16
 _CHAIN_BLOCK = 256
 
+# floats a piece length steps up by: a float step at y raises it by at
+# least 2^-53 y.  Each coordinate difference rounds by half an ulp (2^-53
+# relative), each of the two hypots on the way to the length by
+# LIBM_FLOATS such steps (2 ulps), and one more step covers the products
+# of these factors
+_CHAIN_FLOATS = 1 + 2 * LIBM_FLOATS + 1
+
 
 def chain_polygon(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The polygon through _CHAIN_PIECES + 1 evenly spaced float points of
     the segment from each row z[k] of C^2 to w[k], with ends z[k] and w[k]
     exactly: its nodes, shaped (pair, node, 2), and its piece lengths,
-    rounded up.  Nodes off the segment by a rounding only move the polygon,
-    the path that :func:`ub_radius_integral` prices."""
+    rounded up, 0 exactly for a piece of length 0.  Nodes off the segment
+    by a rounding only move the polygon, the path that
+    :func:`ub_radius_integral` prices."""
     frac = np.arange(_CHAIN_PIECES + 1)[:, None] / _CHAIN_PIECES
     nodes = z[:, None, :] + frac * (w - z)[:, None, :]
     nodes[:, 0], nodes[:, -1] = z, w
     step = np.diff(nodes, axis=1)
-    # the parts of each coordinate difference and their squares round once
-    parts = up(np.abs(step.view(np.float64)))
-    h = sqrt_up(_sum_up_rows(up(parts * parts)))
-    return nodes, np.where(np.any(step != 0.0, axis=-1), h, 0.0)
+    h = np.hypot(np.hypot(step[..., 0].real, step[..., 0].imag),
+                 np.hypot(step[..., 1].real, step[..., 1].imag))
+    return nodes, np.where(h > 0.0, up(h, _CHAIN_FLOATS), h)
 
 
 def ub_radius_integral(r: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -16,8 +16,10 @@ its points is the disc distance of their parameters.
 
 Each sampled domain has exactly one distance kernel, an array function
 in SAMPLE_DOMAINS that both `sample` and `verify` run; the royal line
-is sampled with the disc kernel on its parameter.  The scalar distances
-serve the witnesses' legs and the anchors.
+is sampled with the disc kernel on its parameter.  The disc formula is
+written once, over the namespace of :mod:`.rounding`: `disc_distance`
+evaluates it with the math module on two points and with numpy on two
+arrays of them, and the gn scan runs it on the images' analytic gaps.
 
 Numerical contract: every distance evaluator stays accurate all the way
 to boundary gaps of order 1e-300 when handed analytic gap parameters,
@@ -37,8 +39,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ArrayDistance, DistanceOracle, PointGenerator
-from .rounding import (SIMD_FLOATS, down, exp_down, exp_up, log1p_down, log1p_up, log_up, sum_down,
-                       sum_up, up)
+from .rounding import (MATH, SIMD_FLOATS, down, exp_down, exp_up, log1p_down, log1p_up, log_up,
+                       sum_down, sum_up, up)
 
 
 class OracleError(ValueError):
@@ -83,23 +85,18 @@ class DistBound:
         return self.lo - tol <= value <= self.hi + tol
 
 
-def _one_minus_abs_sq(z: complex, gap: float | None) -> float:
-    # 1 - |z|^2; the analytic override gap = 1 - |z| survives float
-    # rounding of z itself (z may round onto the boundary).
-    if gap is not None:
-        if not 0.0 < gap <= 1.0:
-            raise OracleError(f"boundary gap must be in (0, 1], got {gap}")
-        return gap * (2.0 - gap)
-    return 1.0 - (z.real * z.real + z.imag * z.imag)
-
-
-def _atanh_stable(m_direct: float, one_minus_m2: float) -> float:
-    if one_minus_m2 <= 0.0:
+def _atanh_stable(xp, m_direct, one_minus_m2):
+    # atanh m from the quotient m or from 1 - m^2: both branches on every
+    # entry, then the switch.  The direct branch is taken only where 1 - m^2
+    # >= _STABLE_SWITCH, so m <= 0.9 there and the cap never binds on it;
+    # where it is not taken, m may round to 1 or above, and the cap keeps
+    # arctanh finite
+    if not xp.all(one_minus_m2 > 0.0):
         raise OracleError("point on or outside the boundary")
-    if one_minus_m2 >= _STABLE_SWITCH:
-        return math.atanh(m_direct)
-    m = math.sqrt(max(0.0, 1.0 - one_minus_m2))
-    return math.log1p(m) - 0.5 * math.log(one_minus_m2)
+    direct = xp.arctanh(xp.minimum(m_direct, 0.95))
+    m = xp.sqrt(xp.maximum(0.0, 1.0 - one_minus_m2))
+    return xp.where(one_minus_m2 >= _STABLE_SWITCH, direct,
+                    xp.log1p(m) - 0.5 * xp.log(one_minus_m2))
 
 
 def atanh_one_minus(log_eps: float, a: float = 0.0) -> float:
@@ -117,22 +114,36 @@ def atanh_one_minus(log_eps: float, a: float = 0.0) -> float:
     return 0.5 * sum_up(log_up(sum_up(2.0, -exp_down(log_eps))), -log_eps)
 
 
-def disc_distance(u: complex, v: complex, gap_v: float | None = None) -> float:
-    """Poincare distance atanh|(u-v)/(1-conj(u)v)| on the unit disc.
+def _disc_distance_gaps(xp, u, v, gap_u, gap_v):
+    # disc distance given the gaps 1 - |u|^2, 1 - |v|^2, which a caller may
+    # know better than the coordinates do: 1 - m^2 = gap_u gap_v / |1 - conj(u) v|^2
+    den = abs(1.0 - xp.conj(u) * v) ** 2
+    one_minus_m2 = (gap_u / den) * gap_v
+    m = abs(u - v) / xp.sqrt(den)
+    return _atanh_stable(xp, m, one_minus_m2)
+
+
+def disc_distance(u, v, gap_v: float | None = None):
+    """Poincare distance atanh|(u-v)/(1-conj(u)v)| on the unit disc,
+    between two points or elementwise between two (N,) arrays of them.
 
     gap_v is an optional analytic value of 1-|v| for a point so close to
     the boundary that its float coordinate has rounded.
     """
-    u = complex(u)
-    v = complex(v)
-    a = _one_minus_abs_sq(u, None)
-    b = _one_minus_abs_sq(v, gap_v)
-    if a <= 0.0 or b <= 0.0:
-        raise OracleError(f"disc_distance: point outside the open disc ({u}, {v})")
-    den = abs(1.0 - u.conjugate() * v) ** 2
-    one_minus_m2 = (a / den) * b
-    m = abs(u - v) / math.sqrt(den)
-    return _atanh_stable(m, one_minus_m2)
+    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+        xp, u, v = np, np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    else:
+        xp, u, v = MATH, complex(u), complex(v)
+    gap_u = 1.0 - (u.real * u.real + u.imag * u.imag)
+    if gap_v is None:
+        gap_v = 1.0 - (v.real * v.real + v.imag * v.imag)
+    elif xp.all((gap_v > 0.0) & (gap_v <= 1.0)):
+        gap_v = gap_v * (2.0 - gap_v)
+    else:
+        raise OracleError(f"boundary gap must be in (0, 1], got {gap_v}")
+    if not (xp.all(gap_u > 0.0) and xp.all(gap_v > 0.0)):
+        raise OracleError("disc_distance: point outside the open disc")
+    return _disc_distance_gaps(xp, u, v, gap_u, gap_v)
 
 
 def halfplane_distance(z: complex, w: complex) -> float:
@@ -148,7 +159,7 @@ def halfplane_distance(z: complex, w: complex) -> float:
     den = abs(z + w.conjugate()) ** 2
     one_minus_m2 = 4.0 * rz * rw / den
     m = abs(z - w) / math.sqrt(den)
-    return _atanh_stable(m, one_minus_m2)
+    return _atanh_stable(MATH, m, one_minus_m2)
 
 
 def strip_distance(z: complex, w: complex) -> float:
@@ -170,41 +181,6 @@ def strip_distance(z: complex, w: complex) -> float:
 # reads the float gap 1 - |z|^2: exact on real points, but on complex ones
 # (disc, ball, bidisc) only outside a band about 4 ulps wide about the
 # boundary, inside which a point may be refused or accepted either way
-
-
-def _atanh_stable_array(m_direct: np.ndarray, one_minus_m2: np.ndarray) -> np.ndarray:
-    if not np.all(one_minus_m2 > 0.0):
-        raise OracleError("point on or outside the boundary")
-    # both branches on every entry, then the switch: cheaper than indexing
-    # the two halves.  On the entries the direct branch wins, 1 - m^2 >=
-    # _STABLE_SWITCH keeps m well below 1; on those it loses m may round
-    # above 1, where the cap keeps arctanh from warning "invalid value"
-    # (m = 1 itself gives inf, hence the divide guard)
-    with np.errstate(divide="ignore"):
-        direct = np.arctanh(np.minimum(m_direct, 1.0))
-    m = np.sqrt(np.maximum(0.0, 1.0 - one_minus_m2))
-    via_log = np.log1p(m) - 0.5 * np.log(one_minus_m2)
-    return np.where(one_minus_m2 >= _STABLE_SWITCH, direct, via_log)
-
-
-def _disc_distance_gaps(u, v, gap_u: np.ndarray, gap_v: np.ndarray) -> np.ndarray:
-    # disc distance given the gaps 1 - |u|^2, 1 - |v|^2, which a caller may
-    # know better than the coordinates do: 1 - m^2 = gap_u gap_v / |1 - conj(u) v|^2
-    den = np.abs(1.0 - np.conj(u) * v) ** 2
-    one_minus_m2 = (gap_u / den) * gap_v
-    m = np.abs(u - v) / np.sqrt(den)
-    return _atanh_stable_array(m, one_minus_m2)
-
-
-def disc_distance_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`disc_distance` on (N,) complex arrays."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    a = 1.0 - (u.real * u.real + u.imag * u.imag)
-    b = 1.0 - (v.real * v.real + v.imag * v.imag)
-    if not (np.all(a > 0.0) and np.all(b > 0.0)):
-        raise OracleError("disc_distance_array: point outside the open disc")
-    return _disc_distance_gaps(u, v, a, b)
 
 
 def ball_distance_array(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -236,7 +212,7 @@ def ball_distance_array(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     gram = sum(np.abs(z[i] * w[j] - z[j] * w[i]) ** 2
                for i in range(n) for j in range(i + 1, n))
     m = np.sqrt(np.maximum(0.0, diff2 - gram) / den)
-    return _atanh_stable_array(m, one_minus_m2)
+    return _atanh_stable(np, m, one_minus_m2)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -252,12 +228,12 @@ def polydisc_distance_array(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     w = np.asarray(ws, dtype=complex)
     if z.shape != w.shape or z.ndim != 2:
         raise OracleError("dimension mismatch")
-    return _row_max(disc_distance_array(z.ravel(), w.ravel()).reshape(z.shape))
+    return _row_max(disc_distance(z.ravel(), w.ravel()).reshape(z.shape))
 
 
 def polydisc_axis_distance_array(ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
-    """Array twin of the :func:`polydisc_axis_oracle` distance on (N, n)
-    arrays of geodesic parameters: max_i |t_i - s_i|.
+    """The :func:`polydisc_axis_oracle` distance on (N, n) arrays of
+    geodesic parameters: max_i |t_i - s_i|.
 
     A non-finite parameter stands for no point, so it raises instead of
     turning into a NaN distance.
@@ -324,10 +300,10 @@ class SampleDomain:
 
 #: the one table of sampled domains
 SAMPLE_DOMAINS = {
-    "disc": SampleDomain(disc_distance_array, disc_points),
+    "disc": SampleDomain(disc_distance, disc_points),
     "ball": SampleDomain(ball_distance_array, ball_points),
     "polydisc": SampleDomain(polydisc_distance_array, polydisc_points),
-    "tetra": SampleDomain(disc_distance_array, royal_line_points),
+    "tetra": SampleDomain(disc_distance, royal_line_points),
     "polydisc_axis": SampleDomain(polydisc_axis_distance_array, polydisc_axis_points),
 }
 
@@ -368,7 +344,7 @@ def polydisc_axis_oracle(n: int) -> DistanceOracle:
     def fn(ts, ss) -> float:
         if len(ts) != n or len(ss) != n:
             raise OracleError("dimension mismatch")
-        return max(abs(float(a) - float(b)) for a, b in zip(ts, ss))
+        return float(polydisc_axis_distance_array([ts], [ss])[0])
 
     return DistanceOracle(fn=fn)
 
@@ -437,7 +413,7 @@ def gn_lower_bound(xs: Sequence[Sequence[complex]], ys: Sequence[Sequence[comple
     def scan(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lam = np.exp(1j * theta)
         (u, gap_u), (v, gap_v) = _phi(lam, zx, gx), _phi(lam, zy, gy)
-        d = _disc_distance_gaps(u, v, gap_u, gap_v)
+        d = _disc_distance_gaps(np, u, v, gap_u, gap_v)
         j = np.argmax(d, axis=1)
         return d[rows, j], np.broadcast_to(theta, d.shape)[rows, j]
 
@@ -462,13 +438,13 @@ def gn_upper_bound(xs: Sequence[Sequence[complex]], ys: Sequence[Sequence[comple
     zx, gx, zy, gy = _pair_gaps(xs, ys)
     # legs (x1, y1), (x2, y2), then (x1, y2), (x2, y1)
     ix, iy = [0, 1, 0, 1], [0, 1, 1, 0]
-    d = _disc_distance_gaps(zx[:, ix], zy[:, iy], gx[:, ix], gy[:, iy])
+    d = _disc_distance_gaps(np, zx[:, ix], zy[:, iy], gx[:, ix], gy[:, iy])
     best = np.minimum(np.maximum(d[:, 0], d[:, 1]), np.maximum(d[:, 2], d[:, 3]))
     axis = (zx.sum(axis=1) == 0.0) & (zy.sum(axis=1) == 0.0)
     if axis.any():
         gx0, gy0 = gx[axis, 0], gy[axis, 0]
         p = _disc_distance_gaps(
-            zx[axis].prod(axis=1), zy[axis].prod(axis=1), gx0 * (2.0 - gx0), gy0 * (2.0 - gy0))
+            np, zx[axis].prod(axis=1), zy[axis].prod(axis=1), gx0 * (2.0 - gx0), gy0 * (2.0 - gy0))
         best[axis] = np.minimum(best[axis], p)
     return best
 

@@ -98,7 +98,7 @@ def sample_interior(
         re1, im1, re2, im2 = block.T
         s = np.hypot(re2, im2)
         ok, near = np.ones(len(block), dtype=bool), np.zeros(len(block), dtype=bool)
-        for a, b in ((re1, domain.profile.value_array(s)), (Z2_CAP, s), (BOX, re1), (BOX, np.abs(im1))):
+        for a, b in ((re1, domain.profile.value(s)), (Z2_CAP, s), (BOX, re1), (BOX, np.abs(im1))):
             gap = (a - b) - margin
             ok &= gap > 0.0
             near |= np.abs(gap) <= _NEAR_THRESHOLD * (np.abs(a) + np.abs(b) + abs(margin)) + 1e-300
@@ -127,7 +127,7 @@ def curvature_margin(domain: ModelDomain) -> float:
     h = 1e-5
     samples = _CURVATURE_SAMPLES
     t = h + (span - h) * np.arange(samples + 1) / samples
-    psi = domain.profile.value_array
+    psi = domain.profile.value
     # central second difference; profiles are C^1 with piecewise smooth
     # psi'', and smearing across a kink only averages the one-sided
     # values, which the recorded sup dominates anyway

@@ -36,8 +36,8 @@ from .exact import (DistBound, _atanh_stable, atanh_one_minus, disc_distance, gn
                     tetra_automorphism, tetra_origin_distance)
 from .models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL
 from .profiles import ProfileFn
-from .rounding import (LIBM_FLOATS, atanh_down, atanh_up, down, log1p_down, log1p_up, log_down,
-                       log_up, sqrt_down, sum_down, sum_up, up)
+from .rounding import (LIBM_FLOATS, MATH, atanh_down, atanh_up, down, log1p_down, log1p_up,
+                       log_down, log_up, sqrt_down, sum_down, sum_up, up)
 
 # claims_check's floor: its claims are checked in plain float geometry
 _CLAIMS_MIN_X = 0.02
@@ -226,7 +226,7 @@ def tetra_witness(a: float) -> WitnessReport:
     # cancel, so the doubling identity survives to full precision as a -> 1
     m = 2.0 * a / (1.0 + a * a)
     one_minus_m2 = ((1.0 - a) * (1.0 + a) / (1.0 + a * a)) ** 2
-    pq = _atanh_stable(m, one_minus_m2)
+    pq = _atanh_stable(MATH, m, one_minus_m2)
 
     royal_bound = DistBound(atanh_down(a), atanh_up(a))
     bounds = {"pq": DistBound(2.0 * royal_bound.lo, 2.0 * royal_bound.hi),

@@ -284,7 +284,7 @@ def test_bracket_cut_short_still_encloses_and_says_so(monkeypatch):
     (short,), cut = m.boundary_distance_brackets([BASE_POINT])
     assert cut[0]
     t = np.linspace(0.0, 2.0, 400001)
-    grid_min = float(np.sqrt(np.min((1.0 - m.profile.value_array(t)) ** 2 + t * t)))
+    grid_min = float(np.sqrt(np.min((1.0 - m.profile.value(t)) ** 2 + t * t)))
     assert short.lo <= full.lo <= grid_min <= full.hi <= short.hi
     assert (short.lo, short.hi) != (full.lo, full.hi)
 

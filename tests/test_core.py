@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gromovlab import core
-from gromovlab.exact import disc_distance_array
+from gromovlab.exact import disc_distance
 
 
 def d_real(x, y):
@@ -127,7 +127,7 @@ def test_metric_axiom_violations_catches_triangle():
 
 
 def test_estimate_delta_deterministic_and_monotone():
-    d = disc_distance_array
+    d = disc_distance
 
     def gen(rng, m):
         return rng.uniform(-0.7, 0.7, m) + 1j * rng.uniform(-0.7, 0.7, m)

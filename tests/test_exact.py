@@ -267,7 +267,7 @@ def test_royal_kernel_on_the_royal_line():
     # which the shift by u and the origin form give up to their own
     # rounding, a few 1e-12 relative where `sample` draws
     kernel = exact.SAMPLE_DOMAINS["tetra"].distance
-    assert kernel is exact.disc_distance_array
+    assert kernel is exact.disc_distance
     rng = np.random.default_rng(12)
     u, v = rng.uniform(-0.9, 0.9, (2, 500))
     got = kernel(u, v)

@@ -263,6 +263,28 @@ def test_radius_integral_bounds_the_exact_integral(block):
     assert not wrong, wrong[:5]
 
 
+def test_chain_pieces_bound_the_exact_lengths():
+    # segments of C^2 with steps from a few ulps of their coordinates to 3,
+    # where the differences and the hypots round: each piece is at least the
+    # exact distance between its two float nodes, and one of length 0 costs 0
+    rng = np.random.default_rng(15)
+    below, zero = [], []
+    for scale in (1e-15, 1e-12, 1e-6, 1e-3, 1.0, 3.0):
+        z = rng.uniform(-1.5, 1.5, (100, 4)).view(complex)
+        w = z + scale * rng.uniform(-1.0, 1.0, (100, 4)).view(complex)
+        nodes, h = convex.chain_polygon(z, w)
+        for k, (ends, lengths) in enumerate(zip(nodes.view(float).tolist(), h.tolist())):
+            for j, length in enumerate(lengths):
+                a, b = ends[j], ends[j + 1]
+                exact = mp_oracle.sqrt(sum((mp_oracle.mpf(x) - y) ** 2 for x, y in zip(a, b)))
+                if not length >= exact:
+                    below.append(f"scale {scale}, pair {k}, piece {j}: {length!r}")
+                if (exact == 0) != (length == 0.0):
+                    zero.append((scale, k, j))
+    assert not below, (len(below), below[:5])
+    assert not zero, zero[:5]
+
+
 # gn parameters near the boundary: ten points of the perfbench gn lattice
 # and its edge point 1 - 1e-6, where a round trip of the lifts through
 # (s, p) once made the pair enclosures cross, and three deeper ones down to
@@ -412,7 +434,7 @@ def test_exp_deriv_rounding_is_bounded():
     t = np.array(EXP_DERIV_T)
     wrong = []
     for v, scalar, twin in zip(EXP_DERIV_T, [EXP_FLAT.deriv(v) for v in EXP_DERIV_T],
-                               EXP_FLAT.deriv_array(t).tolist()):
+                               EXP_FLAT.deriv(t).tolist()):
         exact = oracle_gen.exp_flat_deriv(v)
         bound = 2.0**-53 * (1.0 / v + 4.0) * exact + 2.0**-1074 / (v * v)
         for label, got in (("scalar", scalar), ("array", twin)):

@@ -1,7 +1,8 @@
 """Static checks on the source: no unreached module-level names, no parameter
 that its function never reads, no defaulted parameter or dataclass field
 that no caller sets, no dataclass field that nothing reads, no checks
-that are constants, no directed rounding outside the rounding module."""
+that are constants, no directed rounding outside the rounding module, no
+formula kept twice as a scalar and an array twin."""
 
 import ast
 from pathlib import Path
@@ -241,3 +242,14 @@ def test_directed_steps_stay_in_the_rounding_module():
                 if path.name != "rounding.py"
                 and any(f"{mod}.nextafter" in path.read_text() for mod in ("math", "np", "numpy"))]
     assert not stepping, f"modules that call nextafter themselves: {stepping}"
+
+
+def test_no_array_twins():
+    # a formula is written once, over the scalar or the array namespace of
+    # gromovlab.rounding; a module that defines both name and name_array
+    # keeps a hand-written twin of it
+    twins = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = {name for name, _ in _definitions(_parse(path))}
+        twins += [f"{path.stem}.{name}" for name in sorted(names) if f"{name}_array" in names]
+    assert not twins, f"names defined beside an _array twin: {twins}"
