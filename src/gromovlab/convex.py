@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,6 +64,13 @@ def _box_margin(z1: complex) -> float:
     """Signed Euclidean distance from a point (z1, z2) to the box faces
     Re z1 = BOX and |Im z1| = BOX; z2 does not enter."""
     return min(BOX - z1.real, BOX - abs(z1.imag))
+
+
+def _modulus(w):
+    """|w|, elementwise on a complex array.  np.hypot there, not np.abs:
+    numpy's complex abs may run a SIMD loop that errs by more than an ulp,
+    while np.hypot is the libm hypot that abs calls on a scalar."""
+    return np.hypot(w.real, w.imag) if isinstance(w, np.ndarray) else abs(w)
 
 
 def _modulus_up(w: complex) -> float:  # |w| rounded up: a hypot, exact on the axes
@@ -109,7 +117,9 @@ def _certified_block_min(
     Returns (best, lower, cut_short).
     """
     n = len(hi)
-    ts = np.linspace(0.0, hi, _BB_COARSE + 1, axis=1)
+    # np.linspace(0, hi, _BB_COARSE + 1, axis=1), as it rounds, without its overhead
+    ts = np.arange(_BB_COARSE + 1) * (hi / _BB_COARSE)[:, None]
+    ts[:, -1] = hi
     fts = f(ts)
     best = h(np.arange(n)[:, None], ts, fts).min(axis=1)
     owner = np.repeat(np.arange(n), _BB_COARSE)
@@ -174,15 +184,16 @@ class ModelDomain:
             return exp_up(up(log_v, LIBM_FLOATS)) if log_v > -math.inf else 0.0
         return up(self.profile.value(t), 4 * LIBM_FLOATS)
 
-    def profile_margin(self, z: PointC2) -> float:
-        return z[0].real - self.profile.value(abs(z[1]))
-
-    def contains(self, z: PointC2, slack: float = 0.0) -> bool:
-        if self.profile_margin(z) <= -slack:
-            return False
-        if Z2_CAP - abs(z[1]) <= -slack:
-            return False
-        return _box_margin(z[0]) > -slack
+    def contains(self, z: PointC2, slack: float = 0.0) -> bool | np.ndarray:
+        """Whether z = (z1, z2) is interior with every face margin above
+        -slack: Re z1 - psi(|z2|), Z2_CAP - |z2|, BOX - Re z1 and
+        BOX - |Im z1|.  Elementwise over z's coordinates, which may be
+        complex arrays, with psi evaluated as :mod:`.profiles` evaluates it;
+        |z2| is abs on a scalar and np.hypot on an array, one libm hypot."""
+        z1, z2 = z
+        x1, s, floor = z1.real, _modulus(z2), -slack
+        return ((x1 - self.profile.value(s) > floor) & (Z2_CAP - s > floor)
+                & (BOX - x1 > floor) & (BOX - abs(z1.imag) > floor))
 
     # -- boundary distance ---------------------------------------------------
 
@@ -199,6 +210,8 @@ class ModelDomain:
         companion[:, 1, 0] = companion[:, 2, 1] = 1.0
         roots: list[list[complex]] = [[] for _ in range(len(x1))]
         for rows, size in ((np.flatnonzero(s != 1.0), 3), (np.flatnonzero(s == 1.0), 2)):
+            if not rows.size:
+                continue
             for k, found in zip(rows, np.linalg.eigvals(companion[rows, :size, :size]).tolist()):
                 roots[k] = found
         out = []
@@ -231,8 +244,9 @@ class ModelDomain:
             return graph + axis
 
         psi = self.profile.value
-        every = np.arange(len(x1))
-        ends = np.minimum(h(every, np.zeros_like(s), psi(np.zeros_like(s))), h(every, s, psi(s)))
+        every, zero = np.arange(len(x1)), np.zeros_like(s)
+        # psi(0) = 0 for every profile
+        ends = np.minimum(h(every, zero, zero), h(every, s, psi(s)))
         best, lower, cut_short = _certified_block_min(psi, h, cell_lb, s + np.sqrt(ends) + 1e-9)
         return np.sqrt(np.maximum(lower, 0.0)), np.sqrt(np.minimum(best, ends)), cut_short
 
@@ -250,14 +264,15 @@ class ModelDomain:
         block.  A point that is not interior refuses the whole block,
         naming its index.
         """
-        for k, z in enumerate(zs):
-            if not self.contains(z):
-                raise CertificateError(
-                    f"point {k} of the block, {z}, is not an interior point of {self.name}"
-                )
-        x1 = np.array([z[0].real for z in zs], dtype=float)
-        y1 = np.array([z[0].imag for z in zs], dtype=float)
-        s = np.array([abs(z[1]) for z in zs], dtype=float)
+        z = np.array(zs, dtype=complex).reshape(-1, 2)
+        z1, z2 = z[:, 0], z[:, 1]
+        outside = np.flatnonzero(~self.contains((z1, z2)))
+        if outside.size:
+            k = int(outside[0])
+            raise CertificateError(
+                f"point {k} of the block, {zs[k]}, is not an interior point of {self.name}"
+            )
+        x1, y1, s = z1.real, z1.imag, _modulus(z2)
         if self.profile.name == "hinge":
             lo = hi = self._hinge_profile_distance(x1, s)
             cut_short = np.zeros(len(zs), dtype=bool)
@@ -266,11 +281,6 @@ class ModelDomain:
         lo = np.minimum(_face_margin_lower(x1, y1, s), lo)
         hi = np.minimum(np.minimum(np.minimum(BOX - x1, BOX - np.abs(y1)), Z2_CAP - s), hi)
         return [DistBound(lo=a, hi=b) for a, b in zip(lo.tolist(), hi.tolist())], cut_short
-
-    def boundary_distance_bracket(self, z: PointC2) -> DistBound:
-        """The bracket of :meth:`boundary_distance_brackets` at one point;
-        callers that must know whether it was cut short use the block."""
-        return self.boundary_distance_brackets([z])[0][0]
 
     def cheap_boundary_lower(self, z: PointC2) -> np.ndarray:
         """Closed-form certified lower bound for the boundary distance,
@@ -283,10 +293,8 @@ class ModelDomain:
         """
         z1, z2 = np.asarray(z[0]), np.asarray(z[1])
         x1 = z1.real
-        # np.hypot, not np.abs: numpy's complex abs may run a SIMD loop
-        # that errs by more than an ulp; an array even at one point, so the
-        # profile evaluates it with numpy
-        s = np.asarray(np.hypot(z2.real, z2.imag))
+        # an array even at one point, so the profile evaluates it with numpy
+        s = np.asarray(_modulus(z2))
         profile = self.profile
         steep = (profile.value(Z2_CAP) > x1) & (x1 > 0.0)
         # the inverse is read only where the profile reaches the height x1
@@ -395,14 +403,18 @@ def chain_polygon(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     exactly: its nodes, shaped (pair, node, 2), and its piece lengths,
     rounded up, 0 exactly for a piece of length 0.  Nodes off the segment
     by a rounding only move the polygon, the path that
-    :func:`ub_radius_integral` prices."""
+    :func:`ub_radius_integral` prices.
+
+    The nodes are formed on the float planes (Re z1, Im z1, Re z2, Im z2):
+    a complex product with the real frac rounds as this one does, but for
+    the sign of a zero."""
     frac = np.arange(_CHAIN_PIECES + 1)[:, None] / _CHAIN_PIECES
-    nodes = z[:, None, :] + frac * (w - z)[:, None, :]
-    nodes[:, 0], nodes[:, -1] = z, w
+    zf, wf = np.ascontiguousarray(z).view(float), np.ascontiguousarray(w).view(float)
+    nodes = zf[:, None, :] + frac * (wf - zf)[:, None, :]
+    nodes[:, 0], nodes[:, -1] = zf, wf
     step = np.diff(nodes, axis=1)
-    h = np.hypot(np.hypot(step[..., 0].real, step[..., 0].imag),
-                 np.hypot(step[..., 1].real, step[..., 1].imag))
-    return nodes, np.where(h > 0.0, up(h, _CHAIN_FLOATS), h)
+    h = np.hypot(np.hypot(step[..., 0], step[..., 1]), np.hypot(step[..., 2], step[..., 3]))
+    return nodes.view(complex), np.where(h > 0.0, up(h, _CHAIN_FLOATS), h)
 
 
 def ub_radius_integral(r: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -485,24 +497,14 @@ class TangentHalfspaceCert:
         )
         return val * math.exp(-self.normalizer_log)
 
-    def log_tau_cert(self, partner: "TangentHalfspaceCert") -> float:
-        """log of the certified coupling level tau.
+    @cached_property
+    def log_tau_cert(self) -> float:
+        """log of the certified coupling level tau, computed once.
 
-        For the opposed pair (theta, theta + pi) at the same t0,
-        Re f + Re f_partner >= 2 (t0 psi'(t0) - psi(t0)) e^{-normalizer}
+        With the twin at theta + pi (the same domain, t0 and normalizer),
+        Re f + Re f_twin >= 2 (t0 psi'(t0) - psi(t0)) e^{-normalizer}
         on the domain (using Re z1 > psi >= 0), so tau is half of that.
         """
-        if partner.domain is not self.domain:
-            raise CertificateError("coupled certificates must live on one domain")
-        if abs(self.t0 - partner.t0) > 1e-15 * (1.0 + self.t0):
-            raise CertificateError("coupled certificates must share the tangency radius")
-        if abs(self.normalizer_log - partner.normalizer_log) > 1e-12:
-            raise CertificateError("coupled certificates must share the normalizer")
-        phase = complex(math.cos(self.theta), math.sin(self.theta)) + complex(
-            math.cos(partner.theta), math.sin(partner.theta)
-        )
-        if abs(phase) > 1e-12:
-            raise CertificateError("coupled certificates must point in opposite directions")
         profile = self.domain.profile
         steep = profile.steepness(self.t0)
         if steep <= 1.0:
@@ -518,13 +520,13 @@ def lb_boundary_ratio_log(log_d_z_hi: float, log_d_w_lo: float) -> float:
 
 
 def lb_crossing_split(
-    cert_a: TangentHalfspaceCert,
-    cert_b: TangentHalfspaceCert,
+    cert: TangentHalfspaceCert,
     log_re_a_z: float,
     log_re_b_w: float,
     log_tau: float | None = None,
 ) -> float:
-    """Crossing lower bound for a coupled pair of opposed functionals.
+    """Crossing lower bound for the functional f_A of cert and its twin f_B
+    at theta + pi, the coupled pair of :attr:`TangentHalfspaceCert.log_tau_cert`.
 
     With Re f_A + Re f_B >= 2 tau on the domain, any path from z to w
     drives Re f_A from its small value at z up through the tau level and
@@ -547,7 +549,7 @@ def lb_crossing_split(
     arranges real starting values by symmetry; callers with genuinely
     complex values must not use this bound.
     """
-    cap = cert_a.log_tau_cert(cert_b)
+    cap = cert.log_tau_cert
     if log_tau is None:
         log_tau = cap
     elif log_tau > cap:

@@ -29,10 +29,8 @@ import numpy as np
 from .convex import BOX, Z2_CAP, CertificateError, ModelDomain, PointC2
 from .profiles import EXP_FLAT, HINGE, QUARTIC
 
-# rejection-sampling tries per requested point, and the relative distance
-# from a face's threshold within which a try is tested again by contains
+# rejection-sampling tries per requested point
 _MAX_TRIES = 200
-_NEAR_THRESHOLD = 1e-12
 
 # grid intervals of the curvature check
 _CURVATURE_SAMPLES = 2048
@@ -81,13 +79,11 @@ def sample_interior(
     Rejection sampling from the box with 0 < Re z1 and the square around
     the radial cap; the stock domains fill a decent fraction of it, so the
     try budget is generous rather than tight.  A try is four uniform draws
-    (Re z1, Im z1, Re z2, Im z2).  Tries are drawn in blocks and tested as
-    arrays, each face as a - b > margin; a try within a relative
-    _NEAR_THRESHOLD of a face's threshold, where the array profile and
-    modulus may round the other way, is tested again by
-    :meth:`ModelDomain.contains`.  Then the generator is wound to just
-    past the try that accepted the n-th point: the points and the
-    generator's state are those of one try at a time.
+    (Re z1, Im z1, Re z2, Im z2).  Tries are drawn in blocks, and each
+    block is tested by one :meth:`ModelDomain.contains` call with slack
+    -margin.  Then the generator is wound to just past the try that
+    accepted the n-th point: the points and the generator's state are
+    those of one try at a time.
     """
     out: list[PointC2] = []
     state, budget, tries = rng.bit_generator.state, _MAX_TRIES * n, 0
@@ -95,20 +91,10 @@ def sample_interior(
         # eight tries per missing point: the stock domains accept 1/5 to 2/3
         size = (min(budget - tries, 8 * (n - len(out))), 4)
         block = rng.uniform([0.0, -BOX, -Z2_CAP, -Z2_CAP], [BOX, BOX, Z2_CAP, Z2_CAP], size)
-        re1, im1, re2, im2 = block.T
-        s = np.hypot(re2, im2)
-        ok, near = np.ones(len(block), dtype=bool), np.zeros(len(block), dtype=bool)
-        for a, b in ((re1, domain.profile.value(s)), (Z2_CAP, s), (BOX, re1), (BOX, np.abs(im1))):
-            gap = (a - b) - margin
-            ok &= gap > 0.0
-            near |= np.abs(gap) <= _NEAR_THRESHOLD * (np.abs(a) + np.abs(b) + abs(margin)) + 1e-300
-        rows = block.tolist()
-        for k in np.flatnonzero(near).tolist():
-            re_1, im_1, re_2, im_2 = rows[k]
-            ok[k] = domain.contains((complex(re_1, im_1), complex(re_2, im_2)), slack=-margin)
-        hits = np.flatnonzero(ok)[: n - len(out)].tolist()
-        out += [(complex(rows[k][0], rows[k][1]), complex(rows[k][2], rows[k][3])) for k in hits]
-        tries += hits[-1] + 1 if len(out) == n else len(block)
+        z = block.view(complex)  # each try as (z1, z2)
+        hits = np.flatnonzero(domain.contains((z[:, 0], z[:, 1]), slack=-margin))[: n - len(out)]
+        out += [(z1, z2) for z1, z2 in z[hits].tolist()]
+        tries += int(hits[-1]) + 1 if len(out) == n else len(block)
     if len(out) < n:
         raise CertificateError(
             f"interior sampling starved after {budget} tries on {domain.name}"

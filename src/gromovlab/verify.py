@@ -206,9 +206,8 @@ def suite_product(ctx: VerifyContext) -> SuiteResult:
 
 def _sample_pairs(domain: ModelDomain, rng, n_points: int, n_pairs: int):
     pts = models.sample_interior(domain, n_points, rng, margin=0.02)
-    idx = rng.integers(0, n_points, size=(n_pairs, 2))
-    pairs = [(i, j if j != i else (j + 1) % n_points) for i, j in idx.tolist()]
-    return pts, pairs
+    i, j = rng.integers(0, n_points, size=(n_pairs, 2)).T
+    return pts, i, np.where(j != i, j, (j + 1) % n_points)
 
 
 def suite_bound_sandwich(ctx: VerifyContext) -> SuiteResult:
@@ -223,18 +222,19 @@ def suite_bound_sandwich(ctx: VerifyContext) -> SuiteResult:
     tol = 1e-9
     failures = []
     for domain in models.MODELS.values():
-        pts, pairs = _sample_pairs(domain, rng, 120, 1000)
+        pts, i, j = _sample_pairs(domain, rng, 120, 1000)
         brackets, cut_short = domain.boundary_distance_brackets(pts)
-        for k, b in enumerate(brackets):
-            if not 0.0 < b.lo <= b.hi:
+        lo, hi = np.array([[b.lo for b in brackets], [b.hi for b in brackets]])
+        bad = ~((0.0 < lo) & (lo <= hi))
+        for k in np.flatnonzero(bad | cut_short).tolist():
+            if bad[k]:
                 failures.append(f"{domain.name}: bad boundary bracket at point {k}")
             if cut_short[k]:
                 failures.append(f"{domain.name}: boundary bracket cut short at point {k}")
-        log_lo = np.log([b.lo for b in brackets])
-        log_hi = np.log([b.hi for b in brackets])
-        i, j = np.array(pairs).T
+        log_lo, log_hi = np.log(lo), np.log(hi)
         lowers = 0.5 * np.maximum(np.maximum(log_lo[j] - log_hi[i], log_lo[i] - log_hi[j]), 0.0)
-        uppers = domain.ub_euclidean_chain([pts[k] for k in i], [pts[k] for k in j])
+        P = np.array(pts)
+        uppers = domain.ub_euclidean_chain(P[i], P[j])
         for k in np.flatnonzero(lowers > uppers + tol)[:1].tolist():
             failures.append(
                 f"{domain.name}: lower {lowers[k]} exceeds upper {uppers[k]} "

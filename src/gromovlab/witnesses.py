@@ -287,19 +287,17 @@ def hinge_witness(delta: float) -> WitnessReport:
     w: PointC2 = BASE_POINT
 
     # -- long pair: coupled tangent functionals at the rim ------------------
-    cert_p = TangentHalfspaceCert(domain, t0, 0.0)
-    cert_m = TangentHalfspaceCert(domain, t0, math.pi)
+    # the twin at theta = pi only evaluates q's starting value
+    cert, twin = TangentHalfspaceCert(domain, t0, 0.0), TangentHalfspaceCert(domain, t0, math.pi)
     # F is affine with real coefficients and every coordinate is real,
     # so the starting values are real by construction; record the check
     # against the actual imaginary parts anyway (the rotations at
     # theta = 0, pi are exactly +-1, not cos/sin floats)
     im_p = p[0].imag - profile.deriv(t0) * p[1].imag
     im_q = q[0].imag - profile.deriv(t0) * (-q[1]).imag
-    re_p = cert_p.re_f_float(p)
-    re_q = cert_m.re_f_float(q)
-    cap = cert_p.log_tau_cert(cert_m)
-    log_tau = min(sum_down(log_down(2.0), 0.5 * log_down(delta)), cap)
-    lb_split = lb_crossing_split(cert_p, cert_m, log_up(re_p), log_up(re_q), log_tau=log_tau)
+    re_p, re_q = cert.re_f_float(p), twin.re_f_float(q)
+    log_tau = min(sum_down(log_down(2.0), 0.5 * log_down(delta)), cert.log_tau_cert)
+    lb_split = lb_crossing_split(cert, log_up(re_p), log_up(re_q), log_tau=log_tau)
 
     # -- near pairs: two-disc slice bound ------------------------------------
     r = 0.25
@@ -431,10 +429,10 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     w: PointC2 = (complex(px1), 0.0 + 0.0j)
 
     norm_log = math.log(x) + profile.log_deriv(x)
-    cert_p = TangentHalfspaceCert(domain, x, 0.0, norm_log)
-    cert_m = TangentHalfspaceCert(domain, x, math.pi, norm_log)
+    cert = TangentHalfspaceCert(domain, x, 0.0, norm_log)
 
-    # normalized functional values, all real by construction:
+    # normalized functional values of cert (f_+) and its twin at theta = pi
+    # (f_-), all real by construction:
     #   f_-(w) = 1,  f_-(p) = alpha,  f_+(q) = alpha
     # the crossing split needs the two starting values real: record that
     # against the actual imaginary parts (the rotations at theta = 0, pi
@@ -443,8 +441,8 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     im_q = q[0].imag - dpsi * q[1].imag
     im_p = p[0].imag - dpsi * (-p[1]).imag
     lb_half = -0.5 * log_alpha  # the half-plane ratio of f_-(p) against f_-(w)
-    lb_cross = lb_crossing_split(cert_p, cert_m, log_alpha, log_alpha)
-    log_tau = cert_p.log_tau_cert(cert_m)
+    lb_cross = lb_crossing_split(cert, log_alpha, log_alpha)
+    log_tau = cert.log_tau_cert
 
     # boundary ratio for (base, w): d(w) = psi(x) exactly (the nearest
     # boundary point is the flat point itself: for t in (0, cap],
@@ -541,7 +539,7 @@ def claims_check(domain: ModelDomain, x: float) -> tuple[ClaimCheck, ...]:
     px1, t1 = w[0].real, s_pt[1].real
     out: list[ClaimCheck] = []
 
-    bw = domain.boundary_distance_bracket(w)
+    (bw, bs), _ = domain.boundary_distance_brackets([w, s_pt])
     ok1 = (
         bw.contains(px1, tol=1e-12 * px1)
         and bw.hi <= px1 * (1.0 + 1e-12)
@@ -559,7 +557,6 @@ def claims_check(domain: ModelDomain, x: float) -> tuple[ClaimCheck, ...]:
     mine_lo = float(domain.cheap_boundary_lower(s_pt))
     target_hi = alpha * x * profile.deriv(x)
     target_lo = 0.25 * target_hi
-    bs = domain.boundary_distance_bracket(s_pt)
     ok2 = (
         target_lo <= mine_lo
         and mine_lo <= inc * (1.0 + 1e-12)

@@ -84,15 +84,47 @@ def test_profile_binds_before_cap_below_psi_of_two(m):
 
 
 def test_box_is_the_nearest_face_on_hinge():
-    b = HINGE_MODEL.boundary_distance_bracket((2.9 + 0.0j, 0.0j))
+    (b,), _ = HINGE_MODEL.boundary_distance_brackets([(2.9 + 0.0j, 0.0j)])
     assert b.lo == b.hi == 3.0 - 2.9
 
 
 def test_sample_interior_respects_margin(rng):
-    pts = sample_interior(FLAT_EXP_MODEL, 40, rng, margin=0.05)
-    assert len(pts) == 40
-    for z in pts:
-        assert FLAT_EXP_MODEL.contains(z, slack=-0.05)
+    # on each point, and on the block of them
+    for m in ALL:
+        for margin in (1e-9, 1e-3, 0.05, 0.3):
+            pts = sample_interior(m, 40, rng, margin=margin)
+            assert len(pts) == 40
+            for z in pts:
+                assert m.contains(z, slack=-margin)
+            z = np.array(pts)
+            assert m.contains((z[:, 0], z[:, 1]), slack=-margin).all()
+
+
+# tries from around the sampler's box
+_try = st.tuples(st.floats(-0.5, 3.5), st.floats(-3.5, 3.5), st.floats(-2.5, 2.5),
+                 st.floats(-2.5, 2.5))
+
+
+@settings(max_examples=40)
+@given(
+    m=st.sampled_from(ALL),
+    raw=st.lists(_try, min_size=1, max_size=40),
+    margin=st.sampled_from([1e-6, 1e-3, 0.02, 0.3]),
+)
+def test_contains_on_a_block_is_contains_on_each_point(m, raw, margin):
+    # numpy's profile and libm's differ by ulps, so the points keep every
+    # face margin at least 1e-9 off both thresholds
+    def clear(z):
+        s = abs(z[1])
+        faces = (z[0].real - m.profile.value(s), Z2_CAP - s, BOX - z[0].real,
+                 BOX - abs(z[0].imag))
+        return all(abs(f - t) >= 1e-9 for f in faces for t in (0.0, margin))
+
+    pts = [z for z in ((complex(a, b), complex(c, d)) for a, b, c, d in raw) if clear(z)]
+    z1 = np.array([z[0] for z in pts], dtype=complex)
+    z2 = np.array([z[1] for z in pts], dtype=complex)
+    for slack in (0.0, -margin):
+        assert m.contains((z1, z2), slack).tolist() == [m.contains(z, slack) for z in pts]
 
 
 def _sample_one_try_at_a_time(domain, n, rng, margin):
@@ -146,13 +178,13 @@ def test_hinge_profile_vanishes_below_one():
 # -- boundary distance brackets ----------------------------------------------
 
 def test_hinge_bracket_is_exact():
-    b = HINGE_MODEL.boundary_distance_bracket((0.5 + 0.0j, 0.2 + 0.0j))
+    (b,), _ = HINGE_MODEL.boundary_distance_brackets([(0.5 + 0.0j, 0.2 + 0.0j)])
     assert b.lo == b.hi == pytest.approx(0.5)
 
 
 def test_hinge_bracket_past_the_kink():
     # above t = 1 the parabola arc comes closer than the flat facet
-    b = HINGE_MODEL.boundary_distance_bracket((0.5 + 0.0j, 0.0 + 1.5j))
+    (b,), _ = HINGE_MODEL.boundary_distance_brackets([(0.5 + 0.0j, 0.0 + 1.5j)])
     expect = float(HINGE_MODEL._hinge_profile_distance(np.array([0.5]), np.array([1.5]))[0])
     assert b.lo == b.hi == pytest.approx(expect)
     assert expect < 0.5
@@ -161,7 +193,7 @@ def test_hinge_bracket_past_the_kink():
 @pytest.mark.parametrize("m", [FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL], ids=lambda m: m.name)
 def test_bracket_orders_and_covers_vertical_drop(m):
     z = (0.3 + 0.0j, 0.5 + 0.0j)
-    b = m.boundary_distance_bracket(z)
+    (b,), _ = m.boundary_distance_brackets([z])
     assert 0.0 < b.lo <= b.hi
     # the vertical drop to the graph is one admissible path
     assert b.lo <= 0.3 - m.profile.value(0.5) + 1e-12
@@ -173,14 +205,14 @@ def test_bracket_tiny_scale_offset_point():
     x = 0.02
     px1 = FLAT_EXP_MODEL.profile.value(x)
     z = (complex(px1), complex(0.993 * x))
-    b = FLAT_EXP_MODEL.boundary_distance_bracket(z)
+    (b,), _ = FLAT_EXP_MODEL.boundary_distance_brackets([z])
     assert b.lo > 0.0
     assert (b.hi - b.lo) / b.lo < 1e-3
 
 
 def test_bracket_rejects_exterior_point():
     with pytest.raises(CertificateError):
-        FLAT_QUARTIC_MODEL.boundary_distance_bracket((0.3 + 0.0j, 1.5 + 0.0j))
+        FLAT_QUARTIC_MODEL.boundary_distance_brackets([(0.3 + 0.0j, 1.5 + 0.0j)])
 
 
 @pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
@@ -192,7 +224,7 @@ def test_block_with_an_exterior_point_is_refused_by_index(m, where, rng):
         m.boundary_distance_brackets(pts)
 
 
-# boundary_distance_bracket(BASE_POINT) as hex (lo, hi), bit-exact; the
+# the bracket at BASE_POINT as hex (lo, hi), bit-exact; the
 # flat witnesses' ratio bounds read these brackets
 BASE_BRACKET_PINS = {
     "hinge": ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
@@ -203,7 +235,7 @@ BASE_BRACKET_PINS = {
 
 @pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
 def test_base_point_bracket_pinned(m):
-    b = m.boundary_distance_bracket(BASE_POINT)
+    (b,), _ = m.boundary_distance_brackets([BASE_POINT])
     assert (b.lo.hex(), b.hi.hex()) == BASE_BRACKET_PINS[m.name]
 
 
@@ -273,6 +305,35 @@ def test_chain_bits_do_not_depend_on_the_block(m, raw, seed):
     assert [v.hex() for v in shuffled] == [alone[k] for k in order]
 
 
+def test_chain_polygon_on_float_planes_matches_the_complex_formulation():
+    # the nodes as complex arithmetic forms them: equal, but for the sign of
+    # a zero, and so the piece lengths keep their bits
+    def complex_polygon(z, w):
+        frac = np.arange(convex._CHAIN_PIECES + 1)[:, None] / convex._CHAIN_PIECES
+        nodes = z[:, None, :] + frac * (w - z)[:, None, :]
+        nodes[:, 0], nodes[:, -1] = z, w
+        step = np.diff(nodes, axis=1)
+        h = np.hypot(np.hypot(step[..., 0].real, step[..., 0].imag),
+                     np.hypot(step[..., 1].real, step[..., 1].imag))
+        return nodes, np.where(h > 0.0, convex.up(h, convex._CHAIN_FLOATS), h)
+
+    rng = np.random.default_rng(21)
+    z = rng.uniform(-2.0, 2.0, (300, 4))
+    w = z + rng.uniform(-1.0, 1.0, (300, 4)) * 10.0 ** rng.integers(-15, 1, (300, 1))
+    w[:40] = z[:40]  # zero-length pieces
+    w[40:80, ::2] = z[40:80, ::2]  # equal real parts
+    # signed-zero ends: every coordinate +0 or -0 on one side or both
+    zeros = rng.choice([0.0, -0.0], (120, 4))
+    z[80:140] = zeros[:60]
+    w[110:170] = zeros[60:]
+    z, w = z.view(complex), w.view(complex)
+    nodes, h = convex.chain_polygon(z, w)
+    want_nodes, want_h = complex_polygon(z, w)
+    assert nodes.shape == want_nodes.shape
+    assert (nodes == want_nodes).all()
+    assert (h.view(np.int64) == want_h.view(np.int64)).all()
+
+
 def test_bracket_cut_short_still_encloses_and_says_so(monkeypatch):
     # flat_quartic's base-point bracket needs splits: with the cap at one
     # split it stops after the uniform pass, still an enclosure of the
@@ -307,7 +368,7 @@ def test_cheap_lower_never_beats_bracket(x1, t):
         if not m.contains(z, slack=-1e-6):
             continue
         cheap = m.cheap_boundary_lower(z)
-        b = m.boundary_distance_bracket(z)
+        (b,), _ = m.boundary_distance_brackets([z])
         assert cheap <= b.hi * (1.0 + 1e-9)
         assert b.lo <= b.hi
 
@@ -320,7 +381,7 @@ def test_sandwich_on_random_pairs(m, rng):
     ubs = m.ub_euclidean_chain(pts[0::2], pts[1::2])
     for i, ub in zip(range(0, 12, 2), ubs):
         z, w = pts[i], pts[i + 1]
-        lb = _ratio_lower(m.boundary_distance_bracket(z), m.boundary_distance_bracket(w))
+        lb = _ratio_lower(*m.boundary_distance_brackets([z, w])[0])
         assert lb <= ub + 1e-9
 
 
@@ -347,7 +408,7 @@ def test_chain_upper_bound_basics(rng):
     assert m.ub_euclidean_chain([z], [z])[0] == 0.0
     fwd, bwd = m.ub_euclidean_chain([z, w], [w, z])
     assert fwd > 0.0 and bwd > 0.0
-    lb = _ratio_lower(m.boundary_distance_bracket(z), m.boundary_distance_bracket(w))
+    lb = _ratio_lower(*m.boundary_distance_brackets([z, w])[0])
     assert min(fwd, bwd) >= lb - 1e-9
 
 
@@ -368,59 +429,28 @@ def test_tangent_cert_rejects_negative_time():
         TangentHalfspaceCert(m, -0.2, 0.0, 0.0)
 
 
-def _opposed_certs(t0, norm_shift=0.0, t0_shift=0.0):
-    # the flat witness's coupled pair at tangency t0, the second one moved
-    # by the given shifts
+def _flat_cert(t0):
+    # the flat witness's functional at tangency t0
     m = FLAT_EXP_MODEL
-    norm_log = math.log(t0) + m.profile.log_deriv(t0)
-    return (TangentHalfspaceCert(m, t0, 0.0, norm_log),
-            TangentHalfspaceCert(m, t0 + t0_shift, math.pi, norm_log + norm_shift))
-
-
-def test_log_tau_cert_needs_opposed_phases():
-    cp, cm = _opposed_certs(0.9)
-    tau = cp.log_tau_cert(cm)
-    assert math.isfinite(tau)
-    with pytest.raises(CertificateError):
-        cp.log_tau_cert(cp)
-
-
-def test_log_tau_cert_needs_one_domain():
-    t0 = 0.9
-    cp = TangentHalfspaceCert(FLAT_EXP_MODEL, t0, 0.0)
-    cm = TangentHalfspaceCert(FLAT_QUARTIC_MODEL, t0, math.pi)
-    with pytest.raises(CertificateError, match="one domain"):
-        cp.log_tau_cert(cm)
-
-
-def test_log_tau_cert_needs_one_tangency_radius():
-    cp, cm = _opposed_certs(0.9, t0_shift=1e-9)
-    with pytest.raises(CertificateError, match="share the tangency radius"):
-        cp.log_tau_cert(cm)
-
-
-def test_log_tau_cert_needs_one_normalizer():
-    cp, cm = _opposed_certs(0.9, norm_shift=1e-9)
-    with pytest.raises(CertificateError, match="share the normalizer"):
-        cp.log_tau_cert(cm)
+    return TangentHalfspaceCert(m, t0, 0.0, math.log(t0) + m.profile.log_deriv(t0))
 
 
 def test_crossing_split_refuses_tau_above_the_coupling_level():
-    cp, cm = _opposed_certs(0.9)
-    cap = cp.log_tau_cert(cm)
+    cert = _flat_cert(0.9)
+    cap = cert.log_tau_cert
     start = cap - 5.0
-    assert lb_crossing_split(cp, cm, start, start, cap) == pytest.approx(5.0)
+    assert lb_crossing_split(cert, start, start, cap) == pytest.approx(5.0)
     with pytest.raises(CertificateError,
                        match="requested tau exceeds the certified coupling level"):
-        lb_crossing_split(cp, cm, start, start, cap + 1e-6)
+        lb_crossing_split(cert, start, start, cap + 1e-6)
 
 
 def test_crossing_split_refuses_a_start_above_tau():
-    cp, cm = _opposed_certs(0.9)
-    cap = cp.log_tau_cert(cm)
+    cert = _flat_cert(0.9)
+    cap = cert.log_tau_cert
     for starts in ((cap + 1e-6, cap - 5.0), (cap - 5.0, cap + 1e-6)):
         with pytest.raises(CertificateError, match="both endpoints below the tau level"):
-            lb_crossing_split(cp, cm, *starts)
+            lb_crossing_split(cert, *starts)
 
 
 # -- interior tangent ball ----------------------------------------------------
@@ -439,8 +469,7 @@ def test_interior_ball_dominates_ratio_lower():
     for t1 in (0.0, 0.12, 0.25):
         z = (complex(m.profile.value(t1) + 1e-4), complex(t1))
         assert m.contains(z)
-        lb = _ratio_lower(m.boundary_distance_bracket(z),
-                          m.boundary_distance_bracket(BASE_POINT))
+        lb = _ratio_lower(*m.boundary_distance_brackets([z, BASE_POINT])[0])
         assert lb <= ub_interior_ball(m, z, _log_height(m, z)) + 1e-9
 
 
