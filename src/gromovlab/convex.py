@@ -34,8 +34,8 @@ import numpy as np
 
 from .exact import DistBound
 from .profiles import ProfileFn
-from .rounding import (LIBM_FLOATS, SIMD_FLOATS, atanh_up, down, exp_up, log_down, log_up, sum_down,
-                       sum_up, up)
+from .rounding import (LIBM_FLOATS, MATH, SIMD_FLOATS, atanh_up, down, exp_up, log_down, log_up,
+                       sum_down, sum_up, up)
 
 PointC2 = tuple[complex, complex]
 
@@ -513,10 +513,12 @@ class TangentHalfspaceCert:
         return profile.log_value(self.t0) + math.log(steep - 1.0) - self.normalizer_log
 
 
-def lb_boundary_ratio_log(log_d_z_hi: float, log_d_w_lo: float) -> float:
+def lb_boundary_ratio_log(log_d_z_hi, log_d_w_lo):
     """k(z, w) >= (1/2) log(d(w)/d(z)) on a convex domain, in the log
-    domain (pass a certified upper log-distance for z, lower for w)."""
-    return 0.5 * max(0.0, log_d_w_lo - log_d_z_hi)
+    domain (pass a certified upper log-distance for z, lower for w), on
+    two floats or elementwise on arrays."""
+    xp = np if isinstance(log_d_z_hi, np.ndarray) or isinstance(log_d_w_lo, np.ndarray) else MATH
+    return 0.5 * xp.maximum(0.0, log_d_w_lo - log_d_z_hi)
 
 
 def lb_crossing_split(

@@ -50,7 +50,12 @@ _PAIR_KEYS = ("pq", "px", "qx", "pw", "qw", "xw")
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """One certified four-point configuration of a witness family."""
+    """One certified four-point configuration of a witness family.
+
+    ``checks`` names the checks its constructor ran; a report with a
+    failed check is refused with CertificateError, so every report that
+    exists passed them all.
+    """
 
     family: str
     param: float
@@ -64,10 +69,9 @@ class WitnessReport:
         missing = [k for k in _PAIR_KEYS if k not in self.bounds]
         if missing:
             raise ValueError(f"witness report is missing pair bounds: {missing}")
-
-    @property
-    def checks_passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
+        failed = [name for name, ok in self.checks if not ok]
+        if failed:
+            raise CertificateError("checks failed: " + "; ".join(failed))
 
     def defect_interval(self) -> DistBound:
         return defect_interval(self.bounds)
@@ -287,17 +291,18 @@ def hinge_witness(delta: float) -> WitnessReport:
     w: PointC2 = BASE_POINT
 
     # -- long pair: coupled tangent functionals at the rim ------------------
-    # the twin at theta = pi only evaluates q's starting value
-    cert, twin = TangentHalfspaceCert(domain, t0, 0.0), TangentHalfspaceCert(domain, t0, math.pi)
+    # q is p's mirror under z2 -> -z2, so the twin at theta = pi takes at q
+    # the value cert takes at p
+    cert = TangentHalfspaceCert(domain, t0, 0.0)
     # F is affine with real coefficients and every coordinate is real,
     # so the starting values are real by construction; record the check
     # against the actual imaginary parts anyway (the rotations at
     # theta = 0, pi are exactly +-1, not cos/sin floats)
     im_p = p[0].imag - profile.deriv(t0) * p[1].imag
     im_q = q[0].imag - profile.deriv(t0) * (-q[1]).imag
-    re_p, re_q = cert.re_f_float(p), twin.re_f_float(q)
+    log_re_p = log_up(cert.re_f_float(p))
     log_tau = min(sum_down(log_down(2.0), 0.5 * log_down(delta)), cert.log_tau_cert)
-    lb_split = lb_crossing_split(cert, log_up(re_p), log_up(re_q), log_tau=log_tau)
+    lb_split = lb_crossing_split(cert, log_re_p, log_re_p, log_tau=log_tau)
 
     # -- near pairs: two-disc slice bound ------------------------------------
     r = 0.25
@@ -342,7 +347,7 @@ def hinge_witness(delta: float) -> WitnessReport:
 
     checks = (
         ("crossing start values are real", im_p == 0.0 and im_q == 0.0),
-        ("crossing starts below tau", log_up(max(re_p, re_q)) <= log_tau),
+        ("crossing starts below tau", log_re_p <= log_tau),
         ("boundary bracket at x is exact height", bx.is_exact() and abs(bx.lo - delta) <= 1e-14 * delta),
         ("boundary bracket at w is exact", bw.is_exact() and abs(bw.lo - 1.0) <= 1e-14),
         (
@@ -512,16 +517,10 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
 # structural claims behind the flat witness, checked at moderate x
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-def claims_check(domain: ModelDomain, x: float) -> tuple[ClaimCheck, ...]:
+def claims_check(domain: ModelDomain, x: float) -> None:
     """Verify the two structural claims of the flat-witness construction
-    in plain float geometry (needs x at or above _CLAIMS_MIN_X).
+    in plain float geometry (needs x at or above _CLAIMS_MIN_X), raising
+    CertificateError that names the first claim that fails.
 
     1. d(w) = psi(x) for w = (psi(x), 0): the flat point is nearest.
     2. d(s) for the offset point lands in [alpha x psi'(x)/4, alpha x psi'(x)].
@@ -537,43 +536,34 @@ def claims_check(domain: ModelDomain, x: float) -> tuple[ClaimCheck, ...]:
     alpha = alpha_schedule(profile, x)
     _, s_pt, _, w = rep.quadruple
     px1, t1 = w[0].real, s_pt[1].real
-    out: list[ClaimCheck] = []
 
     (bw, bs), _ = domain.boundary_distance_brackets([w, s_pt])
-    ok1 = (
+    if not (
         bw.contains(px1, tol=1e-12 * px1)
         and bw.hi <= px1 * (1.0 + 1e-12)
         and bw.lo >= px1 * (1.0 - 1e-6)
-    )
-    out.append(
-        ClaimCheck(
-            "boundary distance at the center equals the height",
-            ok1,
-            f"bracket [{bw.lo:.6e}, {bw.hi:.6e}] vs psi(x) = {px1:.6e}",
+    ):
+        raise CertificateError(
+            "claim failed: boundary distance at the center equals the height "
+            f"(bracket [{bw.lo:.6e}, {bw.hi:.6e}] vs psi(x) = {px1:.6e})"
         )
-    )
 
     inc = px1 - profile.value(t1)
     mine_lo = float(domain.cheap_boundary_lower(s_pt))
     target_hi = alpha * x * profile.deriv(x)
     target_lo = 0.25 * target_hi
-    ok2 = (
+    if not (
         target_lo <= mine_lo
         and mine_lo <= inc * (1.0 + 1e-12)
         and inc <= target_hi * (1.0 + 1e-12)
         and bs.lo >= target_lo
         and bs.hi <= target_hi * (1.0 + 1e-9)
-    )
-    out.append(
-        ClaimCheck(
-            "offset-point boundary distance lands in the slab",
-            ok2,
-            f"[{target_lo:.6e}, {target_hi:.6e}] contains bracket "
-            f"[{bs.lo:.6e}, {bs.hi:.6e}] and margin pair ({mine_lo:.6e}, {inc:.6e})",
+    ):
+        raise CertificateError(
+            "claim failed: offset-point boundary distance lands in the slab "
+            f"([{target_lo:.6e}, {target_hi:.6e}] contains bracket "
+            f"[{bs.lo:.6e}, {bs.hi:.6e}] and margin pair ({mine_lo:.6e}, {inc:.6e}))"
         )
-    )
-
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

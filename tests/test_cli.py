@@ -1,11 +1,14 @@
 """Command-line harness: grids, CSV contracts, exit codes."""
 
 import csv
+import logging
 import math
 
 import pytest
 
-from gromovlab import cli
+from gromovlab import cli, convex, witnesses
+from gromovlab.convex import CertificateError
+from gromovlab.exact import OracleError
 
 
 def run(argv):
@@ -73,6 +76,17 @@ def test_sweep_row_failure_sets_exit_two(tmp_path):
     rows = read_rows(out)
     assert rows[1]["S_lb"] == "" and rows[1]["error"] != ""
     assert float(rows[0]["S_lb"]) > 0.0  # healthy rows still computed
+
+
+def test_sweep_row_with_a_failed_check_is_a_certificate_error(tmp_path, monkeypatch):
+    # one branch-and-bound split leaves flat_quartic's base-point bracket
+    # cut short, which its report refuses
+    monkeypatch.setattr(convex, "_BB_MAX_ITER", 1)
+    out = tmp_path / "q.csv"
+    assert run(["sweep", "--family", "flat_quartic", "--grid", "0.02", "--out", str(out)]) == 2
+    (row,) = read_rows(out)
+    assert row["S_lb"] == ""
+    assert row["error"] == "CertificateError: checks failed: base-point bracket converged"
 
 
 def test_sweep_quartic_verdict_is_flat(tmp_path):
@@ -180,3 +194,19 @@ def test_verify_exit_codes(capsys):
     assert run(["verify", "--mutate"]) == 3
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("error", [CertificateError, OracleError])
+def test_verify_reports_a_raising_suite_as_fail(monkeypatch, capsys, caplog, error):
+    def refuse(a):
+        raise error(f"refused a={a}")
+
+    monkeypatch.setattr(witnesses, "gn_witness", refuse)
+    caplog.set_level(logging.DEBUG, logger="gromovlab.verify")
+    assert run(["verify"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert f"FAIL symmetrized-bidisc: {error.__name__}: refused a=0.3" in lines
+    assert sum(line.startswith("PASS ") for line in lines) == 11
+    assert lines[-1] == "FAILED (11/12 suites)"
+    (record,) = [r for r in caplog.records if r.name == "gromovlab.verify"]
+    assert record.levelno == logging.DEBUG and record.exc_info[0] is error

@@ -349,8 +349,8 @@ def test_bracket_cut_short_still_encloses_and_says_so(monkeypatch):
     assert short.lo <= full.lo <= grid_min <= full.hi <= short.hi
     assert (short.lo, short.hi) != (full.lo, full.hi)
 
-    checks = dict(flat_witness(m, 0.02).checks)
-    assert checks["base-point bracket converged"] is False
+    with pytest.raises(CertificateError, match="checks failed: base-point bracket converged"):
+        flat_witness(m, 0.02)
     ctx = verify.VerifyContext()
     for suite in (verify.suite_bound_sandwich, verify.suite_interior_ball):
         result = suite(ctx)
@@ -391,6 +391,14 @@ def test_ratio_log_formula():
     )
     # no positive part: bound degrades to zero
     assert lb_boundary_ratio_log(math.log(0.4), math.log(0.1)) == 0.0
+
+
+def test_ratio_log_on_arrays_matches_floats(rng):
+    log_z, log_w = rng.normal(size=(2, 200))
+    log_w[:20] = log_z[:20]  # no gap: the bound is zero
+    got = lb_boundary_ratio_log(log_z, log_w)
+    want = [lb_boundary_ratio_log(a, b) for a, b in zip(log_z.tolist(), log_w.tolist())]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_radius_integral_refuses_a_node_without_radius():

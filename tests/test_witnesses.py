@@ -1,14 +1,15 @@
 """Witness families: certified divergences and their structural checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gromovlab import witnesses
-from gromovlab.convex import ModelDomain, ub_interior_ball
+from gromovlab.convex import CertificateError, ModelDomain, ub_interior_ball
 from gromovlab.core import four_point_defects
-from gromovlab.exact import SAMPLE_DOMAINS
+from gromovlab.exact import SAMPLE_DOMAINS, DistBound
 from gromovlab.models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL
 from gromovlab.witnesses import (
     alpha_schedule,
@@ -20,6 +21,15 @@ from gromovlab.witnesses import (
     product_witness,
     tetra_witness,
 )
+
+
+def test_report_with_a_failed_check_is_refused():
+    rep = tetra_witness(0.5)
+    checks = (("first", False), ("second", True), ("third", False))
+    with pytest.raises(CertificateError, match="^checks failed: first; third$"):
+        dataclasses.replace(rep, checks=checks)
+    with pytest.raises(ValueError, match="missing pair bounds"):
+        dataclasses.replace(rep, bounds={}, checks=checks)
 
 
 def _all_checks_pass(rep):
@@ -218,8 +228,35 @@ def test_flat_witness_exp_grows_quartic_does_not():
 @pytest.mark.parametrize("m", [FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL], ids=lambda m: m.name)
 @pytest.mark.parametrize("x", [0.02, 0.05, 0.1])
 def test_claims_check_float_regime(m, x):
-    for claim in claims_check(m, x):
-        assert claim.passed, f"{claim.name}: {claim.detail}"
+    claims_check(m, x)  # raises on a failed claim
+
+
+def _wide_brackets(original):
+    def brackets(self, zs):
+        bs, cut_short = original(self, zs)
+        return [DistBound(b.lo, 2.0 * b.hi) for b in bs], cut_short
+    return brackets
+
+
+def _no_cheap_lower(original):
+    return lambda self, z: 0.0 * original(self, z)
+
+
+CLAIM_MUTATIONS = {
+    "boundary distance at the center equals the height": ("boundary_distance_brackets",
+                                                          _wide_brackets),
+    "offset-point boundary distance lands in the slab": ("cheap_boundary_lower", _no_cheap_lower),
+}
+
+
+@pytest.mark.parametrize("claim", list(CLAIM_MUTATIONS))
+def test_claims_check_raises_naming_the_failed_claim(monkeypatch, claim):
+    method, mutation = CLAIM_MUTATIONS[claim]
+    monkeypatch.setattr(ModelDomain, method, mutation(getattr(ModelDomain, method)))
+    with pytest.raises(CertificateError, match=f"^claim failed: {claim} ") as info:
+        claims_check(FLAT_EXP_MODEL, 0.05)
+    others = [name for name in CLAIM_MUTATIONS if name != claim]
+    assert not any(name in str(info.value) for name in others)
 
 
 def test_claims_check_refuses_log_regime():
