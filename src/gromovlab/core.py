@@ -32,9 +32,6 @@ class DistanceOracle:
 
     fn: Callable[[Point, Point], float]
 
-    def __call__(self, x: Point, y: Point) -> float:
-        return self.fn(x, y)
-
 
 @dataclass(frozen=True)
 class DeltaEstimate:
@@ -43,8 +40,6 @@ class DeltaEstimate:
 
     sup_defect: float
     argmax: Quadruple
-    n: int
-    seed: int
     checkpoints: tuple[tuple[int, float], ...]
 
 
@@ -176,9 +171,7 @@ def estimate_delta(d: ArrayDistance, sampler: Sampler, n: int, seed: int = 0) ->
             best = float(defects[i])
             best_quad = _python_quadruple(quads[i])
     assert best_quad is not None
-    return DeltaEstimate(
-        sup_defect=best, argmax=best_quad, n=n, seed=seed, checkpoints=tuple(checkpoints)
-    )
+    return DeltaEstimate(sup_defect=best, argmax=best_quad, checkpoints=tuple(checkpoints))
 
 
 def weak_midpoint_ratios(

@@ -459,12 +459,13 @@ _GN_FLOATS = 16 * SIMD_FLOATS
 
 def gn_pair_bounds(
     xs: Sequence[Sequence[complex]], ys: Sequence[Sequence[complex]]
-) -> list[tuple[float, float]]:
-    """(lower, upper) enclosure of the distance between the symmetrized-
-    bidisc points with lifts xs[i] and ys[i], for each pair of the stack:
-    the scan and the pairings, rounded outward by _GN_FLOATS."""
+) -> list[DistBound]:
+    """Enclosure of the distance between the symmetrized-bidisc points with
+    lifts xs[i] and ys[i], for each pair of the stack: the scan and the
+    pairings, rounded outward by _GN_FLOATS."""
     lower = np.maximum(down(gn_lower_bound(xs, ys), _GN_FLOATS), 0.0)
-    return list(zip(lower.tolist(), up(gn_upper_bound(xs, ys), _GN_FLOATS).tolist()))
+    upper = up(gn_upper_bound(xs, ys), _GN_FLOATS)
+    return [DistBound(lo, hi) for lo, hi in zip(lower.tolist(), upper.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 Each suite checks one cluster of guarantees (closed-form anchors, map
 consistency, metric axioms, bound sandwiches, witness certificates,
-determinism) and reports a SuiteResult.  `run_all` executes the whole
-registry; the CLI's `verify` subcommand is a thin wrapper around it.
-An error raised inside a suite, such as a witness refusing a failed
-check, is that suite's FAIL, with the error's type and message.
+determinism) and returns its failures, a list of strings that is empty
+when every guarantee holds.  `run_all` executes the whole registry and
+makes a SuiteResult of each suite, named after its function (`suite_`
+dropped, `_` read as `-`); the CLI's `verify` subcommand is a thin
+wrapper around it.  An error raised inside a suite, such as a witness
+refusing a failed check, is that suite's FAIL, with the error's type and
+message.
 
 The `mutate` flag perturbs the frozen anchor table before comparison.
 That is a self-test of the harness itself: a verification suite that
@@ -54,12 +57,6 @@ class VerifyContext:
     seed: int = 20260816
 
 
-def _result(name: str, failures: list[str]) -> SuiteResult:
-    if failures:
-        return SuiteResult(name, False, "; ".join(failures[:6]))
-    return SuiteResult(name, True, "ok")
-
-
 # ---------------------------------------------------------------------------
 # frozen closed-form anchors
 
@@ -102,7 +99,7 @@ _ANCHORS: tuple[tuple[str, Callable[[], float], float], ...] = (
 )
 
 
-def suite_exact_anchors(ctx: VerifyContext) -> SuiteResult:
+def suite_exact_anchors(ctx: VerifyContext) -> list[str]:
     failures = []
     tol = 1e-12
     for name, fn, expected in _ANCHORS:
@@ -110,15 +107,15 @@ def suite_exact_anchors(ctx: VerifyContext) -> SuiteResult:
         want = expected + ctx.bump
         if abs(got - want) > tol * (1.0 + abs(want)):
             failures.append(f"{name}: got {got!r}, expected {want!r}")
-    return _result("exact-anchors", failures)
+    return failures
 
 
-def suite_conformal_consistency(ctx: VerifyContext) -> SuiteResult:
+def suite_conformal_consistency(ctx: VerifyContext) -> list[str]:
     rng = np.random.default_rng(ctx.seed)
     tol = 1e-10
     failures = []
-    for k in range(50):
-        z, w = (complex(*rng.uniform(-0.7, 0.7, 2)) for _ in range(2))
+    zs, ws = exact.disc_points(rng, 100).reshape(2, 50).tolist()
+    for k, (z, w) in enumerate(zip(zs, ws)):
         via_disc = exact.disc_distance(z, w)
         via_half = exact.halfplane_distance(
             exact.disc_to_halfplane(z), exact.disc_to_halfplane(w)
@@ -138,10 +135,10 @@ def suite_conformal_consistency(ctx: VerifyContext) -> SuiteResult:
         )
         if abs(via_strip - via_comp) > tol * (1.0 + via_strip):
             failures.append(f"strip composition mismatch at draw {k}")
-    return _result("conformal-consistency", failures)
+    return failures
 
 
-def suite_metric_axioms(ctx: VerifyContext) -> SuiteResult:
+def suite_metric_axioms(ctx: VerifyContext) -> list[str]:
     """Identity, symmetry and the triangle inequality on ten draws from
     each sampled domain, through the kernel `sample` runs there."""
     rng = np.random.default_rng(ctx.seed + 1)
@@ -149,47 +146,42 @@ def suite_metric_axioms(ctx: VerifyContext) -> SuiteResult:
     for name, domain in exact.SAMPLE_DOMAINS.items():
         violations = core.metric_axiom_violations(domain.distance, domain.points(rng, 10))
         failures += [f"{name}: {msg}" for msg in violations]
-    return _result("metric-axioms", failures)
+    return failures
 
 
-def suite_symmetrized_bidisc(ctx: VerifyContext) -> SuiteResult:
+def suite_symmetrized_bidisc(ctx: VerifyContext) -> list[str]:
+    # each pair's DistBound, and each witness, refuses a failed enclosure
     rng = np.random.default_rng(ctx.seed + 2)
-    failures = []
-    draws = [(rng.uniform(-0.9, 0.9, 2), rng.uniform(-0.9, 0.9, 2)) for _ in range(12)]
-    xs, ys = zip(*draws)
-    for k, (lo, hi) in enumerate(exact.gn_pair_bounds(xs, ys)):
-        exact.DistBound(lo, hi)  # construction refuses an inverted enclosure
-        if lo < 0.0:
-            failures.append(f"negative pair lower bound at draw {k}")
+    lifts = rng.uniform(-0.9, 0.9, (12, 2, 2))
+    exact.gn_pair_bounds(lifts[:, 0], lifts[:, 1])
     for a in (0.3, 0.6, 0.9, 0.99):
         witnesses.gn_witness(a)
-    return _result("symmetrized-bidisc", failures)
+    return []
 
 
-def suite_tetrablock(ctx: VerifyContext) -> SuiteResult:
+def suite_tetrablock(ctx: VerifyContext) -> list[str]:
     failures = []
     tol = 1e-12
+    # the witness checks the lower end itself
     for a in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-        rep = witnesses.tetra_witness(a)
         royal = math.atanh(a)
-        iv = rep.defect_interval()
-        if abs(iv.lo - royal) > tol * (1.0 + royal) or abs(iv.hi - royal) > tol * (1.0 + royal):
+        if abs(witnesses.tetra_witness(a).defect_interval().hi - royal) > tol * (1.0 + royal):
             failures.append(f"tetra defect off atanh(a) at a={a}")
-    return _result("tetrablock", failures)
+    return failures
 
 
-def suite_product(ctx: VerifyContext) -> SuiteResult:
+def suite_product(ctx: VerifyContext) -> list[str]:
     failures = []
+    axis = exact.polydisc_axis_oracle(2)
     for s in (1.0, 5.0, 50.0, 300.0):
         p, q, x, w = witnesses.product_witness(s).quadruple
-        axis = exact.polydisc_axis_oracle(2)
         ratios = core.weak_midpoint_ratios([(p, q, w)], axis.fn)
         r1, r2, base = ratios[0]
         if abs(r1 - 0.5) > 0.5 / (2.0 * s) or abs(r2 - 0.5) > 0.5 / (2.0 * s):
             failures.append(f"weak midpoint ratios off at s={s}: {r1}, {r2}")
         if base != 2.0 * s:
             failures.append(f"base distance drifted at s={s}")
-    return _result("product", failures)
+    return failures
 
 
 def _sample_pairs(domain: ModelDomain, rng, n_points: int, n_pairs: int):
@@ -198,7 +190,7 @@ def _sample_pairs(domain: ModelDomain, rng, n_points: int, n_pairs: int):
     return pts, i, np.where(j != i, j, (j + 1) % n_points)
 
 
-def suite_bound_sandwich(ctx: VerifyContext) -> SuiteResult:
+def suite_bound_sandwich(ctx: VerifyContext) -> list[str]:
     """Certified lowers never cross certified uppers on random pairs.
 
     Boundary brackets are computed once per point, in one block call, and
@@ -229,10 +221,10 @@ def suite_bound_sandwich(ctx: VerifyContext) -> SuiteResult:
                 f"{domain.name}: lower {lowers[k]} exceeds upper {uppers[k]} "
                 f"at pair ({i[k]},{j[k]})"
             )
-    return _result("bound-sandwich", failures)
+    return failures
 
 
-def suite_tangent_certs(ctx: VerifyContext) -> SuiteResult:
+def suite_tangent_certs(ctx: VerifyContext) -> list[str]:
     """Positivity of tangent functionals on domain samples."""
     rng = np.random.default_rng(ctx.seed + 4)
     failures = []
@@ -247,39 +239,31 @@ def suite_tangent_certs(ctx: VerifyContext) -> SuiteResult:
                         f"{domain.name}: functional t0={t0} theta={theta:.2f} "
                         f"non-positive ({worst})"
                     )
-    return _result("tangent-certs", failures)
+    return failures
 
 
-def suite_disc_pointwise(ctx: VerifyContext) -> SuiteResult:
+def suite_disc_pointwise(ctx: VerifyContext) -> list[str]:
     """On the unit disc: ratio lower <= exact <= chain upper, pointwise."""
     rng = np.random.default_rng(ctx.seed + 5)
     tol = 1e-12
-    failures = []
-    draws = []
-    for _ in range(300):
-        rad = np.sqrt(rng.uniform(0, 1, 2)) * 0.98
-        th = rng.uniform(0, 2 * np.pi, 2)
-        z = complex(rad[0] * math.cos(th[0]), rad[0] * math.sin(th[0]))
-        w = complex(rad[1] * math.cos(th[1]), rad[1] * math.sin(th[1]))
-        draws.append((z, w))
+    z, w = exact.disc_points(rng, 600).reshape(2, 300)
     # the C^2 domains' chain on the disc z2 = 0, with the boundary distance
-    # 1 - |z1| as the radius, all draws in one call
-    ends = np.array([[(z, 0.0), (w, 0.0)] for z, w in draws])
-    nodes, h = chain_polygon(ends[:, 0], ends[:, 1])
+    # 1 - |z1| as the radius
+    zero = np.zeros_like(z)
+    nodes, h = chain_polygon(np.stack((z, zero), 1), np.stack((w, zero), 1))
     uppers = ub_radius_integral(1.0 - np.abs(nodes[..., 0]), h)
-    for k, ((z, w), upper) in enumerate(zip(draws, uppers.tolist())):
-        log_dz, log_dw = math.log(1.0 - abs(z)), math.log(1.0 - abs(w))
-        # sharp on the disc: |atanh|z| - atanh|w|| >= (1/2)|log(dw/dz)|
-        lower = max(lb_boundary_ratio_log(log_dz, log_dw), lb_boundary_ratio_log(log_dw, log_dz))
-        ex = exact.disc_distance(z, w)
-        if lower > ex + tol:
-            failures.append(f"draw {k}: ratio lower {lower} exceeds exact {ex}")
-        if ex > upper + tol:
-            failures.append(f"draw {k}: exact {ex} exceeds chain upper {upper}")
-    return _result("disc-pointwise", failures)
+    log_dz, log_dw = np.log(1.0 - np.abs(z)), np.log(1.0 - np.abs(w))
+    # sharp on the disc: |atanh|z| - atanh|w|| >= (1/2)|log(dw/dz)|
+    lowers = np.maximum(lb_boundary_ratio_log(log_dz, log_dw), lb_boundary_ratio_log(log_dw, log_dz))
+    ex = exact.disc_distance(z, w)
+    failures = [f"draw {k}: ratio lower {lowers[k]} exceeds exact {ex[k]}"
+                for k in np.flatnonzero(lowers > ex + tol)]
+    failures += [f"draw {k}: exact {ex[k]} exceeds chain upper {uppers[k]}"
+                 for k in np.flatnonzero(ex > uppers + tol)]
+    return failures
 
 
-def suite_interior_ball(ctx: VerifyContext) -> SuiteResult:
+def suite_interior_ball(ctx: VerifyContext) -> list[str]:
     """Curvature budgets hold and the tangent-ball bound dominates the
     boundary-ratio lower bound against the base point."""
     failures = []
@@ -309,10 +293,10 @@ def suite_interior_ball(ctx: VerifyContext) -> SuiteResult:
                     f"{domain.name}: ball bound {ub} below ratio bound {lb} "
                     f"at t1={t1}, h={h}"
                 )
-    return _result("interior-ball", failures)
+    return failures
 
 
-def suite_witness_divergence(ctx: VerifyContext) -> SuiteResult:
+def suite_witness_divergence(ctx: VerifyContext) -> list[str]:
     failures = []
     hinge_vals = [witnesses.hinge_witness(delta).s_lb for delta in (1e-6, 1e-14, 1e-22)]
     if not (hinge_vals[0] < hinge_vals[1] < hinge_vals[2]):
@@ -331,10 +315,10 @@ def suite_witness_divergence(ctx: VerifyContext) -> SuiteResult:
                             f"[{lo_slope}, {hi_slope}]")
 
     witnesses.claims_check(models.FLAT_EXP_MODEL, 0.05)
-    return _result("witness-divergence", failures)
+    return failures
 
 
-def suite_determinism(ctx: VerifyContext) -> SuiteResult:
+def suite_determinism(ctx: VerifyContext) -> list[str]:
     failures = []
     disc = exact.SAMPLE_DOMAINS["disc"]
     sampler = core.uniform_quadruple_sampler(disc.points)
@@ -347,10 +331,10 @@ def suite_determinism(ctx: VerifyContext) -> SuiteResult:
     r2 = witnesses.hinge_witness(1e-8)
     if r1.terms != r2.terms or r1.s_lb != r2.s_lb:
         failures.append("hinge witness not reproducible")
-    return _result("determinism", failures)
+    return failures
 
 
-SUITES: tuple[Callable[[VerifyContext], SuiteResult], ...] = (
+SUITES: tuple[Callable[[VerifyContext], list[str]], ...] = (
     suite_exact_anchors,
     suite_conformal_consistency,
     suite_metric_axioms,
@@ -366,15 +350,15 @@ SUITES: tuple[Callable[[VerifyContext], SuiteResult], ...] = (
 )
 
 
-def _run(suite: Callable[[VerifyContext], SuiteResult], ctx: VerifyContext) -> SuiteResult:
-    # an error raised inside a suite is that suite's FAIL, named as the
-    # suite names itself
+def _run(suite: Callable[[VerifyContext], list[str]], ctx: VerifyContext) -> SuiteResult:
+    # the first six failures, or an error raised inside the suite, are its FAIL
+    name = suite.__name__.removeprefix("suite_").replace("_", "-")
     try:
-        return suite(ctx)
+        failures = suite(ctx)
     except Exception as e:
         log.debug("suite %s raised", suite.__name__, exc_info=True)
-        name = suite.__name__.removeprefix("suite_").replace("_", "-")
         return SuiteResult(name, False, f"{type(e).__name__}: {e}")
+    return SuiteResult(name, not failures, "; ".join(failures[:6]) or "ok")
 
 
 def run_all(mutate: bool = False, seed: int = 20260816) -> list[SuiteResult]:

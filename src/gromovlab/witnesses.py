@@ -183,7 +183,7 @@ def gn_witness(a: float) -> WitnessReport:
         "xw": (x, w),
     }
     us, vs = zip(*pairs.values())
-    bounds = {k: DistBound(lo, hi) for k, (lo, hi) in zip(pairs, gn_pair_bounds(us, vs))}
+    bounds = dict(zip(pairs, gn_pair_bounds(us, vs)))
     interval = defect_interval(bounds)
 
     lb_mid = bounds["xw"].lo

@@ -353,9 +353,7 @@ def test_bracket_cut_short_still_encloses_and_says_so(monkeypatch):
         flat_witness(m, 0.02)
     ctx = verify.VerifyContext()
     for suite in (verify.suite_bound_sandwich, verify.suite_interior_ball):
-        result = suite(ctx)
-        assert not result.passed
-        assert "boundary bracket cut short" in result.detail
+        assert any("boundary bracket cut short" in f for f in suite(ctx))
 
 
 @given(

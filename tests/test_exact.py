@@ -160,18 +160,18 @@ def test_gn_stacks_must_pair_up():
 def test_gn_pair_bounds_are_ordered(a, b, c, e):
     x = (complex(a, 0.1 * b), complex(b))
     y = (complex(c, -0.05), complex(e))
-    [(lo, hi)] = exact.gn_pair_bounds([x], [y])
-    assert lo <= hi + 1e-12
-    assert lo >= -1e-12
+    [bound] = exact.gn_pair_bounds([x], [y])
+    assert bound.lo <= bound.hi + 1e-12
+    assert bound.lo >= -1e-12
 
 
 def test_gn_diagonal_matches_disc():
     # on the diagonal, lifts (z, z), both bounds collapse to the disc distance
     for z, w in [(0.0, 0.5), (0.2, -0.4), (0.6, 0.61)]:
-        [(lo, hi)] = exact.gn_pair_bounds([(z, z)], [(w, w)])
+        [bound] = exact.gn_pair_bounds([(z, z)], [(w, w)])
         expect = exact.disc_distance(complex(z), complex(w))
-        assert lo == pytest.approx(expect, abs=1e-9)
-        assert hi == pytest.approx(expect, abs=1e-12)
+        assert bound.lo == pytest.approx(expect, abs=1e-9)
+        assert bound.hi == pytest.approx(expect, abs=1e-12)
 
 
 def _one_pair(x, y):

@@ -1,5 +1,6 @@
 """The reproduction scripts run as the README shows them."""
 
+import csv
 import importlib.util
 from pathlib import Path
 
@@ -32,3 +33,21 @@ def test_divergence_sweeps_reproduce_the_verdicts(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"sweep_{family}.csv" for family in verdicts
     )
+
+
+def test_hyperbolic_controls_write_every_run(tmp_path, capsys):
+    script = _load("run_hyperbolic_controls")
+    assert script.main(["--outdir", str(tmp_path), "--n", "1000", "--seed", "7"]) == 0
+    summaries = capsys.readouterr().out.splitlines()
+    directed = {f"sample_polydisc_directed_{s:g}.csv": s for s in script.DIRECTED_SCALES}
+    names = [f"sample_{d}.csv" for d in script.CONTROL_DOMAINS] + list(directed)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    assert len(summaries) == len(names)
+    assert all(line.startswith("# summary domain=") for line in summaries)
+    # the injected quadruple comes from draw 8 on, so every checkpoint,
+    # n = 10 first, reads the scale exactly
+    for name, scale in directed.items():
+        with open(tmp_path / name) as fh:
+            rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        assert rows and all(float(r["sup_defect"]) == scale for r in rows)
+        assert f"directed_scale={scale:g} sup={scale:g}" in summaries[names.index(name)]
