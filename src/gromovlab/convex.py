@@ -523,12 +523,12 @@ def lb_boundary_ratio_log(log_d_z_hi, log_d_w_lo):
 
 def lb_crossing_split(
     cert: TangentHalfspaceCert,
-    log_re_a_z: float,
-    log_re_b_w: float,
+    log_start: float,
     log_tau: float | None = None,
 ) -> float:
-    """Crossing lower bound for the functional f_A of cert and its twin f_B
-    at theta + pi, the coupled pair of :attr:`TangentHalfspaceCert.log_tau_cert`.
+    """Crossing lower bound between mirror points z and w for the
+    functional f_A of cert and its twin f_B at theta + pi, the coupled
+    pair of :attr:`TangentHalfspaceCert.log_tau_cert`.
 
     With Re f_A + Re f_B >= 2 tau on the domain, any path from z to w
     drives Re f_A from its small value at z up through the tau level and
@@ -536,8 +536,10 @@ def lb_crossing_split(
 
         k(z, w) >= (1/2) log(tau / Re f_A(z)) + (1/2) log(tau / Re f_B(w)).
 
-    A tau below the certified coupling level may be passed in (the bound
-    is monotone in tau); both starting values must sit below tau.
+    Every witness places w at z's mirror under the rotation by pi that
+    carries f_A to f_B, so both starting values are the one start
+    exp(log_start).  A tau below the certified coupling level may be
+    passed in (the bound is monotone in tau); the start must sit below it.
 
     The half-plane leg estimate behind each summand needs the functional
     value at the starting point to be real and positive: for real
@@ -556,9 +558,11 @@ def lb_crossing_split(
         log_tau = cap
     elif log_tau > cap:
         raise CertificateError("requested tau exceeds the certified coupling level")
-    if log_re_a_z > log_tau or log_re_b_w > log_tau:
+    if log_start > log_tau:
         raise CertificateError("crossing bound needs both endpoints below the tau level")
-    return 0.5 * sum_down(log_tau, -log_re_a_z, log_tau, -log_re_b_w)
+    # one summand per mirror point: sum_down(log_tau, -log_start) alone
+    # rounds differently
+    return 0.5 * sum_down(log_tau, -log_start, log_tau, -log_start)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .convex import (BASE_POINT, DISC_RADIUS, CertificateError, ModelDomain, Poi
                      TangentHalfspaceCert, lb_boundary_ratio_log, lb_crossing_split,
                      ub_base_chain, ub_interior_ball, ub_slice_discs)
 from .exact import (DistBound, _atanh_stable, atanh_one_minus, disc_distance, gn_pair_bounds,
-                    tetra_automorphism, tetra_origin_distance)
+                    polydisc_axis_distance_array, tetra_automorphism, tetra_origin_distance)
 from .models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL
 from .profiles import ProfileFn
 from .rounding import (LIBM_FLOATS, MATH, atanh_down, atanh_up, down, log1p_down, log1p_up,
@@ -124,19 +124,12 @@ def product_witness(s: float) -> WitnessReport:
         )
     p, q, x, w = (0.0, 0.0), (2.0 * s, 0.0), (s, 2.0 * s), (s, 0.0)
 
-    def d(u: tuple[float, float], v: tuple[float, float]) -> float:
-        return max(abs(u[0] - v[0]), abs(u[1] - v[1]))
-
-    bounds = {
-        "pq": DistBound.exact(d(p, q)),
-        "px": DistBound.exact(d(p, x)),
-        "qx": DistBound.exact(d(q, x)),
-        "pw": DistBound.exact(d(p, w)),
-        "qw": DistBound.exact(d(q, w)),
-        "xw": DistBound.exact(d(x, w)),
-    }
+    # the six pairs in _PAIR_KEYS order, through the polydisc_axis kernel
+    d = dict(zip(_PAIR_KEYS, polydisc_axis_distance_array(
+        [p, p, q, p, q, x], [q, x, x, w, w, w]).tolist()))
+    bounds = {k: DistBound.exact(v) for k, v in d.items()}
     interval = defect_interval(bounds)
-    midpoint_dev = max(abs(d(p, w) / d(p, q) - 0.5), abs(d(q, w) / d(p, q) - 0.5))
+    midpoint_dev = max(abs(d["pw"] / d["pq"] - 0.5), abs(d["qw"] / d["pq"] - 0.5))
     checks = (
         ("defect equals the scale exactly", interval.lo == s and interval.hi == s),
         ("w is a weak midpoint of (p, q)", midpoint_dev <= 0.5 / (2.0 * s)),
@@ -273,15 +266,20 @@ def hinge_witness(delta: float) -> WitnessReport:
     |z2| = 1 - delta on opposite sides, x directly over the center, and
     the base point w = (1, 0).  The long pair (p, q) is split by a
     coupled pair of tangent functionals at radius 1 + sqrt(delta) and
-    capped along the slice disc z1 = delta; the near pairs (p, x), (q, x)
-    are capped by the two-disc slice bound; (x, w) grows like
-    (1/2) log(1/delta) while the chains p -> w, q -> w cost only
+    capped along the slice disc z1 = delta; the near pair (p, x) is
+    capped by the two-disc slice bound; (x, w) grows like
+    (1/2) log(1/delta) while the chain q -> w costs only
     (1/2) log(1/delta) + O(1).  The legs at the rim read log delta.
+
+    The rotation z2 -> -z2 is an automorphism of the domain that maps p
+    to q and fixes x and w, so each mirror pair of legs is priced once:
+    (q, x) reads the slice bound at p, (q, w) the bracket at p, p -> w
+    the chain from q, and the twin functional starts at q where cert
+    starts at p.
     """
     if not 0.0 < delta < 0.04:
         raise CertificateError("height must be in (0, 0.04)")
     domain = HINGE_MODEL
-    profile = domain.profile
     u = math.sqrt(delta)
     t0 = 1.0 + u
 
@@ -291,31 +289,21 @@ def hinge_witness(delta: float) -> WitnessReport:
     w: PointC2 = BASE_POINT
 
     # -- long pair: coupled tangent functionals at the rim ------------------
-    # q is p's mirror under z2 -> -z2, so the twin at theta = pi takes at q
-    # the value cert takes at p
     cert = TangentHalfspaceCert(domain, t0, 0.0)
-    # F is affine with real coefficients and every coordinate is real,
-    # so the starting values are real by construction; record the check
-    # against the actual imaginary parts anyway (the rotations at
-    # theta = 0, pi are exactly +-1, not cos/sin floats)
-    im_p = p[0].imag - profile.deriv(t0) * p[1].imag
-    im_q = q[0].imag - profile.deriv(t0) * (-q[1]).imag
     log_re_p = log_up(cert.re_f_float(p))
     log_tau = min(sum_down(log_down(2.0), 0.5 * log_down(delta)), cert.log_tau_cert)
-    lb_split = lb_crossing_split(cert, log_re_p, log_re_p, log_tau=log_tau)
+    lb_split = lb_crossing_split(cert, log_re_p, log_tau=log_tau)
 
-    # -- near pairs: two-disc slice bound ------------------------------------
+    # -- near pair: two-disc slice bound -------------------------------------
     r = 0.25
-    p_tilde2 = complex(0.75 + u)
-    ub_pair = ub_slice_discs(domain, p, p_tilde2, 0.0 + 0.0j, r)
-    ub_pair_q = ub_slice_discs(domain, q, -p_tilde2, 0.0 + 0.0j, r)
+    ub_pair = ub_slice_discs(domain, p, complex(0.75 + u), 0.0 + 0.0j, r)
 
     # -- boundary-distance ratios --------------------------------------------
-    (bx, bw, bp, bq), _ = domain.boundary_distance_brackets([x, w, p, q])
+    (bx, bw, bp), _ = domain.boundary_distance_brackets([x, w, p])
     log_w = log_down(bw.lo)
     lb_ratio = lb_boundary_ratio_log(log_up(bx.hi), log_w)
 
-    # -- three-leg chain q -> w (p -> w is its mirror) ------------------------
+    # -- three-leg chain q -> w ------------------------------------------------
     # q's z1 disc reaches down to center - R, which is 0 on the flat face, so
     # q's height over it is delta exactly: the leg to the center reads log delta
     R = DISC_RADIUS
@@ -332,29 +320,22 @@ def hinge_witness(delta: float) -> WitnessReport:
     hi_pq = 2.0 * atanh_one_minus(log_down(e_lo))
     hi_xw = atanh_one_minus(sum_down(log_down(delta), -log_up(R)), up((w[0].real - R) / R))
     lb_pw = lb_boundary_ratio_log(log_up(bp.hi), log_w)
-    lb_qw = lb_boundary_ratio_log(log_up(bq.hi), log_w)
 
     bounds = {
         "pq": DistBound(lb_split, hi_pq),
         "px": DistBound(0.0, ub_pair),
-        "qx": DistBound(0.0, ub_pair_q),
+        "qx": DistBound(0.0, ub_pair),
         "pw": DistBound(lb_pw, ub_chain),
-        "qw": DistBound(lb_qw, ub_chain),
+        "qw": DistBound(lb_pw, ub_chain),
         "xw": DistBound(lb_ratio, hi_xw),
     }
     interval = defect_interval(bounds)
     s_lb = sum_down(lb_split, -ub_pair, lb_ratio, -ub_chain)
 
     checks = (
-        ("crossing start values are real", im_p == 0.0 and im_q == 0.0),
-        ("crossing starts below tau", log_re_p <= log_tau),
         ("boundary bracket at x is exact height", bx.is_exact() and abs(bx.lo - delta) <= 1e-14 * delta),
         ("boundary bracket at w is exact", bw.is_exact() and abs(bw.lo - 1.0) <= 1e-14),
-        (
-            "boundary heights of p, q match x",
-            abs(bp.lo - bx.lo) <= 1e-14 * delta and abs(bq.lo - bx.lo) <= 1e-14 * delta,
-        ),
-        ("mirror symmetry of the two-disc bounds", abs(ub_pair - ub_pair_q) <= 1e-12 * (1.0 + ub_pair)),
+        ("boundary height of p matches x", abs(bp.lo - bx.lo) <= 1e-14 * delta),
         ("formula equals branch interval", abs(s_lb - interval.lo) <= 1e-9),
     )
     return WitnessReport(
@@ -411,6 +392,10 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     polynomial (the t^4 control stays bounded: its terms cancel to a
     constant).  The certificates read log psi(x) and log alpha at every
     x, so the stored float coordinates are shadows once psi(x) underflows.
+
+    The rotation z2 -> -z2 maps p to q and fixes the other two points, so
+    q's legs share p's enclosures, and the twin functional starts at p
+    where cert starts at q.
     """
     if not 0.0 < x <= 0.1:
         raise CertificateError("flat witness is calibrated for x in (0, 0.1]")
@@ -437,17 +422,10 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     cert = TangentHalfspaceCert(domain, x, 0.0, norm_log)
 
     # normalized functional values of cert (f_+) and its twin at theta = pi
-    # (f_-), all real by construction:
+    # (f_-), real since every coordinate is:
     #   f_-(w) = 1,  f_-(p) = alpha,  f_+(q) = alpha
-    # the crossing split needs the two starting values real: record that
-    # against the actual imaginary parts (the rotations at theta = 0, pi
-    # are exactly +-1)
-    dpsi = profile.deriv(x)
-    im_q = q[0].imag - dpsi * q[1].imag
-    im_p = p[0].imag - dpsi * (-p[1]).imag
     lb_half = -0.5 * log_alpha  # the half-plane ratio of f_-(p) against f_-(w)
-    lb_cross = lb_crossing_split(cert, log_alpha, log_alpha)
-    log_tau = cert.log_tau_cert
+    lb_cross = lb_crossing_split(cert, log_alpha)
 
     # boundary ratio for (base, w): d(w) = psi(x) exactly (the nearest
     # boundary point is the flat point itself: for t in (0, cap],
@@ -490,8 +468,6 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     interval = defect_interval(bounds)
 
     checks = (
-        ("crossing start values are real", im_p == 0.0 and im_q == 0.0),
-        ("crossing starts below tau", log_alpha <= log_tau),
         ("base-point bracket converged", not base_cut_short[0]),
         ("formula below branch interval", s_lb <= interval.lo + 1e-9),
         ("float/log agreement (slice leg)", abs(ub_slice - slice_float) <= 1e-8 * (1.0 + ub_slice)),

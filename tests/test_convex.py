@@ -445,18 +445,19 @@ def test_crossing_split_refuses_tau_above_the_coupling_level():
     cert = _flat_cert(0.9)
     cap = cert.log_tau_cert
     start = cap - 5.0
-    assert lb_crossing_split(cert, start, start, cap) == pytest.approx(5.0)
+    assert lb_crossing_split(cert, start, cap) == pytest.approx(5.0)
     with pytest.raises(CertificateError,
                        match="requested tau exceeds the certified coupling level"):
-        lb_crossing_split(cert, start, start, cap + 1e-6)
+        lb_crossing_split(cert, start, cap + 1e-6)
 
 
 def test_crossing_split_refuses_a_start_above_tau():
     cert = _flat_cert(0.9)
     cap = cert.log_tau_cert
-    for starts in ((cap + 1e-6, cap - 5.0), (cap - 5.0, cap + 1e-6)):
+    for log_tau in (None, cap - 1.0):
+        tau = cap if log_tau is None else log_tau
         with pytest.raises(CertificateError, match="both endpoints below the tau level"):
-            lb_crossing_split(cert, *starts)
+            lb_crossing_split(cert, tau + 1e-6, log_tau)
 
 
 # -- interior tangent ball ----------------------------------------------------

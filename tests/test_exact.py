@@ -158,11 +158,22 @@ def test_gn_stacks_must_pair_up():
     e=st.floats(min_value=-0.9, max_value=0.9),
 )
 def test_gn_pair_bounds_are_ordered(a, b, c, e):
+    # at the four cardinal phases, which the scan's grid holds, the disc
+    # distance v between the images under Phi_lam(s, p) = (2 lam p - s)/(2 - lam s)
+    # sits below the upper bound and, up to the rounding of the scan's own
+    # form of Phi_lam, below the lower bound
     x = (complex(a, 0.1 * b), complex(b))
     y = (complex(c, -0.05), complex(e))
     [bound] = exact.gn_pair_bounds([x], [y])
-    assert bound.lo <= bound.hi + 1e-12
-    assert bound.lo >= -1e-12
+
+    def image(lam, z):
+        s, p = z[0] + z[1], z[0] * z[1]
+        return (2.0 * lam * p - s) / (2.0 - lam * s)
+
+    for lam in (1.0, 1j, -1.0, -1j):
+        v = exact.disc_distance(image(lam, x), image(lam, y))
+        assert v <= bound.lo + 1e-12 * (1.0 + v)
+        assert v <= bound.hi
 
 
 def test_gn_diagonal_matches_disc():

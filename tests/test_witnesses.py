@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gromovlab import witnesses
+from gromovlab import convex, witnesses
 from gromovlab.convex import CertificateError, ModelDomain, ub_interior_ball
 from gromovlab.core import four_point_defects
 from gromovlab.exact import SAMPLE_DOMAINS, DistBound
@@ -345,3 +345,97 @@ def test_report_carries_its_registry_name(name):
     assert set(_ONE_PARAM) == set(witnesses.FAMILIES)
     rep = witnesses.FAMILIES[name].witness(_ONE_PARAM[name])
     assert rep.family == name
+
+
+# -- every recorded check can fail ----------------------------------------------
+#
+# (family, check name) -> (registry name, parameter, mutation): the
+# mutation takes pytest's monkeypatch and breaks what the check reads, so
+# the constructor at that parameter must refuse naming the check.  A
+# check no mutation can reach restates a guard or an identity.
+
+def _wrap(owner, name, change):
+    def mutate(monkeypatch):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kw: change(original(*args, **kw)))
+    return mutate
+
+
+def _low_defect(bound):
+    return DistBound(bound.lo - 1.0, bound.hi)
+
+
+def _stretched_pw(d):
+    return d * np.array([1.0, 1.0, 1.0, 1.5, 1.0, 1.0])
+
+
+def _stretched_hinge_heights(rows):
+    # scale ModelDomain._hinge_profile_distance, a staticmethod, on the rows
+    def mutate(monkeypatch):
+        original = ModelDomain._hinge_profile_distance
+        scale = np.ones(3)
+        scale[rows] = 1.0 + 1e-10
+        monkeypatch.setattr(ModelDomain, "_hinge_profile_distance",
+                            staticmethod(lambda x1, s: original(x1, s) * scale))
+    return mutate
+
+
+def _cut_branch_and_bound(monkeypatch):
+    monkeypatch.setattr(convex, "_BB_MAX_ITER", 1)
+
+
+CHECK_MUTATIONS = {
+    ("product", "defect equals the scale exactly"):
+        ("product", 5.0, _wrap(witnesses, "defect_interval", _low_defect)),
+    ("product", "w is a weak midpoint of (p, q)"):
+        ("product", 5.0, _wrap(witnesses, "polydisc_axis_distance_array", _stretched_pw)),
+    ("gn", "formula below branch interval"):
+        ("gn", 0.9, _wrap(witnesses, "log1p_up", lambda v: v - 1.0)),
+    ("tetra", "automorphism sends P to the origin"):
+        ("tetra", 0.5, _wrap(witnesses, "tetra_automorphism",
+                             lambda z: tuple(c + 1e-6 for c in z))),
+    ("tetra", "doubling identity"):
+        ("tetra", 0.5, _wrap(witnesses, "_atanh_stable", lambda v: v + 1e-9)),
+    ("tetra", "origin-formula agreement on the long leg"):
+        ("tetra", 0.5, _wrap(witnesses, "tetra_origin_distance", lambda v: v + 1e-9)),
+    ("tetra", "midpoint splits the long leg"):
+        ("tetra", 0.5, _wrap(witnesses, "atanh_down", lambda v: v - 1e-9)),
+    ("tetra", "defect equals atanh(a)"):
+        ("tetra", 0.5, _wrap(witnesses, "defect_interval", _low_defect)),
+    ("hinge", "boundary bracket at x is exact height"):
+        ("hinge", 1e-6, _stretched_hinge_heights([0, 1, 2])),
+    ("hinge", "boundary bracket at w is exact"):
+        ("hinge", 1e-6, _stretched_hinge_heights([0, 1, 2])),
+    ("hinge", "boundary height of p matches x"):
+        ("hinge", 1e-6, _stretched_hinge_heights([2])),
+    ("hinge", "formula equals branch interval"):
+        ("hinge", 1e-6, _wrap(witnesses, "defect_interval", _low_defect)),
+    # the flat_exp base bracket settles in its first pass, so only the
+    # quartic profile can be cut short
+    ("flat", "base-point bracket converged"): ("flat_quartic", 0.02, _cut_branch_and_bound),
+    ("flat", "formula below branch interval"):
+        ("flat_exp", 0.02, _wrap(witnesses, "defect_interval", _low_defect)),
+    ("flat", "float/log agreement (slice leg)"):
+        ("flat_exp", 0.02, _wrap(witnesses, "disc_distance", lambda d: d * (1.0 + 1e-6))),
+}
+
+_CONSTRUCTOR = {"product": "product", "gn": "gn", "tetra": "tetra", "hinge": "hinge",
+                "flat_exp": "flat", "flat_quartic": "flat"}
+
+
+@pytest.mark.parametrize("name", sorted(witnesses.FAMILIES))
+def test_every_recorded_check_has_a_mutation(name):
+    assert set(_CONSTRUCTOR) == set(witnesses.FAMILIES)
+    rep = witnesses.FAMILIES[name].witness(_ONE_PARAM[name])
+    recorded = [check for check, _ in rep.checks]
+    mutated = [check for family, check in CHECK_MUTATIONS if family == _CONSTRUCTOR[name]]
+    assert sorted(recorded) == sorted(mutated)
+
+
+@pytest.mark.parametrize("key", list(CHECK_MUTATIONS), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_recorded_check_fails_under_its_mutation(monkeypatch, key):
+    name, param, mutate = CHECK_MUTATIONS[key]
+    mutate(monkeypatch)
+    with pytest.raises(CertificateError, match="^checks failed: ") as info:
+        witnesses.FAMILIES[name].witness(param)
+    assert key[1] in str(info.value).removeprefix("checks failed: ").split("; ")
