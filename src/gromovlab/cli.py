@@ -193,7 +193,7 @@ def _sample_setup(domain: str, directed_scale: float | None, period: int):
         raise ValueError(f"directed scale {directed_scale!r}: {e}") from e
     axis = exact.SAMPLE_DOMAINS["polydisc_axis"]
     base = core.uniform_quadruple_sampler(axis.points)
-    return axis.distance, core.mixed_quadruple_sampler(base, [rep.quadruple], period=period)
+    return axis.distance, core.mixed_quadruple_sampler(base, rep.quadruple, period=period)
 
 
 def run_sample(

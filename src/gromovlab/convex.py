@@ -369,25 +369,17 @@ class ModelDomain:
     def ub_euclidean_chain(self, zs: Sequence[PointC2], ws: Sequence[PointC2]) -> np.ndarray:
         """:func:`ub_radius_integral` along :func:`chain_polygon` from each
         zs[k] to ws[k], with the closed-form boundary lower bound as the
-        radius at each node; one call per block of _CHAIN_BLOCK pairs."""
-        z = np.array(zs, dtype=complex).reshape(-1, 2)
-        w = np.array(ws, dtype=complex).reshape(-1, 2)
-        out = np.empty(len(z))
-        for k in range(0, len(z), _CHAIN_BLOCK):
-            blk = slice(k, k + _CHAIN_BLOCK)
-            nodes, h = chain_polygon(z[blk], w[blk])
-            out[blk] = ub_radius_integral(
-                self.cheap_boundary_lower((nodes[..., 0], nodes[..., 1])), h
-            )
-        return out
+        radius at each node; one call over all pairs."""
+        nodes, h = chain_polygon(np.array(zs, dtype=complex).reshape(-1, 2),
+                                 np.array(ws, dtype=complex).reshape(-1, 2))
+        return ub_radius_integral(self.cheap_boundary_lower((nodes[..., 0], nodes[..., 1])), h)
 
 
 # ---------------------------------------------------------------------------
 # the integrated ball metric
 
-# pieces of each chain polygon, and the pairs priced together
+# pieces of each chain polygon
 _CHAIN_PIECES = 16
-_CHAIN_BLOCK = 256
 
 # floats a piece length steps up by: a float step at y raises it by at
 # least 2^-53 y.  Each coordinate difference rounds by half an ulp (2^-53

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -72,26 +72,21 @@ def uniform_quadruple_sampler(points: PointGenerator) -> Sampler:
     return draw
 
 
-def mixed_quadruple_sampler(
-    base: Sampler, injected: Sequence[Quadruple], period: int = 8
-) -> Sampler:
+def mixed_quadruple_sampler(base: Sampler, quad: Quadruple, period: int = 8) -> Sampler:
     """Witness-directed sampling: every ``period``-th quadruple of the run
-    (index i with i % period == period - 1) is the next of ``injected``,
-    in turn; the rest come from ``base``.
+    (index i with i % period == period - 1) is ``quad``; the rest come
+    from ``base``.
 
-    Deterministic given the rng stream: the injected slots and quadruples
-    follow the global draw index, not the rng state or the block size.
+    Deterministic given the rng stream: the injected slots follow the
+    global draw index, not the rng state or the block size.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
-    if not injected:
-        raise ValueError("injected quadruple list is empty")
-    table = np.asarray(injected)
+    injected = np.asarray(quad)
 
     def draw(rng: np.random.Generator, start: int, size: int) -> np.ndarray:
         quads = base(rng, start, size)
-        slots = np.arange((period - 1 - start) % period, size, period)
-        quads[slots] = table[((start + slots) // period) % len(table)]
+        quads[np.arange((period - 1 - start) % period, size, period)] = injected
         return quads
 
     return draw

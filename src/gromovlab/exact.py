@@ -70,20 +70,6 @@ class DistBound:
         if not self.hi >= self.lo:
             raise ValueError(f"inverted enclosure: lo={self.lo} hi={self.hi}")
 
-    @classmethod
-    def exact(cls, value: float) -> "DistBound":
-        return cls(lo=value, hi=value)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def is_exact(self) -> bool:
-        return self.width <= 1e-12 * (1.0 + abs(self.lo))
-
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= value <= self.hi + tol
-
 
 def _atanh_stable(xp, m_direct, one_minus_m2):
     # atanh m from the quotient m or from 1 - m^2: both branches on every

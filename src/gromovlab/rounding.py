@@ -13,7 +13,8 @@ to lie on one side of an exact real, rounds outward here:
 * ``up(x, k)``, ``down(x, k)``: k floats up or down (``math.nextafter``,
   elementwise on numpy arrays).  A sum, product or quotient rounded to
   nearest is within half a float of the exact value.
-* the ends of log, log1p, exp, atanh and sqrt.  The math module's log,
+* the ends of log, log1p, exp and atanh, and sqrt's lower end, the only
+  one a certificate reads.  The math module's log,
   log1p, exp, atanh and hypot (glibc documents at most 2 ulps, for atanh
   on x86-64) are taken within 2 ulps of the exact value, numpy's (SIMD
   routines, and so may be its complex abs) within 8.  N ulps of the exact y
@@ -100,7 +101,7 @@ log_down, log_up = _ends("log")
 log1p_down, log1p_up = _ends("log1p")
 exp_down, exp_up = _ends("exp")
 atanh_down, atanh_up = _ends("arctanh")
-sqrt_down, sqrt_up = _ends("sqrt", (1, 1))
+sqrt_down = _ends("sqrt", (1, 1))[0]
 
 
 def _sum(terms, step, sign: float):

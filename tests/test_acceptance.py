@@ -130,7 +130,7 @@ def test_criterion_6_hyperbolic_controls():
             quad = witnesses.product_witness(s).quadruple
             sampler = core.mixed_quadruple_sampler(
                 core.uniform_quadruple_sampler(axis.points),
-                [quad],
+                quad,
                 period=8,
             )
             sups.append(core.estimate_delta(axis.distance, sampler, 128, seed=seed).sup_defect)

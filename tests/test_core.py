@@ -145,21 +145,19 @@ def test_estimate_delta_deterministic_and_monotone():
 
 
 def test_mixed_sampler_injects_at_period():
-    markers = [np.full((4, 2), 9.0), np.full((4, 2), 8.0)]
+    marker = np.full((4, 2), 9.0)
 
     def gen(rng, m):
         return rng.uniform(size=(m, 2))
 
     base = core.uniform_quadruple_sampler(gen)
-    sampler = core.mixed_quadruple_sampler(base, markers, period=4)
+    sampler = core.mixed_quadruple_sampler(base, marker, period=4)
     rng = np.random.default_rng(0)
     # slots follow the run's draw index, so a block starting at 5 holds
-    # the injections of draws 7, 11 and 15 (the 2nd, 3rd and 4th, cycling
-    # through the markers) at its slots 2, 6 and 10
+    # the injections of draws 7, 11 and 15 at its slots 2, 6 and 10
     quads = sampler(rng, 5, 12)
-    injected = [i for i in range(12) if np.all(quads[i] >= 8.0)]
+    injected = [i for i in range(12) if np.all(quads[i] == 9.0)]
     assert injected == [2, 6, 10]
-    assert [quads[i][0][0] for i in injected] == [8.0, 9.0, 8.0]
     assert np.all(quads[[i for i in range(12) if i not in injected]] < 1.0)
 
 

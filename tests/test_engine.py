@@ -256,7 +256,7 @@ def test_directed_block_defects_are_bit_equal(scale):
     quad = witnesses.product_witness(scale).quadruple
     axis = exact.SAMPLE_DOMAINS["polydisc_axis"]
     base = core.uniform_quadruple_sampler(axis.points)
-    sampler = core.mixed_quadruple_sampler(base, [quad], period=8)
+    sampler = core.mixed_quadruple_sampler(base, quad, period=8)
     quads = sampler(np.random.default_rng(3), 0, 64)
     got = core.four_point_defects(axis.distance, quads)
     d = exact.polydisc_axis_oracle(2).fn

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gromovlab import convex, witnesses
-from gromovlab.convex import CertificateError, ModelDomain, ub_interior_ball
+from gromovlab.convex import BASE_POINT, CertificateError, ModelDomain, ub_interior_ball
 from gromovlab.core import four_point_defects
 from gromovlab.exact import SAMPLE_DOMAINS, DistBound
 from gromovlab.models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL
@@ -306,32 +306,36 @@ def test_flat_bounds_pinned(key):
 def test_witnesses_test_membership_only_in_the_bracket(monkeypatch):
     # every disc is certified where it is built, with no sampled net: the
     # witnesses and the interior ball call contains only through the
-    # boundary bracket's membership check, on each bracketed point once
-    counts = {"contains": 0, "bracketed": 0}
+    # boundary bracket's membership check, on each bracketed point once;
+    # each model witness brackets its base point alone, and reads every
+    # other boundary distance as a height over the profile
+    contained, blocks = [], []
     contains, brackets = ModelDomain.contains, ModelDomain.boundary_distance_brackets
 
     def counting_contains(self, z, slack=0.0):
-        counts["contains"] += np.size(z[0])
+        contained.append(np.size(z[0]))
         return contains(self, z, slack)
 
-    def counting_brackets(self, zs):
-        counts["bracketed"] += len(zs)
+    def recording_brackets(self, zs):
+        blocks.append(list(zs))
         return brackets(self, zs)
 
     monkeypatch.setattr(ModelDomain, "contains", counting_contains)
-    monkeypatch.setattr(ModelDomain, "boundary_distance_brackets", counting_brackets)
+    monkeypatch.setattr(ModelDomain, "boundary_distance_brackets", recording_brackets)
     m = FLAT_EXP_MODEL
     z = (complex(m.profile.value(0.12) + 1e-4), complex(0.12))
-    for build in (
-        lambda: hinge_witness(1e-6),
-        lambda: hinge_witness(1e-22),
-        lambda: flat_witness(FLAT_EXP_MODEL, 0.02),
-        lambda: flat_witness(FLAT_QUARTIC_MODEL, 1e-5),
-        lambda: ub_interior_ball(m, z, math.log(1e-4)),
+    for build, bracketed in (
+        (lambda: hinge_witness(1e-6), [[BASE_POINT]]),
+        (lambda: hinge_witness(1e-22), [[BASE_POINT]]),
+        (lambda: flat_witness(FLAT_EXP_MODEL, 0.02), [[BASE_POINT]]),
+        (lambda: flat_witness(FLAT_QUARTIC_MODEL, 1e-5), [[BASE_POINT]]),
+        (lambda: ub_interior_ball(m, z, math.log(1e-4)), []),
     ):
-        counts.update(contains=0, bracketed=0)
+        contained.clear()
+        blocks.clear()
         build()
-        assert counts["contains"] == counts["bracketed"], counts
+        assert blocks == bracketed
+        assert sum(contained) == sum(map(len, blocks)), (contained, blocks)
 
 
 # -- family registry -----------------------------------------------------------
@@ -369,15 +373,11 @@ def _stretched_pw(d):
     return d * np.array([1.0, 1.0, 1.0, 1.5, 1.0, 1.0])
 
 
-def _stretched_hinge_heights(rows):
-    # scale ModelDomain._hinge_profile_distance, a staticmethod, on the rows
-    def mutate(monkeypatch):
-        original = ModelDomain._hinge_profile_distance
-        scale = np.ones(3)
-        scale[rows] = 1.0 + 1e-10
-        monkeypatch.setattr(ModelDomain, "_hinge_profile_distance",
-                            staticmethod(lambda x1, s: original(x1, s) * scale))
-    return mutate
+def _stretched_hinge_heights(monkeypatch):
+    # scale ModelDomain._hinge_profile_distance, a staticmethod, on its block
+    original = ModelDomain._hinge_profile_distance
+    monkeypatch.setattr(ModelDomain, "_hinge_profile_distance",
+                        staticmethod(lambda x1, s: original(x1, s) * (1.0 + 1e-10)))
 
 
 def _cut_branch_and_bound(monkeypatch):
@@ -402,12 +402,7 @@ CHECK_MUTATIONS = {
         ("tetra", 0.5, _wrap(witnesses, "atanh_down", lambda v: v - 1e-9)),
     ("tetra", "defect equals atanh(a)"):
         ("tetra", 0.5, _wrap(witnesses, "defect_interval", _low_defect)),
-    ("hinge", "boundary bracket at x is exact height"):
-        ("hinge", 1e-6, _stretched_hinge_heights([0, 1, 2])),
-    ("hinge", "boundary bracket at w is exact"):
-        ("hinge", 1e-6, _stretched_hinge_heights([0, 1, 2])),
-    ("hinge", "boundary height of p matches x"):
-        ("hinge", 1e-6, _stretched_hinge_heights([2])),
+    ("hinge", "boundary bracket at w is exact"): ("hinge", 1e-6, _stretched_hinge_heights),
     ("hinge", "formula equals branch interval"):
         ("hinge", 1e-6, _wrap(witnesses, "defect_interval", _low_defect)),
     # the flat_exp base bracket settles in its first pass, so only the
