@@ -370,14 +370,16 @@ def _phi(lam: np.ndarray, z: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.
     and gaps g, (k, 2) arrays, and 1 - |Phi_lam|^2, for each lam of the
     row of the (k or 1, n) array that belongs to that point.
 
-    With w_i = 1 - lam z_i these are -(z1 w2 + z2 w1)/(w1 + w2) and
-    2 (g1 |w2|^2 + g2 |w1|^2)/|w1 + w2|^2, which does not cancel.
+    With w_i = 1 - lam z_i these are (2 lam z1 z2 - (z1 + z2))/(w1 + w2)
+    and 2 (g1 |w2|^2 + g2 |w1|^2)/|w1 + w2|^2, which does not cancel.  The
+    numerator's other form -(z1 w2 + z2 w1) cancels to 2 lam z1 z2 where
+    z1 + z2 = 0; z1 z2 is formed first, so both lift orders give its bits.
     """
     z1, z2 = z[:, :1], z[:, 1:]
     w1 = 1.0 - lam * z1
     w2 = 1.0 - lam * z2
     den = w1 + w2
-    phi = -(z1 * w2 + z2 * w1) / den
+    phi = (2.0 * lam * (z1 * z2) - (z1 + z2)) / den
     return phi, 2.0 * (g[:, :1] * np.abs(w2) ** 2 + g[:, 1:] * np.abs(w1) ** 2) / np.abs(den) ** 2
 
 

@@ -28,10 +28,12 @@ import numpy as np
 from . import core, exact, models, witnesses
 from .convex import (
     BASE_POINT,
+    DISC_RADIUS,
     ModelDomain,
     TangentHalfspaceCert,
     chain_polygon,
     lb_boundary_ratio_log,
+    ub_base_chain,
     ub_interior_ball,
     ub_radius_integral,
 )
@@ -92,8 +94,9 @@ _ANCHORS: tuple[tuple[str, Callable[[], float], float], ...] = (
         5.0,
     ),
     (
+        # the z1-disc leg the hinge chains price, from the disc's rim point
         "hinge chain leg",
-        lambda: exact.disc_distance(-0.45 / 1.45, 0.0),
+        lambda: ub_base_chain(models.HINGE_MODEL, (DISC_RADIUS, 0j))[1],
         math.atanh(9.0 / 29.0),
     ),
 )
@@ -160,15 +163,10 @@ def suite_symmetrized_bidisc(ctx: VerifyContext) -> list[str]:
 
 
 def suite_tetrablock(ctx: VerifyContext) -> list[str]:
-    failures = []
-    tol = 1e-12
-    # the witness checks the lower end itself
+    # each witness refuses a defect interval off atanh(a) at either end
     for a in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-        royal = math.atanh(a)
-        hi = witnesses.defect_interval(witnesses.tetra_witness(a).bounds).hi
-        if abs(hi - royal) > tol * (1.0 + royal):
-            failures.append(f"tetra defect off atanh(a) at a={a}")
-    return failures
+        witnesses.tetra_witness(a)
+    return []
 
 
 def suite_product(ctx: VerifyContext) -> list[str]:

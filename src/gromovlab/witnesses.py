@@ -12,8 +12,8 @@ no Gromov hyperbolicity constant can work for the space.
 
 The six enclosures double as an internal consistency device: expanding
 either branch of the defect cancels one distance, leaving a four-term
-expression whose interval evaluation must dominate s_lb.  Every witness
-records that comparison in its checks.
+expression whose interval evaluation must dominate s_lb.  WitnessReport
+refuses any report whose s_lb lies above it, with no slack.
 
 Near-boundary gaps are carried as logs: the flat witness's disc legs
 and the hinge's (p, q) and (x, w) legs and the first leg of its chain
@@ -53,8 +53,10 @@ class WitnessReport:
     """One certified four-point configuration of a witness family.
 
     ``checks`` names the checks its constructor ran; a report with a
-    failed check is refused with CertificateError, so every report that
-    exists passed them all.
+    failed check is refused with CertificateError, and so is one whose
+    s_lb lies above the lower end of defect_interval(bounds), its own
+    enclosure of the defect.  Every report that exists passed them all,
+    and its s_lb is a lower bound whenever its six bounds enclose.
     """
 
     family: str
@@ -72,6 +74,10 @@ class WitnessReport:
         failed = [name for name, ok in self.checks if not ok]
         if failed:
             raise CertificateError("checks failed: " + "; ".join(failed))
+        lo = defect_interval(self.bounds).lo
+        if self.s_lb > lo:
+            raise CertificateError(
+                f"S_lb {self.s_lb!r} lies above {lo!r}, the lower end of its defect interval")
 
 
 def defect_interval(bounds: dict[str, DistBound]) -> DistBound:
@@ -155,7 +161,13 @@ def gn_witness(a: float) -> WitnessReport:
     the certified lower bound for the defect: the midpoint leg through
     the rational one-parameter family of holomorphic maps to the disc,
     plus the exact shift 2 atanh(a^2) - 2 atanh(a) (which tends to
-    -log 2), so that s_lb ~ (1/2) log(1/(1-a)) - log 2.
+    -log 2), so that s_lb ~ (1/2) log(1/(1-a)) - log 2.  It sits about
+    (1/2) log 2 below the lower end of the defect interval (the term
+    honest_lo), which the report requires it not to exceed.
+
+    Every map Phi_lam sends p to modulus a and q to modulus a^2, so the
+    legs to the origin are atanh(a) and atanh(a^2) exactly; the report
+    checks that (p, w) and (q, w) enclose them, each rounded outward.
     """
     if not 0.0 < a < 1.0:
         raise CertificateError("parameter must be in (0, 1)")
@@ -176,13 +188,19 @@ def gn_witness(a: float) -> WitnessReport:
     bounds = dict(zip(pairs, gn_pair_bounds(us, vs)))
     interval = defect_interval(bounds)
 
+    # 2 atanh(t) = log1p(2t/(1 - t)), with 1 - a^2 kept as (1 - a)(1 + a):
+    # the ends of 2 atanh(a^2), 2 d(q, w); where a^2 underflows the lower
+    # end dips below 0, the floor gn_pair_bounds gives every lower end
+    sq_lo = log1p_down(down(2.0 * down(a * a) / up(sum_up(1.0, -a) * sum_up(1.0, a))))
+    sq_hi = log1p_up(up(2.0 * up(a * a) / down(sum_down(1.0, -a) * sum_down(1.0, a))))
+    pw, qw = bounds["pw"], bounds["qw"]
+    legs_enclosed = (pw.lo <= atanh_down(a) and atanh_up(a) <= pw.hi
+                     and 2.0 * qw.lo <= max(sq_lo, 0.0) and sq_hi <= 2.0 * qw.hi)
+
     lb_mid = bounds["xw"].lo
-    # 2 atanh(t) = log1p(2t/(1 - t)), with 1 - a^2 kept as (1 - a)(1 + a);
-    # the first argument rounded down, the second up
-    double_sq = down(2.0 * down(a * a) / up(sum_up(1.0, -a) * sum_up(1.0, a)))
-    shift = sum_down(log1p_down(double_sq), -log1p_up(up(2.0 * a / sum_down(1.0, -a))))
+    shift = sum_down(sq_lo, -log1p_up(up(2.0 * a / sum_down(1.0, -a))))
     s_lb = sum_down(lb_mid, shift)
-    checks = (("formula below branch interval", s_lb <= interval.lo + 1e-9),)
+    checks = (("exact legs enclosed", legs_enclosed),)
     return WitnessReport(
         family="gn",
         param=a,
@@ -239,7 +257,8 @@ def tetra_witness(a: float) -> WitnessReport:
         ("doubling identity", abs(2.0 * royal - pq) <= 1e-12),
         ("origin-formula agreement on the long leg", abs(origin_pq - pq) <= agree_tol),
         ("midpoint splits the long leg", abs(bounds["px"].lo + bounds["qx"].lo - pq) <= 1e-12),
-        ("defect equals atanh(a)", abs(interval.lo - royal) <= 1e-12 * (1.0 + royal)),
+        ("defect equals atanh(a)",
+         max(abs(interval.lo - royal), abs(interval.hi - royal)) <= 1e-12 * (1.0 + royal)),
     )
     return WitnessReport(
         family="tetra",
@@ -267,6 +286,8 @@ def hinge_witness(delta: float) -> WitnessReport:
     capped by the two-disc slice bound; (x, w) grows like
     (1/2) log(1/delta) while the chain q -> w costs only
     (1/2) log(1/delta) + O(1).  The legs at the rim read log delta.
+    s_lb is the lower end of the defect interval, which both branches
+    give as lb_ratio - ub_pair - ub_chain + lb_split.
 
     x, p and q read their boundary distance as their height delta over
     the flat face, exactly: psi = 0 there, so the point straight below
@@ -329,19 +350,13 @@ def hinge_witness(delta: float) -> WitnessReport:
         "qw": DistBound(lb_ratio, ub_chain),
         "xw": DistBound(lb_ratio, hi_xw),
     }
-    interval = defect_interval(bounds)
-    s_lb = sum_down(lb_split, -ub_pair, lb_ratio, -ub_chain)
-
-    checks = (
-        ("boundary bracket at w is exact", bw.lo == bw.hi == 1.0),
-        ("formula equals branch interval", abs(s_lb - interval.lo) <= 1e-9),
-    )
+    checks = (("boundary bracket at w is exact", bw.lo == bw.hi == 1.0),)
     return WitnessReport(
         family="hinge",
         param=delta,
         quadruple=(p, q, x, w),
         bounds=bounds,
-        s_lb=s_lb,
+        s_lb=defect_interval(bounds).lo,
         terms=(
             ("lb_split", lb_split),
             ("ub_pair", ub_pair),
@@ -463,11 +478,9 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
         "qw": DistBound(lb_half, ub_slice),
         "xw": DistBound(lb_ratio, xw_hi),
     }
-    interval = defect_interval(bounds)
 
     checks = (
         ("base-point bracket converged", not base_cut_short[0]),
-        ("formula below branch interval", s_lb <= interval.lo + 1e-9),
         ("float/log agreement (slice leg)", abs(ub_slice - slice_float) <= 1e-8 * (1.0 + ub_slice)),
     )
     return WitnessReport(

@@ -112,6 +112,15 @@ def gn_s_lb(a, ctx=mp):
     return sum(gn_terms(a, ctx).values())
 
 
+def gn_legs(a):
+    """The gn witness's legs to the origin, exactly: on the symmetrized
+    bidisc d(0, (s, p)) = atanh((2|s - conj(s) p| + |s^2 - 4p|)/(4 - |s|^2)),
+    which is a at p's image (2a, a^2), a^2 at q's (0, -a^2) and a/(2 - a)
+    at x's (a, 0)."""
+    a = mp.mpf(a)
+    return {"pw": mp.atanh(a), "qw": mp.atanh(a * a), "xw": mp.atanh(a / (2 - a))}
+
+
 def hinge_boundary_distance(x1, s):
     """min over the flat facet and the parabola arc of psi = (t-1)_+^2."""
     x1, s = mp.mpf(x1), mp.mpf(s)

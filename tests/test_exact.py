@@ -195,7 +195,7 @@ GN_PINS = {
     ((0.3 + 0.2j, -0.5 + 0.1j), (0.1 - 0.4j, 0.6 + 0.3j)):
         (0.787657923404961, 0.8789497090486915),
     ((0.7j, 0.2 - 0.3j), (-0.45 + 0.45j, 0.05)):
-        (0.706058166154767, 0.8342917134272988),
+        (0.7060581661547669, 0.8342917134272988),
     ((0.85 + 0.1j, 0.8 - 0.2j), (-0.3 - 0.6j, 0.4j)):
         (1.6551807253967148, 1.7498596502950199),
     ((0.6 + 0.6j, 0.1), (0.6 - 0.6j, -0.1)):
@@ -203,7 +203,7 @@ GN_PINS = {
     ((0.9 - 0.3j, 0.2j), (0.5 - 0.5j, 0.5 + 0.5j)):
         (1.3347732499566742, 1.4436354751788107),
     ((0.5j, -0.5j), (0.3 + 0.4j, -0.3 - 0.4j)):
-        (0.31477598001879037, 0.31477598001879015),
+        (0.3147759800187903, 0.31477598001879015),
 }
 
 

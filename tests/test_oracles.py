@@ -313,6 +313,30 @@ def test_gn_witness_certifies_near_the_boundary(a):
     assert rep.s_lb <= float(oracle_gen.gn_s_lb(a)) + 4 * math.ulp(rep.s_lb)
 
 
+# gn's legs to the origin against their closed forms, from the smallest
+# parameters (where a cancelling form of the maps' numerator refuses (q, w),
+# or lifts its lower end above atanh(a^2)) to the last floats below 1
+GN_LEGS_A = sorted({*np.geomspace(1e-300, 0.5, 60).tolist(),
+                    *np.geomspace(1e-8, 0.999, 40).tolist(),
+                    *(1.0 - np.geomspace(1e-16, 0.5, 30)).tolist()})
+
+
+def test_gn_legs_to_the_origin_enclose_their_closed_forms():
+    wrong = []
+    for a in GN_LEGS_A:
+        try:
+            rep = witnesses.gn_witness(a)
+        except (convex.CertificateError, ValueError) as e:
+            wrong.append(f"a={a!r} refused: {e}")
+            continue
+        for key, exact_leg in oracle_gen.gn_legs(a).items():
+            b = rep.bounds[key]
+            if not b.lo <= exact_leg <= b.hi:
+                wrong.append(f"a={a!r} {key}: [{b.lo!r}, {b.hi!r}] misses "
+                             f"{mp_oracle.nstr(exact_leg, 20)}")
+    assert not wrong, (len(wrong), wrong[:5])
+
+
 # each family's float S_lb against the interval enclosure of its formula
 # at the witness's exact inputs (oracle_gen, mpmath.iv at 60 digits): S_lb
 # must sit at or below the enclosure's lower end, and so must each lower

@@ -5,6 +5,7 @@ that are constants, no directed rounding outside the rounding module, no
 formula kept twice as a scalar and an array twin."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,20 +33,16 @@ def _definitions(tree):
                         yield name.id, node
 
 
-def _loaded_names(tree, skip=None):
-    """Names read as ``name`` or ``obj.name`` anywhere in the tree outside
-    the subtree ``skip``.  Docstrings are string constants, so they never
-    count."""
-    skipped = {id(n) for n in ast.walk(skip)} if skip is not None else set()
-    names = set()
+def _load_counts(tree):
+    """How often each name is read as ``name`` or ``obj.name`` in the tree.
+    Docstrings are string constants, so they never count."""
+    counts = Counter()
     for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            counts[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-    return names
+            counts[node.attr] += 1
+    return counts
 
 
 def _sources():
@@ -55,17 +52,16 @@ def _sources():
 
 def test_every_public_name_is_reached():
     trees = {path: _parse(path) for path in _sources()}
+    loads = sum((_load_counts(tree) for tree in trees.values()), Counter())
     unreached = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for name, node in _definitions(trees[path]):
             # private names too: a leftover constant or helper is dead code;
-            # the re-exports in __init__ are imports, not loads
-            if not any(
-                name in _loaded_names(tree, skip=node if other == path else None)
-                for other, tree in trees.items()
-            ):
+            # the re-exports in __init__ are imports, not loads, and a
+            # definition's reads of its own name (recursion) do not count
+            if loads[name] == _load_counts(node)[name]:
                 unreached.append(f"{path.stem}.{name}")
     assert not unreached, f"module-level names nothing in src/ or scripts/ reads: {unreached}"
 
@@ -181,7 +177,7 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 
 
 def test_every_dataclass_field_is_read():
-    read = set().union(*(_loaded_names(_parse(path)) for path in _sources()))
+    read = set().union(*(_load_counts(_parse(path)) for path in _sources()))
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.walk(_parse(path)):
@@ -225,7 +221,7 @@ def test_witness_checks_are_computed():
     tree = _parse(PACKAGE / "witnesses.py")
     checks = _check_tuples(tree)
     # every family records some: an empty scan would prove nothing
-    assert len(checks) >= 13
+    assert len(checks) >= 11
     constant = [t.elts[0].value for t in checks if isinstance(t.elts[1], ast.Constant)]
     assert not constant, f"checks recorded as a literal constant: {constant}"
     constructors = [node for node in tree.body

@@ -32,6 +32,18 @@ def test_report_with_a_failed_check_is_refused():
         dataclasses.replace(rep, bounds={}, checks=checks)
 
 
+@pytest.mark.parametrize("name", sorted(witnesses.FAMILIES))
+def test_report_refuses_s_lb_above_its_defect_interval(name):
+    # the lower end of the report's own defect interval is the highest
+    # S_lb it takes, with no slack
+    rep = witnesses.FAMILIES[name].witness(_ONE_PARAM[name])
+    lo = defect_interval(rep.bounds).lo
+    assert rep.s_lb <= lo
+    assert dataclasses.replace(rep, s_lb=lo).s_lb == lo
+    with pytest.raises(CertificateError, match="lower end of its defect interval"):
+        dataclasses.replace(rep, s_lb=math.nextafter(lo, math.inf))
+
+
 # -- product -----------------------------------------------------------------
 
 @pytest.mark.parametrize("s", [1.0, 5.0, 50.0, 300.0])
@@ -100,11 +112,11 @@ GN_WITNESS_PINS = {
     0.9: (
         '0x1.d7f9372f30fecp-2',
         {
-            'pq': ('0x1.4cb42ce468e2bp+1', '0x1.78e360604b42dp+1'),
+            'pq': ('0x1.4cb42ce468e2cp+1', '0x1.78e360604b42dp+1'),
             'px': ('0x1.26bb1bbb5541ep+0', '0x1.78e360604b42dp+0'),
             'qx': ('0x1.72ad3e0d7c842p+0', '0x1.78e360604b42dp+0'),
             'pw': ('0x1.78e360604b22ep+0', '0x1.78e360604b42dp+0'),
-            'qw': ('0x1.2084f96886a2cp+0', '0x1.2084f96886c2ap+0'),
+            'qw': ('0x1.2084f96886a2bp+0', '0x1.2084f96886c2ap+0'),
             'xw': ('0x1.26bb1bbb55415p+0', '0x1.78e360604b42dp+0'),
         },
     ),
@@ -369,6 +381,10 @@ def _low_defect(bound):
     return DistBound(bound.lo - 1.0, bound.hi)
 
 
+def _raised_bounds(bounds):
+    return [DistBound(b.lo + 1e-9, b.hi + 1e-9) for b in bounds]
+
+
 def _stretched_pw(d):
     return d * np.array([1.0, 1.0, 1.0, 1.5, 1.0, 1.0])
 
@@ -389,8 +405,8 @@ CHECK_MUTATIONS = {
         ("product", 5.0, _wrap(witnesses, "defect_interval", _low_defect)),
     ("product", "w is a weak midpoint of (p, q)"):
         ("product", 5.0, _wrap(witnesses, "polydisc_axis_distance_array", _stretched_pw)),
-    ("gn", "formula below branch interval"):
-        ("gn", 0.9, _wrap(witnesses, "log1p_up", lambda v: v - 1.0)),
+    ("gn", "exact legs enclosed"):
+        ("gn", 0.9, _wrap(witnesses, "gn_pair_bounds", _raised_bounds)),
     ("tetra", "automorphism sends P to the origin"):
         ("tetra", 0.5, _wrap(witnesses, "tetra_automorphism",
                              lambda z: tuple(c + 1e-6 for c in z))),
@@ -403,13 +419,9 @@ CHECK_MUTATIONS = {
     ("tetra", "defect equals atanh(a)"):
         ("tetra", 0.5, _wrap(witnesses, "defect_interval", _low_defect)),
     ("hinge", "boundary bracket at w is exact"): ("hinge", 1e-6, _stretched_hinge_heights),
-    ("hinge", "formula equals branch interval"):
-        ("hinge", 1e-6, _wrap(witnesses, "defect_interval", _low_defect)),
     # the flat_exp base bracket settles in its first pass, so only the
     # quartic profile can be cut short
     ("flat", "base-point bracket converged"): ("flat_quartic", 0.02, _cut_branch_and_bound),
-    ("flat", "formula below branch interval"):
-        ("flat_exp", 0.02, _wrap(witnesses, "defect_interval", _low_defect)),
     ("flat", "float/log agreement (slice leg)"):
         ("flat_exp", 0.02, _wrap(witnesses, "disc_distance", lambda d: d * (1.0 + 1e-6))),
 }
