@@ -107,14 +107,14 @@ def _certified_block_min(
     relative to best itself, so that tiny-scale minima such as squared
     near-boundary distances are still bracketed to relative precision)
     or its floor, and splits all the others, evaluating h at their
-    midpoints.  best and floor only fall, so a settled cell would never
-    be split later; its bound goes into a running minimum.  A cell whose
-    midpoint rounds onto an endpoint is at float resolution and cannot be
-    split; its bound becomes a floor.  A function whose next round would
-    take it past _BB_MAX_ITER splits stops there, cut short: its lower
-    bound stays valid, only looser.  Every step is elementwise in the
-    functions, so each gets the same bits alone as in any block.
-    Returns (best, lower, cut_short).
+    midpoints, until a round splits nothing.  best and floor only fall,
+    so a settled cell would never be split later; its bound goes into a
+    running minimum.  A cell whose midpoint rounds onto an endpoint is at
+    float resolution and cannot be split; its bound becomes a floor.  A
+    function whose next round would take it past _BB_MAX_ITER splits
+    stops there, cut short: its lower bound stays valid, only looser.
+    Every step is elementwise in the functions, so each gets the same
+    bits alone as in any block.  Returns (best, lower, cut_short).
     """
     n = len(hi)
     # np.linspace(0, hi, _BB_COARSE + 1, axis=1), as it rounds, without its overhead
@@ -130,7 +130,7 @@ def _certified_block_min(
     settled = np.full(n, math.inf)
     splits = np.zeros(n, dtype=np.int64)
     cut_short = np.zeros(n, dtype=bool)
-    while owner.size:
+    while True:
         threshold = best - _BB_GAP * np.abs(best) - 1e-300
         m = 0.5 * (a + b)
         settle = (lb >= threshold[owner]) | (lb >= floor[owner])
@@ -148,6 +148,8 @@ def _certified_block_min(
         splits += wanted
         np.minimum.at(settled, owner[settle], lb[settle])
         keep = np.flatnonzero(split)
+        if not keep.size:
+            break
         owner, a, b, m, fa, fb = owner[keep], a[keep], b[keep], m[keep], fa[keep], fb[keep]
         fm = f(m)
         np.minimum.at(best, owner, h(owner, m, fm))
@@ -199,12 +201,16 @@ class ModelDomain:
 
     @staticmethod
     def _hinge_profile_distance(x1: np.ndarray, s: np.ndarray) -> np.ndarray:
-        # exact closed form for psi = (t-1)_+^2: flat facet + parabola arc.
-        # The stationary points of (x1 - u^2)^2 + (1 + u - s)^2 over u >= 0
-        # are the real roots of 2u^3 + (1 - 2 x1) u + (1 - s), taken as
-        # np.roots takes them, from np.roots' own companion matrices, all in
-        # one eigenvalue call per matrix size: at s = 1 np.roots strips the
-        # zero constant term, and its matrix shrinks to 2x2
+        """Distance from (x1, s) to the graph of psi = (t-1)_+^2 in closed
+        form, the bracket's lo = hi: the height x1, exact, where the flat
+        facet is nearest; a nearest-rounded math.hypot at an eigvals root,
+        not rounded outward, wherever the parabola arc or the rim is
+        nearest (ROADMAP item 3).  The stationary points of
+        (x1 - u^2)^2 + (1 + u - s)^2 over u >= 0 are the real roots of
+        2u^3 + (1 - 2 x1) u + (1 - s), taken as np.roots takes them, from
+        np.roots' own companion matrices, all in one eigenvalue call per
+        matrix size: at s = 1 np.roots strips the zero constant term, and
+        its matrix shrinks to 2x2."""
         companion = np.zeros((len(x1), 3, 3))
         companion[:, 0] = -np.stack([np.zeros_like(x1), 1.0 - 2.0 * x1, 1.0 - s], axis=1) / 2.0
         companion[:, 1, 0] = companion[:, 2, 1] = 1.0

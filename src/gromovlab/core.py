@@ -72,7 +72,7 @@ def uniform_quadruple_sampler(points: PointGenerator) -> Sampler:
     return draw
 
 
-def mixed_quadruple_sampler(base: Sampler, quad: Quadruple, period: int = 8) -> Sampler:
+def mixed_quadruple_sampler(base: Sampler, quad: Quadruple, period: int) -> Sampler:
     """Witness-directed sampling: every ``period``-th quadruple of the run
     (index i with i % period == period - 1) is ``quad``; the rest come
     from ``base``.

@@ -20,6 +20,8 @@ is sampled with the disc kernel on its parameter.  The disc formula is
 written once, over the namespace of :mod:`.rounding`: `disc_distance`
 evaluates it with the math module on two points and with numpy on two
 arrays of them, and the gn scan runs it on the images' analytic gaps.
+Every kernel runs on the points it is given: real points run real
+arithmetic, with the bits they would get as complex ones.
 
 Numerical contract: every distance evaluator stays accurate all the way
 to boundary gaps of order 1e-300 when handed analytic gap parameters,
@@ -109,24 +111,16 @@ def _disc_distance_gaps(xp, u, v, gap_u, gap_v):
     return _atanh_stable(xp, m, one_minus_m2)
 
 
-def disc_distance(u, v, gap_v: float | None = None):
+def disc_distance(u, v):
     """Poincare distance atanh|(u-v)/(1-conj(u)v)| on the unit disc,
-    between two points or elementwise between two (N,) arrays of them.
-
-    gap_v is an optional analytic value of 1-|v| for a point so close to
-    the boundary that its float coordinate has rounded.
-    """
+    between two points or elementwise between two (N,) arrays of them,
+    real or complex."""
     if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-        xp, u, v = np, np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+        xp, u, v = np, np.asarray(u), np.asarray(v)
     else:
-        xp, u, v = MATH, complex(u), complex(v)
+        xp = MATH
     gap_u = 1.0 - (u.real * u.real + u.imag * u.imag)
-    if gap_v is None:
-        gap_v = 1.0 - (v.real * v.real + v.imag * v.imag)
-    elif xp.all((gap_v > 0.0) & (gap_v <= 1.0)):
-        gap_v = gap_v * (2.0 - gap_v)
-    else:
-        raise OracleError(f"boundary gap must be in (0, 1], got {gap_v}")
+    gap_v = 1.0 - (v.real * v.real + v.imag * v.imag)
     if not (xp.all(gap_u > 0.0) and xp.all(gap_v > 0.0)):
         raise OracleError("disc_distance: point outside the open disc")
     return _disc_distance_gaps(xp, u, v, gap_u, gap_v)
@@ -137,8 +131,6 @@ def halfplane_distance(z: complex, w: complex) -> float:
 
     On the positive reals this is 0.5*|log(z/w)|.
     """
-    z = complex(z)
-    w = complex(w)
     rz, rw = z.real, w.real
     if rz <= 0.0 or rw <= 0.0:
         raise OracleError("halfplane_distance: point outside Re > 0")
@@ -153,8 +145,6 @@ def strip_distance(z: complex, w: complex) -> float:
 
     tan(pi z / 4) is a biholomorphism onto the unit disc.
     """
-    z = complex(z)
-    w = complex(w)
     if abs(z.real) >= 1.0 or abs(w.real) >= 1.0:
         raise OracleError("strip_distance: point outside the strip")
     s = math.pi / 4.0
@@ -171,7 +161,7 @@ def strip_distance(z: complex, w: complex) -> float:
 
 def ball_distance_array(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     """Kobayashi distance on the Euclidean unit ball of C^n, on (N, n)
-    complex arrays.
+    arrays, real or complex.
 
     The Mobius quotient numerator is evaluated through the Lagrange
     identity  |z|^2|w|^2 - |<z,w>|^2 = sum_{i<j} |z_i w_j - z_j w_i|^2,
@@ -181,8 +171,7 @@ def ball_distance_array(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     A point is refused by its float |z|^2, so exactly only outside a band
     about 4 ulps wide about the sphere.
     """
-    z = np.asarray(zs, dtype=complex)
-    w = np.asarray(ws, dtype=complex)
+    z, w = np.asarray(zs), np.asarray(ws)
     if z.shape != w.shape or z.ndim != 2:
         raise OracleError("ball_distance_array: shape mismatch")
     z, w = z.T, w.T
@@ -209,9 +198,8 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 def polydisc_distance_array(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     """Sup of coordinate Poincare distances on the polydisc, on (N, n)
-    complex arrays."""
-    z = np.asarray(zs, dtype=complex)
-    w = np.asarray(ws, dtype=complex)
+    arrays, real or complex."""
+    z, w = np.asarray(zs), np.asarray(ws)
     if z.shape != w.shape or z.ndim != 2:
         raise OracleError("dimension mismatch")
     return _row_max(disc_distance(z.ravel(), w.ravel()).reshape(z.shape))
@@ -299,7 +287,7 @@ def disc_to_halfplane(z: complex) -> complex:
     return (1.0 + z) / (1.0 - z)
 
 
-def mobius_disc_automorphism(a: complex, theta: float = 0.0) -> Callable[[complex], complex]:
+def mobius_disc_automorphism(a: complex, theta: float) -> Callable[[complex], complex]:
     """z -> e^{i theta} (z - a)/(1 - conj(a) z), an automorphism of the disc."""
     if abs(a) >= 1.0:
         raise OracleError("automorphism parameter must be inside the disc")
@@ -343,7 +331,7 @@ def _lift_gaps(zs: Sequence[Sequence[complex]]) -> tuple[np.ndarray, np.ndarray]
     # a stack of k lifts (z1, z2) as a (k, 2) array, and their gaps
     # 1 - |z_i|^2 in the form (1 - |z_i|)(1 + |z_i|), which keeps its
     # digits as |z_i| -> 1; NaN fails the gap test too
-    z = np.asarray(zs, dtype=complex)
+    z = np.asarray(zs)
     if z.ndim != 2 or z.shape[1] != 2:
         raise OracleError("a symmetrized-bidisc point lifts to two coordinates")
     r = np.abs(z)
@@ -472,7 +460,7 @@ def tetra_automorphism(t: float, x: TetraPoint) -> TetraPoint:
     """
     if not -1.0 < t < 1.0:
         raise OracleError("automorphism parameter must be in (-1, 1)")
-    a, b, p = (complex(v) for v in x)
+    a, b, p = x
     den = 1.0 - t * (a + b) + t * t * p
     if den == 0.0:
         # |t| within an ulp or two of 1 at a point near the royal line
@@ -493,7 +481,7 @@ def tetra_origin_distance(x: TetraPoint) -> float:
     tetrablock's Lempert function has a closed form and matches the
     Caratheodory side, so this single expression is two-sided exact.
     """
-    a, b, p = (complex(v) for v in x)
+    a, b, p = x
     if abs(a) >= 1.0 or abs(b) >= 1.0:
         raise OracleError("point outside the open tetrablock")
     cross = abs(a * b - p)

@@ -72,7 +72,7 @@ def sample_interior(
     domain: ModelDomain,
     n: int,
     rng: np.random.Generator,
-    margin: float = 1e-6,
+    margin: float,
 ) -> list[PointC2]:
     """n interior points with all face margins above `margin`.
 

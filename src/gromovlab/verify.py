@@ -350,14 +350,16 @@ SUITES: tuple[Callable[[VerifyContext], list[str]], ...] = (
 
 
 def _run(suite: Callable[[VerifyContext], list[str]], ctx: VerifyContext) -> SuiteResult:
-    # the first six failures, or an error raised inside the suite, are its FAIL
+    # the first six failures and a count of the rest, or an error raised
+    # inside the suite, are its FAIL
     name = suite.__name__.removeprefix("suite_").replace("_", "-")
     try:
         failures = suite(ctx)
     except Exception as e:
         log.debug("suite %s raised", suite.__name__, exc_info=True)
         return SuiteResult(name, False, f"{type(e).__name__}: {e}")
-    return SuiteResult(name, not failures, "; ".join(failures[:6]) or "ok")
+    more = f" (+{len(failures) - 6} more)" if len(failures) > 6 else ""
+    return SuiteResult(name, not failures, "; ".join(failures[:6]) + more or "ok")
 
 
 def run_all(mutate: bool = False, seed: int = 20260816) -> list[SuiteResult]:

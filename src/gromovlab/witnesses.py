@@ -32,7 +32,7 @@ from typing import Callable
 from .convex import (BASE_POINT, DISC_RADIUS, CertificateError, ModelDomain, PointC2,
                      TangentHalfspaceCert, lb_boundary_ratio_log, lb_crossing_split,
                      ub_base_chain, ub_interior_ball, ub_slice_discs)
-from .exact import (DistBound, _atanh_stable, atanh_one_minus, disc_distance, gn_pair_bounds,
+from .exact import (DistBound, _atanh_stable, atanh_one_minus, gn_pair_bounds,
                     polydisc_axis_distance_array, tetra_automorphism, tetra_origin_distance)
 from .models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL
 from .profiles import ProfileFn
@@ -458,10 +458,10 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     # tangency) from w to q at parameter 1 - alpha (p, at -(1 - alpha), is
     # twice as far from q), and the z1 disc at z2 = 0, centred at R and so
     # tangent at Re z1 = 0 since psi(0) = 0, from the base point to w; the
-    # float disc distance re-checks the slice leg s_lb reads twice; log_value
-    # is one division or libm log away from log psi(x) here
+    # float disc distance atanh(1 - alpha) re-checks the slice leg s_lb reads
+    # twice; log_value is one division or libm log away from log psi(x) here
     ub_slice = atanh_one_minus(log_down(alpha))
-    slice_float = disc_distance(0.0, 1.0 - alpha, gap_v=alpha)
+    slice_float = _atanh_stable(MATH, 1.0 - alpha, alpha * (2.0 - alpha))
     xw_hi = atanh_one_minus(sum_down(down(log_psi, LIBM_FLOATS), -log_up(DISC_RADIUS)),
                             up((xb[0].real - DISC_RADIUS) / DISC_RADIUS))
 

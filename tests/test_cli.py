@@ -3,10 +3,11 @@
 import csv
 import logging
 import math
+import re
 
 import pytest
 
-from gromovlab import cli, convex, witnesses
+from gromovlab import cli, convex, verify, witnesses
 from gromovlab.convex import CertificateError
 from gromovlab.exact import OracleError
 
@@ -193,7 +194,11 @@ def test_verify_exit_codes(capsys):
     assert "OK (12/12 suites)" in out
     assert run(["verify", "--mutate"]) == 3
     out = capsys.readouterr().out
-    assert "FAIL" in out
+    # every broken anchor is named or counted in the "(+N more)" tail
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("FAIL exact-anchors: ")]
+    named = line.count(": got ")
+    more = re.search(r" \(\+(\d+) more\)$", line)
+    assert named + (int(more.group(1)) if more else 0) == len(verify._ANCHORS)
 
 
 @pytest.mark.parametrize("error", [CertificateError, OracleError])

@@ -239,6 +239,27 @@ def test_base_point_bracket_pinned(m):
     assert (b.lo.hex(), b.hi.hex()) == BASE_BRACKET_PINS[m.name]
 
 
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+def test_bracket_ends_without_an_empty_round(m):
+    # the branch and bound stops after the round that splits nothing, so
+    # the profile never runs on an empty array; the bits stay
+    value = m.profile.value
+
+    def refuse_empty(t):
+        if isinstance(t, np.ndarray) and not t.size:
+            raise AssertionError("profile evaluated on an empty array")
+        return value(t)
+
+    strict = dataclasses.replace(m, profile=dataclasses.replace(m.profile, value=refuse_empty))
+    (b,), _ = strict.boundary_distance_brackets([BASE_POINT])
+    assert (b.lo.hex(), b.hi.hex()) == BASE_BRACKET_PINS[m.name]
+    pts = sample_interior(m, 40, np.random.default_rng(5), margin=0.02)
+    got, got_cut = strict.boundary_distance_brackets(pts)
+    want, want_cut = m.boundary_distance_brackets(pts)
+    assert [_bits(b) for b in got] == [_bits(b) for b in want]
+    assert got_cut.tolist() == want_cut.tolist()
+
+
 _interior = st.tuples(
     st.floats(min_value=0.02, max_value=2.95),
     st.floats(min_value=-2.9, max_value=2.9),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gromovlab import exact
+from gromovlab import exact, verify
 from gromovlab.exact import DistBound, OracleError
 
 disc_pts = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
@@ -293,3 +293,86 @@ def test_tetra_shift_with_vanishing_denominator_raises_oracle_error():
     u = 0.9999999999999999
     with pytest.raises(OracleError):
         exact.tetra_automorphism(u, (u, u, u * u))
+
+
+# -- real points run real arithmetic -----------------------------------------
+
+def _as_complex(x):
+    # the same values cast to complex, in the same container
+    if isinstance(x, np.ndarray):
+        return x.astype(complex)
+    if isinstance(x, tuple):
+        return tuple(_as_complex(c) for c in x)
+    return complex(x)
+
+
+def _outcome(fn, *args):
+    # the result's bits as hex, or the refusal
+    try:
+        v = fn(*args)
+    except OracleError:
+        return "OracleError"
+
+    def bits(v):
+        if isinstance(v, DistBound):
+            return v.lo.hex(), v.hi.hex()
+        if isinstance(v, (list, np.ndarray)):
+            return [bits(e) for e in v]
+        return float(v).hex()
+
+    return bits(v)
+
+
+def _pairwise(fn):
+    # a scalar distance over two arrays of points, one Python value at a time
+    return lambda zs, ws: [fn(z, w) for z, w in zip(zs.tolist(), ws.tolist())]
+
+
+def _real_cases():
+    rng = np.random.default_rng(25)
+    tetra, ball, poly = (exact.SAMPLE_DOMAINS[k].distance for k in ("tetra", "ball", "polydisc"))
+    u, v = (exact.royal_line_points(rng, 2000) for _ in range(2))
+    disc = exact.disc_points(rng, 2000)
+    b1, b2 = (exact.ball_points(rng, 500).real for _ in range(2))
+    p1, p2 = (exact.polydisc_points(rng, 500).real for _ in range(2))
+    h1, h2 = rng.uniform(1e-6, 10.0, (2, 300))
+    s1, s2 = rng.uniform(-0.99, 0.99, (2, 300))
+    a, b, c = rng.uniform(-0.9, 0.9, (3, 300))
+    # |x3 - x1 x2| < (1 - |x1|)(1 - |x2|) keeps each point in the tetrablock
+    off_royal = np.stack([a, b, a * b + c * (1.0 - abs(a)) * (1.0 - abs(b))], axis=1)
+    lifts = rng.uniform(-0.9, 0.9, (12, 2, 2))
+    on_axis = np.stack([lifts[:, 0, 0], -lifts[:, 0, 0]], axis=1)
+
+    def origin(xs):
+        return [exact.tetra_origin_distance(tuple(x)) for x in xs.tolist()]
+
+    def shifted_origin(xs):
+        # each royal point (v, v, v^2) shifted by the real u of its row
+        return [exact.tetra_origin_distance(exact.tetra_automorphism(t, tuple(x)))
+                for t, x in zip(u.tolist(), xs.tolist())]
+
+    royal = np.stack([v, v, v * v], axis=1)
+    return {
+        "royal-line block": (tetra, u, v),
+        "royal-line block against complex disc points": (exact.disc_distance, u, disc),
+        "ball rows": (ball, b1, b2),
+        "polydisc rows": (poly, p1, p2),
+        "disc anchor 0..0.5": (exact.disc_distance, 0.0, 0.5),
+        "disc anchor 0..0.9": (exact.disc_distance, 0.0, 0.9),
+        "halfplane anchor": (exact.halfplane_distance, 1.0, 3.0),
+        "polydisc anchor": (lambda x, y: verify._sampled("polydisc", x, y), (0.5, 0.1), (0.0, 0.0)),
+        "ball anchor": (lambda x, y: verify._sampled("ball", x, y), (0.7, 0.0), (0.0, 0.0)),
+        "tetra anchor": (exact.tetra_origin_distance, (0.8, 0.8, 0.64)),
+        "half-plane points": (_pairwise(exact.halfplane_distance), h1, h2),
+        "strip points": (_pairwise(exact.strip_distance), s1, s2),
+        "tetra origin off the royal line": (origin, off_royal),
+        "tetra shift then origin": (shifted_origin, royal),
+        "gn lifts": (exact.gn_pair_bounds, lifts[:, 0], lifts[:, 1]),
+        "gn lifts on the p-axis": (exact.gn_pair_bounds, on_axis, on_axis[::-1]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_real_cases()))
+def test_real_points_get_the_bits_of_complex_ones(case):
+    fn, *args = _real_cases()[case]
+    assert _outcome(fn, *args) == _outcome(fn, *map(_as_complex, args))

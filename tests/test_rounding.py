@@ -84,6 +84,44 @@ def test_directed_ends_bracket_at_the_edges(name):
     assert not _bracket_failures(name, FUNCTIONS[name][4] + BINADE_EDGES[name])
 
 
+# the two hypot sources: CPython's own math.hypot, and libm's hypot, which
+# abs(complex) and np.hypot call
+HYPOTS = {
+    "math.hypot": lambda xs, ys: [math.hypot(x, y) for x, y in zip(xs, ys)],
+    "abs(complex)": lambda xs, ys: [abs(complex(x, y)) for x, y in zip(xs, ys)],
+    "np.hypot": lambda xs, ys: np.hypot(np.array(xs), np.array(ys)).tolist(),
+}
+
+
+def _hypot_failures(name, xs, ys):
+    wrong = []
+    with mp.workdps(50):
+        for x, y, h in zip(xs, ys, HYPOTS[name](xs, ys)):
+            exact = mp.sqrt(mp.mpf(x) ** 2 + mp.mpf(y) ** 2)
+            if not down(h, rounding.LIBM_FLOATS) <= exact <= up(h, rounding.LIBM_FLOATS):
+                wrong.append(f"{name}({x!r}, {y!r}) = {h!r} misses {mp.nstr(exact, 20)}")
+    return wrong
+
+
+@pytest.mark.parametrize("name", sorted(HYPOTS))
+@settings(max_examples=50, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+                      min_size=1, max_size=8))
+def test_each_hypot_stays_inside_the_error_model(name, pairs):
+    assert not _hypot_failures(name, *zip(*pairs))
+
+
+@pytest.mark.parametrize("name", sorted(HYPOTS))
+def test_each_hypot_stays_inside_the_error_model_at_hinge_scale(name):
+    # the hinge bracket's legs, hypot(x1 - u^2, 1 + u - s), are O(1); here
+    # the two sources differ in the last bit on under 1% of the pairs
+    xs, ys = np.random.default_rng(7).uniform(-3.0, 3.0, (2, 2000)).tolist()
+    edges = [(0.0, 0.0), (5e-324, 5e-324), (2.2e-308, 1e-300), (3.0, 4.0), (1e300, 1e300),
+             (0.0, _MAX), (_MAX, 5e-324)]
+    ex, ey = zip(*edges)
+    assert not _hypot_failures(name, xs + list(ex), ys + list(ey))
+
+
 def test_array_steps_match_repeated_nextafter():
     x = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -2.0, _MAX, -_MAX, math.inf, -math.inf, math.nan])
     for k in (1, 3, 128):

@@ -423,7 +423,7 @@ CHECK_MUTATIONS = {
     # quartic profile can be cut short
     ("flat", "base-point bracket converged"): ("flat_quartic", 0.02, _cut_branch_and_bound),
     ("flat", "float/log agreement (slice leg)"):
-        ("flat_exp", 0.02, _wrap(witnesses, "disc_distance", lambda d: d * (1.0 + 1e-6))),
+        ("flat_exp", 0.02, _wrap(witnesses, "_atanh_stable", lambda d: d * (1.0 + 1e-6))),
 }
 
 _CONSTRUCTOR = {"product": "product", "gn": "gn", "tetra": "tetra", "hinge": "hinge",
