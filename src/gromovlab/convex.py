@@ -133,7 +133,8 @@ def _certified_block_min(
     while True:
         threshold = best - _BB_GAP * np.abs(best) - 1e-300
         m = 0.5 * (a + b)
-        settle = (lb >= threshold[owner]) | (lb >= floor[owner])
+        # fmin, not minimum: a NaN threshold must not hide the floor
+        settle = lb >= np.fmin(threshold, floor)[owner]
         atomic = ~settle & ((m <= a) | (m >= b))
         if atomic.any():
             np.minimum.at(floor, owner[atomic], lb[atomic])
@@ -202,30 +203,25 @@ class ModelDomain:
     @staticmethod
     def _hinge_profile_distance(x1: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Distance from (x1, s) to the graph of psi = (t-1)_+^2 in closed
-        form, the bracket's lo = hi: the height x1, exact, where the flat
-        facet is nearest; a nearest-rounded math.hypot at an eigvals root,
-        not rounded outward, wherever the parabola arc or the rim is
-        nearest (ROADMAP item 3).  The stationary points of
-        (x1 - u^2)^2 + (1 + u - s)^2 over u >= 0 are the real roots of
-        2u^3 + (1 - 2 x1) u + (1 - s), taken as np.roots takes them, from
-        np.roots' own companion matrices, all in one eigenvalue call per
-        matrix size: at s = 1 np.roots strips the zero constant term, and
-        its matrix shrinks to 2x2."""
+        form, the bracket's lo = hi, in one array pass: the height x1,
+        exact, where the flat facet is nearest; a nearest-rounded np.hypot
+        at an eigvals root, not rounded outward, wherever the parabola arc
+        or the rim corner is nearest (ROADMAP item 3).  The stationary
+        points of (x1 - u^2)^2 + (1 + u - s)^2 over u >= 0 are the real
+        roots of 2u^3 + (1 - 2 x1) u + (1 - s), the eigenvalues of its
+        companion matrices, all taken in one call; a complex or
+        nonpositive root falls back to u = 0, the rim corner, whose leg
+        hypot(x1, 1 - s) is never below the flat facet's distance."""
         companion = np.zeros((len(x1), 3, 3))
-        companion[:, 0] = -np.stack([np.zeros_like(x1), 1.0 - 2.0 * x1, 1.0 - s], axis=1) / 2.0
+        companion[:, 0, 1] = -(1.0 - 2.0 * x1) / 2.0
+        companion[:, 0, 2] = -(1.0 - s) / 2.0
         companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-        roots: list[list[complex]] = [[] for _ in range(len(x1))]
-        for rows, size in ((np.flatnonzero(s != 1.0), 3), (np.flatnonzero(s == 1.0), 2)):
-            if not rows.size:
-                continue
-            for k, found in zip(rows, np.linalg.eigvals(companion[rows, :size, :size]).tolist()):
-                roots[k] = found
-        out = []
-        for a, b, rts in zip(x1.tolist(), s.tolist(), roots):
-            flat = math.hypot(a, b - 1.0) if b > 1.0 else a
-            cands = [0.0] + [float(r.real) for r in rts if abs(r.imag) < 1e-12 and r.real > 0.0]
-            out.append(min(flat, min(math.hypot(a - u * u, 1.0 + u - b) for u in cands)))
-        return np.array(out)
+        roots = np.linalg.eigvals(companion)
+        keep = (np.abs(roots.imag) < 1e-12) & (roots.real > 0.0)
+        u = np.where(keep, roots.real, 0.0)
+        arc = np.hypot(x1[:, None] - u * u, 1.0 + u - s[:, None]).min(axis=1)
+        flat = np.where(s > 1.0, np.hypot(x1, s - 1.0), x1)
+        return np.minimum(flat, arc)
 
     def _profile_distance_block(
         self, x1: np.ndarray, s: np.ndarray
@@ -267,8 +263,8 @@ class ModelDomain:
         minimum of the distances to each region's boundary; the box and
         the cap are closed forms, rounded down for the lower end, the
         profile graph is bracketed by one branch and bound over the whole
-        block.  A point that is not interior refuses the whole block,
-        naming its index.
+        block, or on the hinge by its closed form.  A point that is not
+        interior refuses the whole block, naming its index.
         """
         z = np.array(zs, dtype=complex).reshape(-1, 2)
         z1, z2 = z[:, 0], z[:, 1]

@@ -16,9 +16,9 @@ to lie on one side of an exact real, rounds outward here:
 * the ends of log, log1p, exp and atanh, and sqrt's lower end, the only
   one a certificate reads.  The math module's log, log1p, exp and atanh
   (glibc documents at most 2 ulps, for atanh on x86-64), CPython's own
-  math.hypot (the hinge's closed form) and libm's hypot (abs(complex) and
-  np.hypot; it differs from math.hypot in the last bit on about 1 in 200
-  hinge brackets) are taken within 2 ulps of the exact value, numpy's
+  math.hypot (ub_interior_ball's hypot(1, psi')) and libm's hypot
+  (abs(complex) and np.hypot; the two differ in the last bit on under 1
+  in 100 O(1) pairs) are taken within 2 ulps of the exact value, numpy's
   (SIMD routines, and so may be its complex abs) within 8.  N ulps of the
   exact y are at most 2N floats, as the floats below a power of two are
   half as far apart, so the ends step LIBM_FLOATS and SIMD_FLOATS floats;

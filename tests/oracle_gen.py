@@ -126,8 +126,14 @@ def hinge_boundary_distance(x1, s):
     x1, s = mp.mpf(x1), mp.mpf(s)
     flat = mp.sqrt(x1**2 + max(mp.mpf(0), s - 1) ** 2) if s > 1 else x1
     best = flat
-    # stationary points of (x1 - u^2)^2 + (1 + u - s)^2 over u >= 0
-    for r in mp.polyroots([2, 0, 1 - 2 * x1, 1 - s]):
+    # stationary points of (x1 - u^2)^2 + (1 + u - s)^2 over u >= 0.  A
+    # zero trailing coefficient is a root u = 0, the rim corner, which the
+    # flat facet covers; it goes, as polyroots does not converge on the
+    # triple root of 2u^3 at (0.5, 1)
+    coeffs = [2, 0, 1 - 2 * x1, 1 - s]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    for r in mp.polyroots(coeffs):
         if abs(mp.im(r)) < mp.mpf("1e-40") and mp.re(r) > 0:
             u = mp.re(r)
             best = min(best, mp.sqrt((x1 - u * u) ** 2 + (1 + u - s) ** 2))

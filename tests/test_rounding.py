@@ -113,8 +113,9 @@ def test_each_hypot_stays_inside_the_error_model(name, pairs):
 
 @pytest.mark.parametrize("name", sorted(HYPOTS))
 def test_each_hypot_stays_inside_the_error_model_at_hinge_scale(name):
-    # the hinge bracket's legs, hypot(x1 - u^2, 1 + u - s), are O(1); here
-    # the two sources differ in the last bit on under 1% of the pairs
+    # O(1) legs, as ub_interior_ball's math.hypot(1, psi') and the hinge
+    # bracket's np.hypot(x1 - u^2, 1 + u - s); here the two sources differ
+    # in the last bit on under 1% of the pairs
     xs, ys = np.random.default_rng(7).uniform(-3.0, 3.0, (2, 2000)).tolist()
     edges = [(0.0, 0.0), (5e-324, 5e-324), (2.2e-308, 1e-300), (3.0, 4.0), (1e300, 1e300),
              (0.0, _MAX), (_MAX, 5e-324)]
