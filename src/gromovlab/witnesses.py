@@ -31,7 +31,7 @@ from typing import Callable
 
 from .convex import (BASE_POINT, DISC_RADIUS, CertificateError, ModelDomain, PointC2,
                      TangentHalfspaceCert, lb_boundary_ratio_log, lb_crossing_split,
-                     ub_base_chain, ub_interior_ball, ub_slice_discs)
+                     ub_base_chain, ub_base_leg, ub_interior_ball, ub_slice_discs)
 from .exact import (DistBound, _atanh_stable, atanh_one_minus, gn_pair_bounds,
                     polydisc_axis_distance_array, tetra_automorphism, tetra_origin_distance)
 from .models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL
@@ -291,7 +291,7 @@ def hinge_witness(delta: float) -> WitnessReport:
 
     x, p and q read their boundary distance as their height delta over
     the flat face, exactly: psi = 0 there, so the point straight below
-    is on the boundary.  Only the base point w is bracketed.
+    is on the boundary.  w is 1 above it: d(w) >= 1 given psi(1) = 0, the one check.
 
     The rotation z2 -> -z2 is an automorphism of the domain that maps p
     to q and fixes x and w, so each mirror pair of legs is priced once:
@@ -320,10 +320,10 @@ def hinge_witness(delta: float) -> WitnessReport:
     ub_pair = ub_slice_discs(domain, p, complex(0.75 + u), 0.0 + 0.0j, r)
 
     # -- boundary-distance ratios --------------------------------------------
-    # x, p and q are delta above the flat face, so delta bounds their
-    # boundary distance from above; only w is bracketed
-    (bw,), _ = domain.boundary_distance_brackets([w])
-    lb_ratio = lb_boundary_ratio_log(log_up(delta), log_down(bw.lo))
+    # x, p and q sit delta above the flat face, so d <= delta there; the open
+    # unit ball about w = (1, 0) lies in the domain once psi(1) = 0 (psi is
+    # nondecreasing; the box and the cap are farther off), so d(w) >= 1
+    lb_ratio = lb_boundary_ratio_log(log_up(delta), log_down(1.0))
 
     # -- three-leg chain q -> w ------------------------------------------------
     # q's z1 disc reaches down to center - R, which is 0 on the flat face, so
@@ -340,7 +340,6 @@ def hinge_witness(delta: float) -> WitnessReport:
     u_lo = sqrt_down(delta)
     e_lo = down(sum_down(u_lo, 1.0 - abs(p[1])) / sum_up(1.0, u_lo))
     hi_pq = 2.0 * atanh_one_minus(log_down(e_lo))
-    hi_xw = atanh_one_minus(sum_down(log_down(delta), -log_up(R)), up((w[0].real - R) / R))
 
     bounds = {
         "pq": DistBound(lb_split, hi_pq),
@@ -348,9 +347,9 @@ def hinge_witness(delta: float) -> WitnessReport:
         "qx": DistBound(0.0, ub_pair),
         "pw": DistBound(lb_ratio, ub_chain),
         "qw": DistBound(lb_ratio, ub_chain),
-        "xw": DistBound(lb_ratio, hi_xw),
+        "xw": DistBound(lb_ratio, ub_base_leg(log_down(delta))),
     }
-    checks = (("boundary bracket at w is exact", bw.lo == bw.hi == 1.0),)
+    checks = (("unit ball about w clears the flat face", domain.psi_up(1.0) == 0.0),)
     return WitnessReport(
         family="hinge",
         param=delta,
@@ -413,8 +412,9 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     if not 0.0 < x <= 0.1:
         raise CertificateError("flat witness is calibrated for x in (0, 0.1]")
     profile = domain.profile
-    if profile.name == "hinge":
-        raise CertificateError("the flat witness needs a strictly increasing profile")
+    log_psi = profile.log_value(x)
+    if log_psi == -math.inf:
+        raise CertificateError(f"the flat witness needs psi(x) > 0, and psi({x}) = 0")
     if profile.steepness(x) <= 2.0:
         # the coupling level tau = 1 - 1/steepness must clear the functional
         # values ~alpha; steepness > 2 keeps it clear with a full margin
@@ -423,7 +423,6 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     alpha = alpha_schedule(profile, x)
     t1 = (1.0 - alpha) * x
     log_alpha = log_up(alpha)
-    log_psi = profile.log_value(x)
     px1 = profile.value(x)
 
     p: PointC2 = (complex(px1), complex(-t1))
@@ -456,14 +455,11 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
 
     # caps in logs: the slice disc of radius x at height psi(x) (analytic
     # tangency) from w to q at parameter 1 - alpha (p, at -(1 - alpha), is
-    # twice as far from q), and the z1 disc at z2 = 0, centred at R and so
-    # tangent at Re z1 = 0 since psi(0) = 0, from the base point to w; the
-    # float disc distance atanh(1 - alpha) re-checks the slice leg s_lb reads
-    # twice; log_value is one division or libm log away from log psi(x) here
+    # twice as far from q), and ub_base_leg from w, whose log psi(x) is one
+    # division or libm log away from log_value; the float disc distance
+    # atanh(1 - alpha) re-checks the slice leg s_lb reads twice
     ub_slice = atanh_one_minus(log_down(alpha))
     slice_float = _atanh_stable(MATH, 1.0 - alpha, alpha * (2.0 - alpha))
-    xw_hi = atanh_one_minus(sum_down(down(log_psi, LIBM_FLOATS), -log_up(DISC_RADIUS)),
-                            up((xb[0].real - DISC_RADIUS) / DISC_RADIUS))
 
     # lb_ratio and ub_ball grow like 1/(2x) and cancel; their sum with lb_half
     # keeps the nearest rounding perfbench's reference records (2.4e-7 a step)
@@ -476,7 +472,7 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
         "qx": DistBound(lb_base, ub_ball),
         "pw": DistBound(lb_half, ub_slice),
         "qw": DistBound(lb_half, ub_slice),
-        "xw": DistBound(lb_ratio, xw_hi),
+        "xw": DistBound(lb_ratio, ub_base_leg(down(log_psi, LIBM_FLOATS))),
     }
 
     checks = (

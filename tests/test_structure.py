@@ -2,7 +2,8 @@
 that its function never reads, no defaulted parameter or dataclass field
 that no caller sets, no dataclass field that nothing reads, no checks
 that are constants, no directed rounding outside the rounding module, no
-formula kept twice as a scalar and an array twin."""
+formula kept twice as a scalar and an array twin, no code that branches on
+a name."""
 
 import ast
 from collections import Counter
@@ -250,3 +251,36 @@ def test_no_array_twins():
         names = {name for name, _ in _definitions(_parse(path))}
         twins += [f"{path.stem}.{name}" for name in sorted(names) if f"{name}_array" in names]
     assert not twins, f"names defined beside an _array twin: {twins}"
+
+
+# functions allowed to compare a ``.name``, each with its reason
+NAME_FORKS = {
+    # the hinge's closed-form profile distance: the branch and bound in its
+    # place makes verify.run_all 15-23% slower (best of 20 calls, 42-45 ->
+    # 51-53 ms on a 2-core Xeon VM)
+    ("convex", "boundary_distance_brackets"),
+}
+
+
+def _name_compares(tree):
+    """(innermost enclosing function, line) of each comparison that reads a
+    ``.name`` attribute; ast.walk visits outer functions first."""
+    owner = {}
+    for func in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Attribute) and side.attr == "name"
+                for side in [node.left, *node.comparators]
+            ):
+                owner[node.lineno] = getattr(func, "name", "<module>")
+    return [(name, line) for line, name in sorted(owner.items())]
+
+
+def test_no_code_branches_on_a_name():
+    # a profile or domain is refused or dispatched by what it computes: a
+    # hinge-shaped profile under another name must meet the same guard
+    forks = [f"{path.stem}.{func} (line {line})"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for func, line in _name_compares(_parse(path))
+             if (path.stem, func) not in NAME_FORKS]
+    assert not forks, f"comparisons of a .name outside NAME_FORKS: {forks}"

@@ -10,7 +10,7 @@ from gromovlab import convex, witnesses
 from gromovlab.convex import BASE_POINT, CertificateError, ModelDomain, ub_interior_ball
 from gromovlab.core import four_point_defects
 from gromovlab.exact import SAMPLE_DOMAINS, DistBound
-from gromovlab.models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL
+from gromovlab.models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL
 from gromovlab.witnesses import (
     alpha_schedule,
     claims_check,
@@ -219,6 +219,15 @@ def test_flat_witness_exp_checks_pass(x):
     flat_witness(FLAT_EXP_MODEL, x)  # a failed check raises CertificateError
 
 
+@pytest.mark.parametrize("name", ["hinge", "shifted"])
+def test_flat_witness_refuses_a_profile_that_vanishes_at_x(name):
+    # the refusal reads psi(x) = 0 itself, not the profile's name
+    profile = dataclasses.replace(HINGE_MODEL.profile, name=name)
+    domain = dataclasses.replace(HINGE_MODEL, profile=profile)
+    with pytest.raises(CertificateError, match=r"needs psi\(x\) > 0"):
+        flat_witness(domain, 0.05)
+
+
 def test_flat_witness_exp_grows_quartic_does_not():
     xs = [0.02 * math.exp(-2.0 * k) for k in range(5)]
     ev = [flat_witness(FLAT_EXP_MODEL, x).s_lb for x in xs]
@@ -319,8 +328,9 @@ def test_witnesses_test_membership_only_in_the_bracket(monkeypatch):
     # every disc is certified where it is built, with no sampled net: the
     # witnesses and the interior ball call contains only through the
     # boundary bracket's membership check, on each bracketed point once;
-    # each model witness brackets its base point alone, and reads every
-    # other boundary distance as a height over the profile
+    # the flat witness brackets its base point alone, the hinge witness
+    # nothing, and each reads every other boundary distance as a height
+    # over the profile
     contained, blocks = [], []
     contains, brackets = ModelDomain.contains, ModelDomain.boundary_distance_brackets
 
@@ -337,8 +347,8 @@ def test_witnesses_test_membership_only_in_the_bracket(monkeypatch):
     m = FLAT_EXP_MODEL
     z = (complex(m.profile.value(0.12) + 1e-4), complex(0.12))
     for build, bracketed in (
-        (lambda: hinge_witness(1e-6), [[BASE_POINT]]),
-        (lambda: hinge_witness(1e-22), [[BASE_POINT]]),
+        (lambda: hinge_witness(1e-6), []),
+        (lambda: hinge_witness(1e-22), []),
         (lambda: flat_witness(FLAT_EXP_MODEL, 0.02), [[BASE_POINT]]),
         (lambda: flat_witness(FLAT_QUARTIC_MODEL, 1e-5), [[BASE_POINT]]),
         (lambda: ub_interior_ball(m, z, math.log(1e-4)), []),
@@ -389,13 +399,6 @@ def _stretched_pw(d):
     return d * np.array([1.0, 1.0, 1.0, 1.5, 1.0, 1.0])
 
 
-def _stretched_hinge_heights(monkeypatch):
-    # scale ModelDomain._hinge_profile_distance, a staticmethod, on its block
-    original = ModelDomain._hinge_profile_distance
-    monkeypatch.setattr(ModelDomain, "_hinge_profile_distance",
-                        staticmethod(lambda x1, s: original(x1, s) * (1.0 + 1e-10)))
-
-
 def _cut_branch_and_bound(monkeypatch):
     monkeypatch.setattr(convex, "_BB_MAX_ITER", 1)
 
@@ -418,7 +421,8 @@ CHECK_MUTATIONS = {
         ("tetra", 0.5, _wrap(witnesses, "atanh_down", lambda v: v - 1e-9)),
     ("tetra", "defect equals atanh(a)"):
         ("tetra", 0.5, _wrap(witnesses, "defect_interval", _low_defect)),
-    ("hinge", "boundary bracket at w is exact"): ("hinge", 1e-6, _stretched_hinge_heights),
+    ("hinge", "unit ball about w clears the flat face"):
+        ("hinge", 1e-6, _wrap(ModelDomain, "psi_up", lambda v: v + 1e-300)),
     # the flat_exp base bracket settles in its first pass, so only the
     # quartic profile can be cut short
     ("flat", "base-point bracket converged"): ("flat_quartic", 0.02, _cut_branch_and_bound),
