@@ -30,7 +30,6 @@ from .profiles import EXP_FLAT, HINGE, QUARTIC, ProfileFn
 from .verify import SuiteResult, run_all
 from .witnesses import (
     WitnessReport,
-    claims_check,
     flat_witness,
     gn_witness,
     hinge_witness,
@@ -59,7 +58,6 @@ __all__ = [
     "SuiteResult",
     "TangentHalfspaceCert",
     "WitnessReport",
-    "claims_check",
     "disc_distance",
     "estimate_delta",
     "flat_witness",

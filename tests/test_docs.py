@@ -5,7 +5,8 @@ import shlex
 import textwrap
 from pathlib import Path
 
-from gromovlab import cli
+from gromovlab import cli, witnesses
+from test_witnesses import _ONE_PARAM
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +34,12 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert cli.main(argv) == 0, argv
+
+
+def test_readme_check_list_is_the_recorded_checks():
+    # the check names the README lists are those the families record
+    text = " ".join(README.read_text().split())
+    listed = text.split("The checks are:", 1)[1].split("A sweep records", 1)[0]
+    recorded = {check for name, family in witnesses.FAMILIES.items()
+                for check, _ in family.witness(_ONE_PARAM[name]).checks}
+    assert set(re.findall(r'"([^"]+)"', listed)) == recorded

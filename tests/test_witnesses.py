@@ -12,8 +12,6 @@ from gromovlab.core import four_point_defects
 from gromovlab.exact import SAMPLE_DOMAINS, DistBound
 from gromovlab.models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL
 from gromovlab.witnesses import (
-    alpha_schedule,
-    claims_check,
     defect_interval,
     flat_witness,
     gn_witness,
@@ -236,56 +234,6 @@ def test_flat_witness_exp_grows_quartic_does_not():
     assert abs(qv[-1] - qv[0]) < 0.1
 
 
-@pytest.mark.parametrize("m", [FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL], ids=lambda m: m.name)
-@pytest.mark.parametrize("x", [0.02, 0.05, 0.1])
-def test_claims_check_float_regime(m, x):
-    claims_check(m, x)  # raises on a failed claim
-
-
-def _wide_brackets(original):
-    def brackets(self, zs):
-        bs, cut_short = original(self, zs)
-        return [DistBound(b.lo, 2.0 * b.hi) for b in bs], cut_short
-    return brackets
-
-
-def _no_cheap_lower(original):
-    return lambda self, z: 0.0 * original(self, z)
-
-
-CLAIM_MUTATIONS = {
-    "boundary distance at the center equals the height": ("boundary_distance_brackets",
-                                                          _wide_brackets),
-    "offset-point boundary distance lands in the slab": ("cheap_boundary_lower", _no_cheap_lower),
-}
-
-
-@pytest.mark.parametrize("claim", list(CLAIM_MUTATIONS))
-def test_claims_check_raises_naming_the_failed_claim(monkeypatch, claim):
-    method, mutation = CLAIM_MUTATIONS[claim]
-    monkeypatch.setattr(ModelDomain, method, mutation(getattr(ModelDomain, method)))
-    with pytest.raises(CertificateError, match=f"^claim failed: {claim} ") as info:
-        claims_check(FLAT_EXP_MODEL, 0.05)
-    others = [name for name in CLAIM_MUTATIONS if name != claim]
-    assert not any(name in str(info.value) for name in others)
-
-
-def test_claims_check_refuses_log_regime():
-    from gromovlab.convex import CertificateError
-
-    with pytest.raises(CertificateError):
-        claims_check(FLAT_EXP_MODEL, 1e-9)
-
-
-def test_alpha_schedule_keeps_increment_in_slab():
-    for x in (0.02, 0.05, 0.1):
-        p = FLAT_EXP_MODEL.profile
-        a = alpha_schedule(p, x)
-        inc = p.value(x) - p.value((1.0 - a) * x)
-        hi = a * x * p.deriv(x)
-        assert hi / 4.0 <= inc <= hi * (1.0 + 1e-12)
-
-
 # (model, x) -> (ub_ball, ub_slice, pq bound, xw bound), at the top of the
 # sweep range and deep inside it
 FLAT_PINS = {
@@ -417,8 +365,6 @@ CHECK_MUTATIONS = {
         ("tetra", 0.5, _wrap(witnesses, "_atanh_stable", lambda v: v + 1e-9)),
     ("tetra", "origin-formula agreement on the long leg"):
         ("tetra", 0.5, _wrap(witnesses, "tetra_origin_distance", lambda v: v + 1e-9)),
-    ("tetra", "midpoint splits the long leg"):
-        ("tetra", 0.5, _wrap(witnesses, "atanh_down", lambda v: v - 1e-9)),
     ("tetra", "defect equals atanh(a)"):
         ("tetra", 0.5, _wrap(witnesses, "defect_interval", _low_defect)),
     ("hinge", "unit ball about w clears the flat face"):
