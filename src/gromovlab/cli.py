@@ -219,16 +219,10 @@ def run_sample(
     est = core.estimate_delta(d, sampler, n, seed)
     log.debug("sampled n=%d sup=%.6g (%.0f ms)",
               n, est.sup_defect, 1e3 * (time.perf_counter() - t0))
-    rows = [
-        {"n": str(ck), "sup_defect": _fmt(sup), "error": ""}
-        for ck, sup in est.checkpoints
-    ]
     with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["n", "sup_defect", "error"], lineterminator="\n"
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+        # no field can need quoting: a count, a float and an empty error
+        fh.write("n,sup_defect,error\n")
+        fh.writelines(f"{ck},{_fmt(sup)},\n" for ck, sup in est.checkpoints)
         scale_note = "" if directed_scale is None else f" directed_scale={_fmt(directed_scale)}"
         fh.write(f"# summary domain={domain} n={n} seed={seed}"
                  f"{scale_note} sup={_fmt(est.sup_defect)}\n")

@@ -54,12 +54,20 @@ ArrayDistance = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: quadruples drawn and evaluated per block.  Draws always come in whole
 #: blocks, so a run of n quadruples shares its first n with every longer
-#: run of the same seed.  At 512 the largest temporary (the bidisc's
-#: 12-fold disc batch) stays under 100 kB and the peak resident set does
-#: not grow over a run; at 1024 it grew by 0.5 MB (ball) and 1.1 MB
-#: (bidisc), for no measurable gain in speed; at 256 the peak was the
-#: same and a quadruple took 35-65% longer.
+#: run of the same seed; the block size also sets how the disc and ball
+#: generators consume the stream, so it fixes the sampled bits.
+#: At 512 the largest temporary (the bidisc's 12-fold disc batch) stays
+#: under 100 kB and the peak resident set does not grow over a run.  On
+#: a 2-core x86-64 VM, over runs of 2e4 quadruples: at 1024 the peak grew
+#: by 0.6 MB (ball) and 1.0 MB (bidisc), a ball quadruple took 13-18%
+#: longer and a bidisc one 35-39%, and the disc, royal line and axis
+#: saved 8-20%; at 256 the peak was the same and a quadruple took 13-43%
+#: longer.
 CHUNK = 512
+
+# positions in (p, q, x, w) of the six pairs' first and second points
+_PAIR_FIRST = np.array([0, 1, 2, 0, 2, 0])
+_PAIR_SECOND = np.array([3, 3, 3, 2, 1, 1])
 
 
 def uniform_quadruple_sampler(points: PointGenerator) -> Sampler:
@@ -86,7 +94,7 @@ def mixed_quadruple_sampler(base: Sampler, quad: Quadruple, period: int) -> Samp
 
     def draw(rng: np.random.Generator, start: int, size: int) -> np.ndarray:
         quads = base(rng, start, size)
-        quads[np.arange((period - 1 - start) % period, size, period)] = injected
+        quads[(period - 1 - start) % period::period] = injected
         return quads
 
     return draw
@@ -96,27 +104,36 @@ def four_point_defects(d: ArrayDistance, quads: np.ndarray) -> np.ndarray:
     """Defects min{(p,x)_w, (x,q)_w} - (p,q)_w of a (N, 4, ...) block of
     quadruples (p, q, x, w), as an (N,) array.
 
-    The six distances go to ``d`` as one batch, and the three Gromov
-    products share them.  The block is refused when a product lies below
-    -2 METRIC_TOL (1 + the largest |product| of its quadruple), or is NaN:
-    the oracle is then not a metric.
+    The six pairs (p,w), (q,w), (x,w), (p,x), (x,q), (p,q) of every
+    quadruple go to ``d`` as one batch, gathered with one ``take`` per
+    side, for points of any shape: quadruple by quadruple, the six pairs
+    of each in turn.  The three Gromov products share the distances.  The
+    block is refused when a product lies below -2 METRIC_TOL (1 + the
+    largest |product| of its quadruple), or is NaN: the oracle is then not
+    a metric.  That floor is never above -2 METRIC_TOL, so the scale is
+    formed only for a block with a product below -2 METRIC_TOL.
     """
-    p, q, x, w = (quads[:, k] for k in range(4))
-    dist = d(np.concatenate((p, q, x, p, x, p)), np.concatenate((w, w, w, x, q, q)))
-    d_pw, d_qw, d_xw, d_px, d_xq, d_pq = np.reshape(dist, (6, len(quads)))
+    n = len(quads)
+    # the positions are in range, and mode="clip" skips the bounds check
+    # that nearly doubles the take's time on real points
+    dist = d(quads.take(_PAIR_FIRST, axis=1, mode="clip").reshape(6 * n, *quads.shape[2:]),
+             quads.take(_PAIR_SECOND, axis=1, mode="clip").reshape(6 * n, *quads.shape[2:]))
+    d_pw, d_qw, d_xw, d_px, d_xq, d_pq = dist.reshape(n, 6).T
     gp_px = d_pw + d_xw - d_px
     gp_xq = d_xw + d_qw - d_xq
     gp_pq = d_pw + d_qw - d_pq
-    scale = 1.0 + np.maximum(np.maximum(np.abs(gp_px), np.abs(gp_xq)), np.abs(gp_pq))
-    floor = -2.0 * METRIC_TOL * scale
-    ok = np.minimum(np.minimum(gp_px, gp_xq), gp_pq) >= floor
-    if not np.all(ok):
-        raise ValueError(
-            "negative Gromov product beyond tolerance; distance oracle "
-            f"violates the triangle inequality on quadruple {int(np.argmin(ok))} "
-            "of the block"
-        )
-    return np.minimum(gp_px, gp_xq) - gp_pq
+    near = np.minimum(gp_px, gp_xq)
+    lowest = np.minimum(near, gp_pq)
+    if not (lowest >= -2.0 * METRIC_TOL).all():
+        scale = 1.0 + np.maximum(np.maximum(np.abs(gp_px), np.abs(gp_xq)), np.abs(gp_pq))
+        ok = lowest >= -2.0 * METRIC_TOL * scale
+        if not np.all(ok):
+            raise ValueError(
+                "negative Gromov product beyond tolerance; distance oracle "
+                f"violates the triangle inequality on quadruple {int(np.argmin(ok))} "
+                "of the block"
+            )
+    return near - gp_pq
 
 
 def _decade_checkpoints(n: int) -> list[int]:

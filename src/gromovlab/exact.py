@@ -105,10 +105,18 @@ def atanh_one_minus(log_eps: float, a: float = 0.0) -> float:
 def _disc_distance_gaps(xp, u, v, gap_u, gap_v):
     # disc distance given the gaps 1 - |u|^2, 1 - |v|^2, which a caller may
     # know better than the coordinates do: 1 - m^2 = gap_u gap_v / |1 - conj(u) v|^2
-    den = abs(1.0 - xp.conj(u) * v) ** 2
+    den = abs(1.0 - u.conjugate() * v) ** 2
     one_minus_m2 = (gap_u / den) * gap_v
     m = abs(u - v) / xp.sqrt(den)
     return _atanh_stable(xp, m, one_minus_m2)
+
+
+def _abs2(z):
+    # |z|^2; a real array's .imag is a new array of zeros, and adding its
+    # square leaves z*z's bits as they are
+    if isinstance(z, np.ndarray) and z.dtype.kind != "c":
+        return z * z
+    return z.real * z.real + z.imag * z.imag
 
 
 def disc_distance(u, v):
@@ -119,8 +127,8 @@ def disc_distance(u, v):
         xp, u, v = np, np.asarray(u), np.asarray(v)
     else:
         xp = MATH
-    gap_u = 1.0 - (u.real * u.real + u.imag * u.imag)
-    gap_v = 1.0 - (v.real * v.real + v.imag * v.imag)
+    gap_u = 1.0 - _abs2(u)
+    gap_v = 1.0 - _abs2(v)
     if not (xp.all(gap_u > 0.0) and xp.all(gap_v > 0.0)):
         raise OracleError("disc_distance: point outside the open disc")
     return _disc_distance_gaps(xp, u, v, gap_u, gap_v)
@@ -210,15 +218,17 @@ def polydisc_axis_distance_array(ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
     geodesic parameters: max_i |t_i - s_i|.
 
     A non-finite parameter stands for no point, so it raises instead of
-    turning into a NaN distance.
+    turning into a NaN distance.  The test reads |t_i - s_i|, so a pair
+    of finite parameters whose difference overflows raises as well.
     """
     t = np.asarray(ts, dtype=float)
     s = np.asarray(ss, dtype=float)
     if t.shape != s.shape or t.ndim != 2:
         raise OracleError("dimension mismatch")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(s))):
+    diff = np.abs(t - s)
+    if not np.isfinite(diff).all():
         raise OracleError("polydisc_axis_distance_array: non-finite geodesic parameter")
-    return _row_max(np.abs(t - s))
+    return _row_max(diff)
 
 
 def disc_points(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -85,7 +85,7 @@ MATH = ModuleType("MATH")
 MATH.__dict__.update(
     exp=math.exp, log=math.log, log1p=math.log1p, sqrt=math.sqrt, arctanh=math.atanh,
     maximum=lambda a, b: b if b > a else a, minimum=lambda a, b: b if b < a else a,
-    conj=lambda z: z.conjugate(), all=bool, where=lambda c, a, b: a if c else b)
+    all=bool, where=lambda c, a, b: a if c else b)
 
 
 def _ends(name, floats=(LIBM_FLOATS, SIMD_FLOATS)):

@@ -1,0 +1,54 @@
+"""Microbenchmark of the sampling engine: the four-point defect of one
+block on each sampled domain, and one witness-directed `run_sample` call
+per scale.
+
+    PYTHONPATH=src python tests/bench_engine.py
+
+Each block row times `core.four_point_defects` on one block of
+`core.CHUNK` quadruples drawn from the domain's generator, in µs per
+block, and the domain's distance kernel alone on as many pairs as a
+block hands it, 6 * CHUNK; the difference is the engine's own cost.
+Each directed row times one `run_sample` call of 2,000 quadruples on
+the bidisc with product witnesses of defect S injected, the call the
+sample-controls benchmark makes 15 times a round, in µs per call.
+Not collected by pytest: it measures, it does not check.
+"""
+
+import os
+import tempfile
+import timeit
+
+import numpy as np
+
+from gromovlab import cli, core, exact
+
+DIRECTED_SCALES = (10.0, 100.0, 300.0)
+DIRECTED_N = 2000
+
+
+def _per_call_us(f):
+    timer = timeit.Timer(f)
+    n, _ = timer.autorange()
+    return 1e6 * min(timer.repeat(5, n)) / n
+
+
+def main() -> None:
+    print(f"{'domain':>14} {'block us':>9} {'kernel us':>10}")
+    for name, dom in exact.SAMPLE_DOMAINS.items():
+        sampler = core.uniform_quadruple_sampler(dom.points)
+        quads = sampler(np.random.default_rng(0), 0, core.CHUNK)
+        pts = dom.points(np.random.default_rng(1), 12 * core.CHUNK)
+        xs, ys = pts[: 6 * core.CHUNK], pts[6 * core.CHUNK:]
+        block = _per_call_us(lambda: core.four_point_defects(dom.distance, quads))
+        kernel = _per_call_us(lambda: dom.distance(xs, ys))
+        print(f"{name:>14} {block:>9.1f} {kernel:>10.1f}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "directed.csv")
+        for scale in DIRECTED_SCALES:
+            call = _per_call_us(
+                lambda: cli.run_sample("polydisc", DIRECTED_N, 5, out, directed_scale=scale))
+            print(f"directed run_sample n={DIRECTED_N} S={scale:g}: {call:.0f} us")
+
+
+if __name__ == "__main__":
+    main()

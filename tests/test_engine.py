@@ -6,11 +6,13 @@ tetrablock's royal line (``tests/oracle_gen.py``), and a plain Python
 max for the axis.  The royal line is a complex geodesic, sampled with the
 disc kernel on its real parameter u.  Block defects agree with
 a loop over the reference distances; the engine's checks fire on a
-non-metric oracle and on a point outside the domain; one ``run_sample``
-pass gives every decade checkpoint.
+non-metric oracle and on a point outside the domain, and the refusal's
+scaled floor holds to the float; one ``run_sample`` pass gives every
+decade checkpoint, and its CSV bytes are pinned.
 """
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -276,6 +278,44 @@ def test_non_metric_oracle_is_refused(domain):
         core.estimate_delta(squared, sampler, 2 * core.CHUNK, seed=1)
 
 
+# distances of a synthetic block of quadruples (p, q, x, w) = (4k, 4k+1,
+# 4k+2, 4k+3): 1 on every pair of a clean quadruple, whose products are
+# all 1.  A probed quadruple has (p,x)_w = (x,q)_w = 1, so its scale is
+# 1 + 1 = 2 exactly while |(p,q)_w| stays below 1, and (p,q)_w = -d(p,q)
+FLOOR = -2.0 * core.METRIC_TOL * 2.0
+
+
+def _block_with(pq_by_quad, n=8):
+    table = np.ones((4 * n, 4 * n))
+    for k, d_pq in pq_by_quad.items():
+        p, q, x, w = range(4 * k, 4 * k + 4)
+        table[p, w] = table[q, w] = table[p, x] = table[x, q] = 0.0
+        table[p, q] = d_pq
+    quads = np.arange(4.0 * n).reshape(n, 4)
+    return (lambda xs, ys: table[xs.astype(int), ys.astype(int)]), quads
+
+
+@pytest.mark.parametrize("products, refused", [
+    ({5: FLOOR}, None),
+    ({5: np.nextafter(FLOOR, 0.0)}, None),
+    ({5: np.nextafter(FLOOR, -1.0)}, 5),
+    ({5: -3e-9}, None),
+    ({2: -3e-9, 5: np.nextafter(FLOOR, -1.0)}, 5),
+    ({5: math.nan}, 5),
+    ({3: math.nan, 5: np.nextafter(FLOOR, -1.0)}, 3),
+])
+def test_refusal_holds_at_the_scaled_floor(products, refused):
+    # a (p,q)_w on the floor -2 METRIC_TOL (1 + max |product|) passes, a
+    # float below it or a NaN is refused, naming the first such
+    # quadruple; one between the floor and -2 METRIC_TOL passes
+    d, quads = _block_with({k: -gp for k, gp in products.items()})
+    if refused is None:
+        core.four_point_defects(d, quads)
+        return
+    with pytest.raises(ValueError, match=f"on quadruple {refused} of the block"):
+        core.four_point_defects(d, quads)
+
+
 @pytest.mark.parametrize("domain, bad", [
     ("disc", 1.5 + 0.0j), ("disc", 1.0 + 0.0j), ("disc", complex("nan")),
     ("ball", (1.0 + 0.0j, 0.0j)), ("polydisc", (0.0j, -1j)),
@@ -350,3 +390,23 @@ def test_directed_sup_is_the_scale_at_every_checkpoint(tmp_path, scale):
     sups = _sups(out)
     assert list(sups) == [10, 100, 1000, 10**4]
     assert all(sup == scale for sup in sups.values())
+
+
+# sha256 of run_sample's CSV at seed 7 and period 8: any change to a
+# sampled bit, a checkpoint or the file's layout changes them
+SAMPLE_DIGESTS = [
+    ("disc", 10**4, None, "031c1331c19779db2e6b51467f937994e7f144ef9981cc3d6eb247cbbef425c0"),
+    ("ball", 10**4, None, "983c885398663b932176229ef7226c34a6d05a260797dcf29fd175d46f314b20"),
+    ("polydisc", 10**4, None, "169b1d88cf1399b1e476b572760c1dcbaf6875e102ab3ee98dca4e7b4cc797b5"),
+    ("tetra", 10**4, None, "52c6393fb5cc1adec5910ebf52733a2267a261d79ec3bee8c36b94387cacef59"),
+    ("polydisc", 2000, 10.0, "abd9139f33aa59cb9519c74cad7833ae4c92f73b558ba6552da2a6ba4dfaab67"),
+    ("polydisc", 2000, 100.0, "c672d6b00f402feac8586df4c68ebde7bac24b091df63d42be9cfc1e67d9daea"),
+    ("polydisc", 2000, 300.0, "09e19ca86dd0de4538621a9961216a2aadd50c8274105e6548c4aacb88fc2e9b"),
+]
+
+
+@pytest.mark.parametrize("domain, n, scale, digest", SAMPLE_DIGESTS)
+def test_sample_csv_bytes_are_pinned(tmp_path, domain, n, scale, digest):
+    out = tmp_path / "sample.csv"
+    assert cli.run_sample(domain, n, 7, str(out), directed_scale=scale) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
