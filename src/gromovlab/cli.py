@@ -187,13 +187,13 @@ def _sample_setup(domain: str, directed_scale: float | None, period: int):
     # scale (tanh saturates doubles near 19), so the injected product
     # quadruples keep their defect verbatim
     try:
-        rep = witnesses.product_witness(directed_scale)
+        quad = witnesses.product_quadruple(directed_scale)
     except CertificateError as e:
         # an out-of-range scale is a usage error, not a failed certificate
         raise ValueError(f"directed scale {directed_scale!r}: {e}") from e
     axis = exact.SAMPLE_DOMAINS["polydisc_axis"]
     base = core.uniform_quadruple_sampler(axis.points)
-    return axis.distance, core.mixed_quadruple_sampler(base, rep.quadruple, period=period)
+    return axis.distance, core.mixed_quadruple_sampler(base, quad, period=period)
 
 
 def run_sample(

@@ -5,8 +5,10 @@ Disc, half-plane, strip, polydisc and ball carry closed-form distances
 A symmetrized-bidisc point is carried as either of its bidisc lifts
 (z1, z2), with the same bits for both, and gets a two-sided enclosure
 from the lifts and their gaps 1 - |z_i|^2: maps to the disc (lower) and
-the lifts' bidisc distance (upper).  These take a stack of pairs and
-bound them all in one numpy pass, each pair with the bits it gets alone.
+the lifts' bidisc distance (upper).  These take one stack of lifts and
+the index arrays ``first`` and ``second`` of its pairs, map each lift
+once per phase of the coarse scan and bound every pair in one numpy
+pass, each pair with the bits it gets alone.
 The tetrablock gets the closed form for distances to the origin, and
 through its automorphisms for pairs that one of them aligns to the
 origin: the configurations the witness constructions use.  Its royal
@@ -55,10 +57,16 @@ _STABLE_SWITCH = 0.19
 
 # Phases of the symmetrized bidisc's maps to the disc scanned at first,
 # then the rounds of rescans around the best phase and the points in each;
-# each round shrinks the cell 32-fold, to 2.6e-10 rad after five.
+# each round shrinks the cell 32-fold, to 2.6e-10 rad after five.  The
+# coarse grid's phases and its lam row are constants, mapped at each
+# distinct lift of a stack once.
 _PHASE_GRID = 720
 _REFINE_ROUNDS = 5
 _REFINE_POINTS = 65
+_PHASE_STEP = 2.0 * math.pi / _PHASE_GRID
+_PHASE_THETA = _PHASE_STEP * np.arange(_PHASE_GRID)
+_PHASE_LAM = np.exp(1j * _PHASE_THETA)
+_REFINE_OFFSETS = np.linspace(-1.0, 1.0, _REFINE_POINTS)
 
 
 @dataclass(frozen=True)
@@ -354,74 +362,93 @@ def _lift_gaps(zs: Sequence[Sequence[complex]]) -> tuple[np.ndarray, np.ndarray]
     return z, g
 
 
-def _pair_gaps(xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # both stacks' lifts and gaps, refused before any scan runs
-    zx, gx = _lift_gaps(xs)
-    zy, gy = _lift_gaps(ys)
-    if len(zx) != len(zy):
-        raise OracleError(f"{len(zx)} lifts cannot pair with {len(zy)}")
-    return zx, gx, zy, gy
+def _gn_stack(lifts, first, second) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the stack's lifts and gaps, and its pairs (lifts[first[m]],
+    # lifts[second[m]]) as a (2, k) index array, refused before any scan runs
+    z, g = _lift_gaps(lifts)
+    i, j = np.asarray(first), np.asarray(second)
+    if i.ndim != 1 or i.shape != j.shape:
+        raise OracleError(f"pair indices of shapes {i.shape} and {j.shape} do not pair up")
+    ij = np.stack([i, j])
+    if ij.size and (ij.dtype.kind not in "iu" or ij.min() < 0 or ij.max() >= len(z)):
+        raise OracleError(f"a pair index lies outside the stack of {len(z)} lifts")
+    return z, g, ij.astype(np.intp)
 
 
-def _phi(lam: np.ndarray, z: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phi_lam(s, p) = (2 lam p - s)/(2 - lam s) at the points with lifts z
-    and gaps g, (k, 2) arrays, and 1 - |Phi_lam|^2, for each lam of the
-    row of the (k or 1, n) array that belongs to that point.
+def _lift_parts(z: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
+    # the lam-free parts of Phi_lam at each lift: z1, z2, z1 z2, z1 + z2 and
+    # the gaps g1, g2, each as a column; z1 z2 is formed first, so both lift
+    # orders give its bits
+    z1, z2 = z[:, :1], z[:, 1:]
+    return z1, z2, z1 * z2, z1 + z2, g[:, :1], g[:, 1:]
+
+
+def _phi(lam: np.ndarray, parts: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Phi_lam(s, p) = (2 lam p - s)/(2 - lam s) at the points whose lifts
+    have the _lift_parts ``parts``, and 1 - |Phi_lam|^2, for each lam of
+    the row of ``lam`` that broadcasts against that point's column.
 
     With w_i = 1 - lam z_i these are (2 lam z1 z2 - (z1 + z2))/(w1 + w2)
     and 2 (g1 |w2|^2 + g2 |w1|^2)/|w1 + w2|^2, which does not cancel.  The
     numerator's other form -(z1 w2 + z2 w1) cancels to 2 lam z1 z2 where
-    z1 + z2 = 0; z1 z2 is formed first, so both lift orders give its bits.
+    z1 + z2 = 0.
     """
-    z1, z2 = z[:, :1], z[:, 1:]
+    z1, z2, prod, total, g1, g2 = parts
     w1 = 1.0 - lam * z1
     w2 = 1.0 - lam * z2
     den = w1 + w2
-    phi = (2.0 * lam * (z1 * z2) - (z1 + z2)) / den
-    return phi, 2.0 * (g[:, :1] * np.abs(w2) ** 2 + g[:, 1:] * np.abs(w1) ** 2) / np.abs(den) ** 2
+    phi = (2.0 * lam * prod - total) / den
+    return phi, 2.0 * (g1 * np.abs(w2) ** 2 + g2 * np.abs(w1) ** 2) / np.abs(den) ** 2
 
 
-def gn_lower_bound(xs: Sequence[Sequence[complex]], ys: Sequence[Sequence[complex]]) -> np.ndarray:
+def gn_lower_bound(lifts: Sequence[Sequence[complex]], first: Sequence[int],
+                   second: Sequence[int]) -> np.ndarray:
     """Certified lower bounds for the invariant distances between the
-    points with lifts xs[i] and ys[i], for a stack of k pairs: the best
-    disc distance between their images under the maps Phi_lam, |lam| = 1,
-    which are holomorphic into the disc.
+    points with lifts lifts[first[m]] and lifts[second[m]], for each of
+    the k pairs: the best disc distance between their images under the
+    maps Phi_lam, |lam| = 1, which are holomorphic into the disc.
 
-    One (k, _PHASE_GRID) scan of phases, then _REFINE_ROUNDS rescans of
-    _REFINE_POINTS over the two cells around each row's own best phase
-    so far.  Every value is the distance of two images, so the scan can
-    only undershoot.  Each operation is elementwise and each row keeps
-    its first maximum, so a pair gets the same bits in any stack.
+    The _PHASE_GRID phases map each distinct lift once, and each pair
+    reads its two rows; then _REFINE_ROUNDS rescans of _REFINE_POINTS
+    over the two cells around each pair's own best phase so far, each
+    one _phi call over both sides of every pair.  Every value is the
+    distance of two images, so the scan can only undershoot.  Each
+    operation is elementwise and each row keeps its first maximum, so a
+    pair gets the same bits in any stack.
     """
-    zx, gx, zy, gy = _pair_gaps(xs, ys)
-    rows = np.arange(len(zx))
-
-    def scan(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lam = np.exp(1j * theta)
-        (u, gap_u), (v, gap_v) = _phi(lam, zx, gx), _phi(lam, zy, gy)
+    z, g, ij = _gn_stack(lifts, first, second)
+    parts = _lift_parts(z, g)
+    rows = np.arange(ij.shape[1])
+    phi, gap = _phi(_PHASE_LAM, parts)
+    d = _disc_distance_gaps(np, phi[ij[0]], phi[ij[1]], gap[ij[0]], gap[ij[1]])
+    j = np.argmax(d, axis=1)
+    best, theta0 = d[rows, j], _PHASE_THETA[j]
+    # each part as (2, k, 1): the pairs' first lifts, then their second
+    pair_parts = tuple(part[ij] for part in parts)
+    step = _PHASE_STEP
+    for _ in range(_REFINE_ROUNDS):
+        theta = theta0[:, None] + step * _REFINE_OFFSETS
+        (u, v), (gap_u, gap_v) = _phi(np.exp(1j * theta), pair_parts)
         d = _disc_distance_gaps(np, u, v, gap_u, gap_v)
         j = np.argmax(d, axis=1)
-        return d[rows, j], np.broadcast_to(theta, d.shape)[rows, j]
-
-    step = 2.0 * math.pi / _PHASE_GRID
-    best, theta0 = scan(step * np.arange(_PHASE_GRID)[None, :])
-    for _ in range(_REFINE_ROUNDS):
-        val, theta0 = scan(theta0[:, None] + step * np.linspace(-1.0, 1.0, _REFINE_POINTS))
-        best = np.maximum(best, val)
+        best = np.maximum(best, d[rows, j])
+        theta0 = theta[rows, j]
         step *= 2.0 / (_REFINE_POINTS - 1)
     return best
 
 
-def gn_upper_bound(xs: Sequence[Sequence[complex]], ys: Sequence[Sequence[complex]]) -> np.ndarray:
-    """Upper bounds between the points with lifts xs[i] and ys[i], for a
-    stack of k pairs: their bidisc distance under the better of the two
-    pairings of coordinates.
+def gn_upper_bound(lifts: Sequence[Sequence[complex]], first: Sequence[int],
+                   second: Sequence[int]) -> np.ndarray:
+    """Upper bounds between the points with lifts lifts[first[m]] and
+    lifts[second[m]], for each of the k pairs: their bidisc distance under
+    the better of the two pairings of coordinates.
 
     When z1 + z2 = 0 at both ends the analytic disc lam -> (0, lam) also
     joins them, through p = z1 z2 = -z1^2 with 1 - |p|^2 = g1 (2 - g1);
     that leg is much tighter than either pairing when the p are close.
     """
-    zx, gx, zy, gy = _pair_gaps(xs, ys)
+    z, g, (i, j) = _gn_stack(lifts, first, second)
+    zx, gx, zy, gy = z[i], g[i], z[j], g[j]
     # legs (x1, y1), (x2, y2), then (x1, y2), (x2, y1)
     ix, iy = [0, 1, 0, 1], [0, 1, 1, 0]
     d = _disc_distance_gaps(np, zx[:, ix], zy[:, iy], gx[:, ix], gy[:, iy])
@@ -443,14 +470,14 @@ def gn_upper_bound(xs: Sequence[Sequence[complex]], ys: Sequence[Sequence[comple
 _GN_FLOATS = 16 * SIMD_FLOATS
 
 
-def gn_pair_bounds(
-    xs: Sequence[Sequence[complex]], ys: Sequence[Sequence[complex]]
-) -> list[DistBound]:
+def gn_pair_bounds(lifts: Sequence[Sequence[complex]], first: Sequence[int],
+                   second: Sequence[int]) -> list[DistBound]:
     """Enclosure of the distance between the symmetrized-bidisc points with
-    lifts xs[i] and ys[i], for each pair of the stack: the scan and the
-    pairings, rounded outward by _GN_FLOATS."""
-    lower = np.maximum(down(gn_lower_bound(xs, ys), _GN_FLOATS), 0.0)
-    upper = up(gn_upper_bound(xs, ys), _GN_FLOATS)
+    lifts lifts[first[m]] and lifts[second[m]], for each of the k pairs:
+    the scan and the pairings, rounded outward by _GN_FLOATS.  A lift that
+    several pairs share is mapped once per phase of the coarse scan."""
+    lower = np.maximum(down(gn_lower_bound(lifts, first, second), _GN_FLOATS), 0.0)
+    upper = up(gn_upper_bound(lifts, first, second), _GN_FLOATS)
     return [DistBound(lo, hi) for lo, hi in zip(lower.tolist(), upper.tolist())]
 
 

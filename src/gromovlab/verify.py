@@ -155,8 +155,8 @@ def suite_metric_axioms(ctx: VerifyContext) -> list[str]:
 def suite_symmetrized_bidisc(ctx: VerifyContext) -> list[str]:
     # each pair's DistBound, and each witness, refuses a failed enclosure
     rng = np.random.default_rng(ctx.seed + 2)
-    lifts = rng.uniform(-0.9, 0.9, (12, 2, 2))
-    exact.gn_pair_bounds(lifts[:, 0], lifts[:, 1])
+    xs, ys = rng.uniform(-0.9, 0.9, (12, 2, 2)).swapaxes(0, 1)
+    exact.gn_pair_bounds(np.concatenate([xs, ys]), np.arange(12), np.arange(12, 24))
     for a in (0.3, 0.6, 0.9, 0.99):
         witnesses.gn_witness(a)
     return []

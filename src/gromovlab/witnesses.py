@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .convex import (BASE_POINT, DISC_RADIUS, CertificateError, ModelDomain, PointC2,
                      TangentHalfspaceCert, lb_boundary_ratio_log, lb_crossing_split,
                      ub_base_chain, ub_base_leg, ub_interior_ball, ub_slice_discs)
@@ -42,6 +44,9 @@ from .rounding import (LIBM_FLOATS, MATH, atanh_down, atanh_up, down, log1p_down
 _ALPHA_PER_X = 0.5 * math.log(2.0)
 
 _PAIR_KEYS = ("pq", "px", "qx", "pw", "qw", "xw")
+# the same pairs as indices into a quadruple (p, q, x, w)
+_PAIR_FIRST, _PAIR_SECOND = (
+    np.array(["pqxw".index(c) for c in side]) for side in zip(*_PAIR_KEYS))
 
 
 @dataclass(frozen=True)
@@ -105,23 +110,29 @@ def defect_interval(bounds: dict[str, DistBound]) -> DistBound:
 # product family: the bidisc in geodesic parameters
 
 
-def product_witness(s: float) -> WitnessReport:
-    """Defect exactly s on the bidisc, written in geodesic parameters.
-
-    Points are pairs of real parameters along the coordinate real
-    diameters (the actual bidisc point is (tanh t1, tanh t2)), where the
-    max-metric is exact:  p = (0,0), q = (2s,0), x = (s,2s), w = (s,0).
-    All six distances are exact maxima of parameter differences, and the
-    branch cancellation never forms 3s, so the defect is exactly s in
-    floats for every representable s.
-    """
+def product_quadruple(s: float) -> tuple[tuple[float, float], ...]:
+    """The product witness's quadruple p = (0,0), q = (2s,0), x = (s,2s),
+    w = (s,0) in geodesic parameters, for a scale s in (0, 300]."""
     if not 0.0 < s <= 300.0:
         raise CertificateError(
             "scale must be in (0, 300]: beyond that even the parameter "
             "representation of derived quantities can overflow downstream "
             "consumers, and tanh(s) is long since exactly 1.0"
         )
-    p, q, x, w = (0.0, 0.0), (2.0 * s, 0.0), (s, 2.0 * s), (s, 0.0)
+    return (0.0, 0.0), (2.0 * s, 0.0), (s, 2.0 * s), (s, 0.0)
+
+
+def product_witness(s: float) -> WitnessReport:
+    """Defect exactly s on the bidisc, written in geodesic parameters.
+
+    Points are pairs of real parameters along the coordinate real
+    diameters (the actual bidisc point is (tanh t1, tanh t2)), where the
+    max-metric is exact: the points of `product_quadruple`.  All six
+    distances are exact maxima of parameter differences, and the branch
+    cancellation never forms 3s, so the defect is exactly s in floats for
+    every representable s.
+    """
+    p, q, x, w = product_quadruple(s)
 
     # the six pairs in _PAIR_KEYS order, through the polydisc_axis kernel
     d = dict(zip(_PAIR_KEYS, polydisc_axis_distance_array(
@@ -153,8 +164,8 @@ def gn_witness(a: float) -> WitnessReport:
 
     The points are the images of the bidisc points (a, a) and (a, -a),
     the midpoint-like (a, 0) and the origin; ``quadruple`` holds these
-    lifts, and one stacked call bounds all six pairs from them.  s_lb is
-    the certified lower bound for the defect: the midpoint leg through
+    lifts, and one stacked call bounds all six pairs from its four lifts.
+    s_lb is the certified lower bound for the defect: the midpoint leg through
     the rational one-parameter family of holomorphic maps to the disc,
     plus the exact shift 2 atanh(a^2) - 2 atanh(a) (which tends to
     -log 2), so that s_lb ~ (1/2) log(1/(1-a)) - log 2.  It sits about
@@ -172,16 +183,7 @@ def gn_witness(a: float) -> WitnessReport:
     x = (complex(a), 0.0j)
     w = (0.0j, 0.0j)
 
-    pairs = {
-        "pq": (p, q),
-        "px": (p, x),
-        "qx": (q, x),
-        "pw": (p, w),
-        "qw": (q, w),
-        "xw": (x, w),
-    }
-    us, vs = zip(*pairs.values())
-    bounds = dict(zip(pairs, gn_pair_bounds(us, vs)))
+    bounds = dict(zip(_PAIR_KEYS, gn_pair_bounds((p, q, x, w), _PAIR_FIRST, _PAIR_SECOND)))
     interval = defect_interval(bounds)
 
     # 2 atanh(t) = log1p(2t/(1 - t)), with 1 - a^2 kept as (1 - a)(1 + a):

@@ -1,6 +1,6 @@
 """Microbenchmark of the sampling engine: the four-point defect of one
 block on each sampled domain, and one witness-directed `run_sample` call
-per scale.
+per scale; then the gn phase scan.
 
     PYTHONPATH=src python tests/bench_engine.py
 
@@ -11,6 +11,9 @@ block hands it, 6 * CHUNK; the difference is the engine's own cost.
 Each directed row times one `run_sample` call of 2,000 quadruples on
 the bidisc with product witnesses of defect S injected, the call the
 sample-controls benchmark makes 15 times a round, in µs per call.
+The gn rows time one `gn_witness(0.9)`, whose six pairs share four
+lifts, and one `gn_pair_bounds` stack of 12 pairs of 24 random real
+lifts, the draw of verify's symmetrized-bidisc suite, in µs per call.
 Not collected by pytest: it measures, it does not check.
 """
 
@@ -20,7 +23,7 @@ import timeit
 
 import numpy as np
 
-from gromovlab import cli, core, exact
+from gromovlab import cli, core, exact, witnesses
 
 DIRECTED_SCALES = (10.0, 100.0, 300.0)
 DIRECTED_N = 2000
@@ -48,6 +51,12 @@ def main() -> None:
             call = _per_call_us(
                 lambda: cli.run_sample("polydisc", DIRECTED_N, 5, out, directed_scale=scale))
             print(f"directed run_sample n={DIRECTED_N} S={scale:g}: {call:.0f} us")
+    witness = _per_call_us(lambda: witnesses.gn_witness(0.9))
+    print(f"gn_witness(0.9): {witness:.0f} us")
+    lifts = np.random.default_rng(2).uniform(-0.9, 0.9, (24, 2))
+    first, second = np.arange(12), np.arange(12, 24)
+    stack = _per_call_us(lambda: exact.gn_pair_bounds(lifts, first, second))
+    print(f"gn_pair_bounds, 12 pairs of 24 lifts: {stack:.0f} us")
 
 
 if __name__ == "__main__":

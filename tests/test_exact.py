@@ -1,6 +1,7 @@
 """Closed-form distances and two-sided bounds on the model domains."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -121,9 +122,9 @@ def test_gn_bounds_refuse_lift_outside_bidisc():
     inside = (0.3 + 0.1j, -0.5)
     for outside in ((1.2, 0.3), (0.3, 1.0), (0.6 + 0.8j, 0.0)):
         with pytest.raises(OracleError):
-            exact.gn_lower_bound([inside], [outside])
+            exact.gn_lower_bound([inside, outside], [0], [1])
         with pytest.raises(OracleError):
-            exact.gn_upper_bound([outside], [inside])
+            exact.gn_upper_bound([outside, inside], [0], [1])
 
 
 @pytest.mark.parametrize(
@@ -140,15 +141,31 @@ def test_gn_stack_refuses_a_bad_lift_before_scanning(monkeypatch, bad, at):
     good = [(0.1 * k, -0.05 * k + 0.2j) for k in range(7)]
     bad_stack = good[:at] + [bad] + good[at + 1:]
     for fn in (exact.gn_lower_bound, exact.gn_upper_bound):
-        for xs, ys in ((bad_stack, good), (good, bad_stack)):
-            with pytest.raises(OracleError, match=f"lift {at} of the stack") as err:
-                fn(xs, ys)
+        for lifts, i in ((bad_stack + good, at), (good + bad_stack, 7 + at)):
+            with pytest.raises(OracleError, match=f"lift {i} of the stack") as err:
+                fn(lifts, range(7), range(7, 14))
             assert repr(complex(bad[0])) in str(err.value)
 
 
-def test_gn_stacks_must_pair_up():
-    with pytest.raises(OracleError):
-        exact.gn_lower_bound([(0.1, 0.2)] * 3, [(0.3, 0.4)] * 2)
+def test_gn_stacks_must_pair_up(monkeypatch):
+    # each refusal comes before any scan runs
+    def never(*args):
+        raise AssertionError("a scan ran before the pairs were checked")
+
+    monkeypatch.setattr(exact, "_phi", never)
+    monkeypatch.setattr(exact, "_disc_distance_gaps", never)
+    lifts = [(0.1, 0.2), (0.3, 0.4), (-0.2, 0.5j)]
+    refused = [
+        ([0, 1, 2], [1, 2]),        # unequal lengths
+        ([[0, 1]], [[1, 2]]),       # not one index per pair
+        ([0, 3], [1, 2]),           # past the end of the stack
+        ([0, 1], [-1, 2]),          # before its start
+        ([0.0, 1.0], [1.0, 2.0]),   # not integers
+    ]
+    for first, second in refused:
+        for fn in (exact.gn_lower_bound, exact.gn_upper_bound, exact.gn_pair_bounds):
+            with pytest.raises(OracleError):
+                fn(lifts, first, second)
 
 
 @given(
@@ -164,7 +181,7 @@ def test_gn_pair_bounds_are_ordered(a, b, c, e):
     # form of Phi_lam, below the lower bound
     x = (complex(a, 0.1 * b), complex(b))
     y = (complex(c, -0.05), complex(e))
-    [bound] = exact.gn_pair_bounds([x], [y])
+    [bound] = exact.gn_pair_bounds([x, y], [0], [1])
 
     def image(lam, z):
         s, p = z[0] + z[1], z[0] * z[1]
@@ -179,14 +196,14 @@ def test_gn_pair_bounds_are_ordered(a, b, c, e):
 def test_gn_diagonal_matches_disc():
     # on the diagonal, lifts (z, z), both bounds collapse to the disc distance
     for z, w in [(0.0, 0.5), (0.2, -0.4), (0.6, 0.61)]:
-        [bound] = exact.gn_pair_bounds([(z, z)], [(w, w)])
+        [bound] = exact.gn_pair_bounds([(z, z), (w, w)], [0], [1])
         expect = exact.disc_distance(complex(z), complex(w))
         assert bound.lo == pytest.approx(expect, abs=1e-9)
         assert bound.hi == pytest.approx(expect, abs=1e-12)
 
 
 def _one_pair(x, y):
-    return exact.gn_lower_bound([x], [y])[0], exact.gn_upper_bound([x], [y])[0]
+    return exact.gn_lower_bound([x, y], [0], [1])[0], exact.gn_upper_bound([x, y], [0], [1])[0]
 
 
 # (lift of x, lift of y) -> (gn_lower_bound, gn_upper_bound), bit for bit;
@@ -238,16 +255,33 @@ _lifts = st.builds(_lift, _log_gaps, _log_gaps, _phases, _phases, st.booleans())
 @given(pairs=st.lists(st.tuples(_lifts, _lifts), min_size=1, max_size=16), data=st.data())
 def test_gn_stack_bits_match_each_pair_alone(pairs, data):
     xs, ys = zip(*pairs)
-    stacked = exact.gn_pair_bounds(xs, ys)
-    assert stacked == [exact.gn_pair_bounds([x], [y])[0] for x, y in pairs]
-    order = data.draw(st.permutations(range(len(pairs))))
-    shuffled = exact.gn_pair_bounds([xs[i] for i in order], [ys[i] for i in order])
+    k = len(pairs)
+    stacked = exact.gn_pair_bounds(xs + ys, range(k), range(k, 2 * k))
+    assert stacked == [exact.gn_pair_bounds([x, y], [0], [1])[0] for x, y in pairs]
+    order = data.draw(st.permutations(range(k)))
+    shuffled = exact.gn_pair_bounds(
+        [xs[i] for i in order] + [ys[i] for i in order], range(k), range(k, 2 * k))
     assert shuffled == [stacked[i] for i in order]
+
+
+@given(lifts=st.lists(_lifts, min_size=1, max_size=6),
+       picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=12))
+def test_gn_shared_lifts_match_repeated_lifts(lifts, picks):
+    # pairs that share lifts get the bits of the expanded stack, in which
+    # every pair has its own two lifts
+    first, second = (np.array(side) % len(lifts) for side in zip(*picks))
+    z = np.asarray(lifts)
+    k = len(first)
+    expanded = np.concatenate([z[first], z[second]])
+    want = (exact.gn_lower_bound(expanded, np.arange(k), np.arange(k, 2 * k)),
+            exact.gn_upper_bound(expanded, np.arange(k), np.arange(k, 2 * k)))
+    got = exact.gn_lower_bound(lifts, first, second), exact.gn_upper_bound(lifts, first, second)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_gn_lower_bound_hits_extremal_direction():
     # royal-axis pairs (0, -p^2): the theta grid contains the maximizer
-    assert exact.gn_lower_bound([(0.0, 0.0)], [(0.8, -0.8)])[0] == pytest.approx(
+    assert exact.gn_lower_bound([(0.0, 0.0), (0.8, -0.8)], [0], [1])[0] == pytest.approx(
         math.atanh(0.64), abs=1e-12
     )
 
@@ -367,8 +401,11 @@ def _real_cases():
         "strip points": (_pairwise(exact.strip_distance), s1, s2),
         "tetra origin off the royal line": (origin, off_royal),
         "tetra shift then origin": (shifted_origin, royal),
-        "gn lifts": (exact.gn_pair_bounds, lifts[:, 0], lifts[:, 1]),
-        "gn lifts on the p-axis": (exact.gn_pair_bounds, on_axis, on_axis[::-1]),
+        "gn lifts": (functools.partial(exact.gn_pair_bounds, first=np.arange(12),
+                                       second=np.arange(12, 24)),
+                     np.concatenate([lifts[:, 0], lifts[:, 1]])),
+        "gn lifts on the p-axis": (functools.partial(exact.gn_pair_bounds, first=np.arange(12),
+                                                     second=np.arange(11, -1, -1)), on_axis),
     }
 
 
