@@ -28,7 +28,6 @@ SWEEPS = {
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="results", help="directory for the CSVs")
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)
@@ -38,7 +37,6 @@ def main(argv=None):
         out = outdir / f"sweep_{family}.csv"
         code = cli.main([
             "sweep", "--family", family, "--grid", grid,
-            "--workers", str(args.workers),
             "--out", str(out),
         ])
         worst = max(worst, code)

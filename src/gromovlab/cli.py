@@ -54,12 +54,9 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _sweep_row(task: tuple[str, float, bool]) -> dict[str, str]:
-    """One CSV row as a dict of already formatted strings.
-
-    Module-level (not a closure) so a process pool can ship it.
-    """
-    family, param, timings = task
+def _sweep_row(family: str, param: float, timings: bool) -> dict[str, str]:
+    """The CSV row of one grid point, as a dict of already formatted
+    strings; an error the witness raises fills the row's error column."""
     names = witnesses.FAMILIES[family].terms
     row = {"param": _fmt(param), "S_lb": "", "wall_ms": "0", "error": ""}
     for name in names:
@@ -85,6 +82,7 @@ class SweepConfig:
     family: str
     grid: tuple[float, ...]
     out: str
+    # only the benchmark harness sets it, and only to 1
     workers: int = 1
     timings: bool = False
 
@@ -96,8 +94,8 @@ class SweepConfig:
         diffs = np.diff(self.grid)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("grid must be strictly monotone")
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
+        if self.workers != 1:
+            raise ValueError(f"the sweep runs in one process; workers={self.workers!r} must be 1")
 
 
 def parse_grid(spec: str) -> tuple[float, ...]:
@@ -134,23 +132,13 @@ def _summary_line(family: str, params: list[float], s_lbs: list[float]) -> str:
 
 
 def run_sweep(config: SweepConfig) -> int:
-    """Evaluate the family over the grid and write the CSV.  Returns the
-    exit code: 0, or 2 when any row carries an error."""
+    """Evaluate the family over the grid, one row after another in grid
+    order, and write the CSV.  Returns the exit code: 0, or 2 when any row
+    carries an error."""
     names = witnesses.FAMILIES[config.family].terms
     header = ["param", "S_lb", *names, "wall_ms", "error"]
-    tasks = [(config.family, p, config.timings) for p in config.grid]
-    log.info("sweep family=%s points=%d workers=%d",
-             config.family, len(tasks), config.workers)
-    if config.workers > 1:
-        # imported here: the pool's modules add about 1 MB of resident
-        # memory to every process that loads the CLI, and only this
-        # branch uses them
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(t) for t in tasks]
+    log.info("sweep family=%s points=%d", config.family, len(config.grid))
+    rows = [_sweep_row(config.family, p, config.timings) for p in config.grid]
 
     ok_params, ok_slbs = [], []
     failed = 0
@@ -250,7 +238,6 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p_sweep.add_argument("--grid", required=True, help="comma list or geom:start:ratio:count")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--timings", action="store_true",
                          help="record real wall_ms (breaks byte reproducibility)")
 
@@ -274,7 +261,6 @@ def _cmd_sweep(args) -> int:
         family=args.family,
         grid=parse_grid(args.grid),
         out=args.out,
-        workers=args.workers,
         timings=args.timings,
     )
     return run_sweep(config)

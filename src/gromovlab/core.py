@@ -65,9 +65,12 @@ ArrayDistance = Callable[[np.ndarray, np.ndarray], np.ndarray]
 #: longer.
 CHUNK = 512
 
-# positions in (p, q, x, w) of the six pairs' first and second points
-_PAIR_FIRST = np.array([0, 1, 2, 0, 2, 0])
-_PAIR_SECOND = np.array([3, 3, 3, 2, 1, 1])
+#: the six pairs of a quadruple (p, q, x, w) in the order
+#: four_point_defects evaluates them: each pair's name, and the positions
+#: of its first and second points; (x, q) is named "qx"
+PAIR_KEYS = ("pw", "qw", "xw", "px", "qx", "pq")
+PAIR_FIRST = np.array([0, 1, 2, 0, 2, 0])
+PAIR_SECOND = np.array([3, 3, 3, 2, 1, 1])
 
 
 def uniform_quadruple_sampler(points: PointGenerator) -> Sampler:
@@ -116,8 +119,8 @@ def four_point_defects(d: ArrayDistance, quads: np.ndarray) -> np.ndarray:
     n = len(quads)
     # the positions are in range, and mode="clip" skips the bounds check
     # that nearly doubles the take's time on real points
-    dist = d(quads.take(_PAIR_FIRST, axis=1, mode="clip").reshape(6 * n, *quads.shape[2:]),
-             quads.take(_PAIR_SECOND, axis=1, mode="clip").reshape(6 * n, *quads.shape[2:]))
+    dist = d(quads.take(PAIR_FIRST, axis=1, mode="clip").reshape(6 * n, *quads.shape[2:]),
+             quads.take(PAIR_SECOND, axis=1, mode="clip").reshape(6 * n, *quads.shape[2:]))
     d_pw, d_qw, d_xw, d_px, d_xq, d_pq = dist.reshape(n, 6).T
     gp_px = d_pw + d_xw - d_px
     gp_xq = d_xw + d_qw - d_xq

@@ -34,6 +34,7 @@ import numpy as np
 from .convex import (BASE_POINT, DISC_RADIUS, CertificateError, ModelDomain, PointC2,
                      TangentHalfspaceCert, lb_boundary_ratio_log, lb_crossing_split,
                      ub_base_chain, ub_base_leg, ub_interior_ball, ub_slice_discs)
+from .core import PAIR_FIRST, PAIR_KEYS, PAIR_SECOND
 from .exact import (DistBound, _atanh_stable, atanh_one_minus, gn_pair_bounds,
                     polydisc_axis_distance_array, tetra_automorphism, tetra_origin_distance)
 from .models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL
@@ -42,11 +43,6 @@ from .rounding import (LIBM_FLOATS, MATH, atanh_down, atanh_up, down, log1p_down
 
 # the flat witness's offset fraction per unit radius: alpha = (log 2 / 2) x
 _ALPHA_PER_X = 0.5 * math.log(2.0)
-
-_PAIR_KEYS = ("pq", "px", "qx", "pw", "qw", "xw")
-# the same pairs as indices into a quadruple (p, q, x, w)
-_PAIR_FIRST, _PAIR_SECOND = (
-    np.array(["pqxw".index(c) for c in side]) for side in zip(*_PAIR_KEYS))
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,7 @@ class WitnessReport:
     checks: tuple[tuple[str, bool], ...] = ()
 
     def __post_init__(self):
-        missing = [k for k in _PAIR_KEYS if k not in self.bounds]
+        missing = [k for k in PAIR_KEYS if k not in self.bounds]
         if missing:
             raise ValueError(f"witness report is missing pair bounds: {missing}")
         failed = [name for name, ok in self.checks if not ok]
@@ -92,16 +88,18 @@ def defect_interval(bounds: dict[str, DistBound]) -> DistBound:
         branch_px = d(x,w) - d(p,x) - d(q,w) + d(p,q)
         branch_qx = d(x,w) - d(q,x) - d(p,w) + d(p,q)
 
-    Each branch is summed outward, so exact ends give exact sums.
+    Each branch is summed outward, so exact ends give exact sums.  The
+    pairs are read in core.PAIR_KEYS order, the order of the engine's
+    four_point_defects.
     """
-    b = bounds
+    pw, qw, xw, px, qx, pq = [bounds[k] for k in PAIR_KEYS]
     lo = min(
-        sum_down(b["xw"].lo, -b["px"].hi, -b["qw"].hi, b["pq"].lo),
-        sum_down(b["xw"].lo, -b["qx"].hi, -b["pw"].hi, b["pq"].lo),
+        sum_down(xw.lo, -px.hi, -qw.hi, pq.lo),
+        sum_down(xw.lo, -qx.hi, -pw.hi, pq.lo),
     )
     hi = min(
-        sum_up(b["xw"].hi, -b["px"].lo, -b["qw"].lo, b["pq"].hi),
-        sum_up(b["xw"].hi, -b["qx"].lo, -b["pw"].lo, b["pq"].hi),
+        sum_up(xw.hi, -px.lo, -qw.lo, pq.hi),
+        sum_up(xw.hi, -qx.lo, -pw.lo, pq.hi),
     )
     return DistBound(lo=lo, hi=hi)
 
@@ -132,11 +130,11 @@ def product_witness(s: float) -> WitnessReport:
     cancellation never forms 3s, so the defect is exactly s in floats for
     every representable s.
     """
-    p, q, x, w = product_quadruple(s)
-
-    # the six pairs in _PAIR_KEYS order, through the polydisc_axis kernel
-    d = dict(zip(_PAIR_KEYS, polydisc_axis_distance_array(
-        [p, p, q, p, q, x], [q, x, x, w, w, w]).tolist()))
+    quad = product_quadruple(s)
+    pts = np.array(quad)
+    # the six pairs of core's table, through the polydisc_axis kernel
+    d = dict(zip(PAIR_KEYS, polydisc_axis_distance_array(
+        pts[PAIR_FIRST], pts[PAIR_SECOND]).tolist()))
     bounds = {k: DistBound(v, v) for k, v in d.items()}
     interval = defect_interval(bounds)
     midpoint_dev = max(abs(d["pw"] / d["pq"] - 0.5), abs(d["qw"] / d["pq"] - 0.5))
@@ -147,7 +145,7 @@ def product_witness(s: float) -> WitnessReport:
     return WitnessReport(
         family="product",
         param=s,
-        quadruple=(p, q, x, w),
+        quadruple=quad,
         bounds=bounds,
         s_lb=interval.lo,
         terms=(("defect_exact", interval.lo), ("midpoint_dev", midpoint_dev)),
@@ -183,7 +181,7 @@ def gn_witness(a: float) -> WitnessReport:
     x = (complex(a), 0.0j)
     w = (0.0j, 0.0j)
 
-    bounds = dict(zip(_PAIR_KEYS, gn_pair_bounds((p, q, x, w), _PAIR_FIRST, _PAIR_SECOND)))
+    bounds = dict(zip(PAIR_KEYS, gn_pair_bounds((p, q, x, w), PAIR_FIRST, PAIR_SECOND)))
     interval = defect_interval(bounds)
 
     # 2 atanh(t) = log1p(2t/(1 - t)), with 1 - a^2 kept as (1 - a)(1 + a):
@@ -239,8 +237,8 @@ def tetra_witness(a: float) -> WitnessReport:
     pq = _atanh_stable(MATH, m, one_minus_m2)
 
     royal_bound = DistBound(atanh_down(a), atanh_up(a))
-    bounds = {"pq": DistBound(2.0 * royal_bound.lo, 2.0 * royal_bound.hi),
-              **{k: royal_bound for k in _PAIR_KEYS[1:]}}
+    bounds = {**dict.fromkeys(PAIR_KEYS, royal_bound),
+              "pq": DistBound(2.0 * royal_bound.lo, 2.0 * royal_bound.hi)}
     interval = defect_interval(bounds)
 
     shifted = tetra_automorphism(a, P)

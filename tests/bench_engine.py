@@ -1,6 +1,6 @@
 """Microbenchmark of the sampling engine: the four-point defect of one
 block on each sampled domain, and one witness-directed `run_sample` call
-per scale; then the gn phase scan.
+per scale; then the gn phase scan and each family's README sweep.
 
     PYTHONPATH=src python tests/bench_engine.py
 
@@ -14,6 +14,8 @@ sample-controls benchmark makes 15 times a round, in µs per call.
 The gn rows time one `gn_witness(0.9)`, whose six pairs share four
 lifts, and one `gn_pair_bounds` stack of 12 pairs of 24 random real
 lifts, the draw of verify's symmetrized-bidisc suite, in µs per call.
+Each sweep row times one `cli.run_sweep` call on the family's grid in
+`scripts/run_divergence_sweeps.py`, CSV written, in ms per sweep.
 Not collected by pytest: it measures, it does not check.
 """
 
@@ -24,6 +26,7 @@ import timeit
 import numpy as np
 
 from gromovlab import cli, core, exact, witnesses
+from test_scripts import _load
 
 DIRECTED_SCALES = (10.0, 100.0, 300.0)
 DIRECTED_N = 2000
@@ -57,6 +60,12 @@ def main() -> None:
     first, second = np.arange(12), np.arange(12, 24)
     stack = _per_call_us(lambda: exact.gn_pair_bounds(lifts, first, second))
     print(f"gn_pair_bounds, 12 pairs of 24 lifts: {stack:.0f} us")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "sweep.csv")
+        for family, grid in _load("run_divergence_sweeps").SWEEPS.items():
+            config = cli.SweepConfig(family=family, grid=cli.parse_grid(grid), out=out)
+            wall = _per_call_us(lambda: cli.run_sweep(config)) / 1e3
+            print(f"sweep {family} ({len(config.grid)} rows): {wall:.2f} ms")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import pytest
 from gromovlab import cli, convex, verify, witnesses
 from gromovlab.convex import CertificateError
 from gromovlab.exact import OracleError
+from test_scripts import _load
 
 
 def run(argv):
@@ -52,8 +53,14 @@ def test_sweep_config_validates():
         cli.SweepConfig(family="tetra", grid=(0.5, 0.9, 0.7), out="x.csv")
     with pytest.raises(ValueError):
         cli.SweepConfig(family="tetra", grid=(), out="x.csv")
+    # the sweep runs in one process
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match="one process"):
+            cli.SweepConfig(family="tetra", grid=(0.5,), out="x.csv", workers=workers)
     # descending grids are how geometric sweeps arrive
     cli.SweepConfig(family="hinge", grid=(1e-6, 1e-10), out="x.csv")
+    # the benchmark harness's own call
+    cli.SweepConfig(family="hinge", grid=(1e-6,), out="x.csv", workers=1, timings=True)
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -106,25 +113,20 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_workers_match_serial(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    grid = "geom:0.02:0.1353352832366127:4"
-    assert run(["sweep", "--family", "flat_exp", "--grid", grid, "--out", str(a)]) == 0
-    assert run(["sweep", "--family", "flat_exp", "--grid", grid, "--out", str(b),
-                "--workers", "2"]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_sweep_usage_errors(tmp_path):
     assert run(["sweep", "--family", "bogus", "--grid", "1", "--out", "x.csv"]) == 1
     assert run(["sweep", "--family", "tetra", "--out", str(tmp_path / "x.csv")]) == 1
 
 
 def test_removed_options_are_usage_errors(tmp_path):
-    # witnesses are deterministic, every setting is a flag, and verify's
-    # tolerances are fixed
+    # witnesses are deterministic, every setting is a flag, verify's
+    # tolerances are fixed, and the sweep runs in one process
     out = str(tmp_path / "x.csv")
     assert run(["sweep", "--family", "tetra", "--grid", "0.5", "--seed", "1", "--out", out]) == 1
+    assert run(["sweep", "--family", "tetra", "--grid", "0.5", "--workers", "2",
+                "--out", out]) == 1
+    with pytest.raises(SystemExit):
+        _load("run_divergence_sweeps").main(["--workers", "2"])
     assert run(["verify", "--config", "c.cfg"]) == 1
     assert run(["sweep", "--family", "tetra", "--grid", "0.5", "--config", "c.cfg",
                 "--out", out]) == 1

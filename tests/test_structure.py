@@ -12,8 +12,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gromovlab"
 
-# defaulted parameters that only the benchmark (perfbench/) sets
-BENCHMARK_KNOBS = {("run_sample", "period"), ("run_all", "seed")}
+# defaulted parameters and fields that only the benchmark (perfbench/) sets;
+# SweepConfig.workers must be 1 there, since the sweep runs in one process
+BENCHMARK_KNOBS = {("run_sample", "period"), ("run_all", "seed"), ("SweepConfig", "workers")}
 
 
 def _parse(path):

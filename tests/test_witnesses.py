@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gromovlab import convex, witnesses
 from gromovlab.convex import BASE_POINT, CertificateError, ModelDomain, ub_interior_ball
-from gromovlab.core import four_point_defects
+from gromovlab.core import PAIR_KEYS, four_point_defects
 from gromovlab.exact import SAMPLE_DOMAINS, DistBound
 from gromovlab.models import FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL, HINGE_MODEL
 from gromovlab.witnesses import (
@@ -40,6 +42,21 @@ def test_report_refuses_s_lb_above_its_defect_interval(name):
     assert dataclasses.replace(rep, s_lb=lo).s_lb == lo
     with pytest.raises(CertificateError, match="lower end of its defect interval"):
         dataclasses.replace(rep, s_lb=math.nextafter(lo, math.inf))
+
+
+@given(st.lists(st.integers(min_value=-20, max_value=20), min_size=8, max_size=8))
+def test_defect_interval_pairs_the_points_as_the_engine_does(params):
+    # small integer parameters on the polydisc axis make every distance and
+    # every sum exact; the bounds are keyed by the names alone, so a table,
+    # an unpacking or a branch that pairs the points differently on either
+    # side shows as a different defect
+    quad = np.array(params, dtype=float).reshape(4, 2)
+    axis = SAMPLE_DOMAINS["polydisc_axis"].distance
+    (defect,) = four_point_defects(axis, quad[None])
+    first, second = (["pqxw".index(c) for c in side] for side in zip(*PAIR_KEYS))
+    d = axis(quad[first], quad[second]).tolist()
+    interval = defect_interval({k: DistBound(v, v) for k, v in zip(PAIR_KEYS, d)})
+    assert interval.lo == defect == interval.hi
 
 
 # -- product -----------------------------------------------------------------
@@ -344,7 +361,8 @@ def _raised_bounds(bounds):
 
 
 def _stretched_pw(d):
-    return d * np.array([1.0, 1.0, 1.0, 1.5, 1.0, 1.0])
+    # the kernel's distances come in the order of core's pair table
+    return d * np.where(np.array(PAIR_KEYS) == "pw", 1.5, 1.0)
 
 
 def _cut_branch_and_bound(monkeypatch):
