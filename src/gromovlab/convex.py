@@ -93,6 +93,7 @@ def _certified_block_min(
     h: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     cell_lb: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     hi: np.ndarray,
+    ceiling: np.ndarray | float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Global minimum of a block of functions, the k-th on [0, hi[k]],
     each with a certified lower bound.
@@ -113,6 +114,8 @@ def _certified_block_min(
     float resolution and cannot be split; its bound becomes a floor.  A
     function whose next round would take it past _BB_MAX_ITER splits
     stops there, cut short: its lower bound stays valid, only looser.
+    A function whose uniform-pass cell bounds all reach ceiling[k] settles
+    them there; no split lowers a bound, so no skipped value is below it.
     Every step is elementwise in the functions, so each gets the same
     bits alone as in any block.  Returns (best, lower, cut_short).
     """
@@ -121,13 +124,15 @@ def _certified_block_min(
     ts = np.arange(_BB_COARSE + 1) * (hi / _BB_COARSE)[:, None]
     ts[:, -1] = hi
     fts = f(ts)
-    best = h(np.arange(n)[:, None], ts, fts).min(axis=1)
-    owner = np.repeat(np.arange(n), _BB_COARSE)
-    a, b = ts[:, :-1].ravel(), ts[:, 1:].ravel()
-    fa, fb = fts[:, :-1].ravel(), fts[:, 1:].ravel()
+    owner = np.arange(n)[:, None]
+    best = h(owner, ts, fts).min(axis=1)
+    a, b, fa, fb = ts[:, :-1], ts[:, 1:], fts[:, :-1], fts[:, 1:]
     lb = cell_lb(owner, a, b, fa, fb)
+    exits = (least := lb.min(axis=1)) >= ceiling
+    settled = np.where(exits, least, math.inf)
+    lb[exits] = math.inf  # so their cells settle in the first round, leaving settled as is
+    owner = np.broadcast_to(owner, lb.shape)
     floor = np.full(n, math.inf)
-    settled = np.full(n, math.inf)
     splits = np.zeros(n, dtype=np.int64)
     cut_short = np.zeros(n, dtype=bool)
     while True:
@@ -148,8 +153,8 @@ def _certified_block_min(
             wanted[over] = 0
         splits += wanted
         np.minimum.at(settled, owner[settle], lb[settle])
-        keep = np.flatnonzero(split)
-        if not keep.size:
+        keep = np.nonzero(split)
+        if not keep[0].size:
             break
         owner, a, b, m, fa, fb = owner[keep], a[keep], b[keep], m[keep], fa[keep], fb[keep]
         fm = f(m)
@@ -211,9 +216,9 @@ class ModelDomain:
         roots of 2u^3 + (1 - 2 x1) u + (1 - s), all taken by one eigvals call
         on the companion matrices; a complex or nonpositive root falls back
         to the rim corner u = 0, never nearer than the flat facet.  Only
-        verify's bound-sandwich and interior-ball suites read it; the branch
-        and bound would make verify.run_all 15-23% slower (best of 20 calls,
-        42-45 -> 51-53 ms on a 2-core Xeon VM)."""
+        verify's bound-sandwich and interior-ball suites read it; the capped
+        branch and bound takes 2.6-3.1 ms, not 0.2, on a 120-point sandwich
+        block, and verify.run_all 32-34 ms, not 28-31 (best of 7, 2-core VM)."""
         companion = np.zeros((len(x1), 3, 3))
         companion[:, 0, 1] = -(1.0 - 2.0 * x1) / 2.0
         companion[:, 0, 2] = -(1.0 - s) / 2.0
@@ -226,7 +231,7 @@ class ModelDomain:
         return np.minimum(flat, arc)
 
     def _profile_distance_block(
-        self, x1: np.ndarray, s: np.ndarray
+        self, x1: np.ndarray, s: np.ndarray, ceiling: np.ndarray | float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # squared distance from (x1, s) to the graph point (psi(t), t) is
         # h(t), minimized by the branch and bound over [0, t_hi]: past t_hi
@@ -251,7 +256,8 @@ class ModelDomain:
         every, zero = np.arange(len(x1)), np.zeros_like(s)
         # psi(0) = 0 for every profile
         ends = np.minimum(h(every, zero, zero), h(every, s, psi(s)))
-        best, lower, cut_short = _certified_block_min(psi, h, cell_lb, s + np.sqrt(ends) + 1e-9)
+        best, lower, cut_short = _certified_block_min(psi, h, cell_lb, s + np.sqrt(ends) + 1e-9,
+                                                      ceiling)
         return np.sqrt(np.maximum(lower, 0.0)), np.sqrt(np.minimum(best, ends)), cut_short
 
     def boundary_distance_brackets(
@@ -265,8 +271,10 @@ class ModelDomain:
         minimum of the distances to each region's boundary; the box and
         the cap are closed forms, rounded down for the lower end, the
         profile graph is bracketed by one branch and bound over the whole
-        block, or on the hinge by its closed form.  A point that is not
-        interior refuses the whole block, naming its index.
+        block, whose ceiling is the squared face distance f (sqrt(fl(f*f))
+        is f, so min(f, .) keeps its bits where a face decides), or on the
+        hinge by its closed form.  A point that is not interior refuses the
+        whole block, naming its index.
         """
         z = np.array(zs, dtype=complex).reshape(-1, 2)
         z1, z2 = z[:, 0], z[:, 1]
@@ -277,13 +285,14 @@ class ModelDomain:
                 f"point {k} of the block, {zs[k]}, is not an interior point of {self.name}"
             )
         x1, y1, s = z1.real, z1.imag, _modulus(z2)
+        faces = np.minimum(np.minimum(BOX - x1, BOX - np.abs(y1)), Z2_CAP - s)
         if self.profile.name == "hinge":
             lo = hi = self._hinge_profile_distance(x1, s)
             cut_short = np.zeros(len(zs), dtype=bool)
         else:
-            lo, hi, cut_short = self._profile_distance_block(x1, s)
+            lo, hi, cut_short = self._profile_distance_block(x1, s, faces * faces)
         lo = np.minimum(_face_margin_lower(x1, y1, s), lo)
-        hi = np.minimum(np.minimum(np.minimum(BOX - x1, BOX - np.abs(y1)), Z2_CAP - s), hi)
+        hi = np.minimum(faces, hi)
         return [DistBound(lo=a, hi=b) for a, b in zip(lo.tolist(), hi.tolist())], cut_short
 
     def cheap_boundary_lower(self, z: PointC2) -> np.ndarray:

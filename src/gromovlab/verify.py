@@ -202,7 +202,8 @@ def suite_bound_sandwich(ctx: VerifyContext) -> list[str]:
     failures = []
     for domain in models.MODELS.values():
         pts, i, j = _sample_pairs(domain, rng, 120, 1000)
-        brackets, cut_short = domain.boundary_distance_brackets(pts)
+        P = np.array(pts)
+        brackets, cut_short = domain.boundary_distance_brackets(P)
         lo, hi = np.array([[b.lo for b in brackets], [b.hi for b in brackets]])
         bad = ~(0.0 < lo)
         for k in np.flatnonzero(bad | cut_short).tolist():
@@ -213,7 +214,6 @@ def suite_bound_sandwich(ctx: VerifyContext) -> list[str]:
         log_lo, log_hi = np.log(lo), np.log(hi)
         lowers = np.maximum(lb_boundary_ratio_log(log_hi[i], log_lo[j]),
                             lb_boundary_ratio_log(log_hi[j], log_lo[i]))
-        P = np.array(pts)
         uppers = domain.ub_euclidean_chain(P[i], P[j])
         for k in np.flatnonzero(lowers > uppers + tol)[:1].tolist():
             failures.append(

@@ -1,6 +1,7 @@
 """Microbenchmark of the sampling engine: the four-point defect of one
 block on each sampled domain, and one witness-directed `run_sample` call
-per scale; then the gn phase scan and each family's README sweep.
+per scale; then the gn phase scan, each family's README sweep, the
+boundary bracket and the verify suites.
 
     PYTHONPATH=src python tests/bench_engine.py
 
@@ -16,6 +17,10 @@ lifts, and one `gn_pair_bounds` stack of 12 pairs of 24 random real
 lifts, the draw of verify's symmetrized-bidisc suite, in µs per call.
 Each sweep row times one `cli.run_sweep` call on the family's grid in
 `scripts/run_divergence_sweeps.py`, CSV written, in ms per sweep.
+Each bracket row times one `boundary_distance_brackets` call on the
+model's 120 points of verify's bound-sandwich draw (default seed) and
+one at `BASE_POINT` alone, in µs per call; the last row times one warm
+`verify.run_all()`, in ms per call.
 Not collected by pytest: it measures, it does not check.
 """
 
@@ -25,7 +30,8 @@ import timeit
 
 import numpy as np
 
-from gromovlab import cli, core, exact, witnesses
+from gromovlab import cli, core, exact, models, verify, witnesses
+from gromovlab.convex import BASE_POINT
 from test_scripts import _load
 
 DIRECTED_SCALES = (10.0, 100.0, 300.0)
@@ -66,6 +72,14 @@ def main() -> None:
             config = cli.SweepConfig(family=family, grid=cli.parse_grid(grid), out=out)
             wall = _per_call_us(lambda: cli.run_sweep(config)) / 1e3
             print(f"sweep {family} ({len(config.grid)} rows): {wall:.2f} ms")
+    rng = np.random.default_rng(verify.VerifyContext().seed + 3)
+    for name, dom in models.MODELS.items():
+        pts, _, _ = verify._sample_pairs(dom, rng, 120, 1000)
+        draw = _per_call_us(lambda: dom.boundary_distance_brackets(pts))
+        base = _per_call_us(lambda: dom.boundary_distance_brackets([BASE_POINT]))
+        print(f"bracket {name}: bound-sandwich draw {draw:.0f} us, BASE_POINT {base:.0f} us")
+    verify.run_all()
+    print(f"verify.run_all(): {_per_call_us(verify.run_all) / 1e3:.1f} ms")
 
 
 if __name__ == "__main__":

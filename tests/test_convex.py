@@ -309,6 +309,59 @@ def test_bracket_bits_alone_and_in_one_block_of_sampled_points(m):
     ]
 
 
+def _sandwich_draw(m):
+    # the points verify's bound-sandwich suite brackets on m at its default seed
+    rng = np.random.default_rng(verify.VerifyContext().seed + 3)
+    for domain in MODELS.values():
+        pts, _, _ = verify._sample_pairs(domain, rng, 120, 1000)
+        if domain is m:
+            return pts
+
+
+@settings(max_examples=10)
+@given(
+    m=st.sampled_from([FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL]),
+    raw=st.lists(_interior, max_size=40),
+)
+def test_ceiling_keeps_the_bits_of_the_uncapped_search(m, raw):
+    # the face distance caps the branch and bound; bracketing the profile
+    # with no ceiling and taking the faces afterwards gives the same bits
+    pts = _interior_points(m, raw) + _sandwich_draw(m)
+    got, got_cut = m.boundary_distance_brackets(pts)
+    z = np.array(pts)
+    x1, y1, s = z[:, 0].real, z[:, 0].imag, np.hypot(z[:, 1].real, z[:, 1].imag)
+    faces = np.minimum(np.minimum(BOX - x1, BOX - np.abs(y1)), Z2_CAP - s)
+    assert (np.sqrt(faces * faces) == faces).all()
+    lo, hi, cut = m._profile_distance_block(x1, s, ceiling=math.inf)
+    # a point that stops at its ceiling keeps a cover of the graph distance
+    capped_lo, capped_hi, _ = m._profile_distance_block(x1, s, ceiling=faces * faces)
+    assert (capped_lo <= lo).all() and (capped_hi >= hi).all()
+    lo = np.minimum(convex._face_margin_lower(x1, y1, s), lo)
+    want = [(a.hex(), b.hex()) for a, b in zip(lo.tolist(), np.minimum(faces, hi).tolist())]
+    assert [_bits(b) for b in got] == want
+    assert got_cut.tolist() == cut.tolist()
+
+
+def test_face_decided_point_settles_in_the_uniform_pass():
+    # at (2.95, 0) the box face is 0.05 away and the flat_exp graph much
+    # farther, so no uniform-pass cell bound falls below the squared face
+    # distance: the profile runs on arrays for the membership test, the
+    # ends and the uniform pass, and for no later round
+    m = FLAT_EXP_MODEL
+    value, shapes = m.profile.value, []
+
+    def spy(t):
+        if isinstance(t, np.ndarray):
+            shapes.append(t.shape)
+        return value(t)
+
+    spied = dataclasses.replace(m, profile=dataclasses.replace(m.profile, value=spy))
+    (b,), cut = spied.boundary_distance_brackets([(2.95 + 0.0j, 0.0j)])
+    assert shapes == [(1,), (1,), (1, convex._BB_COARSE + 1)]
+    assert b.lo == b.hi == BOX - 2.95
+    assert not cut[0]
+
+
 @settings(max_examples=15)
 @given(
     m=st.sampled_from(ALL),

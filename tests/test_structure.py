@@ -257,8 +257,8 @@ def test_no_array_twins():
 # functions allowed to compare a ``.name``, each with its reason
 NAME_FORKS = {
     # the hinge's closed-form profile distance: the branch and bound in its
-    # place makes verify.run_all 15-23% slower (best of 20 calls, 42-45 ->
-    # 51-53 ms on a 2-core Xeon VM)
+    # place, even capped by the face distance, makes verify.run_all 11-12%
+    # slower (best of 7 calls, 28-31 -> 32-34 ms on a 2-core x86-64 VM)
     ("convex", "boundary_distance_brackets"),
 }
 
