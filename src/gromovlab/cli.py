@@ -140,15 +140,11 @@ def run_sweep(config: SweepConfig) -> int:
     log.info("sweep family=%s points=%d", config.family, len(config.grid))
     rows = [_sweep_row(config.family, p, config.timings) for p in config.grid]
 
-    ok_params, ok_slbs = [], []
-    failed = 0
-    for p, row in zip(config.grid, rows):
-        if row["error"]:
-            failed += 1
-            log.warning("row param=%s failed: %s", row["param"], row["error"])
-        else:
-            ok_params.append(p)
-            ok_slbs.append(float(row["S_lb"]))
+    # a refused row is recorded in its error column, the exit code and the
+    # closing count
+    ok_params = [p for p, row in zip(config.grid, rows) if not row["error"]]
+    ok_slbs = [float(row["S_lb"]) for row in rows if not row["error"]]
+    failed = len(rows) - len(ok_params)
     with open(config.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
         writer.writeheader()

@@ -205,31 +205,6 @@ class ModelDomain:
 
     # -- boundary distance ---------------------------------------------------
 
-    @staticmethod
-    def _hinge_profile_distance(x1: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Distance from (x1, s) to the graph of psi = (t-1)_+^2 in closed
-        form, the bracket's lo = hi, in one array pass: the height x1,
-        exact, where the flat facet is nearest; a nearest-rounded np.hypot
-        at an eigvals root, not rounded outward, wherever the parabola arc
-        or the rim corner is nearest (ROADMAP item 3).  The stationary
-        points of (x1 - u^2)^2 + (1 + u - s)^2 over u >= 0 are the real
-        roots of 2u^3 + (1 - 2 x1) u + (1 - s), all taken by one eigvals call
-        on the companion matrices; a complex or nonpositive root falls back
-        to the rim corner u = 0, never nearer than the flat facet.  Only
-        verify's bound-sandwich and interior-ball suites read it; the capped
-        branch and bound takes 2.6-3.1 ms, not 0.2, on a 120-point sandwich
-        block, and verify.run_all 32-34 ms, not 28-31 (best of 7, 2-core VM)."""
-        companion = np.zeros((len(x1), 3, 3))
-        companion[:, 0, 1] = -(1.0 - 2.0 * x1) / 2.0
-        companion[:, 0, 2] = -(1.0 - s) / 2.0
-        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-        roots = np.linalg.eigvals(companion)
-        keep = (np.abs(roots.imag) < 1e-12) & (roots.real > 0.0)
-        u = np.where(keep, roots.real, 0.0)
-        arc = np.hypot(x1[:, None] - u * u, 1.0 + u - s[:, None]).min(axis=1)
-        flat = np.where(s > 1.0, np.hypot(x1, s - 1.0), x1)
-        return np.minimum(flat, arc)
-
     def _profile_distance_block(
         self, x1: np.ndarray, s: np.ndarray, ceiling: np.ndarray | float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -272,9 +247,8 @@ class ModelDomain:
         the cap are closed forms, rounded down for the lower end, the
         profile graph is bracketed by one branch and bound over the whole
         block, whose ceiling is the squared face distance f (sqrt(fl(f*f))
-        is f, so min(f, .) keeps its bits where a face decides), or on the
-        hinge by its closed form.  A point that is not interior refuses the
-        whole block, naming its index.
+        is f, so min(f, .) keeps its bits where a face decides).  A point
+        that is not interior refuses the whole block, naming its index.
         """
         z = np.array(zs, dtype=complex).reshape(-1, 2)
         z1, z2 = z[:, 0], z[:, 1]
@@ -286,11 +260,7 @@ class ModelDomain:
             )
         x1, y1, s = z1.real, z1.imag, _modulus(z2)
         faces = np.minimum(np.minimum(BOX - x1, BOX - np.abs(y1)), Z2_CAP - s)
-        if self.profile.name == "hinge":
-            lo = hi = self._hinge_profile_distance(x1, s)
-            cut_short = np.zeros(len(zs), dtype=bool)
-        else:
-            lo, hi, cut_short = self._profile_distance_block(x1, s, faces * faces)
+        lo, hi, cut_short = self._profile_distance_block(x1, s, faces * faces)
         lo = np.minimum(_face_margin_lower(x1, y1, s), lo)
         hi = np.minimum(faces, hi)
         return [DistBound(lo=a, hi=b) for a, b in zip(lo.tolist(), hi.tolist())], cut_short

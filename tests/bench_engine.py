@@ -19,11 +19,14 @@ Each sweep row times one `cli.run_sweep` call on the family's grid in
 `scripts/run_divergence_sweeps.py`, CSV written, in ms per sweep.
 Each bracket row times one `boundary_distance_brackets` call on the
 model's 120 points of verify's bound-sandwich draw (default seed) and
-one at `BASE_POINT` alone, in µs per call; the last row times one warm
-`verify.run_all()`, in ms per call.
+one at `BASE_POINT` alone, in µs per call, and counts on that draw the
+branch-and-bound rounds, the uniform pass included, and the profile
+values they evaluate; the last row times one warm `verify.run_all()`,
+in ms per call.
 Not collected by pytest: it measures, it does not check.
 """
 
+import dataclasses
 import os
 import tempfile
 import timeit
@@ -42,6 +45,24 @@ def _per_call_us(f):
     timer = timeit.Timer(f)
     n, _ = timer.autorange()
     return 1e6 * min(timer.repeat(5, n)) / n
+
+
+def _search_counts(dom, pts) -> tuple[int, int]:
+    """(rounds, profile values) of the branch and bound in one
+    `boundary_distance_brackets` call, from the uniform pass on, counted
+    by wrapping the profile."""
+    value, shapes = dom.profile.value, []
+
+    def counted(t):
+        shapes.append(np.shape(t))
+        return value(t)
+
+    spied = dataclasses.replace(dom, profile=dataclasses.replace(dom.profile, value=counted))
+    spied.boundary_distance_brackets(pts)
+    # the membership test and the search's ends evaluate first; the
+    # uniform pass is the one two-dimensional call
+    search = shapes[next(k for k, shape in enumerate(shapes) if len(shape) == 2):]
+    return len(search), sum(int(np.prod(shape)) for shape in search)
 
 
 def main() -> None:
@@ -77,7 +98,9 @@ def main() -> None:
         pts, _, _ = verify._sample_pairs(dom, rng, 120, 1000)
         draw = _per_call_us(lambda: dom.boundary_distance_brackets(pts))
         base = _per_call_us(lambda: dom.boundary_distance_brackets([BASE_POINT]))
-        print(f"bracket {name}: bound-sandwich draw {draw:.0f} us, BASE_POINT {base:.0f} us")
+        rounds, evals = _search_counts(dom, pts)
+        print(f"bracket {name}: bound-sandwich draw {draw:.0f} us, BASE_POINT {base:.0f} us, "
+              f"{rounds} rounds, {evals:,} profile values")
     verify.run_all()
     print(f"verify.run_all(): {_per_call_us(verify.run_all) / 1e3:.1f} ms")
 

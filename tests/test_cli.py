@@ -77,13 +77,18 @@ def test_sweep_tetra_values_and_summary(tmp_path):
     assert "family=tetra" in summary[0] and "verdict=diverging" in summary[0]
 
 
-def test_sweep_row_failure_sets_exit_two(tmp_path):
+def test_sweep_row_failure_sets_exit_two(tmp_path, caplog):
+    # the refusal is recorded in the row's error column and the exit code,
+    # and not logged row by row
+    caplog.set_level(logging.DEBUG, logger="gromovlab.cli")
     out = tmp_path / "t.csv"
     code = run(["sweep", "--family", "tetra", "--grid", "0.5,2.0", "--out", str(out)])
     assert code == 2
     rows = read_rows(out)
     assert rows[1]["S_lb"] == "" and rows[1]["error"] != ""
     assert float(rows[0]["S_lb"]) > 0.0  # healthy rows still computed
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert f"sweep wrote {out} (2 rows, 1 failed)" in caplog.messages
 
 
 def test_sweep_row_with_a_failed_check_is_a_certificate_error(tmp_path, monkeypatch):

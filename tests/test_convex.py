@@ -154,24 +154,6 @@ def test_sample_interior_draws_as_one_try_at_a_time(m):
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_hinge_profile_block_matches_mpmath_to_four_ulps_of_one():
-    # lo = hi is nearest-rounded, not an enclosure (ROADMAP item 3).  Its
-    # legs hypot(x1 - u^2, 1 + u - s) are differences of O(1) terms, so the
-    # error is absolute: within 4 ulps of 1.0, though far more relative to
-    # a distance near 0 by the rim corner
-    rng = np.random.default_rng(5)
-    x1 = np.concatenate([rng.uniform(0.0, 3.0, 400), rng.uniform(0.0, 0.01, 100), [0.5, 0.5]])
-    s = np.concatenate([rng.uniform(0.0, 2.0, 400), rng.uniform(0.9, 1.1, 100), [1.0, 1.5]])
-    # s = 1 exactly, where the constant term is 0, and the rim corner (0.5, 1)
-    s[::5] = 1.0
-    got = HINGE_MODEL._hinge_profile_distance(x1, s)
-    wrong = [
-        (a, b, d) for a, b, d in zip(x1.tolist(), s.tolist(), got.tolist())
-        if abs(d - oracle_gen.hinge_boundary_distance(a, b)) > 4 * 2.0**-52
-    ]
-    assert not wrong
-
-
 def test_hinge_profile_vanishes_below_one():
     assert HINGE_MODEL.profile.value(0.7) == 0.0
     assert HINGE_MODEL.profile.value(1.3) == pytest.approx(0.09)
@@ -184,12 +166,16 @@ def test_hinge_bracket_is_exact():
     assert b.lo == b.hi == pytest.approx(0.5)
 
 
+# oracle_gen.hinge_boundary_distance(0.5, 1.5) at 60 digits, rounded once
+HINGE_KINK_DISTANCE = 0.16592048182615238
+
+
 def test_hinge_bracket_past_the_kink():
     # above t = 1 the parabola arc comes closer than the flat facet
-    (b,), _ = HINGE_MODEL.boundary_distance_brackets([(0.5 + 0.0j, 0.0 + 1.5j)])
-    expect = float(HINGE_MODEL._hinge_profile_distance(np.array([0.5]), np.array([1.5]))[0])
-    assert b.lo == b.hi == pytest.approx(expect)
-    assert expect < 0.5
+    assert float(oracle_gen.ANCHORS["hinge boundary (0.5, 1.5)"]()) == HINGE_KINK_DISTANCE
+    (b,), cut = HINGE_MODEL.boundary_distance_brackets([(0.5 + 0.0j, 0.0 + 1.5j)])
+    assert b.lo <= HINGE_KINK_DISTANCE <= b.hi < 0.5
+    assert not cut[0]
 
 
 @pytest.mark.parametrize("m", [FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL], ids=lambda m: m.name)
@@ -318,9 +304,36 @@ def _sandwich_draw(m):
             return pts
 
 
+def _interior_ball_cases(m):
+    # the points verify's interior-ball suite brackets on m besides the base point
+    cases = []
+    for t1 in (0.0, 0.4 * m.ball_contact_cap, m.ball_contact_cap):
+        psi = m.profile.value(t1)
+        cases += [z for h in (1e-3, 1e-6) if m.contains(z := (complex(psi + h), complex(t1)))]
+    return cases
+
+
+def test_hinge_bracket_lower_end_encloses_the_distance():
+    # the hinge's bracket against its exact boundary distance, the nearer of
+    # the profile graph and the box and cap faces at 60 digits, on every
+    # point verify brackets on the hinge, the near-rim cases t1 = 1.2 among them
+    cases = _interior_ball_cases(HINGE_MODEL)
+    assert len(cases) == 6
+    pts = _sandwich_draw(HINGE_MODEL) + cases
+    brackets, cut = HINGE_MODEL.boundary_distance_brackets(pts)
+    assert not cut.any()
+    wrong = []
+    for z, b in zip(pts, brackets):
+        s = oracle_gen.mp.hypot(z[1].real, z[1].imag)
+        exact = min(oracle_gen.hinge_boundary_distance(z[0].real, s), oracle_gen.face_distance(z))
+        if not (b.lo <= exact and b.hi - b.lo <= 1e-4 * b.hi):
+            wrong.append((z, b, oracle_gen.mp.nstr(exact, 20)))
+    assert not wrong, (len(wrong), wrong[:3])
+
+
 @settings(max_examples=10)
 @given(
-    m=st.sampled_from([FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL]),
+    m=st.sampled_from(ALL),
     raw=st.lists(_interior, max_size=40),
 )
 def test_ceiling_keeps_the_bits_of_the_uncapped_search(m, raw):

@@ -57,10 +57,6 @@ CASES = {
         3.9120230079283961,
         lambda: witnesses.gn_witness(0.9999).s_lb,
     ),
-    "hinge boundary (0.5, 1.5)": (
-        0.16592048182615238,
-        lambda: float(HINGE_MODEL._hinge_profile_distance(np.array([0.5]), np.array([1.5]))[0]),
-    ),
     "atanh(1 - e^-100)": (
         50.346573590279973,
         lambda: exact.atanh_one_minus(-100.0),

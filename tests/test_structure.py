@@ -254,15 +254,6 @@ def test_no_array_twins():
     assert not twins, f"names defined beside an _array twin: {twins}"
 
 
-# functions allowed to compare a ``.name``, each with its reason
-NAME_FORKS = {
-    # the hinge's closed-form profile distance: the branch and bound in its
-    # place, even capped by the face distance, makes verify.run_all 11-12%
-    # slower (best of 7 calls, 28-31 -> 32-34 ms on a 2-core x86-64 VM)
-    ("convex", "boundary_distance_brackets"),
-}
-
-
 def _name_compares(tree):
     """(innermost enclosing function, line) of each comparison that reads a
     ``.name`` attribute; ast.walk visits outer functions first."""
@@ -282,6 +273,5 @@ def test_no_code_branches_on_a_name():
     # hinge-shaped profile under another name must meet the same guard
     forks = [f"{path.stem}.{func} (line {line})"
              for path in sorted(PACKAGE.glob("*.py"))
-             for func, line in _name_compares(_parse(path))
-             if (path.stem, func) not in NAME_FORKS]
-    assert not forks, f"comparisons of a .name outside NAME_FORKS: {forks}"
+             for func, line in _name_compares(_parse(path))]
+    assert not forks, f"comparisons of a .name: {forks}"
