@@ -166,13 +166,13 @@ def test_hinge_bracket_is_exact():
     assert b.lo == b.hi == pytest.approx(0.5)
 
 
-# oracle_gen.hinge_boundary_distance(0.5, 1.5) at 60 digits, rounded once
+# oracle_gen.hinge_boundary_distance(0.5, 1.5) at 60 digits, rounded once:
+# test_oracles.py's anchor "hinge boundary (0.5, 1.5)", re-derived there
 HINGE_KINK_DISTANCE = 0.16592048182615238
 
 
 def test_hinge_bracket_past_the_kink():
     # above t = 1 the parabola arc comes closer than the flat facet
-    assert float(oracle_gen.ANCHORS["hinge boundary (0.5, 1.5)"]()) == HINGE_KINK_DISTANCE
     (b,), cut = HINGE_MODEL.boundary_distance_brackets([(0.5 + 0.0j, 0.0 + 1.5j)])
     assert b.lo <= HINGE_KINK_DISTANCE <= b.hi < 0.5
     assert not cut[0]
