@@ -405,9 +405,9 @@ def ub_radius_integral(r: np.ndarray, h: np.ndarray) -> np.ndarray:
     costs at most h log(b/a)/(b - a) = (h/a) g(q), with q = b/a,
     g(q) = log(q)/(q - 1) and g(1) = 1.  g falls as q rises, so q is
     rounded down and g up, numpy's log within SIMD_FLOATS floats; each piece
-    is rounded up and the pieces are summed pairwise, rounded up, so a
-    polygon gets the same bits alone as in any block.  A polygon of
-    length 0 costs exactly 0.
+    is rounded up and the pieces are summed left to right by
+    `rounding.sum_up`, so a polygon gets the same bits alone as in any
+    block.  A polygon of length 0 costs exactly 0.
     """
     bad = np.argwhere(~(r > 0.0))
     if bad.size:
@@ -423,17 +423,8 @@ def ub_radius_integral(r: np.ndarray, h: np.ndarray) -> np.ndarray:
         log_q = up(np.abs(np.where(near, np.log1p(d), np.log(q))), SIMD_FLOATS)
         g = up(log_q / np.where(near, np.abs(d), down(np.abs(d))))
     g[q == 1.0] = 1.0
-    return _sum_up_rows(np.where(h > 0.0, up(up(h * g) / a), 0.0))
-
-
-def _sum_up_rows(x: np.ndarray) -> np.ndarray:
-    """Sums over the last axis of a nonnegative array, pairwise, rounded up."""
-    while x.shape[-1] > 1:
-        if x.shape[-1] % 2:
-            x = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
-        s = x[..., 0::2] + x[..., 1::2]
-        x = np.where(s > 0.0, up(s), s)
-    return x[..., 0]
+    pieces = np.where(h > 0.0, up(up(h * g) / a), 0.0)
+    return sum_up(*pieces.T)
 
 
 # ---------------------------------------------------------------------------

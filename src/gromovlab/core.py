@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -187,24 +187,6 @@ def estimate_delta(d: ArrayDistance, sampler: Sampler, n: int, seed: int = 0) ->
             best_quad = _python_quadruple(quads[i])
     assert best_quad is not None
     return DeltaEstimate(sup_defect=best, argmax=best_quad, checkpoints=tuple(checkpoints))
-
-
-def weak_midpoint_ratios(
-    triples: Iterable[tuple[Point, Point, Point]],
-    d: Callable[[Point, Point], float],
-) -> list[tuple[float, float, float]]:
-    """For each (x, y, z) return (d(x,z)/d(x,y), d(y,z)/d(x,y), d(x,y)).
-
-    A sequence of triples with both ratios tending to 1/2 at diverging scale
-    d(x,y) is a weak-midpoint family.  Zero base distance is refused.
-    """
-    out = []
-    for x, y, z in triples:
-        base = d(x, y)
-        if base == 0.0:
-            raise ValueError("degenerate triple: d(x, y) = 0")
-        out.append((d(x, z) / base, d(y, z) / base, base))
-    return out
 
 
 def metric_axiom_violations(d: ArrayDistance, points: np.ndarray) -> list[str]:

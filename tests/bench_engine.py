@@ -21,8 +21,11 @@ Each bracket row times one `boundary_distance_brackets` call on the
 model's 120 points of verify's bound-sandwich draw (default seed) and
 one at `BASE_POINT` alone, in µs per call, and counts on that draw the
 branch-and-bound rounds, the uniform pass included, and the profile
-values they evaluate; the last row times one warm `verify.run_all()`,
-in ms per call.
+values they evaluate.  Each chain row times one `ub_euclidean_chain`
+call on the model's 1,000 pairs of that draw, in µs per call.  The
+rounding row times `rounding.up` on a one-element array next to
+`np.nextafter`, in µs per call; the last row times one warm
+`verify.run_all()`, in ms per call.
 Not collected by pytest: it measures, it does not check.
 """
 
@@ -35,6 +38,7 @@ import numpy as np
 
 from gromovlab import cli, core, exact, models, verify, witnesses
 from gromovlab.convex import BASE_POINT
+from gromovlab.rounding import up
 from test_scripts import _load
 
 DIRECTED_SCALES = (10.0, 100.0, 300.0)
@@ -95,12 +99,19 @@ def main() -> None:
             print(f"sweep {family} ({len(config.grid)} rows): {wall:.2f} ms")
     rng = np.random.default_rng(verify.VerifyContext().seed + 3)
     for name, dom in models.MODELS.items():
-        pts, _, _ = verify._sample_pairs(dom, rng, 120, 1000)
+        pts, i, j = verify._sample_pairs(dom, rng, 120, 1000)
         draw = _per_call_us(lambda: dom.boundary_distance_brackets(pts))
         base = _per_call_us(lambda: dom.boundary_distance_brackets([BASE_POINT]))
         rounds, evals = _search_counts(dom, pts)
         print(f"bracket {name}: bound-sandwich draw {draw:.0f} us, BASE_POINT {base:.0f} us, "
               f"{rounds} rounds, {evals:,} profile values")
+        P = np.array(pts)
+        chain = _per_call_us(lambda: dom.ub_euclidean_chain(P[i], P[j]))
+        print(f"chain {name}: {len(i):,} bound-sandwich pairs {chain:.0f} us")
+    one = np.array([0.5])
+    stepped = _per_call_us(lambda: up(one))
+    raw = _per_call_us(lambda: np.nextafter(one, np.inf))
+    print(f"one-element step: rounding.up {stepped:.2f} us, np.nextafter {raw:.2f} us")
     verify.run_all()
     print(f"verify.run_all(): {_per_call_us(verify.run_all) / 1e3:.1f} ms")
 

@@ -9,10 +9,6 @@ from gromovlab import core
 from gromovlab.exact import disc_distance
 
 
-def d_real(x, y):
-    return abs(x - y)
-
-
 def line(xs, ys):
     # the line metric as an array distance
     return np.abs(np.asarray(xs) - np.asarray(ys))
@@ -160,10 +156,3 @@ def test_mixed_sampler_injects_at_period():
     assert injected == [2, 6, 10]
     assert np.all(quads[[i for i in range(12) if i not in injected]] < 1.0)
 
-
-def test_weak_midpoint_ratios_on_the_line():
-    triples = [(0.0, 4.0, 2.0), (0.0, 4.0, 3.0)]
-    out = core.weak_midpoint_ratios(triples, d_real)
-    (r1a, r1b, _), (r2a, r2b, _) = out
-    assert (r1a, r1b) == pytest.approx((0.5, 0.5))
-    assert (r2a, r2b) == pytest.approx((0.75, 0.25))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gromovlab import convex, witnesses
+from gromovlab import convex, verify, witnesses
 from gromovlab.convex import BASE_POINT, CertificateError, ModelDomain, ub_interior_ball
 from gromovlab.core import PAIR_KEYS, four_point_defects
 from gromovlab.exact import SAMPLE_DOMAINS, DistBound
@@ -414,3 +414,12 @@ def test_recorded_check_fails_under_its_mutation(monkeypatch, key):
     with pytest.raises(CertificateError, match="^checks failed: ") as info:
         witnesses.FAMILIES[name].witness(param)
     assert key[1] in str(info.value).removeprefix("checks failed: ").split("; ")
+
+
+def test_verify_product_suite_refuses_a_broken_midpoint(monkeypatch):
+    # the suite reads the midpoint through each witness's own checks; at
+    # s = 1 the stretched leg breaks the defect before it leaves 1/(2s)
+    CHECK_MUTATIONS[("product", "w is a weak midpoint of (p, q)")][2](monkeypatch)
+    (result,) = [r for r in verify.run_all() if r.name == "product"]
+    assert not result.passed
+    assert result.detail.startswith("CertificateError: checks failed: "), result.detail
