@@ -14,7 +14,9 @@ Upper bounds
     * chains of affine analytic discs (z1-plane tangent discs, z2 slice
       discs), each certified inside the domain where it is built: the
       tangent disc's centre and the slice radius are rounded away from
-      the faces, and its legs are closed forms rounded up,
+      the faces, and its legs are closed forms rounded up.  The exception
+      is `ub_slice_discs`, which checks its discs against the nearest-
+      rounded slice radius with a 1e-12 slack (ROADMAP item 1 deletes it),
     * the integrated ball metric, ds/delta, along a polygon.
 
 Certified terms round outward through :mod:`.rounding`, not with slacks
@@ -416,12 +418,9 @@ def ub_radius_integral(r: np.ndarray, h: np.ndarray) -> np.ndarray:
         )
     a = r[:, :-1]
     q = down(r[:, 1:] / a)
-    # q - 1 is exact for 1/2 <= q <= 2 (Sterbenz), where log1p keeps the digits
-    # 1 + (b - a)/a loses; log q and q - 1 share a sign, so g = |log q|/|q - 1|
-    near, d = (0.5 <= q) & (q <= 2.0), q - 1.0
+    # log q and q - 1 share a sign, so g = |log q|/|q - 1|
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_q = up(np.abs(np.where(near, np.log1p(d), np.log(q))), SIMD_FLOATS)
-        g = up(log_q / np.where(near, np.abs(d), down(np.abs(d))))
+        g = up(up(np.abs(np.log(q)), SIMD_FLOATS) / down(np.abs(q - 1.0)))
     g[q == 1.0] = 1.0
     pieces = np.where(h > 0.0, up(up(h * g) / a), 0.0)
     return sum_up(*pieces.T)
@@ -451,7 +450,8 @@ class TangentHalfspaceCert:
             raise CertificateError("tangency radius must be >= 0")
 
     def re_f_float(self, z: PointC2) -> float | np.ndarray:
-        """Direct float evaluation, for the moderate-parameter regime;
+        """Re F(z) rounded to nearest: the functional's one evaluator, which
+        the hinge witness reads at every height delta, 1e-31 among them;
         elementwise over z's coordinates, which may be complex arrays."""
         t0 = self.t0
         profile = self.domain.profile

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convex import BOX, Z2_CAP, CertificateError, ModelDomain, PointC2
+from .convex import BOX, Z2_CAP, CertificateError, ModelDomain
 from .profiles import EXP_FLAT, HINGE, QUARTIC
 
 # rejection-sampling tries per requested point
@@ -73,35 +73,30 @@ def sample_interior(
     n: int,
     rng: np.random.Generator,
     margin: float,
-) -> list[PointC2]:
-    """n interior points with all face margins above `margin`.
+) -> np.ndarray:
+    """n interior points with all face margins above `margin`, as an (n, 2)
+    complex array of rows (z1, z2).
 
     Rejection sampling from the box with 0 < Re z1 and the square around
     the radial cap; the stock domains fill a decent fraction of it, so the
     try budget is generous rather than tight.  A try is four uniform draws
-    (Re z1, Im z1, Re z2, Im z2).  Tries are drawn in blocks, and each
-    block is tested by one :meth:`ModelDomain.contains` call with slack
-    -margin.  Then the generator is wound to just past the try that
-    accepted the n-th point: the points and the generator's state are
-    those of one try at a time.
+    (Re z1, Im z1, Re z2, Im z2).  Tries are drawn in blocks, each tested
+    by one :meth:`ModelDomain.contains` call with slack -margin, and the
+    points are the first n accepted tries, in try order.
     """
-    out: list[PointC2] = []
-    state, budget, tries = rng.bit_generator.state, _MAX_TRIES * n, 0
-    while len(out) < n and tries < budget:
+    hits, found, tries, budget = [np.empty((0, 2), complex)], 0, 0, _MAX_TRIES * n
+    while found < n and tries < budget:
         # eight tries per missing point: the stock domains accept 1/5 to 2/3
-        size = (min(budget - tries, 8 * (n - len(out))), 4)
+        size = (min(budget - tries, 8 * (n - found)), 4)
         block = rng.uniform([0.0, -BOX, -Z2_CAP, -Z2_CAP], [BOX, BOX, Z2_CAP, Z2_CAP], size)
         z = block.view(complex)  # each try as (z1, z2)
-        hits = np.flatnonzero(domain.contains((z[:, 0], z[:, 1]), slack=-margin))[: n - len(out)]
-        out += [(z1, z2) for z1, z2 in z[hits].tolist()]
-        tries += int(hits[-1]) + 1 if len(out) == n else len(block)
-    if len(out) < n:
+        hits.append(z[domain.contains((z[:, 0], z[:, 1]), slack=-margin)])
+        found, tries = found + len(hits[-1]), tries + len(z)
+    if found < n:
         raise CertificateError(
             f"interior sampling starved after {budget} tries on {domain.name}"
         )
-    rng.bit_generator.state = state
-    rng.random(4 * tries)
-    return out
+    return np.concatenate(hits)[:n]
 
 
 def curvature_margin(domain: ModelDomain) -> float:

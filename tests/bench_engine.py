@@ -99,13 +99,12 @@ def main() -> None:
             print(f"sweep {family} ({len(config.grid)} rows): {wall:.2f} ms")
     rng = np.random.default_rng(verify.VerifyContext().seed + 3)
     for name, dom in models.MODELS.items():
-        pts, i, j = verify._sample_pairs(dom, rng, 120, 1000)
-        draw = _per_call_us(lambda: dom.boundary_distance_brackets(pts))
+        P, i, j = verify._sample_pairs(dom, rng, 120, 1000)
+        draw = _per_call_us(lambda: dom.boundary_distance_brackets(P))
         base = _per_call_us(lambda: dom.boundary_distance_brackets([BASE_POINT]))
-        rounds, evals = _search_counts(dom, pts)
+        rounds, evals = _search_counts(dom, P)
         print(f"bracket {name}: bound-sandwich draw {draw:.0f} us, BASE_POINT {base:.0f} us, "
               f"{rounds} rounds, {evals:,} profile values")
-        P = np.array(pts)
         chain = _per_call_us(lambda: dom.ub_euclidean_chain(P[i], P[j]))
         print(f"chain {name}: {len(i):,} bound-sandwich pairs {chain:.0f} us")
     one = np.array([0.5])

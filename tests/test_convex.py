@@ -148,10 +148,9 @@ def test_sample_interior_draws_as_one_try_at_a_time(m):
     for seed in range(12):
         for n, margin in ((1, 1e-6), (7, 0.3), (60, 1e-3), (120, 0.02)):
             ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert sample_interior(m, n, rng, margin) == _sample_one_try_at_a_time(
-                m, n, ref, margin
-            )
-            assert rng.bit_generator.state == ref.bit_generator.state
+            assert sample_interior(m, n, rng, margin).tolist() == [
+                list(z) for z in _sample_one_try_at_a_time(m, n, ref, margin)
+            ]
 
 
 def test_hinge_profile_vanishes_below_one():
@@ -319,7 +318,7 @@ def test_hinge_bracket_lower_end_encloses_the_distance():
     # point verify brackets on the hinge, the near-rim cases t1 = 1.2 among them
     cases = _interior_ball_cases(HINGE_MODEL)
     assert len(cases) == 6
-    pts = _sandwich_draw(HINGE_MODEL) + cases
+    pts = [*_sandwich_draw(HINGE_MODEL), *cases]
     brackets, cut = HINGE_MODEL.boundary_distance_brackets(pts)
     assert not cut.any()
     wrong = []
@@ -339,7 +338,7 @@ def test_hinge_bracket_lower_end_encloses_the_distance():
 def test_ceiling_keeps_the_bits_of_the_uncapped_search(m, raw):
     # the face distance caps the branch and bound; bracketing the profile
     # with no ceiling and taking the faces afterwards gives the same bits
-    pts = _interior_points(m, raw) + _sandwich_draw(m)
+    pts = [*_interior_points(m, raw), *_sandwich_draw(m)]
     got, got_cut = m.boundary_distance_brackets(pts)
     z = np.array(pts)
     x1, y1, s = z[:, 0].real, z[:, 0].imag, np.hypot(z[:, 1].real, z[:, 1].imag)
@@ -443,6 +442,28 @@ def test_bracket_cut_short_still_encloses_and_says_so(monkeypatch):
     ctx = verify.VerifyContext()
     for suite in (verify.suite_bound_sandwich, verify.suite_interior_ball):
         assert any("boundary bracket cut short" in f for f in suite(ctx))
+
+
+def test_a_crossing_below_a_billionth_fails_the_sandwich_suites(monkeypatch):
+    # each suite's certified upper bound placed 1e-10 below its ratio lower
+    # bound, on one pair: the ends round outward, so no tolerance forgives it
+    real_chain = convex.ModelDomain.ub_euclidean_chain
+
+    def chain(self, zs, ws):
+        uppers = real_chain(self, zs, ws)
+        uppers[0] = _ratio_lower(*self.boundary_distance_brackets([zs[0], ws[0]])[0]) - 1e-10
+        return uppers
+
+    def ball(domain, z, log_g):
+        return _ratio_lower(*domain.boundary_distance_brackets([z, BASE_POINT])[0]) - 1e-10
+
+    monkeypatch.setattr(convex.ModelDomain, "ub_euclidean_chain", chain)
+    monkeypatch.setattr(verify, "ub_interior_ball", ball)
+    results = {r.name: r for r in verify.run_all()}
+    assert not results["bound-sandwich"].passed
+    assert "exceeds upper" in results["bound-sandwich"].detail
+    assert not results["interior-ball"].passed
+    assert "below ratio bound" in results["interior-ball"].detail
 
 
 @given(

@@ -252,7 +252,7 @@ def _radius_polygons():
     r1 += np.exp(rng.uniform(math.log(1e-6), math.log(2.0), (4000, 2))).tolist()
     h1 += rng.uniform(0.0, 1.0, (4000, 1)).tolist()
     r16 = np.exp(rng.uniform(math.log(1e-6), math.log(2.0), (200, 17)))
-    # neighbouring radii within 1/2 and 2 of each other, the log1p branch
+    # neighbouring radii within 1/2 and 2 of each other, where q - 1 is exact
     r16[100:] = 0.5 * np.cumprod(rng.uniform(0.6, 1.6, (100, 17)), axis=1)
     h16 = rng.uniform(0.0, 0.5, (200, 16))
     return [(np.array(r1), np.array(h1)), (r16, h16)]
