@@ -9,12 +9,12 @@ the lifts' bidisc distance (upper).  These take one stack of lifts and
 the index arrays ``first`` and ``second`` of its pairs, map each lift
 once per phase of the coarse scan and bound every pair in one numpy
 pass, each pair with the bits it gets alone.
-The tetrablock gets the closed form for distances to the origin, and
-through its automorphisms for pairs that one of them aligns to the
-origin: the configurations the witness constructions use.  Its royal
-line lambda -> (lambda, lambda, lambda^2) is a complex geodesic (x -> x1
-maps the tetrablock back onto the disc), so the distance between two of
-its points is the disc distance of their parameters.
+The tetrablock gets the closed form for distances to the origin.  The
+bidisc is a holomorphic retract of it, through z -> (z1, z2, z1 z2) and
+back through x -> (x1, x2), so on that slice its distance is the
+bidisc's.  Its royal line lambda -> (lambda, lambda, lambda^2) is the
+image of the bidisc's diagonal, so the distance between two of its
+points is the disc distance of their parameters.
 
 Each sampled domain has exactly one distance kernel, an array function
 in SAMPLE_DOMAINS that both `sample` and `verify` run; the royal line
@@ -485,27 +485,6 @@ def gn_pair_bounds(lifts: Sequence[Sequence[complex]], first: Sequence[int],
 # tetrablock
 
 TetraPoint = tuple[complex, complex, complex]
-
-
-def tetra_automorphism(t: float, x: TetraPoint) -> TetraPoint:
-    """Matrix Mobius shift Z -> (Z - tI)(I - tZ)^{-1} pushed to the
-    tetrablock, for real t in (-1, 1).
-
-    The push-down is rational in (x1, x2, x3), so no lift (and no square
-    root branch) is needed:
-        den = 1 - t(x1 + x2) + t^2 x3.
-    """
-    if not -1.0 < t < 1.0:
-        raise OracleError("automorphism parameter must be in (-1, 1)")
-    a, b, p = x
-    den = 1.0 - t * (a + b) + t * t * p
-    if den == 0.0:
-        # |t| within an ulp or two of 1 at a point near the royal line
-        raise OracleError(f"automorphism t={t} divides by 0 at {x}")
-    m1 = (a - t + t * t * b - t * p) / den
-    m2 = (b - t + t * t * a - t * p) / den
-    m3 = (p - t * (a + b) + t * t) / den
-    return (m1, m2, m3)
 
 
 def tetra_origin_distance(x: TetraPoint) -> float:

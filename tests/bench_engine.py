@@ -12,9 +12,10 @@ block hands it, 6 * CHUNK; the difference is the engine's own cost.
 Each directed row times one `run_sample` call of 2,000 quadruples on
 the bidisc with product witnesses of defect S injected, the call the
 sample-controls benchmark makes 15 times a round, in µs per call.
-The gn rows time one `gn_witness(0.9)`, whose six pairs share four
-lifts, and one `gn_pair_bounds` stack of 12 pairs of 24 random real
-lifts, the draw of verify's symmetrized-bidisc suite, in µs per call.
+The witness rows time one `gn_witness(0.9)`, whose six pairs share four
+lifts, and one `tetra_witness(0.9)`, in µs per call; the gn stack row
+times one `gn_pair_bounds` stack of 12 pairs of 24 random real lifts,
+the draw of verify's symmetrized-bidisc suite, in µs per call.
 Each sweep row times one `cli.run_sweep` call on the family's grid in
 `scripts/run_divergence_sweeps.py`, CSV written, in ms per sweep.
 Each bracket row times one `boundary_distance_brackets` call on the
@@ -85,8 +86,9 @@ def main() -> None:
             call = _per_call_us(
                 lambda: cli.run_sample("polydisc", DIRECTED_N, 5, out, directed_scale=scale))
             print(f"directed run_sample n={DIRECTED_N} S={scale:g}: {call:.0f} us")
-    witness = _per_call_us(lambda: witnesses.gn_witness(0.9))
-    print(f"gn_witness(0.9): {witness:.0f} us")
+    for name, witness in (("gn", witnesses.gn_witness), ("tetra", witnesses.tetra_witness)):
+        call = _per_call_us(lambda: witness(0.9))
+        print(f"{name}_witness(0.9): {call:.0f} us")
     lifts = np.random.default_rng(2).uniform(-0.9, 0.9, (24, 2))
     first, second = np.arange(12), np.arange(12, 24)
     stack = _per_call_us(lambda: exact.gn_pair_bounds(lifts, first, second))

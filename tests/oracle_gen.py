@@ -12,6 +12,7 @@ witness's S_lb formula at its exact inputs.
 """
 
 import math
+import random
 
 import mpmath as mp
 
@@ -75,6 +76,51 @@ def tetra_origin_distance(x):
         (abs(b - mp.conj(a) * p) + cross) / (1 - abs(a) ** 2),
     )
     return mp.atanh(m)
+
+
+def tetra_automorphism(t, x):
+    """The matrix Mobius shift Z -> (Z - tI)(I - tZ)^{-1} pushed to the
+    tetrablock, for real t in (-1, 1).  The push-down is rational in
+    (x1, x2, x3), so no lift is needed:
+        den = 1 - t(x1 + x2) + t^2 x3."""
+    t = mp.mpf(t)
+    a, b, p = (mp.mpc(v) for v in x)
+    den = 1 - t * (a + b) + t * t * p
+    return ((a - t + t * t * b - t * p) / den,
+            (b - t + t * t * a - t * p) / den,
+            (p - t * (a + b) + t * t) / den)
+
+
+def tetra_slack(x):
+    """1 - |x3|^2 - |x1 - conj(x2) x3| - |x2 - conj(x1) x3|, positive
+    exactly on the tetrablock (Abouhajar, White and Young, J. Geom. Anal.
+    17, 2007)."""
+    a, b, p = (mp.mpc(v) for v in x)
+    return 1 - abs(p) ** 2 - abs(a - mp.conj(b) * p) - abs(b - mp.conj(a) * p)
+
+
+def bidisc_slack(z):
+    """tetra_slack at F(z) = (z1, z2, z1 z2) for z in the bidisc, in
+    factored form: (1 - |z1|)(1 - |z2|)(1 - |z1| |z2|), so F maps the
+    bidisc into the tetrablock."""
+    r, s = (abs(mp.mpc(v)) for v in z)
+    return (1 - r) * (1 - s) * (1 - r * s)
+
+
+def tetrablock_draws(n, seed):
+    """n candidate points about the slice x3 = x1 x2: F(z) for z uniform
+    in the bidisc, each coordinate then moved by a point uniform in the
+    disc of radius 0.1, so that some (x1, x2) leave the closed bidisc."""
+    rnd = random.Random(seed)
+
+    def disc(radius):
+        return mp.mpc(mp.rect(radius * mp.sqrt(rnd.random()), 2 * mp.pi * rnd.random()))
+
+    draws = []
+    for _ in range(n):
+        z1, z2 = disc(1), disc(1)
+        draws.append((z1 + disc(0.1), z2 + disc(0.1), z1 * z2 + disc(0.1)))
+    return draws
 
 
 def royal_distance(u, v):

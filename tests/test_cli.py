@@ -77,6 +77,15 @@ def test_sweep_tetra_values_and_summary(tmp_path):
     assert "family=tetra" in summary[0] and "verdict=diverging" in summary[0]
 
 
+def test_sweep_tetra_certifies_down_to_the_last_float_below_one(tmp_path):
+    out = tmp_path / "t.csv"
+    grid = "0.999999,0.99999999,0.9999999999999999"
+    assert run(["sweep", "--family", "tetra", "--grid", grid, "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 3
+    assert all(r["error"] == "" and float(r["S_lb"]) > 7.0 for r in rows)
+
+
 def test_sweep_row_failure_sets_exit_two(tmp_path, caplog):
     # the refusal is recorded in the row's error column and the exit code,
     # and not logged row by row

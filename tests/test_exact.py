@@ -296,37 +296,48 @@ def test_tetra_origin_distance_royal_point():
 
 def test_tetra_automorphism_fixes_membership():
     # the origin form refuses points outside the tetrablock, so a finite
-    # distance means the image is inside
+    # distance means the image of the reference automorphism is inside
+    oracle_gen = pytest.importorskip("oracle_gen", reason="the automorphism is an mpmath reference")
     x = (0.3, 0.2, 0.05)
-    y = exact.tetra_automorphism(0.4, x)
+    y = tuple(complex(c) for c in oracle_gen.tetra_automorphism(0.4, x))
     assert math.isfinite(exact.tetra_origin_distance(y))
-    z = exact.tetra_automorphism(-0.4, y)
+    z = tuple(complex(c) for c in oracle_gen.tetra_automorphism(-0.4, y))
     assert math.isfinite(exact.tetra_origin_distance(z))
     with pytest.raises(OracleError):
         exact.tetra_origin_distance((0.9, 0.9, -0.9))
 
 
+def test_tetra_origin_distance_on_the_bidisc_slice():
+    # z -> (z1, z2, z1 z2) embeds the bidisc and x -> (x1, x2) retracts onto
+    # it, so on the slice the origin form is the bidisc's distance to 0
+    rng = np.random.default_rng(36)
+    real = rng.uniform(-0.9, 0.9, (2000, 2))
+    lifts = np.concatenate([real, 0.9 * exact.polydisc_points(rng, 2000)])
+    wrong = []
+    for z1, z2 in lifts.tolist():
+        got = exact.tetra_origin_distance((z1, z2, z1 * z2))
+        want = max(math.atanh(abs(z1)), math.atanh(abs(z2)))
+        if abs(got - want) > 1e-14:
+            wrong.append((z1, z2, got - want))
+    assert not wrong, (len(wrong), wrong[:5])
+
+
 def test_royal_kernel_on_the_royal_line():
     # the royal line is a complex geodesic: the disc kernel on the
     # parameters is the tetrablock distance of (u, u, u^2) and (v, v, v^2),
-    # which the shift by u and the origin form give up to their own
-    # rounding, a few 1e-12 relative where `sample` draws
+    # which the reference automorphism shifting u to 0 and the origin form
+    # give in mpmath
+    oracle_gen = pytest.importorskip("oracle_gen", reason="the automorphism is an mpmath reference")
+    mp = oracle_gen.mp
     kernel = exact.SAMPLE_DOMAINS["tetra"].distance
     assert kernel is exact.disc_distance
     rng = np.random.default_rng(12)
     u, v = rng.uniform(-0.9, 0.9, (2, 500))
     got = kernel(u, v)
     for k in range(len(u)):
-        shifted = exact.tetra_automorphism(u[k], (v[k], v[k], v[k] * v[k]))
-        want = exact.tetra_origin_distance(shifted)
-        assert got[k] == pytest.approx(want, rel=1e-11), (u[k], v[k])
-
-
-def test_tetra_shift_with_vanishing_denominator_raises_oracle_error():
-    # 1 - 2u^2 + u^4 rounds to 0 one ulp below 1
-    u = 0.9999999999999999
-    with pytest.raises(OracleError):
-        exact.tetra_automorphism(u, (u, u, u * u))
+        royal = (v[k], v[k], mp.mpf(v[k]) ** 2)
+        want = oracle_gen.tetra_origin_distance(oracle_gen.tetra_automorphism(u[k], royal))
+        assert got[k] == pytest.approx(float(want), rel=1e-11), (u[k], v[k])
 
 
 # -- real points run real arithmetic -----------------------------------------
@@ -380,12 +391,6 @@ def _real_cases():
     def origin(xs):
         return [exact.tetra_origin_distance(tuple(x)) for x in xs.tolist()]
 
-    def shifted_origin(xs):
-        # each royal point (v, v, v^2) shifted by the real u of its row
-        return [exact.tetra_origin_distance(exact.tetra_automorphism(t, tuple(x)))
-                for t, x in zip(u.tolist(), xs.tolist())]
-
-    royal = np.stack([v, v, v * v], axis=1)
     return {
         "royal-line block": (tetra, u, v),
         "royal-line block against complex disc points": (exact.disc_distance, u, disc),
@@ -400,7 +405,6 @@ def _real_cases():
         "half-plane points": (_pairwise(exact.halfplane_distance), h1, h2),
         "strip points": (_pairwise(exact.strip_distance), s1, s2),
         "tetra origin off the royal line": (origin, off_royal),
-        "tetra shift then origin": (shifted_origin, royal),
         "gn lifts": (functools.partial(exact.gn_pair_bounds, first=np.arange(12),
                                        second=np.arange(12, 24)),
                      np.concatenate([lifts[:, 0], lifts[:, 1]])),

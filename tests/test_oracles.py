@@ -7,6 +7,7 @@ pins cannot drift silently.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -344,6 +345,11 @@ def test_gn_legs_to_the_origin_enclose_their_closed_forms():
     assert not wrong, (len(wrong), wrong[:5])
 
 
+# tetra's deep end, down to the last float below 1: its legs are bidisc
+# legs, so no float point of the tetrablock is formed
+TETRA_DEEP = (1.0 - 1e-6, 1.0 - 1e-8, 1.0 - 1e-12, math.nextafter(1.0, 0.0))
+
+
 # each family's float S_lb against the interval enclosure of its formula
 # at the witness's exact inputs (oracle_gen, mpmath.iv at 60 digits): S_lb
 # must sit at or below the enclosure's lower end, and so must each lower
@@ -364,7 +370,7 @@ ENCLOSURE_POINTS = [
       if (name, x) != ("flat_exp", 1e-10)),
     pytest.param("flat_exp", 1e-10, marks=_REFERENCE_BOUND),
     *(("gn", a) for a in (0.5, 0.7309, 0.9999, 1.0 - 1e-12)),
-    *(("tetra", a) for a in (0.5, 0.9999, 0.999995)),
+    *(("tetra", a) for a in (0.5, 0.9999, 0.999995) + TETRA_DEEP),
 ]
 # the one point the witness refuses: psi(t1)/psi(x) rounds to 1 there
 REFUSED = {("flat_quartic", 1e-14)}
@@ -476,7 +482,7 @@ def test_lattice_over_reports_are_the_recorded_ones(family, monkeypatch):
 
 # tetra: five royal legs atanh(a) and the long leg 2 atanh(a), each rounded
 # outward, so s_lb stays at or below the exact defect atanh(a)
-TETRA_A = [0.5 + (0.9999 - 0.5) * k / 999 for k in range(1000)]
+TETRA_A = [0.5 + (0.9999 - 0.5) * k / 999 for k in range(1000)] + list(TETRA_DEEP)
 
 
 def test_tetra_s_lb_is_at_most_the_exact_defect():
@@ -491,6 +497,35 @@ def test_tetra_s_lb_is_at_most_the_exact_defect():
                 if not rep.bounds[key].lo <= want <= rep.bounds[key].hi:
                     above.append((a, key))
     assert not above, (len(above), above[:5])
+
+
+# the bidisc is a retract of the tetrablock: F(z) = (z1, z2, z1 z2) maps it
+# in, since the tetrablock's slack at F(z) factors with every factor
+# positive, and (x1, x2) maps the tetrablock back, since it lies over the
+# open bidisc
+def test_tetra_slack_factors_on_the_bidisc_slice():
+    mp = oracle_gen.mp
+    rnd = random.Random(36)
+    near_rim = [1 - mp.mpf(10) ** -k for k in (3, 8, 16, 30)]
+    radii = [(mp.mpf(rnd.random()), mp.mpf(rnd.random())) for _ in range(200)]
+    radii += [(r, s) for r in near_rim for s in (0, mp.mpf("0.5"), *near_rim)]
+    wrong = []
+    for r1, r2 in radii:
+        for z in ((r1, -r2), (mp.rect(r1, rnd.uniform(-3, 3)), mp.rect(r2, rnd.uniform(-3, 3)))):
+            gap = oracle_gen.tetra_slack((*z, z[0] * z[1])) - oracle_gen.bidisc_slack(z)
+            if abs(gap) > mp.mpf(10) ** -50:
+                wrong.append((z, gap))
+    assert not wrong, (len(wrong), wrong[:5])
+
+
+def test_points_drawn_in_the_tetrablock_lie_over_the_open_bidisc():
+    draws = oracle_gen.tetrablock_draws(4000, seed=36)
+    inside = [x for x in draws if oracle_gen.tetra_slack(x) > 0]
+    # a draw off the closed bidisc exists to be refused, and most are kept
+    assert any(max(abs(x[0]), abs(x[1])) >= 1 for x in draws)
+    assert len(inside) > len(draws) // 2
+    over = [x for x in inside if max(abs(x[0]), abs(x[1])) >= 1]
+    assert not over, (len(over), over[:5])
 
 
 # exp_flat's psi' = e^{-1/t}/t^2: only -1/t's rounding is amplified, by 1/t,

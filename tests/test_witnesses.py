@@ -376,13 +376,6 @@ CHECK_MUTATIONS = {
         ("product", 5.0, _wrap(witnesses, "polydisc_axis_distance_array", _stretched_pw)),
     ("gn", "exact legs enclosed"):
         ("gn", 0.9, _wrap(witnesses, "gn_pair_bounds", _raised_bounds)),
-    ("tetra", "automorphism sends P to the origin"):
-        ("tetra", 0.5, _wrap(witnesses, "tetra_automorphism",
-                             lambda z: tuple(c + 1e-6 for c in z))),
-    ("tetra", "doubling identity"):
-        ("tetra", 0.5, _wrap(witnesses, "_atanh_stable", lambda v: v + 1e-9)),
-    ("tetra", "origin-formula agreement on the long leg"):
-        ("tetra", 0.5, _wrap(witnesses, "tetra_origin_distance", lambda v: v + 1e-9)),
     ("tetra", "defect equals atanh(a)"):
         ("tetra", 0.5, _wrap(witnesses, "defect_interval", _low_defect)),
     ("hinge", "unit ball about w clears the flat face"):
