@@ -4,7 +4,9 @@ Domains have the shape { (z1, z2) : Re z1 > psi(|z2|) } cut down by the
 box Re z1 < BOX, |Im z1| < BOX and the radial cap |z2| < Z2_CAP, where psi
 is a convex nondecreasing profile.  Such a domain is bounded and convex,
 which is what every lower-bound certificate here leans on.  The box only
-involves z1, and the profile and the cap only |z2|.
+involves z1, and the profile and the cap only |z2|.  The face distance
+`_faces` and the z2 slice radius `ModelDomain.slice_radius` are each one
+formula, on floats through ``rounding.MATH`` and on arrays through numpy.
 
 Lower bounds
     * boundary-distance ratio: k(z, w) >= (1/2) log(d(w)/d(z)),
@@ -62,12 +64,6 @@ _BB_GAP = 1e-4
 _BB_MAX_ITER = 6000
 
 
-def _box_margin(z1: complex) -> float:
-    """Signed Euclidean distance from a point (z1, z2) to the box faces
-    Re z1 = BOX and |Im z1| = BOX; z2 does not enter."""
-    return min(BOX - z1.real, BOX - abs(z1.imag))
-
-
 def _modulus(w):
     """|w|, elementwise on a complex array.  np.hypot there, not np.abs:
     numpy's complex abs may run a SIMD loop that errs by more than an ulp,
@@ -79,13 +75,21 @@ def _modulus_up(w: complex) -> float:  # |w| rounded up: a hypot, exact on the a
     return up(abs(w), LIBM_FLOATS) if w.real and w.imag else abs(w)
 
 
+def _faces(x1, y1, s):
+    """min(BOX - x1, BOX - |y1|, Z2_CAP - s), the signed distance to the box
+    and cap faces from z1 = x1 + i y1 and |z2| = s, rounded to nearest, on
+    floats or elementwise on arrays; at s = 0 its sign is the box's.  A NaN
+    |y1| comes first, where MATH.minimum passes it on as np.minimum does."""
+    xp = np if isinstance(x1, np.ndarray) or isinstance(s, np.ndarray) else MATH
+    return xp.minimum(xp.minimum(BOX - abs(y1), BOX - x1), Z2_CAP - s)
+
+
 def _face_margin_lower(x1: np.ndarray, y1: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """min(BOX - x1, BOX - |y1|, Z2_CAP - s), the distance to the box and
-    cap faces from z1 = x1 + i y1 and |z2| = s (a hypot), rounded down.
-    The smallest difference m steps down only where Fast2Sum shows its face
-    inexact; every other face's exact margin exceeds m."""
+    """:func:`_faces` from z1 = x1 + i y1 and |z2| = s (a hypot), rounded
+    down.  The smallest difference m steps down only where Fast2Sum shows
+    its face inexact; every other face's exact margin exceeds m."""
     ay1, s_up = np.abs(y1), up(s, LIBM_FLOATS)
-    m = np.minimum(np.minimum(BOX - x1, BOX - ay1), Z2_CAP - s_up)
+    m = _faces(x1, y1, s_up)
     err = np.minimum(np.minimum((BOX - m) - x1, (BOX - m) - ay1), (Z2_CAP - m) - s_up)
     return np.where(err < 0.0, down(m), m)
 
@@ -202,8 +206,7 @@ class ModelDomain:
         |z2| is abs on a scalar and np.hypot on an array, one libm hypot."""
         z1, z2 = z
         x1, s, floor = z1.real, _modulus(z2), -slack
-        return ((x1 - self.profile.value(s) > floor) & (Z2_CAP - s > floor)
-                & (BOX - x1 > floor) & (BOX - abs(z1.imag) > floor))
+        return (x1 - self.profile.value(s) > floor) & (_faces(x1, z1.imag, s) > floor)
 
     # -- boundary distance ---------------------------------------------------
 
@@ -261,7 +264,7 @@ class ModelDomain:
                 f"point {k} of the block, {zs[k]}, is not an interior point of {self.name}"
             )
         x1, y1, s = z1.real, z1.imag, _modulus(z2)
-        faces = np.minimum(np.minimum(BOX - x1, BOX - np.abs(y1)), Z2_CAP - s)
+        faces = _faces(x1, y1, s)
         lo, hi, cut_short = self._profile_distance_block(x1, s, faces * faces)
         lo = np.minimum(_face_margin_lower(x1, y1, s), lo)
         hi = np.minimum(faces, hi)
@@ -272,33 +275,30 @@ class ModelDomain:
         elementwise over z's coordinates, which may be complex arrays.
 
         Box and cap: :func:`_face_margin_lower`.  Profile face: the graph
-        of psi is Lipschitz with constant psi'(t_rel) on the relevant
-        radius range, so the vertical margin divided by
-        sqrt(1 + psi'(t_rel)^2) is a valid lower bound.
+        of psi over the slice at the height x1 is Lipschitz with constant
+        psi' at its radius, :meth:`slice_radius`, so the vertical margin
+        divided by sqrt(1 + psi'^2) there is a valid lower bound.  A height
+        x1 <= 0, which no interior point has, refuses the whole block.
         """
         z1, z2 = np.asarray(z[0]), np.asarray(z[1])
         x1 = z1.real
         # an array even at one point, so the profile evaluates it with numpy
         s = np.asarray(_modulus(z2))
-        profile = self.profile
-        steep = (profile.value(Z2_CAP) > x1) & (x1 > 0.0)
-        # the inverse is read only where the profile reaches the height x1
-        inverse = profile.inverse(np.where(steep, x1, 1.0))
-        t_rel = np.where(steep, np.minimum(Z2_CAP, inverse), Z2_CAP)
-        slope = profile.deriv(t_rel)
-        return np.minimum(
-            _face_margin_lower(x1, z1.imag, s),
-            (x1 - profile.value(s)) / np.hypot(1.0, slope),
-        )
+        slope = self.profile.deriv(self.slice_radius(x1))
+        return np.minimum(_face_margin_lower(x1, z1.imag, s),
+                          (x1 - self.profile.value(s)) / np.hypot(1.0, slope))
 
-    def slice_radius(self, x1: float) -> float:
+    def slice_radius(self, x1):
         """Radius of the z2 slice {w : psi(|w|) < x1, |w| < Z2_CAP} at height
-        x1; the box does not involve z2."""
-        if x1 <= 0.0:
+        x1, on a float or elementwise on an array; the box does not involve
+        z2.  Both branches run, as in :mod:`.profiles`: the inverse reads
+        the placeholder height 1.0 where psi(Z2_CAP) <= x1 and the cap binds."""
+        xp = np if isinstance(x1, np.ndarray) else MATH
+        if not xp.all(x1 > 0.0):
             raise CertificateError("slice height must be positive")
-        if self.profile.value(Z2_CAP) <= x1:
-            return Z2_CAP
-        return self.profile.inverse(x1)
+        steep = self.profile.value(Z2_CAP) > x1
+        inverse = self.profile.inverse(xp.where(steep, x1, 1.0))
+        return xp.where(steep, xp.minimum(Z2_CAP, inverse), Z2_CAP)
 
     # -- analytic discs ------------------------------------------------------
 
@@ -342,7 +342,7 @@ class ModelDomain:
         domain: c inside the box, 0 < r <= Z2_CAP, and psi = psi_up(r) at
         most Re c, the profile face (tangency is allowed, since the disc
         is open)."""
-        if _box_margin(c) <= 0.0:
+        if _faces(c.real, c.imag, 0.0) <= 0.0:
             raise CertificateError(f"slice disc at z1={c} leaves the box")
         if not 0.0 < r <= Z2_CAP:
             raise CertificateError(f"slice radius {r!r} is not in (0, {Z2_CAP}]")
@@ -597,7 +597,7 @@ def ub_slice_discs(
     for center in (p_tilde2, s_tilde2):
         if abs(center) + r > rad + 1e-12:
             raise CertificateError("slice disc leaves the profile slice")
-    if _box_margin(p[0]) <= 0.0:
+    if _faces(p[0].real, p[0].imag, 0.0) <= 0.0:
         raise CertificateError("slice discs leave the box")
     e = abs(p[1] - p_tilde2)
     if e >= r:

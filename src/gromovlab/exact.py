@@ -18,12 +18,14 @@ points is the disc distance of their parameters.
 
 Each sampled domain has exactly one distance kernel, an array function
 in SAMPLE_DOMAINS that both `sample` and `verify` run; the royal line
-is sampled with the disc kernel on its parameter.  The disc formula is
-written once, over the namespace of :mod:`.rounding`: `disc_distance`
-evaluates it with the math module on two points and with numpy on two
-arrays of them, and the gn scan runs it on the images' analytic gaps.
-Every kernel runs on the points it is given: real points run real
-arithmetic, with the bits they would get as complex ones.
+is sampled with the disc kernel on its parameter.  The disc, half-plane
+and strip formulas are each written once, over the namespace of
+:mod:`.rounding`: `disc_distance`, `halfplane_distance` and
+`strip_distance` evaluate them with the math module on two points and
+with numpy on two arrays of them, and the gn scan runs the disc's on the
+images' analytic gaps.  Every kernel runs on the points it is given:
+real points run real arithmetic, with the bits they would get as complex
+ones; the strip's tan is complex arithmetic on both.
 
 Numerical contract: every distance evaluator stays accurate all the way
 to boundary gaps of order 1e-300 when handed analytic gap parameters,
@@ -38,7 +40,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,14 +129,17 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
+def _operands(u, v):
+    # numpy and two arrays if either is one, else the math module and the two points
+    arrays = isinstance(u, np.ndarray) or isinstance(v, np.ndarray)
+    return (np, np.asarray(u), np.asarray(v)) if arrays else (MATH, u, v)
+
+
 def disc_distance(u, v):
     """Poincare distance atanh|(u-v)/(1-conj(u)v)| on the unit disc,
     between two points or elementwise between two (N,) arrays of them,
     real or complex."""
-    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-        xp, u, v = np, np.asarray(u), np.asarray(v)
-    else:
-        xp = MATH
+    xp, u, v = _operands(u, v)
     gap_u = 1.0 - _abs2(u)
     gap_v = 1.0 - _abs2(v)
     if not (xp.all(gap_u > 0.0) and xp.all(gap_v > 0.0)):
@@ -142,29 +147,36 @@ def disc_distance(u, v):
     return _disc_distance_gaps(xp, u, v, gap_u, gap_v)
 
 
-def halfplane_distance(z: complex, w: complex) -> float:
-    """atanh|(z-w)/(z+conj(w))| on the right half-plane Re > 0.
+def halfplane_distance(z, w):
+    """atanh|(z-w)/(z+conj(w))| on the right half-plane Re > 0, between two
+    points or elementwise between two arrays of them, real or complex.
 
     On the positive reals this is 0.5*|log(z/w)|.
     """
+    xp, z, w = _operands(z, w)
     rz, rw = z.real, w.real
-    if rz <= 0.0 or rw <= 0.0:
+    if not (xp.all(rz > 0.0) and xp.all(rw > 0.0)):
         raise OracleError("halfplane_distance: point outside Re > 0")
     den = abs(z + w.conjugate()) ** 2
     one_minus_m2 = 4.0 * rz * rw / den
-    m = abs(z - w) / math.sqrt(den)
-    return _atanh_stable(MATH, m, one_minus_m2)
+    m = abs(z - w) / xp.sqrt(den)
+    return _atanh_stable(xp, m, one_minus_m2)
 
 
-def strip_distance(z: complex, w: complex) -> float:
-    """Invariant distance on the vertical strip |Re z| < 1.
+def strip_distance(z, w):
+    """Invariant distance on the vertical strip |Re z| < 1, between two
+    points or elementwise between two arrays of them, real or complex.
 
-    tan(pi z / 4) is a biholomorphism onto the unit disc.
+    tan(pi z / 4) is a biholomorphism onto the unit disc: cmath.tan on
+    points, which takes a real one as complex, and np.tan on arrays, cast
+    to complex so that real points get the bits of complex ones.
     """
-    if abs(z.real) >= 1.0 or abs(w.real) >= 1.0:
+    xp, z, w = _operands(z, w)
+    if not (xp.all(abs(z.real) < 1.0) and xp.all(abs(w.real) < 1.0)):
         raise OracleError("strip_distance: point outside the strip")
+    tan = cmath.tan if xp is MATH else lambda x: np.tan(x.astype(complex))
     s = math.pi / 4.0
-    return disc_distance(cmath.tan(s * z), cmath.tan(s * w))
+    return disc_distance(tan(s * z), tan(s * w))
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +310,6 @@ SAMPLE_DOMAINS = {
     "tetra": SampleDomain(disc_distance, royal_line_points),
     "polydisc_axis": SampleDomain(polydisc_axis_distance_array, polydisc_axis_points),
 }
-
-
-def disc_to_halfplane(z: complex) -> complex:
-    """Cayley map of the unit disc onto Re > 0 (0 -> 1)."""
-    return (1.0 + z) / (1.0 - z)
-
-
-def mobius_disc_automorphism(a: complex, theta: float) -> Callable[[complex], complex]:
-    """z -> e^{i theta} (z - a)/(1 - conj(a) z), an automorphism of the disc."""
-    if abs(a) >= 1.0:
-        raise OracleError("automorphism parameter must be inside the disc")
-    phase = cmath.exp(1j * theta)
-
-    def phi(z: complex) -> complex:
-        return phase * (z - a) / (1.0 - a.conjugate() * z)
-
-    return phi
 
 
 # ---------------------------------------------------------------------------

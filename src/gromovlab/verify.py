@@ -17,7 +17,6 @@ cannot be made to fail verifies nothing.
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -115,31 +114,33 @@ def suite_exact_anchors(ctx: VerifyContext) -> list[str]:
 
 
 def suite_conformal_consistency(ctx: VerifyContext) -> list[str]:
+    """The disc, half-plane and strip kernels through the Cayley map, a disc
+    automorphism per draw and the strip's tan, on 50 draws in one pass each."""
     rng = np.random.default_rng(ctx.seed)
     tol = 1e-10
-    failures = []
-    zs, ws = exact.disc_points(rng, 100).reshape(2, 50).tolist()
-    for k, (z, w) in enumerate(zip(zs, ws)):
-        via_disc = exact.disc_distance(z, w)
-        via_half = exact.halfplane_distance(
-            exact.disc_to_halfplane(z), exact.disc_to_halfplane(w)
-        )
-        if abs(via_disc - via_half) > tol * (1.0 + via_disc):
-            failures.append(f"cayley mismatch at draw {k}: {via_disc} vs {via_half}")
-        a = complex(*rng.uniform(-0.5, 0.5, 2))
-        mob = exact.mobius_disc_automorphism(a, float(rng.uniform(0, 2 * math.pi)))
-        moved = exact.disc_distance(mob(z), mob(w))
-        if abs(via_disc - moved) > tol * (1.0 + via_disc):
-            failures.append(f"mobius invariance broke at draw {k}")
-        s1, s2 = (complex(rng.uniform(-0.9, 0.9), rng.uniform(-2, 2)) for _ in range(2))
-        via_strip = exact.strip_distance(s1, s2)
-        t1, t2 = cmath.tan(math.pi * s1 / 4.0), cmath.tan(math.pi * s2 / 4.0)
-        via_comp = exact.halfplane_distance(
-            exact.disc_to_halfplane(t1), exact.disc_to_halfplane(t2)
-        )
-        if abs(via_strip - via_comp) > tol * (1.0 + via_strip):
-            failures.append(f"strip composition mismatch at draw {k}")
-    return failures
+    z, w = exact.disc_points(rng, 100).reshape(2, 50)
+    # per draw: Re a, Im a, theta, then two strip points, (Re, Im) each
+    lo, hi = [-0.5, -0.5, 0.0, -0.9, -2.0, -0.9, -2.0], [0.5, 0.5, 2 * math.pi, 0.9, 2.0, 0.9, 2.0]
+    ar, ai, theta, x1, y1, x2, y2 = rng.uniform(lo, hi, (50, 7)).T
+    a, s1, s2 = ar + 1j * ai, x1 + 1j * y1, x2 + 1j * y2
+
+    def cayley(x):  # the unit disc onto Re > 0, 0 -> 1
+        return (1.0 + x) / (1.0 - x)
+
+    def mobius(x):  # e^{i theta} (x - a)/(1 - conj(a) x), an automorphism of the disc
+        return np.exp(1j * theta) * (x - a) / (1.0 - a.conj() * x)
+
+    via_disc = exact.disc_distance(z, w)
+    via_strip = exact.strip_distance(s1, s2)
+    t1, t2 = np.tan(math.pi * s1 / 4.0), np.tan(math.pi * s2 / 4.0)
+    checks = (
+        ("cayley mismatch", via_disc, exact.halfplane_distance(cayley(z), cayley(w))),
+        ("mobius invariance broke", via_disc, exact.disc_distance(mobius(z), mobius(w))),
+        ("strip composition mismatch", via_strip,
+         exact.halfplane_distance(cayley(t1), cayley(t2))),
+    )
+    return [f"{name} at draw {k}: {d[k]} vs {other[k]}" for name, d, other in checks
+            for k in np.flatnonzero(abs(d - other) > tol * (1.0 + d))]
 
 
 def suite_metric_axioms(ctx: VerifyContext) -> list[str]:

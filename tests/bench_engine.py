@@ -25,8 +25,9 @@ branch-and-bound rounds, the uniform pass included, and the profile
 values they evaluate.  Each chain row times one `ub_euclidean_chain`
 call on the model's 1,000 pairs of that draw, in µs per call.  The
 rounding row times `rounding.up` on a one-element array next to
-`np.nextafter`, in µs per call; the last row times one warm
-`verify.run_all()`, in ms per call.
+`np.nextafter`, in µs per call; the run_all row times one warm
+`verify.run_all()`, in ms per call, and the rows after it each verify
+suite alone at the default seed, in ms per call.
 Not collected by pytest: it measures, it does not check.
 """
 
@@ -115,6 +116,10 @@ def main() -> None:
     print(f"one-element step: rounding.up {stepped:.2f} us, np.nextafter {raw:.2f} us")
     verify.run_all()
     print(f"verify.run_all(): {_per_call_us(verify.run_all) / 1e3:.1f} ms")
+    ctx = verify.VerifyContext()
+    for suite in verify.SUITES:
+        name = suite.__name__.removeprefix("suite_").replace("_", "-")
+        print(f"verify {name}: {_per_call_us(lambda: suite(ctx)) / 1e3:.2f} ms")
 
 
 if __name__ == "__main__":

@@ -32,7 +32,10 @@ def test_disc_distance_symmetry(u, v):
 
 @given(u=disc_pts, v=disc_pts, a=st.complex_numbers(max_magnitude=0.8, allow_nan=False))
 def test_disc_distance_mobius_invariant(u, v, a):
-    phi = exact.mobius_disc_automorphism(a, 0.7)
+    # z -> e^{0.7 i} (z - a)/(1 - conj(a) z), an automorphism of the disc
+    def phi(z):
+        return cmath.exp(0.7j) * (z - a) / (1.0 - a.conjugate() * z)
+
     lhs = exact.disc_distance(u, v)
     rhs = exact.disc_distance(phi(u), phi(v))
     assert rhs == pytest.approx(lhs, abs=1e-9, rel=1e-9)
@@ -40,8 +43,12 @@ def test_disc_distance_mobius_invariant(u, v, a):
 
 @given(z=disc_pts, w=disc_pts)
 def test_cayley_transport(z, w):
+    # the Cayley map of the unit disc onto Re > 0
+    def cayley(x):
+        return (1.0 + x) / (1.0 - x)
+
     lhs = exact.disc_distance(z, w)
-    rhs = exact.halfplane_distance(exact.disc_to_halfplane(z), exact.disc_to_halfplane(w))
+    rhs = exact.halfplane_distance(cayley(z), cayley(w))
     assert rhs == pytest.approx(lhs, abs=1e-9, rel=1e-9)
 
 
@@ -64,6 +71,56 @@ def test_strip_distance_against_conformal_map():
     assert exact.strip_distance(z, w) == pytest.approx(
         exact.disc_distance(t1, t2), abs=1e-12
     )
+
+
+def _float_calls(fn, zs, ws):
+    # a distance on two arrays of points, one Python value at a time
+    return np.array([fn(z, w) for z, w in zip(zs.tolist(), ws.tolist())])
+
+
+def _halfplane_draw(rng, complex_points):
+    h = rng.uniform(1e-6, 10.0, (2, 500))
+    return h + 1j * rng.uniform(-5.0, 5.0, h.shape) if complex_points else h
+
+
+def _strip_draw(rng, complex_points):
+    s = rng.uniform(-0.99, 0.99, (2, 500))
+    return s + 1j * rng.uniform(-2.0, 2.0, s.shape) if complex_points else s
+
+
+@pytest.mark.parametrize("complex_points", (False, True), ids=("real", "complex"))
+@pytest.mark.parametrize("kernel, draw, rtol, boundary", [
+    (exact.halfplane_distance, _halfplane_draw, 1e-14, 0.0),
+    (exact.strip_distance, _strip_draw, 1e-12, 1.0),
+], ids=("halfplane", "strip"))
+def test_halfplane_and_strip_on_arrays_are_the_float_calls(kernel, draw, rtol, boundary,
+                                                           complex_points):
+    # one formula on both: an array entry is the float call to within the
+    # difference of numpy's log1p, arctanh and tan from libm's (numpy's may
+    # run SIMD loops), which the strip's tan near |Re z| = 1 amplifies; a
+    # point on the boundary refuses the whole array
+    zs, ws = draw(np.random.default_rng(31), complex_points)
+    got = kernel(zs, ws)
+    np.testing.assert_allclose(got, _float_calls(kernel, zs, ws), rtol=rtol, atol=0.0)
+    outside = zs.copy()
+    outside[-1] = boundary
+    with pytest.raises(OracleError):
+        kernel(outside, ws)
+
+
+@pytest.mark.parametrize("kernel, check", [
+    ("disc_distance", "cayley mismatch"),
+    ("halfplane_distance", "cayley mismatch"),
+    ("strip_distance", "strip composition mismatch"),
+])
+def test_a_kernel_scaled_by_a_billionth_fails_conformal_consistency(monkeypatch, kernel, check):
+    # each kernel the suite reads, scaled by 1 + 1e-9: a check that reads it
+    # names its draws, past the suite's 1e-10 relative tolerance
+    real = getattr(exact, kernel)
+    monkeypatch.setattr(exact, kernel, lambda z, w: real(z, w) * (1.0 + 1e-9))
+    results = {r.name: r for r in verify.run_all()}
+    assert not results["conformal-consistency"].passed
+    assert check in results["conformal-consistency"].detail
 
 
 # -- product domains ---------------------------------------------------------
@@ -368,11 +425,6 @@ def _outcome(fn, *args):
     return bits(v)
 
 
-def _pairwise(fn):
-    # a scalar distance over two arrays of points, one Python value at a time
-    return lambda zs, ws: [fn(z, w) for z, w in zip(zs.tolist(), ws.tolist())]
-
-
 def _real_cases():
     rng = np.random.default_rng(25)
     tetra, ball, poly = (exact.SAMPLE_DOMAINS[k].distance for k in ("tetra", "ball", "polydisc"))
@@ -402,8 +454,8 @@ def _real_cases():
         "polydisc anchor": (lambda x, y: verify._sampled("polydisc", x, y), (0.5, 0.1), (0.0, 0.0)),
         "ball anchor": (lambda x, y: verify._sampled("ball", x, y), (0.7, 0.0), (0.0, 0.0)),
         "tetra anchor": (exact.tetra_origin_distance, (0.8, 0.8, 0.64)),
-        "half-plane points": (_pairwise(exact.halfplane_distance), h1, h2),
-        "strip points": (_pairwise(exact.strip_distance), s1, s2),
+        "half-plane points": (exact.halfplane_distance, h1, h2),
+        "strip points": (exact.strip_distance, s1, s2),
         "tetra origin off the royal line": (origin, off_royal),
         "gn lifts": (functools.partial(exact.gn_pair_bounds, first=np.arange(12),
                                        second=np.arange(12, 24)),

@@ -1,6 +1,7 @@
 """The reproduction scripts run as the README shows them."""
 
 import csv
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -12,6 +13,18 @@ def _load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# sha256 of each sweep CSV the script writes: any change to a certified
+# bit, a grid point or the file's layout changes them
+SWEEP_DIGESTS = {
+    "tetra": "c7437b7f37ed17012f1ff9e5d20572057a1ae1ed9ca7c71b9c6428703e39acc6",
+    "gn": "6bde77fb74ceadb262c1d8052921f27d16bb2df10a94fed4e87ee7808c419d19",
+    "product": "8a5213d68c8d6c35ef0ad9b4bdfc81b7176eed40df9465369bb5e0dfe15b85ee",
+    "hinge": "cfc489c289f1c4a0d1272af07ed8c579927fa0258e40a980565fd3cac1b083c6",
+    "flat_exp": "7f4fbac9a14e9409e0f0a4007083bb055c19fae2695458ded025418ebe77a8fd",
+    "flat_quartic": "d13a468d7a8b0aecb02b9c4c58f0d021c707e3bb78469ac2a2b470e1a94d83d3",
+}
 
 
 def test_divergence_sweeps_reproduce_the_verdicts(tmp_path, capsys):
@@ -33,6 +46,9 @@ def test_divergence_sweeps_reproduce_the_verdicts(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"sweep_{family}.csv" for family in verdicts
     )
+    digests = {family: hashlib.sha256((tmp_path / f"sweep_{family}.csv").read_bytes()).hexdigest()
+               for family in verdicts}
+    assert digests == SWEEP_DIGESTS
 
 
 def test_hyperbolic_controls_write_every_run(tmp_path, capsys):
