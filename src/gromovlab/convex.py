@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import DistBound, atanh_one_minus
+from .exact import DistBound, _modulus, atanh_one_minus
 from .profiles import ProfileFn
 from .rounding import (LIBM_FLOATS, MATH, SIMD_FLOATS, atanh_up, down, exp_up, log_down, log_up,
                        sum_down, sum_up, up)
@@ -64,15 +64,8 @@ _BB_GAP = 1e-4
 _BB_MAX_ITER = 6000
 
 
-def _modulus(w):
-    """|w|, elementwise on a complex array.  np.hypot there, not np.abs:
-    numpy's complex abs may run a SIMD loop that errs by more than an ulp,
-    while np.hypot is the libm hypot that abs calls on a scalar."""
-    return np.hypot(w.real, w.imag) if isinstance(w, np.ndarray) else abs(w)
-
-
 def _modulus_up(w: complex) -> float:  # |w| rounded up: a hypot, exact on the axes
-    return up(abs(w), LIBM_FLOATS) if w.real and w.imag else abs(w)
+    return up(_modulus(w), LIBM_FLOATS) if w.real and w.imag else _modulus(w)
 
 
 def _faces(x1, y1, s):
@@ -100,7 +93,7 @@ def _certified_block_min(
     cell_lb: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     hi: np.ndarray,
     ceiling: np.ndarray | float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Global minimum of a block of functions, the k-th on [0, hi[k]],
     each with a certified lower bound.
 
@@ -119,11 +112,11 @@ def _certified_block_min(
     running minimum.  A cell whose midpoint rounds onto an endpoint is at
     float resolution and cannot be split; its bound becomes a floor.  A
     function whose next round would take it past _BB_MAX_ITER splits
-    stops there, cut short: its lower bound stays valid, only looser.
+    refuses the whole block, naming its index.
     A function whose uniform-pass cell bounds all reach ceiling[k] settles
     them there; no split lowers a bound, so no skipped value is below it.
     Every step is elementwise in the functions, so each gets the same
-    bits alone as in any block.  Returns (best, lower, cut_short).
+    outcome and bits alone as in any block.  Returns (best, lower).
     """
     n = len(hi)
     # np.linspace(0, hi, _BB_COARSE + 1, axis=1), as it rounds, without its overhead
@@ -140,7 +133,6 @@ def _certified_block_min(
     owner = np.broadcast_to(owner, lb.shape)
     floor = np.full(n, math.inf)
     splits = np.zeros(n, dtype=np.int64)
-    cut_short = np.zeros(n, dtype=bool)
     while True:
         threshold = best - _BB_GAP * np.abs(best) - 1e-300
         m = 0.5 * (a + b)
@@ -150,14 +142,11 @@ def _certified_block_min(
         if atomic.any():
             np.minimum.at(floor, owner[atomic], lb[atomic])
         split = ~(settle | atomic)
-        wanted = np.bincount(owner[split], minlength=n)
-        over = splits + wanted > _BB_MAX_ITER
-        if over.any():
-            cut_short |= over
-            settle |= split & over[owner]
-            split &= ~over[owner]
-            wanted[over] = 0
-        splits += wanted
+        splits += np.bincount(owner[split], minlength=n)
+        over = np.flatnonzero(splits > _BB_MAX_ITER)
+        if over.size:
+            raise CertificateError(f"point {over[0]} of the block needs more than "
+                                   f"{_BB_MAX_ITER} branch-and-bound splits")
         np.minimum.at(settled, owner[settle], lb[settle])
         keep = np.nonzero(split)
         if not keep[0].size:
@@ -169,7 +158,7 @@ def _certified_block_min(
         a, b = np.concatenate([a, m]), np.concatenate([m, b])
         fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
         lb = cell_lb(owner, a, b, fa, fb)
-    return best, np.minimum(np.minimum(best, floor), settled), cut_short
+    return best, np.minimum(np.minimum(best, floor), settled)
 
 
 @dataclass(frozen=True)
@@ -203,7 +192,7 @@ class ModelDomain:
         -slack: Re z1 - psi(|z2|), Z2_CAP - |z2|, BOX - Re z1 and
         BOX - |Im z1|.  Elementwise over z's coordinates, which may be
         complex arrays, with psi evaluated as :mod:`.profiles` evaluates it;
-        |z2| is abs on a scalar and np.hypot on an array, one libm hypot."""
+        a NaN or infinite coordinate is not interior."""
         z1, z2 = z
         x1, s, floor = z1.real, _modulus(z2), -slack
         return (x1 - self.profile.value(s) > floor) & (_faces(x1, z1.imag, s) > floor)
@@ -212,7 +201,7 @@ class ModelDomain:
 
     def _profile_distance_block(
         self, x1: np.ndarray, s: np.ndarray, ceiling: np.ndarray | float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         # squared distance from (x1, s) to the graph point (psi(t), t) is
         # h(t), minimized by the branch and bound over [0, t_hi]: past t_hi
         # the axis term alone exceeds h at 0 or at s
@@ -236,16 +225,12 @@ class ModelDomain:
         every, zero = np.arange(len(x1)), np.zeros_like(s)
         # psi(0) = 0 for every profile
         ends = np.minimum(h(every, zero, zero), h(every, s, psi(s)))
-        best, lower, cut_short = _certified_block_min(psi, h, cell_lb, s + np.sqrt(ends) + 1e-9,
-                                                      ceiling)
-        return np.sqrt(np.maximum(lower, 0.0)), np.sqrt(np.minimum(best, ends)), cut_short
+        best, lower = _certified_block_min(psi, h, cell_lb, s + np.sqrt(ends) + 1e-9, ceiling)
+        return np.sqrt(np.maximum(lower, 0.0)), np.sqrt(np.minimum(best, ends))
 
-    def boundary_distance_brackets(
-        self, zs: Sequence[PointC2]
-    ) -> tuple[list[DistBound], np.ndarray]:
+    def boundary_distance_brackets(self, zs: Sequence[PointC2]) -> list[DistBound]:
         """Enclosures of the Euclidean distance to the boundary at each
-        point, and whether each point's branch and bound was cut short at
-        _BB_MAX_ITER (its bracket is still an enclosure, only looser).
+        point, or a refusal naming the point.
 
         The domain is an intersection of regions, so the distance is the
         minimum of the distances to each region's boundary; the box and
@@ -253,7 +238,8 @@ class ModelDomain:
         profile graph is bracketed by one branch and bound over the whole
         block, whose ceiling is the squared face distance f (sqrt(fl(f*f))
         is f, so min(f, .) keeps its bits where a face decides).  A point
-        that is not interior refuses the whole block, naming its index.
+        that is not interior, or whose branch and bound would pass
+        _BB_MAX_ITER splits, refuses the whole block, naming its index.
         """
         z = np.array(zs, dtype=complex).reshape(-1, 2)
         z1, z2 = z[:, 0], z[:, 1]
@@ -265,10 +251,10 @@ class ModelDomain:
             )
         x1, y1, s = z1.real, z1.imag, _modulus(z2)
         faces = _faces(x1, y1, s)
-        lo, hi, cut_short = self._profile_distance_block(x1, s, faces * faces)
+        lo, hi = self._profile_distance_block(x1, s, faces * faces)
         lo = np.minimum(_face_margin_lower(x1, y1, s), lo)
         hi = np.minimum(faces, hi)
-        return [DistBound(lo=a, hi=b) for a, b in zip(lo.tolist(), hi.tolist())], cut_short
+        return [DistBound(lo=a, hi=b) for a, b in zip(lo.tolist(), hi.tolist())]
 
     def cheap_boundary_lower(self, z: PointC2) -> np.ndarray:
         """Closed-form certified lower bound for the boundary distance,

@@ -83,6 +83,16 @@ class DistBound:
             raise ValueError(f"inverted enclosure: lo={self.lo} hi={self.hi}")
 
 
+def _modulus(w):
+    """|w| on a complex, or elementwise on a complex array: np.hypot, the
+    libm hypot that abs calls on a complex, NaN for a NaN part.  Not abs:
+    CPython's complex abs raises OverflowError on a NaN part when an
+    earlier libm call left errno at ERANGE, and numpy's complex abs may
+    run a SIMD loop that errs by more than an ulp."""
+    r = np.hypot(w.real, w.imag)
+    return r if isinstance(w, np.ndarray) else float(r)
+
+
 def _atanh_stable(xp, m_direct, one_minus_m2):
     # atanh m from the quotient m or from 1 - m^2: both branches on every
     # entry, then the switch.  The direct branch is taken only where 1 - m^2
@@ -493,13 +503,15 @@ def tetra_origin_distance(x: TetraPoint) -> float:
     Caratheodory side, so this single expression is two-sided exact.
     """
     a, b, p = x
-    if abs(a) >= 1.0 or abs(b) >= 1.0:
+    abs_a, abs_b = _modulus(a), _modulus(b)
+    if not (abs_a < 1.0 and abs_b < 1.0):
         raise OracleError("point outside the open tetrablock")
-    cross = abs(a * b - p)
+    cross = _modulus(a * b - p)
     m = max(
-        (abs(a - b.conjugate() * p) + cross) / (1.0 - abs(b) ** 2),
-        (abs(b - a.conjugate() * p) + cross) / (1.0 - abs(a) ** 2),
+        (_modulus(a - b.conjugate() * p) + cross) / (1.0 - abs_b ** 2),
+        (_modulus(b - a.conjugate() * p) + cross) / (1.0 - abs_a ** 2),
     )
-    if m >= 1.0:
+    # a NaN p makes both terms NaN
+    if not m < 1.0:
         raise OracleError("point outside the open tetrablock")
     return math.atanh(m)

@@ -369,8 +369,9 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     The quadruple sits at height psi(x) over the flat point: p and q at
     z2 = -+(1-alpha) x with alpha = (log 2 / 2) x, x_role the base point,
     w = (psi(x), 0).  The crossing split refuses where alpha reaches the
-    coupling level tau, and log g, g = psi(x) - psi((1-alpha) x), raises
-    where g rounds to 0.  Tangent
+    coupling level tau, the base point's boundary bracket where its branch
+    and bound would pass its cap on splits, and log g,
+    g = psi(x) - psi((1-alpha) x), raises where g rounds to 0.  Tangent
     functionals at radius x, normalized by x psi'(x), give the crossing
     split for (p, q) and the half-plane ratio for the short legs; the
     interior tangent ball caps the (p, base) legs; the slice disc of
@@ -418,7 +419,7 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     # boundary point is the flat point itself: for t in (0, cap],
     # t^2 >= psi(t) (2 psi(x) - psi(t)) because psi(t) <= psi(x) << t
     # on these profiles), d(base) from the branch-and-bound bracket
-    (b_base,), base_cut_short = domain.boundary_distance_brackets([xb])
+    (b_base,) = domain.boundary_distance_brackets([xb])
     log_base = log_down(b_base.lo)
     lb_ratio = lb_boundary_ratio_log(log_psi, log_base)
 
@@ -451,7 +452,6 @@ def flat_witness(domain: ModelDomain, x: float) -> WitnessReport:
     }
 
     checks = (
-        ("base-point bracket converged", not base_cut_short[0]),
         ("float/log agreement (slice leg)", abs(ub_slice - slice_float) <= 1e-8 * (1.0 + ub_slice)),
     )
     return WitnessReport(

@@ -22,7 +22,12 @@ Each bracket row times one `boundary_distance_brackets` call on the
 model's 120 points of verify's bound-sandwich draw (default seed) and
 one at `BASE_POINT` alone, in µs per call, and counts on that draw the
 branch-and-bound rounds, the uniform pass included, and the profile
-values they evaluate.  Each chain row times one `ub_euclidean_chain`
+values they evaluate.  It also prints the headroom of the cap on one
+point's splits: the least `convex._BB_MAX_ITER` at which each of the two
+calls does not refuse, found by bisection.  At the default seed these
+sit well under the cap of 6,000 (over that seed and the 19 after it the
+draw needs at most 671 splits on the hinge, 524 on flat_exp and 869 on
+flat_quartic; `BASE_POINT` needs 0, 0 and 288).  Each chain row times one `ub_euclidean_chain`
 call on the model's 1,000 pairs of that draw, in µs per call.  The
 rounding row times `rounding.up` on a one-element array next to
 `np.nextafter`, in µs per call; the run_all row times one warm
@@ -38,7 +43,7 @@ import timeit
 
 import numpy as np
 
-from gromovlab import cli, core, exact, models, verify, witnesses
+from gromovlab import cli, convex, core, exact, models, verify, witnesses
 from gromovlab.convex import BASE_POINT
 from gromovlab.rounding import up
 from test_scripts import _load
@@ -69,6 +74,25 @@ def _search_counts(dom, pts) -> tuple[int, int]:
     # uniform pass is the one two-dimensional call
     search = shapes[next(k for k, shape in enumerate(shapes) if len(shape) == 2):]
     return len(search), sum(int(np.prod(shape)) for shape in search)
+
+
+def _least_cap(dom, pts) -> int:
+    """The least `convex._BB_MAX_ITER` at which `boundary_distance_brackets`
+    on pts does not refuse, by bisection below the cap in use: a search
+    runs the same until it refuses, so a cap that passes passes above too."""
+    cap = convex._BB_MAX_ITER
+    refused, passed = -1, cap
+    try:
+        while passed - refused > 1:
+            convex._BB_MAX_ITER = mid = (refused + passed) // 2
+            try:
+                dom.boundary_distance_brackets(pts)
+                passed = mid
+            except convex.CertificateError:
+                refused = mid
+    finally:
+        convex._BB_MAX_ITER = cap
+    return passed
 
 
 def main() -> None:
@@ -107,7 +131,9 @@ def main() -> None:
         base = _per_call_us(lambda: dom.boundary_distance_brackets([BASE_POINT]))
         rounds, evals = _search_counts(dom, P)
         print(f"bracket {name}: bound-sandwich draw {draw:.0f} us, BASE_POINT {base:.0f} us, "
-              f"{rounds} rounds, {evals:,} profile values")
+              f"{rounds} rounds, {evals:,} profile values; least cap on splits "
+              f"{_least_cap(dom, P)} on the draw, {_least_cap(dom, [BASE_POINT])} at BASE_POINT "
+              f"(cap {convex._BB_MAX_ITER:,})")
         chain = _per_call_us(lambda: dom.ub_euclidean_chain(P[i], P[j]))
         print(f"chain {name}: {len(i):,} bound-sandwich pairs {chain:.0f} us")
     one = np.array([0.5])

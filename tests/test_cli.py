@@ -100,15 +100,16 @@ def test_sweep_row_failure_sets_exit_two(tmp_path, caplog):
     assert f"sweep wrote {out} (2 rows, 1 failed)" in caplog.messages
 
 
-def test_sweep_row_with_a_failed_check_is_a_certificate_error(tmp_path, monkeypatch):
-    # one branch-and-bound split leaves flat_quartic's base-point bracket
-    # cut short, which its report refuses
+def test_sweep_row_past_the_split_cap_is_a_certificate_error(tmp_path, monkeypatch):
+    # flat_quartic's base-point bracket needs more than one branch-and-bound
+    # split, so with the cap at one the bracket refuses the row
     monkeypatch.setattr(convex, "_BB_MAX_ITER", 1)
     out = tmp_path / "q.csv"
     assert run(["sweep", "--family", "flat_quartic", "--grid", "0.02", "--out", str(out)]) == 2
     (row,) = read_rows(out)
     assert row["S_lb"] == ""
-    assert row["error"] == "CertificateError: checks failed: base-point bracket converged"
+    assert row["error"] == ("CertificateError: point 0 of the block needs more than 1 "
+                            "branch-and-bound splits")
 
 
 def test_sweep_quartic_verdict_is_flat(tmp_path):

@@ -84,8 +84,22 @@ def test_profile_binds_before_cap_below_psi_of_two(m):
     assert m.contains((complex(x1), complex(m.profile.inverse(x1) - 1e-9)))
 
 
+@pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
+@pytest.mark.parametrize("part", [math.nan, math.inf, -math.inf])
+def test_a_nan_or_infinite_coordinate_is_not_interior(m, part):
+    # an underflowing exp leaves errno at ERANGE, where CPython's complex
+    # abs on a NaN part would raise OverflowError rather than return NaN
+    for z in ((complex(part, 0.0), 0j), (complex(1.0, part), 0j),
+              (1.0 + 0.0j, complex(part, 0.0)), (1.0 + 0.0j, complex(0.0, part))):
+        math.exp(-1000.0)
+        assert not m.contains(z), z
+    z1 = np.array([1.0 + 0.0j, complex(part, 0.0), 1.0 + 0.0j])
+    z2 = np.array([0j, 0j, complex(0.0, part)])
+    assert m.contains((z1, z2)).tolist() == [True, False, False]
+
+
 def test_box_is_the_nearest_face_on_hinge():
-    (b,), _ = HINGE_MODEL.boundary_distance_brackets([(2.9 + 0.0j, 0.0j)])
+    (b,) = HINGE_MODEL.boundary_distance_brackets([(2.9 + 0.0j, 0.0j)])
     assert b.lo == b.hi == 3.0 - 2.9
 
 
@@ -161,7 +175,7 @@ def test_hinge_profile_vanishes_below_one():
 # -- boundary distance brackets ----------------------------------------------
 
 def test_hinge_bracket_is_exact():
-    (b,), _ = HINGE_MODEL.boundary_distance_brackets([(0.5 + 0.0j, 0.2 + 0.0j)])
+    (b,) = HINGE_MODEL.boundary_distance_brackets([(0.5 + 0.0j, 0.2 + 0.0j)])
     assert b.lo == b.hi == pytest.approx(0.5)
 
 
@@ -172,15 +186,14 @@ HINGE_KINK_DISTANCE = 0.16592048182615238
 
 def test_hinge_bracket_past_the_kink():
     # above t = 1 the parabola arc comes closer than the flat facet
-    (b,), cut = HINGE_MODEL.boundary_distance_brackets([(0.5 + 0.0j, 0.0 + 1.5j)])
+    (b,) = HINGE_MODEL.boundary_distance_brackets([(0.5 + 0.0j, 0.0 + 1.5j)])
     assert b.lo <= HINGE_KINK_DISTANCE <= b.hi < 0.5
-    assert not cut[0]
 
 
 @pytest.mark.parametrize("m", [FLAT_EXP_MODEL, FLAT_QUARTIC_MODEL], ids=lambda m: m.name)
 def test_bracket_orders_and_covers_vertical_drop(m):
     z = (0.3 + 0.0j, 0.5 + 0.0j)
-    (b,), _ = m.boundary_distance_brackets([z])
+    (b,) = m.boundary_distance_brackets([z])
     assert 0.0 < b.lo <= b.hi
     # the vertical drop to the graph is one admissible path
     assert b.lo <= 0.3 - m.profile.value(0.5) + 1e-12
@@ -192,7 +205,7 @@ def test_bracket_tiny_scale_offset_point():
     x = 0.02
     px1 = FLAT_EXP_MODEL.profile.value(x)
     z = (complex(px1), complex(0.993 * x))
-    (b,), _ = FLAT_EXP_MODEL.boundary_distance_brackets([z])
+    (b,) = FLAT_EXP_MODEL.boundary_distance_brackets([z])
     assert b.lo > 0.0
     assert (b.hi - b.lo) / b.lo < 1e-3
 
@@ -222,7 +235,7 @@ BASE_BRACKET_PINS = {
 
 @pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
 def test_base_point_bracket_pinned(m):
-    (b,), _ = m.boundary_distance_brackets([BASE_POINT])
+    (b,) = m.boundary_distance_brackets([BASE_POINT])
     assert (b.lo.hex(), b.hi.hex()) == BASE_BRACKET_PINS[m.name]
 
 
@@ -238,13 +251,12 @@ def test_bracket_ends_without_an_empty_round(m):
         return value(t)
 
     strict = dataclasses.replace(m, profile=dataclasses.replace(m.profile, value=refuse_empty))
-    (b,), _ = strict.boundary_distance_brackets([BASE_POINT])
+    (b,) = strict.boundary_distance_brackets([BASE_POINT])
     assert (b.lo.hex(), b.hi.hex()) == BASE_BRACKET_PINS[m.name]
     pts = sample_interior(m, 40, np.random.default_rng(5), margin=0.02)
-    got, got_cut = strict.boundary_distance_brackets(pts)
-    want, want_cut = m.boundary_distance_brackets(pts)
+    got = strict.boundary_distance_brackets(pts)
+    want = m.boundary_distance_brackets(pts)
     assert [_bits(b) for b in got] == [_bits(b) for b in want]
-    assert got_cut.tolist() == want_cut.tolist()
 
 
 _interior = st.tuples(
@@ -274,24 +286,20 @@ def test_bracket_bits_do_not_depend_on_the_block(m, raw, seed):
     pts = _interior_points(m, raw)
     if not pts:
         return
-    alone = [m.boundary_distance_brackets([z]) for z in pts]
-    alone = [(_bits(b[0]), bool(cut[0])) for b, cut in alone]
-    block, cut = m.boundary_distance_brackets(pts)
-    assert [(_bits(b), bool(c)) for b, c in zip(block, cut)] == alone
+    alone = [_bits(b) for z in pts for b in m.boundary_distance_brackets([z])]
+    assert [_bits(b) for b in m.boundary_distance_brackets(pts)] == alone
     order = np.random.default_rng(seed).permutation(len(pts))
-    shuffled, cut = m.boundary_distance_brackets([pts[k] for k in order])
-    assert [(_bits(b), bool(c)) for b, c in zip(shuffled, cut)] == [alone[k] for k in order]
+    shuffled = m.boundary_distance_brackets([pts[k] for k in order])
+    assert [_bits(b) for b in shuffled] == [alone[k] for k in order]
 
 
 @pytest.mark.parametrize("m", ALL, ids=lambda m: m.name)
 def test_bracket_bits_alone_and_in_one_block_of_sampled_points(m):
     # the bracket runs one branch and bound over the whole block
     pts = sample_interior(m, 120, np.random.default_rng(16), margin=0.02)
-    block, cut = m.boundary_distance_brackets(pts)
-    alone = [m.boundary_distance_brackets([z]) for z in pts]
-    assert [(_bits(b), bool(c)) for b, c in zip(block, cut)] == [
-        (_bits(b[0]), bool(c[0])) for b, c in alone
-    ]
+    block = m.boundary_distance_brackets(pts)
+    alone = [b for z in pts for b in m.boundary_distance_brackets([z])]
+    assert [_bits(b) for b in block] == [_bits(b) for b in alone]
 
 
 def _sandwich_draw(m):
@@ -319,8 +327,7 @@ def test_hinge_bracket_lower_end_encloses_the_distance():
     cases = _interior_ball_cases(HINGE_MODEL)
     assert len(cases) == 6
     pts = [*_sandwich_draw(HINGE_MODEL), *cases]
-    brackets, cut = HINGE_MODEL.boundary_distance_brackets(pts)
-    assert not cut.any()
+    brackets = HINGE_MODEL.boundary_distance_brackets(pts)
     wrong = []
     for z, b in zip(pts, brackets):
         s = oracle_gen.mp.hypot(z[1].real, z[1].imag)
@@ -339,7 +346,7 @@ def test_bracket_upper_end_encloses_the_distance():
     rng = np.random.default_rng(0)
     pts = np.concatenate([sample_interior(HINGE_MODEL, 120, rng, margin=m)
                           for m in (0.02, 1e-3, 1e-6)])
-    brackets, _ = HINGE_MODEL.boundary_distance_brackets(pts)
+    brackets = HINGE_MODEL.boundary_distance_brackets(pts)
     below = []
     for z, b in zip(pts.tolist(), brackets):
         s = oracle_gen.mp.hypot(z[1].real, z[1].imag)
@@ -358,19 +365,18 @@ def test_ceiling_keeps_the_bits_of_the_uncapped_search(m, raw):
     # the face distance caps the branch and bound; bracketing the profile
     # with no ceiling and taking the faces afterwards gives the same bits
     pts = [*_interior_points(m, raw), *_sandwich_draw(m)]
-    got, got_cut = m.boundary_distance_brackets(pts)
+    got = m.boundary_distance_brackets(pts)
     z = np.array(pts)
     x1, y1, s = z[:, 0].real, z[:, 0].imag, np.hypot(z[:, 1].real, z[:, 1].imag)
     faces = np.minimum(np.minimum(BOX - x1, BOX - np.abs(y1)), Z2_CAP - s)
     assert (np.sqrt(faces * faces) == faces).all()
-    lo, hi, cut = m._profile_distance_block(x1, s, ceiling=math.inf)
+    lo, hi = m._profile_distance_block(x1, s, ceiling=math.inf)
     # a point that stops at its ceiling keeps a cover of the graph distance
-    capped_lo, capped_hi, _ = m._profile_distance_block(x1, s, ceiling=faces * faces)
+    capped_lo, capped_hi = m._profile_distance_block(x1, s, ceiling=faces * faces)
     assert (capped_lo <= lo).all() and (capped_hi >= hi).all()
     lo = np.minimum(convex._face_margin_lower(x1, y1, s), lo)
     want = [(a.hex(), b.hex()) for a, b in zip(lo.tolist(), np.minimum(faces, hi).tolist())]
     assert [_bits(b) for b in got] == want
-    assert got_cut.tolist() == cut.tolist()
 
 
 def test_face_decided_point_settles_in_the_uniform_pass():
@@ -387,10 +393,9 @@ def test_face_decided_point_settles_in_the_uniform_pass():
         return value(t)
 
     spied = dataclasses.replace(m, profile=dataclasses.replace(m.profile, value=spy))
-    (b,), cut = spied.boundary_distance_brackets([(2.95 + 0.0j, 0.0j)])
+    (b,) = spied.boundary_distance_brackets([(2.95 + 0.0j, 0.0j)])
     assert shapes == [(1,), (1,), (1, convex._BB_COARSE + 1)]
     assert b.lo == b.hi == BOX - 2.95
-    assert not cut[0]
 
 
 @settings(max_examples=15)
@@ -441,26 +446,19 @@ def test_chain_polygon_on_float_planes_matches_the_complex_formulation():
     assert (h.view(np.int64) == want_h.view(np.int64)).all()
 
 
-def test_bracket_cut_short_still_encloses_and_says_so(monkeypatch):
+def test_bracket_past_its_cap_on_splits_refuses(monkeypatch):
     # flat_quartic's base-point bracket needs splits: with the cap at one
-    # split it stops after the uniform pass, still an enclosure of the
-    # distance to the graph, and every caller reports it
-    m = FLAT_QUARTIC_MODEL
-    (full,), cut = m.boundary_distance_brackets([BASE_POINT])
-    assert not cut[0]
+    # split the bracket refuses, naming the point, and so do the flat
+    # witness, both sandwich suites and the suite that builds flat witnesses
     monkeypatch.setattr(convex, "_BB_MAX_ITER", 1)
-    (short,), cut = m.boundary_distance_brackets([BASE_POINT])
-    assert cut[0]
-    t = np.linspace(0.0, 2.0, 400001)
-    grid_min = float(np.sqrt(np.min((1.0 - m.profile.value(t)) ** 2 + t * t)))
-    assert short.lo <= full.lo <= grid_min <= full.hi <= short.hi
-    assert (short.lo, short.hi) != (full.lo, full.hi)
-
-    with pytest.raises(CertificateError, match="checks failed: base-point bracket converged"):
-        flat_witness(m, 0.02)
-    ctx = verify.VerifyContext()
-    for suite in (verify.suite_bound_sandwich, verify.suite_interior_ball):
-        assert any("boundary bracket cut short" in f for f in suite(ctx))
+    refusal = "^point 0 of the block needs more than 1 branch-and-bound splits$"
+    with pytest.raises(CertificateError, match=refusal):
+        FLAT_QUARTIC_MODEL.boundary_distance_brackets([BASE_POINT])
+    with pytest.raises(CertificateError, match=refusal):
+        flat_witness(FLAT_QUARTIC_MODEL, 0.02)
+    failed = {r.name: r.detail for r in verify.run_all() if not r.passed}
+    assert set(failed) == {"bound-sandwich", "interior-ball", "witness-divergence"}
+    assert all(d.startswith("CertificateError: point ") for d in failed.values())
 
 
 def test_a_crossing_below_a_billionth_fails_the_sandwich_suites(monkeypatch):
@@ -470,11 +468,11 @@ def test_a_crossing_below_a_billionth_fails_the_sandwich_suites(monkeypatch):
 
     def chain(self, zs, ws):
         uppers = real_chain(self, zs, ws)
-        uppers[0] = _ratio_lower(*self.boundary_distance_brackets([zs[0], ws[0]])[0]) - 1e-10
+        uppers[0] = _ratio_lower(*self.boundary_distance_brackets([zs[0], ws[0]])) - 1e-10
         return uppers
 
     def ball(domain, z, log_g):
-        return _ratio_lower(*domain.boundary_distance_brackets([z, BASE_POINT])[0]) - 1e-10
+        return _ratio_lower(*domain.boundary_distance_brackets([z, BASE_POINT])) - 1e-10
 
     monkeypatch.setattr(convex.ModelDomain, "ub_euclidean_chain", chain)
     monkeypatch.setattr(verify, "ub_interior_ball", ball)
@@ -495,7 +493,7 @@ def test_cheap_lower_never_beats_bracket(x1, t):
         if not m.contains(z, slack=-1e-6):
             continue
         cheap = m.cheap_boundary_lower(z)
-        (b,), _ = m.boundary_distance_brackets([z])
+        (b,) = m.boundary_distance_brackets([z])
         assert cheap <= b.hi * (1.0 + 1e-9)
         assert b.lo <= b.hi
 
@@ -508,7 +506,7 @@ def test_sandwich_on_random_pairs(m, rng):
     ubs = m.ub_euclidean_chain(pts[0::2], pts[1::2])
     for i, ub in zip(range(0, 12, 2), ubs):
         z, w = pts[i], pts[i + 1]
-        lb = _ratio_lower(*m.boundary_distance_brackets([z, w])[0])
+        lb = _ratio_lower(*m.boundary_distance_brackets([z, w]))
         assert lb <= ub + 1e-9
 
 
@@ -543,7 +541,7 @@ def test_chain_upper_bound_basics(rng):
     assert m.ub_euclidean_chain([z], [z])[0] == 0.0
     fwd, bwd = m.ub_euclidean_chain([z, w], [w, z])
     assert fwd > 0.0 and bwd > 0.0
-    lb = _ratio_lower(*m.boundary_distance_brackets([z, w])[0])
+    lb = _ratio_lower(*m.boundary_distance_brackets([z, w]))
     assert min(fwd, bwd) >= lb - 1e-9
 
 
@@ -605,7 +603,7 @@ def test_interior_ball_dominates_ratio_lower():
     for t1 in (0.0, 0.12, 0.25):
         z = (complex(m.profile.value(t1) + 1e-4), complex(t1))
         assert m.contains(z)
-        lb = _ratio_lower(*m.boundary_distance_brackets([z, BASE_POINT])[0])
+        lb = _ratio_lower(*m.boundary_distance_brackets([z, BASE_POINT]))
         assert lb <= ub_interior_ball(m, z, _log_height(m, z)) + 1e-9
 
 

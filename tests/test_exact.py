@@ -351,6 +351,18 @@ def test_tetra_origin_distance_royal_point():
     )
 
 
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("part", [math.nan, math.inf])
+def test_tetra_origin_distance_refuses_a_nan_or_infinite_coordinate(k, part):
+    # an underflowing exp leaves errno at ERANGE, where CPython's complex
+    # abs on a NaN part would raise OverflowError rather than return NaN
+    x = [0.1 + 0.0j] * 3
+    x[k] = complex(0.0, part)
+    math.exp(-1000.0)
+    with pytest.raises(OracleError):
+        exact.tetra_origin_distance(tuple(x))
+
+
 def test_tetra_automorphism_fixes_membership():
     # the origin form refuses points outside the tetrablock, so a finite
     # distance means the image of the reference automorphism is inside

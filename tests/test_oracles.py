@@ -63,7 +63,7 @@ CASES = {
     # checked as an enclosure, not to a tolerance
     "hinge boundary (0.5, 1.5)": (
         0.16592048182615238,
-        lambda: HINGE_MODEL.boundary_distance_brackets([(0.5 + 0.0j, 0.0 + 1.5j)])[0][0],
+        lambda: HINGE_MODEL.boundary_distance_brackets([(0.5 + 0.0j, 0.0 + 1.5j)])[0],
     ),
     "atanh(1 - e^-100)": (
         50.346573590279973,
@@ -202,7 +202,7 @@ def test_face_margins_bound_the_exact_face_distance(name):
     pts = sample_interior(domain, 1500, np.random.default_rng(1), margin=1e-9)
     z1, z2 = np.array([z[0] for z in pts]), np.array([z[1] for z in pts])
     cheap = domain.cheap_boundary_lower((z1, z2)).tolist()
-    brackets, _ = domain.boundary_distance_brackets(pts)
+    brackets = domain.boundary_distance_brackets(pts)
     above = []
     for z, lo_cheap, bracket in zip(pts, cheap, brackets):
         face = oracle_gen.face_distance(z)
@@ -397,7 +397,7 @@ def _flat_report_and_terms(name, x, monkeypatch):
     monkeypatch.setattr(convex, "_ub_real_leg", recording)
     rep = witnesses.flat_witness(domain, x)
     (c1, center, _, radius), (s, _, _, r), _ = legs
-    (base,), _ = domain.boundary_distance_brackets([BASE_POINT])
+    (base,) = domain.boundary_distance_brackets([BASE_POINT])
     inputs = (name, x, witnesses._ALPHA_PER_X * x, base.lo,
               (c1, s, center, r, radius), domain.ball_radius)
     iv = oracle_gen.iv

@@ -9,6 +9,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+from test_witnesses import CHECK_MUTATIONS
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gromovlab"
 
@@ -222,8 +224,9 @@ def _check_tuples(tree):
 def test_witness_checks_are_computed():
     tree = _parse(PACKAGE / "witnesses.py")
     checks = _check_tuples(tree)
-    # every family records some: an empty scan would prove nothing
-    assert len(checks) >= 7
+    # one recorded check per mutation that breaks it: an empty scan would
+    # prove nothing
+    assert len(checks) == len(CHECK_MUTATIONS)
     constant = [t.elts[0].value for t in checks if isinstance(t.elts[1], ast.Constant)]
     assert not constant, f"checks recorded as a literal constant: {constant}"
     constructors = [node for node in tree.body

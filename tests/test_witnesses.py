@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gromovlab import convex, verify, witnesses
+from gromovlab import verify, witnesses
 from gromovlab.convex import BASE_POINT, CertificateError, ModelDomain, ub_interior_ball
 from gromovlab.core import PAIR_KEYS, four_point_defects
 from gromovlab.exact import SAMPLE_DOMAINS, DistBound
@@ -365,10 +365,6 @@ def _stretched_pw(d):
     return d * np.where(np.array(PAIR_KEYS) == "pw", 1.5, 1.0)
 
 
-def _cut_branch_and_bound(monkeypatch):
-    monkeypatch.setattr(convex, "_BB_MAX_ITER", 1)
-
-
 CHECK_MUTATIONS = {
     ("product", "defect equals the scale exactly"):
         ("product", 5.0, _wrap(witnesses, "defect_interval", _low_defect)),
@@ -380,9 +376,6 @@ CHECK_MUTATIONS = {
         ("tetra", 0.5, _wrap(witnesses, "defect_interval", _low_defect)),
     ("hinge", "unit ball about w clears the flat face"):
         ("hinge", 1e-6, _wrap(ModelDomain, "psi_up", lambda v: v + 1e-300)),
-    # the flat_exp base bracket settles in its first pass, so only the
-    # quartic profile can be cut short
-    ("flat", "base-point bracket converged"): ("flat_quartic", 0.02, _cut_branch_and_bound),
     ("flat", "float/log agreement (slice leg)"):
         ("flat_exp", 0.02, _wrap(witnesses, "_atanh_stable", lambda d: d * (1.0 + 1e-6))),
 }
